@@ -11,11 +11,11 @@ cargo build --release
 # worker count, so the suite runs under both a serial and a wide pool —
 # any schedule leak shows up as a determinism-test failure in one matrix
 # leg but not the other.
-echo "==> cargo test -q (H2O_WORKERS=1)"
-H2O_WORKERS=1 cargo test -q
+echo "==> cargo test -q --workspace (H2O_WORKERS=1)"
+H2O_WORKERS=1 cargo test -q --workspace
 
-echo "==> cargo test -q (H2O_WORKERS=4)"
-H2O_WORKERS=4 cargo test -q
+echo "==> cargo test -q --workspace (H2O_WORKERS=4)"
+H2O_WORKERS=4 cargo test -q --workspace
 
 # Checkpoint/resume smoke through the release binary, once per executor
 # width: a run truncated at step 4 and resumed must write the same

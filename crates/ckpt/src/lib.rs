@@ -565,6 +565,16 @@ mod tests {
     }
 
     #[test]
+    fn encoded_bytes_are_pinned() {
+        // Round trips cannot see a layout change; this digest can. A new
+        // digest means files written by older binaries no longer resume,
+        // so it must come with a FORMAT_VERSION bump.
+        let bytes = encode_file(&sample_state().as_snapshot(), 0xDEAD_BEEF);
+        assert_eq!(bytes.len(), 312);
+        assert_eq!(wire::fnv1a(&bytes), 0x030a_e6b0_d992_8b7d);
+    }
+
+    #[test]
     fn no_supernet_state_round_trips() {
         let mut state = sample_state();
         state.supernet_state = None;

@@ -10,8 +10,12 @@
 use h2o_space::{ArchSample, SearchSpace};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Softmax policy over a search space's decisions.
+///
+/// Beside its logits the policy keeps their softmax, refreshed row by row
+/// whenever logits change, so sampling and the entropy only read it.
 ///
 /// # Examples
 ///
@@ -29,29 +33,28 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Policy {
-    logits: Vec<Vec<f64>>,
+    /// Every decision's logits, concatenated in decision order.
+    logits: Vec<f64>,
+    /// Row bounds: decision `d` owns `offsets[d]..offsets[d + 1]`.
+    offsets: Vec<usize>,
+    /// The softmax of `logits`, row by row, as [`softmax_into`] writes it.
+    probs: Vec<f64>,
 }
 
 impl Policy {
     /// A uniform policy over the space (all logits zero).
     pub fn uniform(space: &SearchSpace) -> Self {
-        Self {
-            logits: space
-                .decisions()
-                .iter()
-                .map(|d| vec![0.0; d.choices])
-                .collect(),
-        }
+        Self::from_rows(space.decisions().iter().map(|d| vec![0.0; d.choices]))
     }
 
     /// Number of decisions.
     pub fn num_decisions(&self) -> usize {
-        self.logits.len()
+        self.offsets.len() - 1
     }
 
-    /// The raw per-decision logits (checkpoint serialisation).
-    pub fn logits(&self) -> &[Vec<f64>] {
-        &self.logits
+    /// The raw logits, one row per decision (checkpoint serialisation).
+    pub fn logits(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
+        self.rows().map(move |row| &self.logits[row])
     }
 
     /// Rebuilds a policy from raw logits (checkpoint restore).
@@ -65,7 +68,31 @@ impl Policy {
             logits.iter().all(|l| !l.is_empty()),
             "every decision needs at least one choice"
         );
-        Self { logits }
+        Self::from_rows(logits)
+    }
+
+    /// Flattens per-decision logit rows and fills the probability table.
+    fn from_rows(rows: impl IntoIterator<Item = Vec<f64>>) -> Self {
+        let mut logits = Vec::new();
+        let mut offsets = vec![0];
+        for row in rows {
+            logits.extend(row);
+            offsets.push(logits.len());
+        }
+        let mut probs = vec![0.0; logits.len()];
+        for w in offsets.windows(2) {
+            softmax_into(&logits[w[0]..w[1]], &mut probs[w[0]..w[1]]);
+        }
+        Self {
+            logits,
+            offsets,
+            probs,
+        }
+    }
+
+    /// Each decision's range in `logits` and `probs`.
+    fn rows(&self) -> impl ExactSizeIterator<Item = Range<usize>> + '_ {
+        self.offsets.windows(2).map(|w| w[0]..w[1])
     }
 
     /// Softmax probabilities of one decision.
@@ -73,19 +100,15 @@ impl Policy {
     /// # Panics
     ///
     /// Panics if `decision` is out of range.
-    pub fn probs(&self, decision: usize) -> Vec<f64> {
-        let logits = &self.logits[decision];
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
+    pub fn probs(&self, decision: usize) -> &[f64] {
+        &self.probs[self.offsets[decision]..self.offsets[decision + 1]]
     }
 
     /// Samples one architecture from the product of multinomials.
     pub fn sample(&self, rng: &mut impl Rng) -> ArchSample {
-        (0..self.logits.len())
-            .map(|d| {
-                let probs = self.probs(d);
+        self.rows()
+            .map(|row| {
+                let probs = &self.probs[row];
                 let u: f64 = rng.gen();
                 let mut acc = 0.0;
                 for (c, p) in probs.iter().enumerate() {
@@ -101,8 +124,7 @@ impl Policy {
 
     /// The most probable architecture (the search's final answer).
     pub fn argmax(&self) -> ArchSample {
-        self.logits
-            .iter()
+        self.logits()
             .map(|logits| {
                 logits
                     .iter()
@@ -120,7 +142,7 @@ impl Policy {
     ///
     /// Panics if the sample shape mismatches the policy.
     pub fn log_prob(&self, sample: &ArchSample) -> f64 {
-        assert_eq!(sample.len(), self.logits.len(), "sample length mismatch");
+        assert_eq!(sample.len(), self.num_decisions(), "sample length mismatch");
         sample
             .iter()
             .enumerate()
@@ -130,107 +152,56 @@ impl Policy {
 
     /// Mean per-decision entropy in nats — a convergence diagnostic.
     pub fn mean_entropy(&self) -> f64 {
-        let total: f64 = (0..self.logits.len())
-            .map(|d| {
-                -self
-                    .probs(d)
+        let total: f64 = self
+            .rows()
+            .map(|row| {
+                -self.probs[row]
                     .iter()
                     .map(|p| p * p.max(1e-300).ln())
                     .sum::<f64>()
             })
             .sum();
-        total / self.logits.len().max(1) as f64
+        total / self.num_decisions().max(1) as f64
     }
 
     /// One cross-shard REINFORCE update (§4.2): for every (sample,
     /// advantage) pair, moves each chosen logit by
     /// `lr · advantage · (1 − p)` and the others by `−lr · advantage · p`.
-    /// Advantages should already be baseline-subtracted.
+    /// Advantages should already be baseline-subtracted. Pairs apply in
+    /// batch order, and each decision's probabilities are refreshed as
+    /// soon as its logits move, so every pair sees the ones before it.
     ///
     /// # Panics
     ///
     /// Panics if shapes mismatch.
     pub fn reinforce_update(&mut self, batch: &[(ArchSample, f64)], lr: f64) {
-        self.reinforce_update_regularized(batch, lr, 0.0);
-    }
-
-    /// REINFORCE with an entropy bonus: adds `entropy_weight · ∇H(π)` to
-    /// each updated decision, counteracting premature convergence on large
-    /// spaces (a standard RL-NAS stabiliser; weight 0 recovers plain
-    /// REINFORCE).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes mismatch or `entropy_weight < 0`.
-    pub fn reinforce_update_regularized(
-        &mut self,
-        batch: &[(ArchSample, f64)],
-        lr: f64,
-        entropy_weight: f64,
-    ) {
-        assert!(entropy_weight >= 0.0, "entropy weight must be non-negative");
         for (sample, advantage) in batch {
-            assert_eq!(sample.len(), self.logits.len(), "sample length mismatch");
-            for (d, &chosen) in sample.iter().enumerate() {
-                let probs = self.probs(d);
-                // ∂H/∂logit_c = −p_c (log p_c + H)  for softmax policies.
-                let entropy: f64 = -probs.iter().map(|p| p * p.max(1e-300).ln()).sum::<f64>();
-                let logits = &mut self.logits[d];
-                for (c, logit) in logits.iter_mut().enumerate() {
+            assert_eq!(sample.len(), self.num_decisions(), "sample length mismatch");
+            for (w, &chosen) in self.offsets.windows(2).zip(sample) {
+                let logits = &mut self.logits[w[0]..w[1]];
+                let probs = &mut self.probs[w[0]..w[1]];
+                for (c, (logit, p)) in logits.iter_mut().zip(probs.iter()).enumerate() {
                     let indicator = if c == chosen { 1.0 } else { 0.0 };
-                    let policy_grad = advantage * (indicator - probs[c]);
-                    let entropy_grad = -probs[c] * (probs[c].max(1e-300).ln() + entropy);
-                    *logit += lr * (policy_grad + entropy_weight * entropy_grad);
+                    *logit += lr * (advantage * (indicator - p));
                 }
+                softmax_into(logits, probs);
             }
         }
     }
+}
 
-    /// Warm-starts the policy at a known architecture: adds `boost` to the
-    /// given sample's logits so the search begins *near* a trusted baseline
-    /// instead of uniform — how production re-optimisation runs seed from
-    /// the incumbent model (§7.3's zero-touch re-optimisation setting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample shape mismatches or `boost` is not finite.
-    pub fn bias_toward(&mut self, sample: &ArchSample, boost: f64) {
-        assert!(boost.is_finite(), "boost must be finite");
-        assert_eq!(sample.len(), self.logits.len(), "sample length mismatch");
-        for (logits, &choice) in self.logits.iter_mut().zip(sample) {
-            assert!(choice < logits.len(), "choice out of range");
-            logits[choice] += boost;
-        }
+/// Writes the softmax of `logits` into `probs`: the max, `exp(l − max)`
+/// per choice, their left-to-right sum, then one division per choice.
+/// Sampled architectures depend on every bit of the result, so this
+/// order of operations is part of the search output.
+fn softmax_into(logits: &[f64], probs: &mut [f64]) {
+    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for (p, l) in probs.iter_mut().zip(logits) {
+        *p = (l - max).exp();
     }
-
-    /// Samples with a softmax temperature: τ > 1 flattens the policy
-    /// (exploration), τ < 1 sharpens it (exploitation).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `temperature > 0`.
-    pub fn sample_with_temperature(&self, rng: &mut impl Rng, temperature: f64) -> ArchSample {
-        assert!(temperature > 0.0, "temperature must be positive");
-        (0..self.logits.len())
-            .map(|d| {
-                let logits = &self.logits[d];
-                let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                let exps: Vec<f64> = logits
-                    .iter()
-                    .map(|l| ((l - max) / temperature).exp())
-                    .collect();
-                let sum: f64 = exps.iter().sum();
-                let u: f64 = rng.gen::<f64>() * sum;
-                let mut acc = 0.0;
-                for (c, e) in exps.iter().enumerate() {
-                    acc += e;
-                    if u < acc {
-                        return c;
-                    }
-                }
-                exps.len() - 1
-            })
-            .collect()
+    let sum: f64 = probs.iter().sum();
+    for p in probs {
+        *p /= sum;
     }
 }
 
@@ -379,25 +350,8 @@ mod tests {
 
     #[test]
     fn argmax_picks_highest_logit() {
-        let mut p = Policy::uniform(&space());
-        p.logits[1][3] = 2.0;
+        let p = Policy::from_logits(vec![vec![0.0; 3], vec![0.0, 0.0, 0.0, 2.0]]);
         assert_eq!(p.argmax()[1], 3);
-    }
-
-    #[test]
-    fn bias_toward_concentrates_on_the_seed() {
-        let mut p = Policy::uniform(&space());
-        p.bias_toward(&vec![2, 3], 2.0);
-        assert_eq!(p.argmax(), vec![2, 3]);
-        // But not deterministically: other choices keep probability mass.
-        assert!(p.probs(0)[0] > 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn bias_toward_rejects_wrong_shape() {
-        let mut p = Policy::uniform(&space());
-        p.bias_toward(&vec![0], 1.0);
     }
 
     #[test]
@@ -412,66 +366,6 @@ mod tests {
     #[should_panic(expected = "momentum")]
     fn bad_momentum_panics() {
         RewardBaseline::new(1.5);
-    }
-
-    #[test]
-    fn entropy_regularization_slows_collapse() {
-        // Same rewarded updates, with and without the entropy bonus: the
-        // regularized policy must stay strictly more uniform.
-        let run = |weight: f64| {
-            let mut p = Policy::uniform(&space());
-            let mut rng = StdRng::seed_from_u64(5);
-            for _ in 0..100 {
-                let s = p.sample(&mut rng);
-                let r = if s[0] == 1 { 1.0 } else { 0.0 };
-                p.reinforce_update_regularized(&[(s, r)], 0.2, weight);
-            }
-            p.mean_entropy()
-        };
-        assert!(run(0.5) > run(0.0));
-    }
-
-    #[test]
-    fn entropy_gradient_restores_uniformity_without_rewards() {
-        // Pure entropy ascent from a peaked policy must flatten it.
-        let mut p = Policy::uniform(&space());
-        p.logits[0][2] = 3.0;
-        let before = p.mean_entropy();
-        let mut rng = StdRng::seed_from_u64(6);
-        for _ in 0..200 {
-            let s = p.sample(&mut rng);
-            p.reinforce_update_regularized(&[(s, 0.0)], 0.3, 1.0);
-        }
-        assert!(
-            p.mean_entropy() > before,
-            "{} -> {}",
-            before,
-            p.mean_entropy()
-        );
-    }
-
-    #[test]
-    fn high_temperature_flattens_sampling() {
-        let mut p = Policy::uniform(&space());
-        p.logits[0][0] = 4.0; // strongly peaked
-        let mut rng = StdRng::seed_from_u64(7);
-        let count_zero = |temp: f64, rng: &mut StdRng| {
-            (0..500)
-                .filter(|_| p.sample_with_temperature(rng, temp)[0] == 0)
-                .count()
-        };
-        let sharp = count_zero(0.5, &mut rng);
-        let flat = count_zero(8.0, &mut rng);
-        assert!(sharp > 450, "sharp sampling should lock in: {sharp}");
-        assert!(flat < 350, "hot sampling should explore: {flat}");
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature")]
-    fn zero_temperature_rejected() {
-        let p = Policy::uniform(&space());
-        let mut rng = StdRng::seed_from_u64(8);
-        p.sample_with_temperature(&mut rng, 0.0);
     }
 
     #[test]

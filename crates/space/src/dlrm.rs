@@ -433,9 +433,9 @@ impl DlrmSpace {
     }
 
     /// Encodes an architecture back into the nearest sample — the inverse
-    /// of [`DlrmSpace::decode`], used to warm-start a search at an
-    /// incumbent production model (`Policy::bias_toward`). Dimensions that
-    /// fall between choices snap to the closest one.
+    /// of [`DlrmSpace::decode`], e.g. to locate an incumbent production
+    /// model in the space. Dimensions that fall between choices snap to
+    /// the closest one.
     pub fn encode(&self, arch: &DlrmArch) -> ArchSample {
         let nearest = |target: f64, options: &mut dyn Iterator<Item = (usize, f64)>| -> usize {
             options

@@ -8,7 +8,100 @@ use h2o_nas::space::{CnnSpace, CnnSpaceConfig, Decision, DlrmSpace, DlrmSpaceCon
 use h2o_nas::tensor::{loss, Activation, MaskedDense, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// The policy as it was before the cached softmax table: nested logits, a
+/// fresh softmax on every read, and an update that still carried a
+/// zero-weight entropy term. `Policy` must match it bit for bit.
+struct ReferencePolicy {
+    logits: Vec<Vec<f64>>,
+}
+
+impl ReferencePolicy {
+    fn probs(&self, decision: usize) -> Vec<f64> {
+        let logits = &self.logits[decision];
+        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
+        let sum: f64 = exps.iter().sum();
+        exps.into_iter().map(|e| e / sum).collect()
+    }
+
+    fn sample(&self, rng: &mut StdRng) -> Vec<usize> {
+        (0..self.logits.len())
+            .map(|d| {
+                let probs = self.probs(d);
+                let u: f64 = rng.gen();
+                let mut acc = 0.0;
+                for (c, p) in probs.iter().enumerate() {
+                    acc += p;
+                    if u < acc {
+                        return c;
+                    }
+                }
+                probs.len() - 1
+            })
+            .collect()
+    }
+
+    fn mean_entropy(&self) -> f64 {
+        let total: f64 = (0..self.logits.len())
+            .map(|d| {
+                -self
+                    .probs(d)
+                    .iter()
+                    .map(|p| p * p.max(1e-300).ln())
+                    .sum::<f64>()
+            })
+            .sum();
+        total / self.logits.len().max(1) as f64
+    }
+
+    fn reinforce_update(&mut self, batch: &[(Vec<usize>, f64)], lr: f64) {
+        let entropy_weight = 0.0;
+        for (sample, advantage) in batch {
+            for (d, &chosen) in sample.iter().enumerate() {
+                let probs = self.probs(d);
+                let entropy: f64 = -probs.iter().map(|p| p * p.max(1e-300).ln()).sum::<f64>();
+                for (c, logit) in self.logits[d].iter_mut().enumerate() {
+                    let indicator = if c == chosen { 1.0 } else { 0.0 };
+                    let policy_grad = advantage * (indicator - probs[c]);
+                    let entropy_grad = -probs[c] * (probs[c].max(1e-300).ln() + entropy);
+                    *logit += lr * (policy_grad + entropy_weight * entropy_grad);
+                }
+            }
+        }
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `Some(what differs)` unless the two policies agree bit for bit on
+/// logits, probabilities, entropy and the samples drawn from `seed`.
+fn bitwise_mismatch(policy: &Policy, reference: &ReferencePolicy, seed: u64) -> Option<String> {
+    if policy.num_decisions() != reference.logits.len() {
+        return Some("decision count".into());
+    }
+    for (d, (row, want)) in policy.logits().zip(&reference.logits).enumerate() {
+        if bits(row) != bits(want) {
+            return Some(format!("logits of decision {d}: {row:?} vs {want:?}"));
+        }
+        if bits(policy.probs(d)) != bits(&reference.probs(d)) {
+            return Some(format!("probs of decision {d}"));
+        }
+    }
+    if policy.mean_entropy().to_bits() != reference.mean_entropy().to_bits() {
+        return Some("mean entropy".into());
+    }
+    let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+    for _ in 0..4 {
+        if policy.sample(&mut a) != reference.sample(&mut b) {
+            return Some(format!("samples drawn from seed {seed}"));
+        }
+    }
+    None
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -32,6 +125,51 @@ proptest! {
             prop_assert!((sum - 1.0).abs() < 1e-9);
             prop_assert!(probs.iter().all(|p| *p >= 0.0));
         }
+    }
+
+    /// The cached softmax table changes no bit of the search: after every
+    /// REINFORCE step the logits, probabilities, entropy and samples equal
+    /// the per-call softmax reference, from a uniform or a random start,
+    /// with 1-choice decisions and large advantages included. A checkpoint
+    /// round trip through `from_logits` rebuilds the same policy.
+    #[test]
+    fn policy_table_matches_fresh_softmax_bitwise(
+        choices in prop::collection::vec(1usize..11, 1..12),
+        steps in prop::collection::vec(prop::collection::vec(-50.0f64..50.0, 1..9), 1..10),
+        lr in 0.01f64..1.0,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let start: Vec<Vec<f64>> = choices
+            .iter()
+            .map(|&c| {
+                (0..c)
+                    .map(|_| if seed % 2 == 0 { 0.0 } else { rng.gen::<f64>() * 8.0 - 4.0 })
+                    .collect()
+            })
+            .collect();
+        let mut policy = if seed % 2 == 0 {
+            let mut space = SearchSpace::new("bits");
+            for (i, &c) in choices.iter().enumerate() {
+                space.push(Decision::new(format!("d{i}"), c));
+            }
+            Policy::uniform(&space)
+        } else {
+            Policy::from_logits(start.clone())
+        };
+        let mut reference = ReferencePolicy { logits: start };
+        prop_assert_eq!(bitwise_mismatch(&policy, &reference, seed), None);
+        for (step, advantages) in steps.iter().enumerate() {
+            let batch: Vec<(Vec<usize>, f64)> =
+                advantages.iter().map(|&adv| (policy.sample(&mut rng), adv)).collect();
+            policy.reinforce_update(&batch, lr);
+            reference.reinforce_update(&batch, lr);
+            let draw_seed = seed ^ ((step as u64 + 1) << 32);
+            prop_assert_eq!(bitwise_mismatch(&policy, &reference, draw_seed), None);
+        }
+        let restored = Policy::from_logits(policy.logits().map(<[f64]>::to_vec).collect());
+        prop_assert_eq!(&restored, &policy);
+        prop_assert_eq!(bitwise_mismatch(&restored, &reference, seed), None);
     }
 
     /// The ReLU reward never penalises being under target, is monotone

@@ -17,6 +17,13 @@ H2O_WORKERS=1 cargo test -q --workspace
 echo "==> cargo test -q --workspace (H2O_WORKERS=4)"
 H2O_WORKERS=4 cargo test -q --workspace
 
+# The executor holds the workspace's one `unsafe` block (the lifetime
+# erasure that lets parked helper threads run borrowing jobs), and an
+# optimized build interleaves its threads differently from a debug one,
+# so its suite runs once more in release mode.
+echo "==> cargo test -q --release -p h2o-exec"
+cargo test -q --release -p h2o-exec
+
 # Checkpoint/resume smoke through the release binary, once per executor
 # width: a run truncated at step 4 and resumed must write the same
 # telemetry as an uninterrupted run (history compared modulo the

@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 use h2o_core::{CheckpointSink, Policy, ResumeState, RewardBaseline, SearchSnapshot};
 use h2o_core::{EvalResult, EvaluatedCandidate, StepRecord};

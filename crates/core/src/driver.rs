@@ -410,11 +410,7 @@ impl<'a> SearchDriver<'a> {
                     .collect();
                 (rewards, mean, best, b, batch)
             });
-            phase_policy.time(|| {
-                h2o_obs::time("policy_update", || {
-                    policy.reinforce_update(&batch, config.policy_lr)
-                })
-            });
+            phase_policy.time(|| policy.reinforce_update(&batch, config.policy_lr));
             phase_stage.time(|| stage.after_policy_update(&results, &rewards));
 
             let entropy = policy.mean_entropy();

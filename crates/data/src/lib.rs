@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 mod pipeline;
 mod stats;

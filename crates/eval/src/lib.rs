@@ -26,6 +26,7 @@
 //! per-shard evaluator closures.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod backend;
 mod scenario;

@@ -34,6 +34,7 @@
 use crate::frame::{ExecError, FrameKind};
 use crate::transport::{NodeAddr, NodeTransport};
 use crate::wire::{Dec, Enc};
+use crate::Executor;
 use std::time::Duration;
 
 /// Encodes an `(index, payload)` pair for a `Job` or `Result` frame.
@@ -111,6 +112,8 @@ pub type NodeRespawner = Box<dyn FnMut(usize) -> Result<NodeAddr, String> + Send
 /// after it died (until a [`NodeRespawner`] revives it).
 pub struct DistributedPool {
     nodes: Vec<Option<NodeTransport>>,
+    /// Runs the per-node legs of a batch, one worker per node.
+    executor: Executor,
     fingerprint: u64,
     options: PoolOptions,
     respawner: Option<NodeRespawner>,
@@ -225,6 +228,7 @@ impl DistributedPool {
             gauge.set(1.0);
         }
         Ok(Self {
+            executor: Executor::new(nodes.len()),
             nodes,
             fingerprint,
             options,
@@ -260,8 +264,8 @@ impl DistributedPool {
     /// `jobs[i]`.
     ///
     /// Pending jobs are spread round-robin over the live nodes; each
-    /// node's leg is pipelined (all sent, then all received) on a thread
-    /// per node, with the per-socket I/O timeout bounding every blocking
+    /// node's leg is pipelined (all sent, then all received) on a worker of
+    /// the pool's executor, the per-socket I/O timeout bounding every blocking
     /// read. A leg that fails with an I/O-class error marks its node dead
     /// (salvaging the checksummed replies it already produced), triggers
     /// the bounded respawn-reconnect cycle when a [`NodeRespawner`] is
@@ -330,44 +334,30 @@ impl DistributedPool {
                 per_node[live[k % live.len()]].push((index as u64, jobs[index].clone()));
             }
 
+            // One leg per live node with work, on the pool's executor;
+            // legs come back in node order.
             let node_roundtrip = &self.node_roundtrip;
-            let mut outcomes: Vec<BatchOutcome> = (0..self.nodes.len())
-                .map(|_| BatchOutcome {
-                    results: Vec::new(),
-                    error: None,
+            let legs: Vec<_> = self
+                .nodes
+                .iter_mut()
+                .zip(per_node)
+                .enumerate()
+                .filter_map(|(node, (slot, batch))| {
+                    let transport = slot.as_mut().filter(|_| !batch.is_empty())?;
+                    Some(move || {
+                        let watch = h2o_obs::Stopwatch::start();
+                        let outcome = run_node_batch(transport, node, batch);
+                        node_roundtrip[node].record(watch.elapsed_secs());
+                        (node, outcome)
+                    })
                 })
                 .collect();
-            {
-                let mut outcome_slots: Vec<_> = outcomes.iter_mut().collect();
-                crossbeam::thread::scope(|scope| {
-                    for (node, (slot_node, batch)) in
-                        self.nodes.iter_mut().zip(per_node).enumerate()
-                    {
-                        // Pop from the front so slot k belongs to node k.
-                        let slot = outcome_slots.remove(0);
-                        let Some(transport) = slot_node.as_mut() else {
-                            continue;
-                        };
-                        if batch.is_empty() {
-                            continue;
-                        }
-                        scope.spawn(move |_| {
-                            let watch = h2o_obs::Stopwatch::start();
-                            *slot = run_node_batch(transport, node, batch);
-                            node_roundtrip[node].record(watch.elapsed_secs());
-                        });
-                    }
-                })
-                // h2o-lint: allow(panic-hygiene) -- a scope Err re-raises a child thread's panic;
-                // node threads return typed outcomes through their slot and do not panic themselves
-                .expect("node batch scope panicked");
-            }
 
             // Merge every salvaged result first, then classify failures:
             // fatal errors abort (lowest node wins, deterministically),
             // node losses mark the node dead and feed the revive path.
             let mut lost: Vec<(usize, ExecError)> = Vec::new();
-            for (node, outcome) in outcomes.into_iter().enumerate() {
+            for (node, outcome) in self.executor.execute(legs) {
                 self.node_jobs[node].add(outcome.results.len() as u64);
                 for (index, payload) in outcome.results {
                     let slot = slots.get_mut(index as usize).ok_or_else(|| {

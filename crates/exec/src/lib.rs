@@ -5,19 +5,18 @@
 //! constraint at scale. This crate provides the machinery the search loops
 //! use to fan per-step candidate batches out across a worker pool:
 //!
-//! * [`Executor`] — a scoped **work-stealing** executor for borrowing
-//!   jobs (evaluators live on the caller's stack). Jobs are pre-sharded
+//! * [`Executor`] — a persistent **work-stealing** executor for borrowing
+//!   jobs (evaluators live on the caller's stack). Its helper threads are
+//!   spawned once, when the executor is built, and park between batches;
+//!   the calling thread works as worker 0. Jobs are pre-sharded
 //!   round-robin across per-worker deques; an idle worker steals from the
 //!   back of its neighbours' deques.
-//! * [`WorkerPool`] — a persistent channel-fed pool for `'static` jobs,
-//!   supporting concurrent batch submission from many producer threads
-//!   ([`WorkerPool::submit`] / [`BatchHandle::collect`]) and clean
-//!   drain-then-join shutdown on drop.
 //! * [`DistributedPool`] — the **process-per-node** mode: byte jobs fan
 //!   out over Unix-socket or TCP [`NodeTransport`]s carrying
 //!   length-prefixed, checksummed [`frame`]s, with the same
 //!   submission-order reduction, so a multi-process search reproduces the
-//!   single-process run byte for byte ([`serve`] is the worker half).
+//!   single-process run byte for byte ([`serve`] is the worker half). Its
+//!   per-node legs run on an [`Executor`] the pool owns.
 //!
 //! ## Determinism contract
 //!
@@ -39,10 +38,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod distributed;
 pub mod frame;
-mod pool;
+mod helpers;
 pub mod transport;
 pub mod wire;
 
@@ -51,7 +52,6 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, ExecError, Frame, FrameKind,
     FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
-pub use pool::{BatchHandle, WorkerPool};
 pub use transport::{NodeAddr, NodeListener, NodeTransport};
 pub use wire::{Dec, Enc, WireError};
 
@@ -95,7 +95,14 @@ pub fn resolve_workers(requested: usize, max_useful: usize) -> usize {
     chosen.clamp(1, max_useful.max(1))
 }
 
-/// A scoped work-stealing executor over borrowing jobs.
+/// A persistent work-stealing executor over borrowing jobs.
+///
+/// [`Executor::new`] spawns `workers − 1` helper threads once; they park
+/// between batches and are joined when the executor drops. During
+/// [`execute`](Executor::execute) the calling thread works as worker 0
+/// beside them. Concurrent `execute` calls on one shared executor take
+/// turns, and a batch submitted from inside a running job runs inline on
+/// the submitting thread.
 ///
 /// # Examples
 ///
@@ -106,14 +113,17 @@ pub fn resolve_workers(requested: usize, max_useful: usize) -> usize {
 /// let squares = exec.map((0..100).collect(), |_, x: u64| x * x);
 /// assert_eq!(squares[7], 49); // submission-order reduction
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Executor {
     workers: usize,
     serialized: bool,
+    /// `None` for one worker and for the serialized schedule.
+    helpers: Option<helpers::Helpers>,
 }
 
 impl Executor {
-    /// Creates an executor with a fixed worker count.
+    /// Creates an executor with a fixed worker count, spawning its
+    /// `workers − 1` helper threads.
     ///
     /// # Panics
     ///
@@ -123,6 +133,7 @@ impl Executor {
         Self {
             workers,
             serialized: false,
+            helpers: (workers > 1).then(|| helpers::Helpers::spawn(workers)),
         }
     }
 
@@ -130,7 +141,7 @@ impl Executor {
     /// strict submission order, regardless of `workers` — the serialized
     /// schedule used by the CI ordering-smoke target. `workers` is kept so
     /// worker-count-dependent *logic* (sharding arithmetic) still sees the
-    /// configured pool size.
+    /// configured pool size; no helper thread is spawned.
     ///
     /// # Panics
     ///
@@ -140,6 +151,7 @@ impl Executor {
         Self {
             workers,
             serialized: true,
+            helpers: None,
         }
     }
 
@@ -172,8 +184,11 @@ impl Executor {
     /// `execute(jobs)[i]` is the result of `jobs[i]`.
     ///
     /// Jobs are pre-sharded round-robin over per-worker deques (job `i`
-    /// starts on worker `i % workers`); an idle worker steals from the
-    /// back of the other deques. Each job runs exactly once.
+    /// starts on worker `i % workers`, worker 0 being the calling thread);
+    /// an idle worker steals from the back of the other deques. Each job
+    /// runs exactly once. The serialized schedule, a one-worker executor
+    /// and a call made from inside a running job run the batch inline, in
+    /// submission order.
     ///
     /// Utilization telemetry per batch: jobs executed per worker
     /// (`h2o_exec_worker_jobs_total{worker=...}`), steals
@@ -184,7 +199,7 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Propagates the first job panic after all workers stop.
+    /// Re-raises the first job panic after every worker has stopped.
     pub fn execute<J, R>(&self, jobs: Vec<J>) -> Vec<R>
     where
         J: FnOnce() -> R + Send,
@@ -204,7 +219,8 @@ impl Executor {
             .collect();
         let busy_seconds = h2o_obs::histogram("h2o_exec_worker_busy_seconds");
         let idle_seconds = h2o_obs::histogram("h2o_exec_worker_idle_seconds");
-        if self.serialized || workers == 1 {
+        let parallel = workers > 1 && !helpers::IN_BATCH.get();
+        let Some(pool) = self.helpers.as_ref().filter(|_| parallel) else {
             let batch_watch = h2o_obs::Stopwatch::start();
             let results = jobs
                 .into_iter()
@@ -216,7 +232,7 @@ impl Executor {
             busy_seconds.record(batch_watch.elapsed_secs());
             idle_seconds.record(0.0);
             return results;
-        }
+        };
 
         // Each job lives in its own slot so taking one never contends with
         // taking another; the queues only carry indices.
@@ -227,70 +243,51 @@ impl Executor {
         for i in 0..n {
             queues[i % workers].get_mut().push_back(i);
         }
-        let queues = &queues;
-        let slots = &slots;
         let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let results_ref = &results;
         let steals = AtomicU64::new(0);
-        let steals_ref = &steals;
-        let worker_jobs = &worker_jobs;
-        let busy_seconds = &busy_seconds;
-        let idle_seconds = &idle_seconds;
 
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    scope.spawn(move |_| {
-                        let batch_watch = h2o_obs::Stopwatch::start();
-                        let mut busy = 0.0f64;
-                        loop {
-                            // Own deque first (front), then steal (back). The
-                            // own-queue guard MUST drop before stealing: chained
-                            // `lock().pop_front().or_else(..)` keeps the guard
-                            // alive across the closure (temporaries live to the
-                            // end of the statement), and N workers each holding
-                            // their own queue while locking a victim's is a
-                            // hold-and-wait cycle that deadlocks the pool.
-                            let own = queues[me].lock().pop_front();
-                            let idx = own.or_else(|| {
-                                (1..workers).find_map(|offset| {
-                                    let victim = (me + offset) % workers;
-                                    let stolen = queues[victim].lock().pop_back();
-                                    if stolen.is_some() {
-                                        steals_ref.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    stolen
-                                })
-                            });
-                            let Some(i) = idx else { break };
-                            // h2o-lint: allow(panic-hygiene) -- each index is pushed to exactly one
-                            // deque and stealing pops, never clones, so a slot is taken exactly once
-                            let job = slots[i].lock().take().expect("job taken exactly once");
-                            let job_watch = h2o_obs::Stopwatch::start();
-                            let result = job();
-                            busy += job_watch.elapsed_secs();
-                            worker_jobs[me].inc();
-                            *results_ref[i].lock() = Some(result);
+        let work = |me: usize| {
+            let batch_watch = h2o_obs::Stopwatch::start();
+            let mut busy = 0.0f64;
+            loop {
+                // Own deque first (front), then steal (back). The own-queue
+                // guard MUST drop before stealing: chained
+                // `lock().pop_front().or_else(..)` keeps the guard alive
+                // across the closure (temporaries live to the end of the
+                // statement), and N workers each holding their own queue
+                // while locking a victim's is a hold-and-wait cycle that
+                // deadlocks the pool.
+                let own = queues[me].lock().pop_front();
+                let idx = own.or_else(|| {
+                    (1..workers).find_map(|offset| {
+                        let victim = (me + offset) % workers;
+                        let stolen = queues[victim].lock().pop_back();
+                        if stolen.is_some() {
+                            steals.fetch_add(1, Ordering::Relaxed);
                         }
-                        busy_seconds.record(busy);
-                        idle_seconds.record((batch_watch.elapsed_secs() - busy).max(0.0));
+                        stolen
                     })
-                })
-                .collect();
-            for handle in handles {
-                // h2o-lint: allow(panic-hygiene) -- a worker panic means a job panicked; the only
-                // honest move is to propagate it to the caller, not to swallow it into an Err
-                handle.join().expect("executor worker panicked");
+                });
+                let Some(i) = idx else { break };
+                // h2o-lint: allow(panic-hygiene) -- each index is pushed to exactly one
+                // deque and stealing pops, never clones, so a slot is taken exactly once
+                let job = slots[i].lock().take().expect("job taken exactly once");
+                let job_watch = h2o_obs::Stopwatch::start();
+                let result = job();
+                busy += job_watch.elapsed_secs();
+                worker_jobs[me].inc();
+                *results[i].lock() = Some(result);
             }
-        })
-        // h2o-lint: allow(panic-hygiene) -- same: scope Err re-raises a child thread's panic
-        .expect("executor scope panicked");
+            busy_seconds.record(busy);
+            idle_seconds.record((batch_watch.elapsed_secs() - busy).max(0.0));
+        };
+        pool.run_batch(workers, &work);
 
         h2o_obs::counter("h2o_exec_steals_total").add(steals.into_inner());
         results
             .into_iter()
-            // h2o-lint: allow(panic-hygiene) -- the scope above joins every worker, and workers
-            // only exit once all deques are drained, so each result slot was filled
+            // h2o-lint: allow(panic-hygiene) -- `run_batch` returns only after every worker stopped,
+            // and workers only stop once all deques are drained, so each result slot was filled
             .map(|slot| slot.into_inner().expect("every job produced a result"))
             .collect()
     }
@@ -355,17 +352,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let out: Vec<u64> = Executor::new(3).map(Vec::<u64>::new(), |_, x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn stateful_jobs_each_run_exactly_once() {
-        use std::sync::atomic::AtomicUsize;
-        let counters: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        let exec = Executor::new(8);
-        exec.map((0..500).collect::<Vec<usize>>(), |_, i| {
-            counters[i].fetch_add(1, Ordering::SeqCst)
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
     }
 
     #[test]

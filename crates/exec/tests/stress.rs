@@ -1,10 +1,17 @@
-//! Concurrency stress tests for the executor layers (mirrors
+//! Concurrency stress tests for the executor (mirrors
 //! `crates/obs/tests/concurrency.rs`): overlapping batches from many
-//! producers must lose nothing, duplicate nothing, and shut down cleanly.
+//! producers must lose nothing and duplicate nothing, the helper threads
+//! must persist across batches and shut down cleanly, and borrowing,
+//! panicking and nested jobs must keep their scoped-thread semantics.
 
-use h2o_exec::{Executor, WorkerPool};
+use h2o_exec::Executor;
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 const PRODUCERS: usize = 8;
 const BATCHES_PER_PRODUCER: usize = 20;
@@ -17,67 +24,132 @@ fn workers() -> usize {
 
 #[test]
 fn overlapping_batches_from_many_producers_lose_nothing() {
-    let pool = Arc::new(WorkerPool::new(workers()));
-    let executed = Arc::new(AtomicUsize::new(0));
+    let exec = Arc::new(Executor::new(workers().max(2)));
+    let executed = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for producer in 0..PRODUCERS {
-            let pool = pool.clone();
-            let executed = executed.clone();
+            let exec = Arc::clone(&exec);
+            let executed = &executed;
             s.spawn(move || {
                 for batch in 0..BATCHES_PER_PRODUCER {
-                    let jobs: Vec<_> = (0..JOBS_PER_BATCH)
-                        .map(|job| {
-                            let executed = executed.clone();
-                            move || {
-                                executed.fetch_add(1, Ordering::SeqCst);
-                                // A value unique across all producers/batches/jobs.
-                                (producer, batch, job)
-                            }
-                        })
-                        .collect();
-                    let results = pool.submit(jobs).collect();
+                    let results = exec.map((0..JOBS_PER_BATCH).collect(), |_, job| {
+                        executed.fetch_add(1, Ordering::SeqCst);
+                        // A value unique across all producers/batches/jobs.
+                        (producer, batch, job)
+                    });
                     // No loss, no duplication, no cross-batch bleed: each
                     // producer sees exactly its own jobs, in order.
-                    assert_eq!(results.len(), JOBS_PER_BATCH);
-                    for (job, &(p, b, j)) in results.iter().enumerate() {
-                        assert_eq!((p, b, j), (producer, batch, job));
-                    }
+                    let own: Vec<_> = (0..JOBS_PER_BATCH).map(|j| (producer, batch, j)).collect();
+                    assert_eq!(results, own);
                 }
             });
         }
     });
     assert_eq!(
-        executed.load(Ordering::SeqCst),
+        executed.into_inner(),
         PRODUCERS * BATCHES_PER_PRODUCER * JOBS_PER_BATCH,
         "every job executed exactly once"
     );
 }
 
-#[test]
-fn pool_drop_is_a_clean_shutdown() {
-    let executed = Arc::new(AtomicUsize::new(0));
-    let n = 200;
-    {
-        let pool = WorkerPool::new(workers());
-        let _unclaimed: Vec<_> = (0..n)
-            .map(|_| {
-                let executed = executed.clone();
-                pool.submit(vec![move || {
-                    executed.fetch_add(1, Ordering::SeqCst);
-                }])
-            })
-            .collect();
-        // Pool dropped with handles unclaimed and jobs possibly queued.
-    }
-    // Drop drained the queue and joined every worker: nothing lost, and no
-    // thread is left running (a hang here would time the test out).
-    assert_eq!(executed.load(Ordering::SeqCst), n);
+thread_local! {
+    /// A clone of a test's token, parked by a thread that ran a job and
+    /// released only when that thread exits.
+    static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
 }
 
 #[test]
-fn scoped_executor_is_deterministic_under_contention() {
-    // Many concurrent *scoped* executors hammering the same process must
-    // not interfere: each returns its own batch in submission order.
+fn helpers_persist_across_batches_and_join_on_drop() {
+    let caller = std::thread::current().id();
+    let exec = Executor::new(2);
+    let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+    for _ in 0..500 {
+        exec.map(vec![(); 8], |_, ()| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+    }
+    // Only the caller and the one helper ran jobs: no batch spawned threads.
+    let seen = seen.into_inner().unwrap();
+    assert!(
+        seen.len() <= 2 && seen.contains(&caller),
+        "jobs ran on {seen:?}"
+    );
+
+    // Two jobs meeting at a barrier must run on both threads at once, so
+    // the helper runs one of them and parks a clone of `token`.
+    let token = Arc::new(());
+    let meet = Barrier::new(2);
+    exec.map(vec![(); 2], |_, ()| {
+        meet.wait();
+        HELD.with(|held| *held.borrow_mut() = Some(Arc::clone(&token)));
+    });
+    HELD.with(|held| held.borrow_mut().take()); // the caller's own clone
+    assert_eq!(Arc::strong_count(&token), 2, "the helper holds one clone");
+    let start = Instant::now();
+    drop(exec);
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(5), "drop took {took:?}");
+    // A thread's locals are destroyed before `join` returns.
+    assert_eq!(Arc::strong_count(&token), 1, "the helper was not joined");
+}
+
+#[test]
+fn job_panic_reraises_after_the_rest_of_the_batch() {
+    const JOBS: usize = 16;
+    let exec = Executor::new(workers().max(2));
+    // Job 0 starts on the caller's deque, job 1 on a helper's.
+    for panicking in [0, 1] {
+        let ran = AtomicUsize::new(0);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            exec.map((0..JOBS).collect(), |_, i| {
+                if i == panicking {
+                    panic!("job {i} failed");
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = outcome.expect_err("the job panic must reach the caller");
+        let own_payload = format!("job {panicking} failed");
+        assert_eq!(payload.downcast_ref::<String>(), Some(&own_payload));
+        assert_eq!(ran.load(Ordering::SeqCst), JOBS - 1, "every other job ran");
+        // The executor survives: the next batch runs normally.
+        let clean = exec.map((0..JOBS as u64).collect(), |_, x| x * x);
+        assert_eq!(clean, (0..JOBS as u64).map(|x| x * x).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn jobs_borrow_the_callers_stack() {
+    // Each job holds a disjoint `&mut` into a Vec on this stack; a job run
+    // twice, or not at all, leaves its cell wrong.
+    let mut cells = vec![0usize; 500];
+    let jobs: Vec<_> = cells
+        .iter_mut()
+        .enumerate()
+        .map(|(i, cell)| move || *cell += i + 1)
+        .collect();
+    Executor::new(8).execute(jobs);
+    assert!(cells.iter().enumerate().all(|(i, &cell)| cell == i + 1));
+}
+
+#[test]
+fn nested_batches_run_inline() {
+    // The outer jobs meet at a barrier, so one nests from the caller and one
+    // from the helper; neither may wait on the executor they are part of.
+    let exec = Executor::new(2);
+    let meet = Barrier::new(2);
+    let sums = exec.map(vec![1u64, 2], |_, x| {
+        meet.wait();
+        let inner = exec.map((0..4u64).collect(), |_, y| x * 10 + y);
+        inner.into_iter().sum::<u64>()
+    });
+    assert_eq!(sums, vec![46, 86]);
+}
+
+#[test]
+fn separate_executors_are_deterministic_under_contention() {
+    // Many executors, each on its own thread, hammering the same process
+    // must not interfere: each returns its own batch in submission order.
     std::thread::scope(|s| {
         for round in 0..PRODUCERS {
             s.spawn(move || {

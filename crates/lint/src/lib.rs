@@ -35,6 +35,8 @@
 //! rationale and the `// h2o-lint: allow(<rule>) -- <reason>` escape
 //! hatch.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod findings;
 pub mod graph;

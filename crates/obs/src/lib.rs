@@ -36,6 +36,8 @@
 //! assert_eq!(walks.value(), 1_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod metrics;
 pub mod registry;

@@ -24,6 +24,15 @@ H2O_WORKERS=4 cargo test -q --workspace
 echo "==> cargo test -q --release -p h2o-exec"
 cargo test -q --release -p h2o-exec
 
+# The supernet weight step's kernels (Adam, the transposed-block backward
+# product) are vectorised only in optimized builds, so the debug legs above
+# never run the loops the benchmark times. Re-run h2o-tensor's bit-exact
+# reference properties and the one-shot/TuNAS goldens in release mode.
+echo "==> cargo test -q --release -p h2o-tensor"
+cargo test -q --release -p h2o-tensor
+echo "==> cargo test -q --release --test driver_equivalence"
+cargo test -q --release --test driver_equivalence
+
 # Checkpoint/resume smoke through the release binary, once per executor
 # width: a run truncated at step 4 and resumed must write the same
 # telemetry as an uninterrupted run (history compared modulo the

@@ -285,21 +285,8 @@ impl MaskedDense {
         {
             *g += s;
         }
-        // grad_x[i, k] = sum_j d_pre[i, j] * w[k, j]
-        let mut grad_x = Matrix::zeros(x.rows(), self.active_in);
-        for i in 0..x.rows() {
-            let d_row = d_pre.row(i);
-            let g_row = grad_x.row_mut(i);
-            for (k, g) in g_row.iter_mut().enumerate() {
-                let w_row = &self.w.row(k)[..self.active_out];
-                let mut acc = 0.0;
-                for (&d, &wv) in d_row.iter().zip(w_row) {
-                    acc += d * wv;
-                }
-                *g = acc;
-            }
-        }
-        grad_x
+        // grad_x = d_pre · W[:active_in, :active_out]ᵀ
+        d_pre.matmul_nt_block(&self.w, self.active_in, self.active_out)
     }
 
     /// Clears accumulated gradients.
@@ -518,19 +505,7 @@ impl LowRankDense {
             *g += s;
         }
         // d_hidden = d_pre · V[:r, :active_out]ᵀ
-        let mut d_hidden = Matrix::zeros(x.rows(), r);
-        for i in 0..x.rows() {
-            let d_row = d_pre.row(i);
-            let h_row = d_hidden.row_mut(i);
-            for (k, h) in h_row.iter_mut().enumerate() {
-                let v_row = &self.v.row(k)[..self.active_out];
-                let mut acc = 0.0;
-                for (&d, &vv) in d_row.iter().zip(v_row) {
-                    acc += d * vv;
-                }
-                *h = acc;
-            }
-        }
+        let d_hidden = d_pre.matmul_nt_block(&self.v, r, self.active_out);
         // grad_u[:active_in, :r] += xᵀ · d_hidden
         let gu = x.matmul_tn(&d_hidden);
         for row in 0..self.active_in {
@@ -539,20 +514,7 @@ impl LowRankDense {
             }
         }
         // grad_x = d_hidden · U[:active_in, :r]ᵀ
-        let mut grad_x = Matrix::zeros(x.rows(), self.active_in);
-        for i in 0..x.rows() {
-            let dh_row = d_hidden.row(i);
-            let g_row = grad_x.row_mut(i);
-            for (k, g) in g_row.iter_mut().enumerate() {
-                let u_row = &self.u.row(k)[..r];
-                let mut acc = 0.0;
-                for (&d, &uv) in dh_row.iter().zip(u_row) {
-                    acc += d * uv;
-                }
-                *g = acc;
-            }
-        }
-        grad_x
+        d_hidden.matmul_nt_block(&self.u, self.active_in, r)
     }
 
     /// Clears accumulated gradients.
@@ -595,11 +557,144 @@ impl LowRankDense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{edge_values, reference_matmul_nt_block, same_bits, special_share};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// `MaskedDense::backward` with its input gradient taken from the scalar
+    /// reference product: what the layer must match bit for bit.
+    fn reference_masked_backward(l: &mut MaskedDense, grad_out: &Matrix) -> Matrix {
+        let x = l.cached_input.as_ref().expect("backward before forward");
+        let pre = l.cached_pre.as_ref().expect("backward before forward");
+        assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
+        let d_pre = grad_out.hadamard(&l.activation.derivative_matrix(pre));
+        for i in 0..x.rows() {
+            let x_row = x.row(i);
+            let d_row = d_pre.row(i);
+            for (k, &xv) in x_row.iter().enumerate() {
+                if xv == 0.0 {
+                    continue;
+                }
+                let g_row = &mut l.grad_w.row_mut(k)[..l.active_out];
+                for (g, &d) in g_row.iter_mut().zip(d_row) {
+                    *g += xv * d;
+                }
+            }
+        }
+        for (g, s) in l.grad_b[..l.active_out].iter_mut().zip(d_pre.col_sums()) {
+            *g += s;
+        }
+        reference_matmul_nt_block(&d_pre, &l.w, l.active_in, l.active_out)
+    }
+
+    /// `LowRankDense::backward` with `d_hidden` and its input gradient taken
+    /// from the scalar reference product: what the layer must match bit for
+    /// bit.
+    fn reference_low_rank_backward(l: &mut LowRankDense, grad_out: &Matrix) -> Matrix {
+        let x = l.cached_input.as_ref().expect("backward before forward");
+        let hidden = l.cached_hidden.as_ref().expect("backward before forward");
+        let pre = l.cached_pre.as_ref().expect("backward before forward");
+        let r = l.active_rank;
+        let d_pre = grad_out.hadamard(&l.activation.derivative_matrix(pre));
+        let gv = hidden.matmul_tn(&d_pre);
+        for k in 0..r {
+            for (g, &d) in l.grad_v.row_mut(k)[..l.active_out]
+                .iter_mut()
+                .zip(gv.row(k))
+            {
+                *g += d;
+            }
+        }
+        for (g, s) in l.grad_b[..l.active_out].iter_mut().zip(d_pre.col_sums()) {
+            *g += s;
+        }
+        let d_hidden = reference_matmul_nt_block(&d_pre, &l.v, r, l.active_out);
+        let gu = x.matmul_tn(&d_hidden);
+        for row in 0..l.active_in {
+            for (g, &d) in l.grad_u.row_mut(row)[..r].iter_mut().zip(gu.row(row)) {
+                *g += d;
+            }
+        }
+        reference_matmul_nt_block(&d_hidden, &l.u, l.active_in, r)
+    }
+
+    /// A matrix of [`edge_values`].
+    fn edge_matrix(rng: &mut StdRng, special: f64, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_vec(rows, cols, edge_values(rng, special, rows * cols))
+    }
+
+    /// An active width in `1..=max`: 1 and `max` each a third of the time.
+    fn active_width(rng: &mut StdRng, max: usize) -> usize {
+        match rng.gen_range(0usize..3) {
+            0 => 1,
+            1 => max,
+            _ => rng.gen_range(1..=max),
+        }
+    }
+
+    const ACTIVATIONS: [Activation; 7] = [
+        Activation::Relu,
+        Activation::Swish,
+        Activation::Gelu,
+        Activation::SquaredRelu,
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Identity,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random shapes and active sub-blocks (rank 1 and full rank
+        /// included), with weights, inputs, upstream gradients and already
+        /// accumulated gradients mixing in signed zeros, subnormals,
+        /// infinities and NaN, both shared-weight layers' backward passes
+        /// match the dot-product reference bit for bit: every gradient
+        /// buffer and the returned input gradient.
+        fn backward_matches_dot_product_reference_bitwise(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let special = special_share(&mut rng);
+            let activation = ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())];
+            let n = rng.gen_range(1usize..6);
+            let (max_in, max_out) = (rng.gen_range(1usize..14), rng.gen_range(1usize..14));
+            let (active_in, active_out) = (active_width(&mut rng, max_in), active_width(&mut rng, max_out));
+
+            let mut fast = MaskedDense::new(max_in, max_out, activation, &mut rng);
+            fast.w = edge_matrix(&mut rng, special, max_in, max_out);
+            fast.b = edge_values(&mut rng, special, max_out);
+            fast.grad_w = edge_matrix(&mut rng, special, max_in, max_out);
+            fast.set_active(active_in, active_out);
+            fast.forward(&edge_matrix(&mut rng, special, n, active_in));
+            let grad_out = edge_matrix(&mut rng, special, n, active_out);
+            let mut slow = fast.clone();
+            let got = fast.backward(&grad_out);
+            let want = reference_masked_backward(&mut slow, &grad_out);
+            same_bits("masked grad_x", got.as_slice(), want.as_slice())?;
+            same_bits("masked grad_w", fast.grad_w.as_slice(), slow.grad_w.as_slice())?;
+            same_bits("masked grad_b", &fast.grad_b, &slow.grad_b)?;
+
+            let max_rank = rng.gen_range(1usize..10);
+            let rank = active_width(&mut rng, max_rank);
+            let mut fast = LowRankDense::new(max_in, max_out, max_rank, activation, &mut rng);
+            fast.u = edge_matrix(&mut rng, special, max_in, max_rank);
+            fast.v = edge_matrix(&mut rng, special, max_rank, max_out);
+            fast.b = edge_values(&mut rng, special, max_out);
+            fast.grad_u = edge_matrix(&mut rng, special, max_in, max_rank);
+            fast.set_active(active_in, active_out, rank);
+            fast.forward(&edge_matrix(&mut rng, special, n, active_in));
+            let mut slow = fast.clone();
+            let got = fast.backward(&grad_out);
+            let want = reference_low_rank_backward(&mut slow, &grad_out);
+            same_bits("low-rank grad_x", got.as_slice(), want.as_slice())?;
+            same_bits("low-rank grad_u", fast.grad_u.as_slice(), slow.grad_u.as_slice())?;
+            same_bits("low-rank grad_v", fast.grad_v.as_slice(), slow.grad_v.as_slice())?;
+            same_bits("low-rank grad_b", &fast.grad_b, &slow.grad_b)?;
+        }
     }
 
     #[test]

@@ -49,6 +49,8 @@ mod matrix;
 mod mlp;
 mod optim;
 mod state;
+#[cfg(test)]
+mod testkit;
 
 pub use activation::Activation;
 pub use embedding::{EmbeddingTable, SharedEmbeddingBank};

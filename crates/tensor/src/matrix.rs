@@ -226,23 +226,56 @@ impl Matrix {
         out
     }
 
-    /// `self * rhsᵀ` without materialising the transpose.
+    /// `self * rhsᵀ`.
+    ///
+    /// Element `(i, j)` is `Σ_k self[i, k] · rhs[j, k]`, summed from `+0.0`
+    /// in ascending `k` with one rounding per multiply and per add and no
+    /// term skipped: every build writes the bits of a scalar dot-product
+    /// loop, inf and NaN included.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_nt dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs.rows {
-                let b_row = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
+        self.matmul_nt_block(rhs, rhs.rows, rhs.cols)
+    }
+
+    /// `self * Bᵀ` where `B` is the upper-left `rows × cols` block of `rhs`:
+    /// the input gradient of a layer whose active weights are that block.
+    ///
+    /// Element `(i, r)` is `Σ_c self[i, c] · rhs[r, c]`, summed from `+0.0` in
+    /// ascending `c` with one rounding per multiply and per add and no term
+    /// skipped. The block is copied out transposed first, so each output row
+    /// is built by row axpys over contiguous memory: the loop runs across
+    /// outputs, never across one output's terms, and vectorising it cannot
+    /// reorder a sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block exceeds `rhs` or `self.cols != cols`.
+    pub(crate) fn matmul_nt_block(&self, rhs: &Matrix, rows: usize, cols: usize) -> Matrix {
+        assert!(
+            rows <= rhs.rows && cols <= rhs.cols,
+            "block exceeds the matrix"
+        );
+        assert_eq!(self.cols, cols, "matmul_nt dimension mismatch");
+        let mut block_t = vec![0.0; cols * rows];
+        for r in 0..rows {
+            for (c, &b) in rhs.row(r)[..cols].iter().enumerate() {
+                block_t[c * rows + r] = b;
+            }
+        }
+        let mut out = Matrix::zeros(self.rows, rows);
+        for (a_row, out_row) in self
+            .data
+            .chunks_exact(cols)
+            .zip(out.data.chunks_exact_mut(rows))
+        {
+            for (&a, b_col) in a_row.iter().zip(block_t.chunks_exact(rows)) {
+                for (o, &b) in out_row.iter_mut().zip(b_col) {
+                    *o += a * b;
                 }
-                out.data[i * rhs.rows + j] = acc;
             }
         }
         out
@@ -429,8 +462,33 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{edge_values, reference_matmul_nt_block, same_bits, special_share};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `matmul_nt` and its block form match the dot-product loop bit
+        /// for bit on any shape and block, including 1-wide ones, with
+        /// signed zeros, subnormals, infinities and NaN mixed in.
+        fn matmul_nt_matches_dot_product_reference_bitwise(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let special = special_share(&mut rng);
+            let (b_rows, b_cols) = (rng.gen_range(1usize..20), rng.gen_range(1usize..20));
+            let rows = rng.gen_range(1..=b_rows);
+            let cols = rng.gen_range(1..=b_cols);
+            let n = rng.gen_range(1usize..8);
+            let a = Matrix::from_vec(n, cols, edge_values(&mut rng, special, n * cols));
+            let b = Matrix::from_vec(b_rows, b_cols, edge_values(&mut rng, special, b_rows * b_cols));
+            let want = reference_matmul_nt_block(&a, &b, rows, cols);
+            same_bits("block", a.matmul_nt_block(&b, rows, cols).as_slice(), want.as_slice())?;
+            let full = Matrix::from_vec(n, b_cols, edge_values(&mut rng, special, n * b_cols));
+            let want = reference_matmul_nt_block(&full, &b, b_rows, b_cols);
+            same_bits("full", full.matmul_nt(&b).as_slice(), want.as_slice())?;
+        }
+    }
 
     #[test]
     fn zeros_and_shape() {

@@ -7,6 +7,13 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+# The examples that drive a search each call SearchDriver::run, but
+# `cargo test` only compiles examples; run them so a broken one fails CI.
+echo "==> search examples (release)"
+for example in quickstart driver_custom_stage dlrm_oneshot_search vision_oneshot; do
+  cargo run -q --release --example "$example" >/dev/null
+done
+
 # The evaluation executor promises bit-identical search output for any
 # worker count, so the suite runs under both a serial and a wide pool —
 # any schedule leak shows up as a determinism-test failure in one matrix

@@ -13,7 +13,7 @@
 //! demonstrating the late-binding workflow.
 
 use crate::report::{env_usize, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::cnn::BlockType;
@@ -91,7 +91,8 @@ pub fn search_on(hw: &HardwareConfig, steps: usize) -> CodesignResult {
         seed: 23,
         workers: 0,
     };
-    let outcome = parallel_search(space.space(), &reward, make, &cfg);
+    let mut stage = ParallelStage::new(make, &cfg);
+    let outcome = super::run_search(space.space(), &reward, cfg, &mut stage);
     let arch = space.decode(&outcome.best);
     let graph = arch.build_graph(64);
     let sim = Simulator::new(hw.clone());

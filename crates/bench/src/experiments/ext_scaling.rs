@@ -8,7 +8,7 @@
 //! and reports steps-to-threshold.
 
 use crate::report::{env_usize, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig};
@@ -46,7 +46,8 @@ pub fn scaling_point(shards: usize, steps: usize, threshold: f64) -> (Option<usi
         seed: 55,
         workers: 0,
     };
-    let outcome = parallel_search(space.space(), &reward, |_| evaluator(), &cfg);
+    let mut stage = ParallelStage::new(|_| evaluator(), &cfg);
+    let outcome = super::run_search(space.space(), &reward, cfg, &mut stage);
     let hit = outcome
         .history
         .iter()

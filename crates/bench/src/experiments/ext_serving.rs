@@ -10,7 +10,7 @@
 //! sparse feasible region where the absolute reward stalls.
 
 use crate::report::{env_usize, pct, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::DlrmQualityModel;
 use h2o_space::{ArchSample, DlrmSpace, DlrmSpaceConfig};
@@ -70,7 +70,8 @@ pub fn search(kind: RewardKind, steps: usize) -> (f64, f64, (f64, f64, f64)) {
             }
         }
     };
-    let outcome = parallel_search(space.space(), &reward, make, &cfg);
+    let mut stage = ParallelStage::new(make, &cfg);
+    let outcome = super::run_search(space.space(), &reward, cfg, &mut stage);
     let half = outcome.evaluated.len() / 2;
     let late = &outcome.evaluated[half..];
     let feasible = late

@@ -10,7 +10,7 @@
 //! pooling should be popular.
 
 use crate::report::{env_usize, ratio, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::{ArchSample, VitSpace, VitSpaceConfig};
@@ -74,7 +74,8 @@ pub fn run() -> String {
             }
         }
     };
-    let outcome = parallel_search(space.space(), &reward, make, &cfg);
+    let mut stage = ParallelStage::new(make, &cfg);
+    let outcome = super::run_search(space.space(), &reward, cfg, &mut stage);
     let best = space.decode(&outcome.best);
     let (best_q, best_t, best_p) = evaluate_sample(&space, &sim, &quality, &outcome.best);
 

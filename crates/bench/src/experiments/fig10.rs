@@ -6,7 +6,7 @@
 //! accept a performance regression for quality.
 
 use crate::report::{env_usize, geomean, ratio, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::production::{fleet, ProductionDomain, ProductionModel};
 use h2o_models::quality::{DatasetScale, DlrmQualityModel, VisionQualityModel};
@@ -80,7 +80,8 @@ pub fn optimize(model: &ProductionModel, steps: usize) -> FleetResult {
                 seed: 31,
                 workers: 0,
             };
-            let outcome = parallel_search(space.space(), &reward, make, &cfg_search);
+            let mut stage = ParallelStage::new(make, &cfg_search);
+            let outcome = super::run_search(space.space(), &reward, cfg_search, &mut stage);
             let final_arch = space.decode(&outcome.best);
             let final_graph = final_arch.build_graph(64);
             let final_time = sim.simulate_training(&final_graph, &pod).time;
@@ -132,7 +133,8 @@ pub fn optimize(model: &ProductionModel, steps: usize) -> FleetResult {
                 seed: 32,
                 workers: 0,
             };
-            let outcome = parallel_search(space.space(), &reward, make, &cfg_search);
+            let mut stage = ParallelStage::new(make, &cfg_search);
+            let outcome = super::run_search(space.space(), &reward, cfg_search, &mut stage);
             let final_arch = space.decode(&outcome.best);
             let final_time = sim
                 .simulate_training(&final_arch.build_graph(64, 128), &pod)

@@ -10,7 +10,7 @@
 
 use crate::report::{env_usize, pct, Table};
 use h2o_core::pareto::{bucketize_by_cost, bucketize_by_quality, pareto_front, ParetoPoint};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::DlrmQualityModel;
 use h2o_space::{ArchSample, DlrmSpace, DlrmSpaceConfig};
@@ -78,7 +78,8 @@ pub fn sweep(kind: RewardKind, steps: usize) -> Vec<SweepPoint> {
                 }
             }
         };
-        let outcome = parallel_search(space.space(), &reward, make_evaluator, &cfg);
+        let mut stage = ParallelStage::new(make_evaluator, &cfg);
+        let outcome = super::run_search(space.space(), &reward, cfg, &mut stage);
         // Keep the later (converged) half of the search's candidates.
         let half = outcome.evaluated.len() / 2;
         for c in &outcome.evaluated[half..] {

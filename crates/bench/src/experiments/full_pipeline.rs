@@ -14,7 +14,7 @@
 //!    against fresh traffic.
 
 use crate::report::{env_usize, Table};
-use h2o_core::{unified_search, OneShotConfig, PerfObjective, RewardFn, RewardKind};
+use h2o_core::{OneShotConfig, PerfObjective, RewardFn, RewardKind, UnifiedStage};
 use h2o_data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_hwsim::{HardwareConfig, ProductionHardware, Simulator, SystemConfig};
 use h2o_perfmodel::{Featurizer, PerfModel, PerfTargets, TrainConfig};
@@ -143,7 +143,12 @@ pub fn evaluate() -> PipelineResult {
         seed: 2,
         ..Default::default()
     };
-    let outcome = unified_search(&mut supernet, &pipeline, &reward, perf_of, &cfg);
+    let outcome = super::run_search(
+        space.space(),
+        &reward,
+        cfg.controller(),
+        &mut UnifiedStage::new(&mut supernet, &pipeline, perf_of, &cfg),
+    );
     let pipeline_clean =
         pipeline.in_flight() == 0 && pipeline.stats().policy_used == pipeline.stats().weights_used;
 

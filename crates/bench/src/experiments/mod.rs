@@ -1,5 +1,8 @@
 //! One module per paper table/figure, each exposing `run() -> String`.
 
+use h2o_core::{CandidateStage, ControllerConfig, RewardFn, SearchDriver, SearchOutcome};
+use h2o_space::SearchSpace;
+
 pub mod ablations;
 pub mod ext_baselines;
 pub mod ext_codesign;
@@ -21,3 +24,22 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 pub mod table5;
+
+/// Runs one sinkless search over `stage` to completion.
+///
+/// Experiments return report tables, so there is no caller to hand a
+/// [`DriverError`](h2o_core::DriverError) to: a budget that cannot drive a
+/// search (an `H2O_*` step override of zero) aborts the experiment with
+/// the `DriverError` message instead of reporting numbers.
+pub(crate) fn run_search(
+    space: &SearchSpace,
+    reward: &RewardFn,
+    config: ControllerConfig,
+    stage: &mut impl CandidateStage,
+) -> SearchOutcome {
+    SearchDriver::new(space, reward, config)
+        .run(stage, None, None)
+        // h2o-lint: allow(panic-hygiene) -- in-process stages without a sink fail only on a zero
+        // shard or step budget: a misconfigured experiment, which must not report numbers
+        .expect("experiment search budget")
+}

@@ -23,10 +23,11 @@
 //! strings, numbers — the subset the schema needs): the report format must
 //! not grow a serialization dependency just to be diffable.
 
+use crate::experiments::run_search;
 use crate::report::{env_usize, seconds, Table};
 use h2o_core::{
-    parallel_search_with, tunas_search, unified_search, OneShotConfig, PerfObjective, RewardFn,
-    RewardKind, SearchConfig, PHASES,
+    CheckpointSink, OneShotConfig, ParallelStage, PerfObjective, RewardFn, RewardKind,
+    SearchConfig, SearchDriver, TunasStage, UnifiedStage, PHASES,
 };
 use h2o_data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
 use h2o_eval::{BackendSpec, Domain, EvalBackend, EvalScenario, ModelSpec};
@@ -719,15 +720,13 @@ fn scenario_parallel(workers: usize, cached: bool, steps: usize) -> BTreeMap<Str
 
     // h2o-lint: allow(panic-hygiene) -- sim/cached backends cannot fail to build
     let backend = scenario.backend().expect("backend");
-    let outcome = parallel_search_with(
-        &space,
-        &reward,
-        |_| scenario.shard_evaluator(&backend),
-        &cfg,
-        None,
-        sink.as_mut()
-            .map(|s| s as &mut dyn h2o_core::CheckpointSink),
-    );
+    let mut stage = ParallelStage::new(|_| scenario.shard_evaluator(&backend), &cfg);
+    let sink = sink.as_mut().map(|s| s as &mut dyn CheckpointSink);
+    let outcome = SearchDriver::new(&space, &reward, cfg)
+        .run(&mut stage, None, sink)
+        // h2o-lint: allow(panic-hygiene) -- a checkpoint write that fails under target/ loses the
+        // phase timings this scenario exists to record: abort the baseline instead
+        .expect("perf scenario search");
 
     let wall = watch.elapsed_secs();
     let mut metrics = search_metrics(outcome.evaluated.len(), wall);
@@ -776,7 +775,12 @@ fn scenario_unified(steps: usize) -> BTreeMap<String, f64> {
         vec![PerfObjective::new("model_mb", 2.0, -8.0)],
     );
     let perf = |sample: &ArchSample| vec![space.decode(sample).model_size_bytes() / 1e6];
-    let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &cfg);
+    let outcome = run_search(
+        space.space(),
+        &reward,
+        cfg.controller(),
+        &mut UnifiedStage::new(&mut supernet, &pipeline, perf, &cfg),
+    );
 
     search_metrics(outcome.evaluated.len(), watch.elapsed_secs())
 }
@@ -802,7 +806,12 @@ fn scenario_tunas(steps: usize) -> BTreeMap<String, f64> {
         vec![PerfObjective::new("model_mb", 2.0, -8.0)],
     );
     let perf = |sample: &ArchSample| vec![space.decode(sample).model_size_bytes() / 1e6];
-    let outcome = tunas_search(&mut supernet, &mut train, &mut valid, &reward, perf, &cfg);
+    let outcome = run_search(
+        space.space(),
+        &reward,
+        cfg.controller(),
+        &mut TunasStage::new(&mut supernet, &mut train, &mut valid, perf, &cfg),
+    );
 
     search_metrics(outcome.evaluated.len(), watch.elapsed_secs())
 }
@@ -952,14 +961,8 @@ fn search_through(spec: BackendSpec, steps: usize, workers: usize) -> (usize, f6
     // h2o-lint: allow(panic-hygiene) -- sim/cached backends cannot fail to build
     let backend = scenario.backend().expect("backend");
     let watch = h2o_obs::Stopwatch::start();
-    let outcome = parallel_search_with(
-        &space,
-        &reward,
-        |_| scenario.shard_evaluator(&backend),
-        &cfg,
-        None,
-        None,
-    );
+    let mut stage = ParallelStage::new(|_| scenario.shard_evaluator(&backend), &cfg);
+    let outcome = run_search(&space, &reward, cfg, &mut stage);
     (outcome.evaluated.len(), watch.elapsed_secs(), backend)
 }
 

@@ -1,26 +1,28 @@
 //! The unified search-controller engine (§4.2, Fig. 2).
 //!
 //! The paper's central claim is that *one* single-step RL controller drives
-//! every domain — DLRM, CNN, ViT. [`SearchDriver`] is that controller
-//! extracted as a reusable engine: it owns the per-step invariant loop
+//! every domain — DLRM, CNN, ViT. [`SearchDriver`] is that controller and
+//! the one way to run a search: it owns the per-step invariant loop
 //! (reward computation → baseline EMA → cross-shard REINFORCE update →
 //! telemetry → checkpointing) and delegates only *candidate production* to
-//! a pluggable [`CandidateStage`]. The three search flavors the crate
-//! exposes are stages over this one engine:
+//! a pluggable [`CandidateStage`]. The crate ships four stages:
 //!
 //! * [`ParallelStage`](crate::ParallelStage) — executor-fanned stateless
-//!   evaluation (the `parallel_search` entry points);
+//!   evaluation;
 //! * [`UnifiedStage`](crate::UnifiedStage) — serial supernet quality +
-//!   executor-fanned performance (the `unified_search*` entry points);
+//!   executor-fanned performance over any
+//!   [`OneShotSupernet`](crate::OneShotSupernet);
 //! * [`TunasStage`](crate::TunasStage) — the alternating train/valid
-//!   two-stream baseline (the `tunas_search*` entry points).
+//!   two-stream baseline;
+//! * [`DistributedStage`](crate::DistributedStage) — the parallel fan-out
+//!   across worker processes.
 //!
 //! The engine upholds the determinism contract: stages derive every sample
 //! stream from `(seed, step, shard)` via
 //! [`shard_seed`](crate::shard_seed), so the driver itself holds no
 //! run-long RNG state and a run resumed from a [`ResumeState`] captured at
 //! a completed step is byte-identical to an uninterrupted one
-//! (`tests/driver_equivalence.rs` pins all three stages to goldens
+//! (`tests/driver_equivalence.rs` pins the in-process stages to goldens
 //! recorded from the pre-refactor hand-rolled loops).
 
 use crate::policy::{Policy, RewardBaseline};
@@ -42,15 +44,21 @@ pub const NON_FINITE_REWARD_PENALTY: f64 = -1.0e4;
 
 /// A typed failure from the [`SearchDriver`] controller loop.
 ///
-/// The engine distinguishes *contract violations* (zero shards, a resume
-/// snapshot from the wrong space — programmer errors that stay panics)
-/// from *environmental failures* it can report to the caller: a failed
-/// checkpoint write (a lost durability guarantee) and a failed candidate
-/// collection (a dead evaluator node, a broken transport). Both stop the
-/// loop and hand the error up instead of searching on with the contract
-/// silently gone.
+/// Bad input — a config that cannot drive a search, or a resume state
+/// that does not fit it — is rejected before any step runs. Environmental
+/// failures stop the loop mid-run: a failed checkpoint write (a lost
+/// durability guarantee) and a failed candidate collection (a dead
+/// evaluator node, a broken transport). Either way the error is handed up
+/// instead of searching on with the contract silently gone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
+    /// The controller config cannot drive a search: zero shards or zero
+    /// steps.
+    Config(String),
+    /// The [`ResumeState`] does not fit this search: it was captured past
+    /// `config.steps`, or its policy's shape differs from the search
+    /// space's decisions.
+    Resume(String),
     /// The [`CheckpointSink`] failed to persist a snapshot after the step
     /// counted in `steps_done`. The search state up to that step is lost
     /// to the caller (the outcome is not returned), but every prior
@@ -79,6 +87,8 @@ pub enum DriverError {
 impl std::fmt::Display for DriverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DriverError::Config(message) => write!(f, "invalid search config: {message}"),
+            DriverError::Resume(message) => write!(f, "cannot resume: {message}"),
             DriverError::Checkpoint {
                 steps_done,
                 message,
@@ -221,10 +231,11 @@ pub trait CandidateStage {
 ///
 /// # Examples
 ///
-/// The public entry points (`parallel_search`, `unified_search_over`,
-/// `tunas_search`, …) are thin wrappers that build the matching stage and
-/// call [`SearchDriver::run`]; use them unless you are bringing your own
-/// stage. A custom stage needs only candidate production:
+/// Every search is a stage handed to [`SearchDriver::run`]. The built-in
+/// stages ([`ParallelStage`](crate::ParallelStage),
+/// [`UnifiedStage`](crate::UnifiedStage), [`TunasStage`](crate::TunasStage),
+/// [`DistributedStage`](crate::DistributedStage)) cover the paper's search
+/// flavors; a custom stage needs only candidate production:
 ///
 /// ```
 /// use h2o_core::{
@@ -268,7 +279,7 @@ pub trait CandidateStage {
 /// let mut stage = AnalyticStage { shards: config.shards, seed: config.seed };
 /// let outcome = SearchDriver::new(&space, &reward, config)
 ///     .run(&mut stage, None, None)
-///     .expect("no checkpoint sink, so the run cannot fail");
+///     .expect("a valid config and no checkpoint sink, so the run cannot fail");
 /// assert_eq!(outcome.best[0], 4, "quality is maximised by the widest choice");
 /// ```
 #[derive(Debug)]
@@ -309,6 +320,12 @@ impl<'a> SearchDriver<'a> {
     ///
     /// # Errors
     ///
+    /// Before any step runs, returns [`DriverError::Config`] if
+    /// `config.shards` or `config.steps` is zero, and
+    /// [`DriverError::Resume`] if the resume state was captured past
+    /// `config.steps` or its policy does not have exactly the search
+    /// space's decisions and choice counts.
+    ///
     /// Returns [`DriverError::Checkpoint`] when the sink fails to persist
     /// a snapshot: the loop stops immediately (searching on without the
     /// durability the caller asked for would be a silent contract break).
@@ -318,9 +335,9 @@ impl<'a> SearchDriver<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `config.shards == 0`, `config.steps == 0`, or if the
-    /// resume state was captured past `config.steps` or does not match the
-    /// search space.
+    /// Only if the stage's own [`CandidateStage::restore`] panics: the
+    /// one-shot stages do on supernet state that does not fit their
+    /// network.
     pub fn run<S: CandidateStage + ?Sized>(
         &self,
         stage: &mut S,
@@ -328,21 +345,33 @@ impl<'a> SearchDriver<'a> {
         mut sink: Option<&mut dyn CheckpointSink>,
     ) -> Result<SearchOutcome, DriverError> {
         let config = &self.config;
-        assert!(config.shards > 0, "need at least one shard");
-        assert!(config.steps > 0, "need at least one step");
+        if config.shards == 0 {
+            return Err(DriverError::Config("need at least one shard".into()));
+        }
+        if config.steps == 0 {
+            return Err(DriverError::Config("need at least one step".into()));
+        }
         let (start_step, mut policy, mut baseline, mut history, mut evaluated) = match resume {
             Some(state) => {
-                assert!(
-                    state.steps_done <= config.steps,
-                    "resume state is from step {} but the search only runs {} steps",
-                    state.steps_done,
-                    config.steps
-                );
-                assert_eq!(
-                    state.policy.num_decisions(),
-                    self.space.num_decisions(),
-                    "resume state does not match the search space"
-                );
+                if state.steps_done > config.steps {
+                    return Err(DriverError::Resume(format!(
+                        "resume state is from step {} but the search only runs {} steps",
+                        state.steps_done, config.steps
+                    )));
+                }
+                let decisions = self.space.decisions();
+                if state.policy.num_decisions() != decisions.len()
+                    || state
+                        .policy
+                        .logits()
+                        .zip(decisions)
+                        .any(|(row, decision)| row.len() != decision.choices)
+                {
+                    return Err(DriverError::Resume(format!(
+                        "resume policy does not match the decisions of search space '{}'",
+                        self.space.name()
+                    )));
+                }
                 stage.restore(&state);
                 (
                     state.steps_done,
@@ -588,8 +617,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one step")]
-    fn zero_steps_panics() {
+    fn zero_steps_is_a_config_error() {
         let space = space();
         let reward = RewardFn::new(RewardKind::Relu, vec![]);
         let config = ControllerConfig {
@@ -601,7 +629,67 @@ mod tests {
             seed: 0,
             nan_on_even_shards: false,
         };
-        let _ = SearchDriver::new(&space, &reward, config).run(&mut stage, None, None);
+        let err = SearchDriver::new(&space, &reward, config)
+            .run(&mut stage, None, None)
+            .expect_err("zero steps cannot drive a search");
+        assert_eq!(err, DriverError::Config("need at least one step".into()));
+        assert_eq!(
+            err.to_string(),
+            "invalid search config: need at least one step"
+        );
+    }
+
+    /// Resumes a 10-step search over [`space`] (decisions of 4 and 3
+    /// choices) from a state at `steps_done` with the given policy logits.
+    fn resume_from(steps_done: usize, logits: Vec<Vec<f64>>) -> Result<SearchOutcome, DriverError> {
+        let space = space();
+        let reward = RewardFn::new(RewardKind::Relu, vec![]);
+        let config = ControllerConfig {
+            steps: 10,
+            shards: 2,
+            ..Default::default()
+        };
+        let mut stage = ToyStage {
+            shards: config.shards,
+            seed: config.seed,
+            nan_on_even_shards: false,
+        };
+        let state = ResumeState {
+            steps_done,
+            policy: Policy::from_logits(logits),
+            baseline: RewardBaseline::new(config.baseline_momentum),
+            history: vec![],
+            evaluated: vec![],
+            supernet_state: None,
+        };
+        SearchDriver::new(&space, &reward, config).run(&mut stage, Some(state), None)
+    }
+
+    #[test]
+    fn resume_past_the_horizon_is_a_resume_error() {
+        let err = resume_from(11, vec![vec![0.0; 4], vec![0.0; 3]])
+            .expect_err("step 11 lies past a 10-step horizon");
+        assert!(
+            matches!(&err, DriverError::Resume(m) if m.contains("step 11")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn resume_with_the_wrong_decision_count_is_a_resume_error() {
+        let err =
+            resume_from(5, vec![vec![0.0; 4]]).expect_err("one decision against a space of two");
+        assert!(matches!(err, DriverError::Resume(_)), "{err}");
+    }
+
+    #[test]
+    fn resume_with_the_wrong_choice_count_is_a_resume_error() {
+        // The right number of decisions, but the second row has 4 choices
+        // where the space's decision "b" has 3: every stage would sample a
+        // choice the space does not have.
+        let err = resume_from(5, vec![vec![0.0; 4], vec![0.0; 4]])
+            .expect_err("a policy row of the wrong length");
+        assert!(matches!(err, DriverError::Resume(_)), "{err}");
     }
 
     /// A sink that accepts a configured number of snapshots, then fails.

@@ -11,51 +11,53 @@
 //! * [`RewardFn`] — the single-sided **ReLU reward** (Eq. 1) and the TuNAS
 //!   absolute-value baseline (Eq. 2), over any number of performance
 //!   objectives ([`PerfObjective`]).
-//! * [`parallel_search`] — the sharded search loop: every virtual
-//!   accelerator samples its own candidate, rewards drive one cross-shard
-//!   policy update (threads stand in for TPU cores).
-//! * [`unified_search`] / [`tunas_search`] — one-shot search over the
-//!   *real trainable* DLRM super-network, with the in-memory pipeline's
-//!   α-before-W ordering enforced per batch; the TuNAS variant is the
-//!   alternating two-stream baseline the paper improves upon.
-//! * [`pareto`] — Pareto fronts and the bucketised comparisons of Fig. 5.
-//! * [`parallel_search_with`] / [`unified_search_with`] /
-//!   [`tunas_search_with`] — the same loops with crash-safe
-//!   checkpoint/resume hooks ([`CheckpointSink`]); the `h2o-ckpt` crate
-//!   provides the durable on-disk sink.
+//! * [`SearchDriver`] — the one search entry point: the single-step
+//!   controller loop (reward → baseline EMA → cross-shard REINFORCE →
+//!   telemetry → checkpoint) over a [`CandidateStage`] that produces each
+//!   step's candidates. [`SearchDriver::run`] returns a typed
+//!   [`DriverError`] for bad input (zero shards or steps, a resume state
+//!   that does not fit) and for mid-run failures, never a panic.
+//! * [`ParallelStage`] — the sharded search: every virtual accelerator
+//!   samples and evaluates its own candidate (threads stand in for TPU
+//!   cores).
+//! * [`UnifiedStage`] / [`TunasStage`] — one-shot search over a *real
+//!   trainable* super-network ([`OneShotSupernet`]), with the in-memory
+//!   pipeline's α-before-W ordering enforced per batch; the TuNAS variant
+//!   is the alternating two-stream baseline the paper improves upon.
 //! * [`DistributedStage`] — the parallel fan-out stretched across worker
 //!   *processes* over a [`h2o_exec::DistributedPool`]; sampling stays
 //!   local and replies merge in submission order, so the outcome is
 //!   byte-identical to the in-process loop for any node count.
+//! * [`CheckpointSink`] / [`ResumeState`] — crash-safe checkpoint/resume
+//!   for every stage; the `h2o-ckpt` crate provides the durable on-disk
+//!   sink.
+//! * [`pareto`] — Pareto fronts and the bucketised comparisons of Fig. 5.
 //!
-//! All three search flavors are thin wrappers over one controller engine:
-//! [`SearchDriver`] owns the invariant per-step loop (reward → baseline
-//! EMA → cross-shard REINFORCE → telemetry → checkpoint) and a
-//! [`CandidateStage`] supplies the flavor-specific candidate production
-//! ([`ParallelStage`], [`UnifiedStage`], [`TunasStage`]). Custom stages
-//! plug into the same engine — see [`SearchDriver`] for an example.
+//! Custom stages plug into the same engine — see [`SearchDriver`] for an
+//! example.
 //!
 //! # Examples
 //!
 //! ```
-//! use h2o_core::{parallel_search, RewardFn, RewardKind, PerfObjective, SearchConfig,
-//!                EvalResult};
+//! use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig,
+//!                SearchDriver};
 //! use h2o_space::{SearchSpace, Decision, ArchSample};
 //!
 //! let mut space = SearchSpace::new("toy");
 //! space.push(Decision::new("width", 8));
 //! let reward = RewardFn::new(RewardKind::Relu,
 //!     vec![PerfObjective::new("cost", 4.0, -20.0)]);
-//! let outcome = parallel_search(
-//!     &space,
-//!     &reward,
+//! let config = SearchConfig { steps: 100, shards: 4, ..Default::default() };
+//! let mut stage = ParallelStage::new(
 //!     |_shard| |s: &ArchSample| EvalResult {
 //!         quality: s[0] as f64,           // bigger is more accurate...
 //!         perf_values: vec![s[0] as f64], // ...and slower
 //!     },
-//!     &SearchConfig { steps: 100, shards: 4, ..Default::default() },
+//!     &config,
 //! );
+//! let outcome = SearchDriver::new(&space, &reward, config).run(&mut stage, None, None)?;
 //! assert_eq!(outcome.best[0], 4, "the target-width candidate wins");
+//! # Ok::<(), h2o_core::DriverError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -81,16 +83,12 @@ pub use distributed::{
 pub use driver::{
     CandidateStage, ControllerConfig, DriverError, SearchDriver, NON_FINITE_REWARD_PENALTY, PHASES,
 };
-pub use oneshot::{
-    tunas_search, tunas_search_with, unified_search, unified_search_with, OneShotConfig, TunasStage,
-};
-pub use oneshot_generic::{
-    unified_search_over, unified_search_over_with, OneShotSupernet, UnifiedStage,
-};
+pub use oneshot::{OneShotConfig, TunasStage};
+pub use oneshot_generic::{OneShotSupernet, UnifiedStage};
 pub use policy::{Policy, RewardBaseline};
 pub use resume::{CheckpointSink, ResumeState, SearchSnapshot};
 pub use reward::{PerfObjective, RewardFn, RewardKind};
 pub use search::{
-    parallel_search, parallel_search_with, shard_seed, ArchEvaluator, EvalResult,
-    EvaluatedCandidate, ParallelStage, SearchConfig, SearchOutcome, StepRecord,
+    shard_seed, ArchEvaluator, EvalResult, EvaluatedCandidate, ParallelStage, SearchConfig,
+    SearchOutcome, StepRecord,
 };

@@ -4,23 +4,26 @@
 //! both stages over the unified [`SearchDriver`](crate::SearchDriver)
 //! engine:
 //!
-//! * [`unified_search`] — the H2O-NAS **unified single-step** algorithm
-//!   (Fig. 2 right): each virtual shard pulls a *fresh* batch, the policy
-//!   learns from it first (the batch has never been used to train `W`, so
-//!   no train/validation split is needed), then the shared weights train
-//!   on the very same batch. The in-memory pipeline enforces the ordering.
-//! * [`tunas_search`] — the TuNAS-style **alternating two-step** baseline
+//! * [`UnifiedStage`](crate::UnifiedStage) — the H2O-NAS **unified
+//!   single-step** algorithm (Fig. 2 right): each virtual shard pulls a
+//!   *fresh* batch, the policy learns from it first (the batch has never
+//!   been used to train `W`, so no train/validation split is needed), then
+//!   the shared weights train on the very same batch. The in-memory
+//!   pipeline enforces the ordering. It runs over any
+//!   [`OneShotSupernet`](crate::OneShotSupernet), the DLRM super-network
+//!   included.
+//! * [`TunasStage`] — the TuNAS-style **alternating two-step** baseline
 //!   (Fig. 2 left): weight steps on a training stream strictly alternate
 //!   with policy steps on a *separate validation stream* — the design the
 //!   paper improves upon (and the ablation bench compares against).
+//!
+//! This module also holds [`OneShotConfig`], the knobs both stages share.
 
-use crate::driver::{CandidateStage, ControllerConfig, SearchDriver};
+use crate::driver::{CandidateStage, ControllerConfig};
 use crate::policy::Policy;
-use crate::resume::{CheckpointSink, ResumeState};
-use crate::reward::RewardFn;
-use crate::search::{EvalResult, SearchOutcome};
-use h2o_data::TrafficSource;
-use h2o_data::{CtrTraffic, InMemoryPipeline};
+use crate::resume::ResumeState;
+use crate::search::EvalResult;
+use h2o_data::{CtrTraffic, TrafficSource};
 use h2o_space::{ArchSample, DlrmSupernet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,8 +35,9 @@ use std::fmt;
 /// (`batch_size`, `quality_scale`).
 ///
 /// The fields stay flat (rather than embedding a `ControllerConfig`) so
-/// existing struct literals and serde encodings are untouched;
-/// [`OneShotConfig::controller`] projects onto the shared controller view.
+/// existing struct literals are untouched; [`OneShotConfig::controller`]
+/// projects onto the shared controller view that
+/// [`SearchDriver::new`](crate::SearchDriver::new) takes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OneShotConfig {
     /// Search steps (policy updates).
@@ -77,7 +81,8 @@ impl Default for OneShotConfig {
 
 impl OneShotConfig {
     /// The shared controller view of this config: what the
-    /// [`SearchDriver`] engine needs, minus the supernet-training extras.
+    /// [`SearchDriver`](crate::SearchDriver) engine needs, minus the
+    /// supernet-training extras.
     pub fn controller(&self) -> ControllerConfig {
         ControllerConfig {
             steps: self.steps,
@@ -90,56 +95,25 @@ impl OneShotConfig {
     }
 }
 
-/// The H2O-NAS unified single-step search (Fig. 2 right).
-///
-/// Per step and shard: pull a fresh batch → evaluate the sampled
-/// candidate's quality on it (**policy use — always first**) → after the
-/// policy update, train the shared weights on the same batch (**weights
-/// use**). The pipeline's ordering guarantee is exercised on every batch.
-///
-/// `perf_of` supplies the performance objective values for a sample (from
-/// the performance model or analytic size — §6.2).
-pub fn unified_search(
-    supernet: &mut DlrmSupernet,
-    pipeline: &InMemoryPipeline<CtrTraffic>,
-    reward_fn: &RewardFn,
-    perf_of: impl Fn(&ArchSample) -> Vec<f64> + Sync,
-    config: &OneShotConfig,
-) -> SearchOutcome {
-    // Delegates to the domain-generic implementation (the DLRM supernet's
-    // quality signal is -logloss via its `OneShotSupernet` impl).
-    crate::oneshot_generic::unified_search_over(supernet, pipeline, reward_fn, perf_of, config)
-}
-
-/// [`unified_search`] with checkpoint/resume hooks — see
-/// [`crate::unified_search_over_with`] for the resume contract (the caller
-/// passes a freshly constructed supernet and pipeline; shared weights are
-/// restored and the pipeline fast-forwarded from the snapshot).
-pub fn unified_search_with(
-    supernet: &mut DlrmSupernet,
-    pipeline: &InMemoryPipeline<CtrTraffic>,
-    reward_fn: &RewardFn,
-    perf_of: impl Fn(&ArchSample) -> Vec<f64> + Sync,
-    config: &OneShotConfig,
-    resume: Option<ResumeState>,
-    sink: Option<&mut dyn CheckpointSink>,
-) -> SearchOutcome {
-    crate::oneshot_generic::unified_search_over_with(
-        supernet, pipeline, reward_fn, perf_of, config, resume, sink,
-    )
-}
-
 /// The [`CandidateStage`] of the TuNAS-style alternating baseline
 /// (Fig. 2 left): per step, shared weights first train on `shards` batches
 /// from the training stream (stage A), then `shards` candidates are scored
 /// on the validation stream (stage B) to drive the policy update.
+///
+/// It uses the same step/shard budget as the unified search but needs two
+/// statistically stable streams — the operational burden the paper's
+/// unified algorithm removes.
 ///
 /// Unlike the other stages, TuNAS draws every sample from one *run-long*
 /// RNG seeded from `config.seed` (faithful to the baseline it models).
 /// Resume therefore fast-forwards that RNG instead of re-deriving per-step
 /// seeds: each completed step consumed exactly `2 × shards` samples of
 /// `num_decisions` draws each, so the stream position is recomputable from
-/// `steps_done` alone — no RNG state is stored in the snapshot.
+/// `steps_done` alone — no RNG state is stored in the snapshot. The shared
+/// weights are restored from the snapshot and both streams advanced past
+/// the `steps_done × shards` batches each consumed, so a resumed run must
+/// be handed a **freshly constructed** supernet and streams built with the
+/// same seeds and configs as the original run.
 pub struct TunasStage<'a, P> {
     supernet: &'a mut DlrmSupernet,
     train_stream: &'a mut CtrTraffic,
@@ -264,78 +238,13 @@ where
     }
 }
 
-/// The TuNAS-style alternating baseline (Fig. 2 left): weight training on a
-/// training stream, policy learning on a **separate validation stream**.
-///
-/// Uses the same step/shard budget as [`unified_search`] but needs two
-/// statistically stable streams — the operational burden the paper's
-/// unified algorithm removes.
-///
-/// # Panics
-///
-/// Panics if `config.shards == 0` or `config.steps == 0`.
-pub fn tunas_search(
-    supernet: &mut DlrmSupernet,
-    train_stream: &mut CtrTraffic,
-    valid_stream: &mut CtrTraffic,
-    reward_fn: &RewardFn,
-    perf_of: impl FnMut(&ArchSample) -> Vec<f64>,
-    config: &OneShotConfig,
-) -> SearchOutcome {
-    tunas_search_with(
-        supernet,
-        train_stream,
-        valid_stream,
-        reward_fn,
-        perf_of,
-        config,
-        None,
-        None,
-    )
-}
-
-/// [`tunas_search`] with checkpoint/resume hooks.
-///
-/// `resume` restores a snapshot captured at a completed step `k`: the
-/// supernet's shared weights are restored, the run-long sampling RNG is
-/// fast-forwarded past the `k × 2 × shards` samples the original run drew,
-/// and both streams are advanced past the `k × shards` batches each
-/// consumed — so the caller must pass a **freshly constructed** supernet
-/// and streams built with the same seeds/configs as the original run. The
-/// resumed run is then byte-identical to an uninterrupted one.
-///
-/// # Panics
-///
-/// Panics if `config.shards == 0`, `config.steps == 0`, if the resume
-/// state was captured past `config.steps`, lacks supernet state, does not
-/// match the supernet's shape, or if the sink returns an error.
-#[allow(clippy::too_many_arguments)]
-pub fn tunas_search_with(
-    supernet: &mut DlrmSupernet,
-    train_stream: &mut CtrTraffic,
-    valid_stream: &mut CtrTraffic,
-    reward_fn: &RewardFn,
-    perf_of: impl FnMut(&ArchSample) -> Vec<f64>,
-    config: &OneShotConfig,
-    resume: Option<ResumeState>,
-    sink: Option<&mut dyn CheckpointSink>,
-) -> SearchOutcome {
-    let space = supernet.space().space().clone();
-    let mut stage = TunasStage::new(supernet, train_stream, valid_stream, perf_of, config);
-    match SearchDriver::new(&space, reward_fn, config.controller()).run(&mut stage, resume, sink) {
-        Ok(outcome) => outcome,
-        // h2o-lint: allow(panic-hygiene) -- documented wrapper contract: the convenience
-        // entry points abort on a failed checkpoint write; SearchDriver::run returns the
-        // typed DriverError for callers that need to handle it
-        Err(err) => panic!("{err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::{PerfObjective, RewardKind};
-    use h2o_data::CtrTrafficConfig;
+    use crate::resume::CheckpointSink;
+    use crate::reward::{PerfObjective, RewardFn, RewardKind};
+    use crate::{DriverError, SearchDriver, SearchOutcome, UnifiedStage};
+    use h2o_data::{CtrTrafficConfig, InMemoryPipeline};
     use h2o_space::DlrmSpaceConfig;
     use rand::SeedableRng;
 
@@ -357,6 +266,41 @@ mod tests {
         (reward, perf)
     }
 
+    fn run_unified(
+        supernet: &mut DlrmSupernet,
+        pipeline: &InMemoryPipeline<CtrTraffic>,
+        reward: &RewardFn,
+        perf: impl Fn(&ArchSample) -> Vec<f64> + Sync,
+        cfg: &OneShotConfig,
+    ) -> SearchOutcome {
+        let space = supernet.space().space().clone();
+        SearchDriver::new(&space, reward, cfg.controller())
+            .run(
+                &mut UnifiedStage::new(supernet, pipeline, perf, cfg),
+                None,
+                None,
+            )
+            .expect("sinkless run")
+    }
+
+    /// Runs the TuNAS baseline under the size reward of [`size_reward`].
+    fn run_tunas(
+        supernet: &mut DlrmSupernet,
+        train: &mut CtrTraffic,
+        valid: &mut CtrTraffic,
+        cfg: &OneShotConfig,
+        resume: Option<ResumeState>,
+        sink: Option<&mut dyn CheckpointSink>,
+    ) -> Result<SearchOutcome, DriverError> {
+        let (reward, perf) = size_reward(supernet);
+        let space = supernet.space().space().clone();
+        SearchDriver::new(&space, &reward, cfg.controller()).run(
+            &mut TunasStage::new(supernet, train, valid, perf, cfg),
+            resume,
+            sink,
+        )
+    }
+
     #[test]
     fn unified_search_runs_and_respects_pipeline_invariants() {
         let (mut supernet, pipeline) = setup();
@@ -367,7 +311,7 @@ mod tests {
             batch_size: 32,
             ..Default::default()
         };
-        let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &cfg);
+        let outcome = run_unified(&mut supernet, &pipeline, &reward, perf, &cfg);
         assert_eq!(outcome.evaluated.len(), 20);
         let stats = pipeline.stats();
         assert_eq!(stats.policy_used, 20);
@@ -385,7 +329,7 @@ mod tests {
             batch_size: 64,
             ..Default::default()
         };
-        let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &cfg);
+        let outcome = run_unified(&mut supernet, &pipeline, &reward, perf, &cfg);
         let early: f64 = outcome.history[..10]
             .iter()
             .map(|h| h.mean_reward)
@@ -402,7 +346,6 @@ mod tests {
     #[test]
     fn tunas_search_runs_with_two_streams() {
         let (mut supernet, _) = setup();
-        let (reward, perf) = size_reward(&supernet);
         let mut train = CtrTraffic::new(CtrTrafficConfig::tiny(), 10);
         let mut valid = CtrTraffic::new(CtrTrafficConfig::tiny(), 11);
         let cfg = OneShotConfig {
@@ -411,7 +354,8 @@ mod tests {
             batch_size: 32,
             ..Default::default()
         };
-        let outcome = tunas_search(&mut supernet, &mut train, &mut valid, &reward, perf, &cfg);
+        let outcome = run_tunas(&mut supernet, &mut train, &mut valid, &cfg, None, None)
+            .expect("sinkless run");
         assert_eq!(outcome.evaluated.len(), 20);
         // TuNAS consumes twice the batches for the same number of policy
         // samples (training + validation streams).
@@ -422,22 +366,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn tunas_zero_shards_panics() {
+    fn tunas_zero_shards_is_a_config_error() {
         let (mut supernet, _) = setup();
-        let (reward, perf) = size_reward(&supernet);
         let mut train = CtrTraffic::new(CtrTrafficConfig::tiny(), 10);
         let mut valid = CtrTraffic::new(CtrTrafficConfig::tiny(), 11);
         let cfg = OneShotConfig {
             shards: 0,
             ..Default::default()
         };
-        tunas_search(&mut supernet, &mut train, &mut valid, &reward, perf, &cfg);
+        let err = run_tunas(&mut supernet, &mut train, &mut valid, &cfg, None, None)
+            .expect_err("zero shards");
+        assert_eq!(err, DriverError::Config("need at least one shard".into()));
     }
 
     #[test]
     fn tunas_resume_from_checkpoint_is_bit_identical() {
-        use crate::resume::{ResumeState, SearchSnapshot};
+        use crate::resume::SearchSnapshot;
 
         struct CaptureAt {
             at: usize,
@@ -474,42 +418,38 @@ mod tests {
         // Uninterrupted reference run.
         let mut supernet = fresh();
         let (mut train, mut valid) = streams();
-        let (reward, perf) = size_reward(&supernet);
-        let full = tunas_search(&mut supernet, &mut train, &mut valid, &reward, perf, &cfg);
+        let full = run_tunas(&mut supernet, &mut train, &mut valid, &cfg, None, None)
+            .expect("sinkless run");
 
         // Run to the midpoint, capturing a snapshot.
         let mut capture = CaptureAt { at: 4, state: None };
         let mut supernet = fresh();
         let (mut train, mut valid) = streams();
-        let (reward, perf) = size_reward(&supernet);
         let cut = OneShotConfig { steps: 4, ..cfg };
-        tunas_search_with(
+        run_tunas(
             &mut supernet,
             &mut train,
             &mut valid,
-            &reward,
-            perf,
             &cut,
             None,
             Some(&mut capture),
-        );
+        )
+        .expect("capturing sink never fails");
         let state = capture.state.expect("snapshot captured");
         assert!(state.supernet_state.is_some(), "tunas snapshots weights");
 
         // Resume on freshly constructed supernet + streams.
         let mut supernet = fresh();
         let (mut train, mut valid) = streams();
-        let (reward, perf) = size_reward(&supernet);
-        let resumed = tunas_search_with(
+        let resumed = run_tunas(
             &mut supernet,
             &mut train,
             &mut valid,
-            &reward,
-            perf,
             &cfg,
             Some(state),
             None,
-        );
+        )
+        .expect("the snapshot fits the search");
 
         assert_eq!(full.best, resumed.best);
         assert_eq!(full.evaluated, resumed.evaluated);
@@ -539,7 +479,7 @@ mod tests {
             batch_size: 32,
             ..Default::default()
         };
-        let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &cfg);
+        let outcome = run_unified(&mut supernet, &pipeline, &reward, perf, &cfg);
         let final_size = space.decode(&outcome.best).model_size_bytes();
         assert!(
             final_size < 0.9 * baseline_size,

@@ -80,13 +80,14 @@ impl ResumeState {
     }
 }
 
-/// A hook the search loops consult after every completed step.
+/// A hook [`SearchDriver::run`](crate::SearchDriver::run) consults after
+/// every completed step.
 ///
 /// [`CheckpointSink::should_checkpoint`] gates the (possibly expensive)
-/// snapshot construction — one-shot loops only serialise the supernet when
-/// the sink says yes. A sink error aborts the search (see
-/// `parallel_search_with`): silently continuing would let a run believe it
-/// is durable when it is not.
+/// snapshot construction — one-shot stages only serialise the supernet
+/// when the sink says yes. A sink error stops the search with
+/// [`DriverError::Checkpoint`](crate::DriverError::Checkpoint): silently
+/// continuing would let a run believe it is durable when it is not.
 pub trait CheckpointSink {
     /// Whether a snapshot should be taken after `steps_done` completed
     /// steps.
@@ -96,7 +97,7 @@ pub trait CheckpointSink {
     ///
     /// # Errors
     ///
-    /// Any error string; the search loop treats it as fatal.
+    /// Any error string; `SearchDriver::run` stops the search and returns it.
     fn on_checkpoint(&mut self, snapshot: &SearchSnapshot<'_>) -> Result<(), String>;
 }
 

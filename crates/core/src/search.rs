@@ -12,11 +12,9 @@
 //! `shard`) and results reduce in submission order, so the outcome is
 //! bit-identical for any worker count.
 
-use crate::driver::{CandidateStage, ControllerConfig, SearchDriver};
+use crate::driver::{CandidateStage, ControllerConfig};
 use crate::policy::Policy;
-use crate::resume::{CheckpointSink, ResumeState};
-use crate::reward::RewardFn;
-use h2o_space::{ArchSample, SearchSpace};
+use h2o_space::ArchSample;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -72,8 +70,8 @@ where
 /// Configuration of the parallel search loop.
 ///
 /// The parallel loop needs exactly the shared controller knobs, so this is
-/// [`ControllerConfig`] itself (struct literals, serde encodings, and the
-/// `h2o-ckpt` fingerprint are all unchanged by the aliasing).
+/// [`ControllerConfig`] itself (struct literals and the `h2o-ckpt`
+/// fingerprint are unchanged by the aliasing).
 pub type SearchConfig = ControllerConfig;
 
 /// Per-step telemetry.
@@ -140,6 +138,13 @@ impl SearchOutcome {
 /// seeded from [`shard_seed`]`(seed, step, i)` and the executor reduces in
 /// submission order, so the stealing schedule cannot leak into the
 /// outcome.
+///
+/// The stage checkpoints no state of its own: a resumed run is
+/// byte-identical for stateless evaluators (simulators, cost models),
+/// while evaluators with their own mutable state are the caller's to
+/// reconstruct — trainable supernets belong in
+/// [`UnifiedStage`](crate::UnifiedStage), which snapshots the shared
+/// weights.
 pub struct ParallelStage<E> {
     evaluators: Vec<E>,
     shard_evals: Vec<h2o_obs::Counter>,
@@ -224,77 +229,12 @@ where
     }
 }
 
-/// Runs the massively parallel single-step search with per-shard
-/// evaluators built by `make_evaluator(shard_index)`.
-///
-/// Evaluator construction happens once per shard; evaluators persist
-/// across steps (so stateful evaluators amortise setup and can train
-/// shard-local state).
-///
-/// # Panics
-///
-/// Panics if `config.shards == 0` or `config.steps == 0`.
-pub fn parallel_search<E, F>(
-    space: &SearchSpace,
-    reward_fn: &RewardFn,
-    make_evaluator: F,
-    config: &SearchConfig,
-) -> SearchOutcome
-where
-    E: ArchEvaluator + Send,
-    F: FnMut(usize) -> E,
-{
-    parallel_search_with(space, reward_fn, make_evaluator, config, None, None)
-}
-
-/// [`parallel_search`] with checkpoint/resume hooks.
-///
-/// `resume` restores controller state captured by a [`CheckpointSink`] at a
-/// completed step `k`; the loop then runs steps `k..config.steps` and the
-/// outcome is byte-identical to an uninterrupted run (per-step sample
-/// streams are derived from `(seed, step, shard)` via [`shard_seed`], so no
-/// run-long RNG state needs saving). Stateless evaluators (simulators, cost
-/// models) resume exactly; evaluators with their own mutable state are the
-/// caller's responsibility to reconstruct — for trainable supernets use
-/// `unified_search_with`, which snapshots the shared weights.
-///
-/// `sink` is consulted after every completed step; when
-/// [`CheckpointSink::should_checkpoint`] returns true it receives a
-/// borrowed [`crate::SearchSnapshot`].
-///
-/// # Panics
-///
-/// Panics if `config.shards == 0`, `config.steps == 0`, if the resume state
-/// was captured past `config.steps` or does not match the search space, or
-/// if the sink returns an error (a checkpoint that cannot be written is a
-/// lost durability guarantee, not a condition to search through).
-pub fn parallel_search_with<E, F>(
-    space: &SearchSpace,
-    reward_fn: &RewardFn,
-    make_evaluator: F,
-    config: &SearchConfig,
-    resume: Option<ResumeState>,
-    sink: Option<&mut dyn CheckpointSink>,
-) -> SearchOutcome
-where
-    E: ArchEvaluator + Send,
-    F: FnMut(usize) -> E,
-{
-    let mut stage = ParallelStage::new(make_evaluator, config);
-    match SearchDriver::new(space, reward_fn, *config).run(&mut stage, resume, sink) {
-        Ok(outcome) => outcome,
-        // h2o-lint: allow(panic-hygiene) -- documented wrapper contract: the convenience
-        // entry points abort on a failed checkpoint write; SearchDriver::run returns the
-        // typed DriverError for callers that need to handle it
-        Err(err) => panic!("{err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::{PerfObjective, RewardKind};
-    use h2o_space::Decision;
+    use crate::reward::{PerfObjective, RewardFn, RewardKind};
+    use crate::{DriverError, SearchDriver};
+    use h2o_space::{Decision, SearchSpace};
 
     fn space() -> SearchSpace {
         let mut s = SearchSpace::new("t");
@@ -322,6 +262,20 @@ mod tests {
         )
     }
 
+    /// Runs the toy search over [`ParallelStage`] with `evaluator`.
+    fn search_with<E: ArchEvaluator + Send>(
+        reward: &RewardFn,
+        evaluator: impl FnMut(usize) -> E,
+        cfg: &SearchConfig,
+    ) -> Result<SearchOutcome, DriverError> {
+        let mut stage = ParallelStage::new(evaluator, cfg);
+        SearchDriver::new(&space(), reward, *cfg).run(&mut stage, None, None)
+    }
+
+    fn search(cfg: &SearchConfig) -> SearchOutcome {
+        search_with(&reward(), toy_evaluator, cfg).expect("sinkless run")
+    }
+
     #[test]
     fn search_finds_pareto_sweet_spot() {
         let cfg = SearchConfig {
@@ -330,7 +284,7 @@ mod tests {
             policy_lr: 0.08,
             ..Default::default()
         };
-        let outcome = parallel_search(&space(), &reward(), toy_evaluator, &cfg);
+        let outcome = search(&cfg);
         // Width 4 hits the time target exactly (0.5 + 0.25*4 = 1.5); higher
         // widths get penalised at β = −8 per unit deviation. Depth is free,
         // so it should max out.
@@ -349,7 +303,7 @@ mod tests {
             shards: 4,
             ..Default::default()
         };
-        let outcome = parallel_search(&space(), &reward(), toy_evaluator, &cfg);
+        let outcome = search(&cfg);
         let first = outcome.history.first().unwrap().entropy;
         let last = outcome.history.last().unwrap().entropy;
         assert!(last < first, "entropy {first} -> {last}");
@@ -362,7 +316,7 @@ mod tests {
             shards: 3,
             ..Default::default()
         };
-        let outcome = parallel_search(&space(), &reward(), toy_evaluator, &cfg);
+        let outcome = search(&cfg);
         assert_eq!(outcome.evaluated.len(), 30);
         assert!(outcome.best_evaluated().is_some());
     }
@@ -375,8 +329,8 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = parallel_search(&space(), &reward(), toy_evaluator, &cfg);
-        let b = parallel_search(&space(), &reward(), toy_evaluator, &cfg);
+        let a = search(&cfg);
+        let b = search(&cfg);
         assert_eq!(a.best, b.best);
         assert_eq!(
             a.history.last().unwrap().mean_reward,
@@ -392,9 +346,9 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let a = parallel_search(&space(), &reward(), toy_evaluator, &cfg);
+        let a = search(&cfg);
         let cfg2 = SearchConfig { seed: 2, ..cfg };
-        let b = parallel_search(&space(), &reward(), toy_evaluator, &cfg2);
+        let b = search(&cfg2);
         assert_ne!(
             a.evaluated.iter().map(|e| &e.sample).collect::<Vec<_>>(),
             b.evaluated.iter().map(|e| &e.sample).collect::<Vec<_>>()
@@ -411,8 +365,8 @@ mod tests {
         };
         let serial = SearchConfig { workers: 1, ..base };
         let wide = SearchConfig { workers: 4, ..base };
-        let a = parallel_search(&space(), &reward(), toy_evaluator, &serial);
-        let b = parallel_search(&space(), &reward(), toy_evaluator, &wide);
+        let a = search(&serial);
+        let b = search(&wide);
         assert_eq!(a.best, b.best);
         // Everything except wall-clock timing must be bit-identical.
         assert_eq!(a.evaluated, b.evaluated);
@@ -424,13 +378,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
+    fn zero_shards_is_a_config_error() {
         let cfg = SearchConfig {
             shards: 0,
             ..Default::default()
         };
-        parallel_search(&space(), &reward(), toy_evaluator, &cfg);
+        let err = search_with(&reward(), toy_evaluator, &cfg).expect_err("zero shards");
+        assert_eq!(err, DriverError::Config("need at least one shard".into()));
     }
 
     #[test]
@@ -447,8 +401,8 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let a = parallel_search(&space(), &reward(), toy_evaluator, &narrow);
-        let b = parallel_search(&space(), &reward(), toy_evaluator, &wide);
+        let a = search(&narrow);
+        let b = search(&wide);
         let final_of = |o: &SearchOutcome| o.history.last().unwrap().mean_reward;
         assert!(
             final_of(&b) >= final_of(&a) - 0.5,
@@ -480,7 +434,7 @@ mod tests {
             ..Default::default()
         };
         let reward = RewardFn::new(RewardKind::Relu, vec![]);
-        let outcome = parallel_search(&space(), &reward, nan_evaluator, &cfg);
+        let outcome = search_with(&reward, nan_evaluator, &cfg).expect("sinkless run");
         assert!(outcome.history.iter().all(|h| h.mean_reward.is_finite()));
         assert!(outcome.evaluated.iter().all(|c| c.reward.is_finite()));
         let best = outcome.best_evaluated().expect("candidates recorded");

@@ -175,9 +175,12 @@ impl BackendSpec {
     ///
     /// # Errors
     ///
-    /// A fine-tune cadence below 2 (calibration needs two points) or an
-    /// empty pretraining pool.
+    /// A cache capacity of zero, a fine-tune cadence below 2 (calibration
+    /// needs two points) or an empty pretraining pool.
     pub fn validate(&self) -> Result<(), String> {
+        if self.cache_capacity() == Some(0) {
+            return Err("--eval-cache-capacity must be at least 1".into());
+        }
         if let BackendSpec::ModelServed { model, .. } = self {
             if model.finetune_cadence < 2 {
                 return Err("--finetune-cadence must be at least 2".into());

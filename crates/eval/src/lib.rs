@@ -106,6 +106,16 @@ mod tests {
         .expect_err("cadence 1");
         assert!(err.contains("finetune-cadence"));
         assert!(BackendSpec::Cached { capacity: 1 }.validate().is_ok());
+        for spec in [
+            BackendSpec::Cached { capacity: 0 },
+            BackendSpec::ModelServed {
+                fallback_capacity: Some(0),
+                model: ModelSpec::default(),
+            },
+        ] {
+            let err = spec.validate().expect_err("a zero-capacity cache");
+            assert!(err.contains("eval-cache-capacity"), "{err}");
+        }
     }
 
     #[test]

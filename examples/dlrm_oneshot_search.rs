@@ -12,13 +12,15 @@
 //! cargo run --example dlrm_oneshot_search --release
 //! ```
 
-use h2o_nas::core::{unified_search, OneShotConfig, PerfObjective, RewardFn, RewardKind};
+use h2o_nas::core::{
+    DriverError, OneShotConfig, PerfObjective, RewardFn, RewardKind, SearchDriver, UnifiedStage,
+};
 use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_nas::space::{ArchSample, DlrmSpaceConfig, DlrmSupernet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), DriverError> {
     let mut rng = StdRng::seed_from_u64(7);
     let mut supernet = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng);
     let space = supernet.space().clone();
@@ -47,7 +49,13 @@ fn main() {
         batch_size: 64,
         ..Default::default()
     };
-    let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &config);
+    // The stage borrows the supernet for the run only; the search leaves
+    // it trained, so it evaluates the winner below.
+    let outcome = SearchDriver::new(space.space(), &reward, config.controller()).run(
+        &mut UnifiedStage::new(&mut supernet, &pipeline, perf, &config),
+        None,
+        None,
+    )?;
 
     let stats = pipeline.stats();
     println!(
@@ -97,4 +105,5 @@ fn main() {
         baseline_size / 1e3
     );
     println!("  eval AUC on fresh traffic: {:.4}", auc / 8.0);
+    Ok(())
 }

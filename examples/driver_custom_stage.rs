@@ -1,21 +1,22 @@
 //! Bring your own search loop: plug a custom `CandidateStage` into the
 //! `SearchDriver` controller engine.
 //!
-//! Every built-in entry point (`parallel_search`, `unified_search`,
-//! `tunas_search`) is a thin wrapper over the same engine; this example
-//! writes a *new* flavor from scratch — successive-halving evaluation,
-//! where each step cheaply screens a wide pool of samples and only the
-//! surviving half gets the expensive hardware simulation — and gets the
-//! controller invariants (baseline EMA, cross-shard REINFORCE, telemetry,
-//! checkpointing, determinism) for free.
+//! Every search runs as a stage handed to `SearchDriver::run`, and the
+//! built-in stages (`ParallelStage`, `UnifiedStage`, `TunasStage`,
+//! `DistributedStage`) are ordinary implementations of the same trait;
+//! this example writes a *new* flavor from scratch — successive-halving
+//! evaluation, where each step cheaply screens a wide pool of samples and
+//! only the surviving half gets the expensive hardware simulation — and
+//! gets the controller invariants (baseline EMA, cross-shard REINFORCE,
+//! telemetry, checkpointing, determinism) for free.
 //!
 //! ```text
 //! cargo run --example driver_custom_stage --release
 //! ```
 
 use h2o_nas::core::{
-    shard_seed, CandidateStage, ControllerConfig, EvalResult, PerfObjective, Policy, RewardFn,
-    RewardKind, SearchDriver,
+    shard_seed, CandidateStage, ControllerConfig, DriverError, EvalResult, PerfObjective, Policy,
+    RewardFn, RewardKind, SearchDriver,
 };
 use h2o_nas::hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_nas::models::quality::{DatasetScale, VisionQualityModel};
@@ -100,7 +101,7 @@ impl CandidateStage for HalvingStage {
     }
 }
 
-fn main() {
+fn main() -> Result<(), DriverError> {
     let space = CnnSpace::new(CnnSpaceConfig::default());
     let reward = RewardFn::new(
         RewardKind::Relu,
@@ -114,9 +115,7 @@ fn main() {
     };
 
     let mut stage = HalvingStage::new(config.shards, config.seed);
-    let outcome = SearchDriver::new(space.space(), &reward, config)
-        .run(&mut stage, None, None)
-        .expect("no checkpoint sink, so the run cannot fail");
+    let outcome = SearchDriver::new(space.space(), &reward, config).run(&mut stage, None, None)?;
 
     let best = space.decode(&outcome.best);
     let report = stage
@@ -135,4 +134,5 @@ fn main() {
         outcome.history.first().map(|h| h.entropy).unwrap_or(0.0),
         outcome.history.last().map(|h| h.entropy).unwrap_or(0.0),
     );
+    Ok(())
 }

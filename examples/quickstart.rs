@@ -10,13 +10,14 @@
 //! ```
 
 use h2o_nas::core::{
-    parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig,
+    DriverError, EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig,
+    SearchDriver,
 };
 use h2o_nas::hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_nas::models::quality::{DatasetScale, VisionQualityModel};
 use h2o_nas::space::{ArchSample, CnnSpace, CnnSpaceConfig};
 
-fn main() {
+fn main() -> Result<(), DriverError> {
     // 1. The search space: 7 searchable blocks, O(10^39) candidates.
     let space = CnnSpace::new(CnnSpaceConfig::default());
     println!(
@@ -55,14 +56,16 @@ fn main() {
         }
     };
 
-    // 4. Run the massively parallel single-step search.
+    // 4. Run the massively parallel single-step search: one evaluator per
+    //    shard in a `ParallelStage`, driven by the controller loop.
     let config = SearchConfig {
         steps: 150,
         shards: 8,
         policy_lr: 0.06,
         ..Default::default()
     };
-    let outcome = parallel_search(space.space(), &reward, make_evaluator, &config);
+    let mut stage = ParallelStage::new(make_evaluator, &config);
+    let outcome = SearchDriver::new(space.space(), &reward, config).run(&mut stage, None, None)?;
 
     // 5. Inspect the winner (the per-decision argmax of the policy).
     let best = space.decode(&outcome.best);
@@ -98,4 +101,5 @@ fn main() {
         outcome.history.first().map(|h| h.entropy).unwrap_or(0.0),
         outcome.history.last().map(|h| h.entropy).unwrap_or(0.0)
     );
+    Ok(())
 }

@@ -8,13 +8,15 @@
 //! cargo run --example vision_oneshot --release
 //! ```
 
-use h2o_nas::core::{unified_search_over, OneShotConfig, PerfObjective, RewardFn, RewardKind};
+use h2o_nas::core::{
+    DriverError, OneShotConfig, PerfObjective, RewardFn, RewardKind, SearchDriver, UnifiedStage,
+};
 use h2o_nas::data::{InMemoryPipeline, TrafficSource, VisionTraffic};
 use h2o_nas::space::{ArchSample, VisionSupernet, VisionSupernetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), DriverError> {
     let mut rng = StdRng::seed_from_u64(42);
     let mut net = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng);
     println!(
@@ -43,7 +45,12 @@ fn main() {
         quality_scale: 5.0,
         ..Default::default()
     };
-    let outcome = unified_search_over(&mut net, &pipeline, &reward, perf, &config);
+    let space = net.space().clone();
+    let outcome = SearchDriver::new(&space, &reward, config.controller()).run(
+        &mut UnifiedStage::new(&mut net, &pipeline, perf, &config),
+        None,
+        None,
+    )?;
 
     let stats = pipeline.stats();
     println!(
@@ -69,4 +76,5 @@ fn main() {
         outcome.history.first().map(|h| h.entropy).unwrap_or(0.0),
         outcome.history.last().map(|h| h.entropy).unwrap_or(0.0)
     );
+    Ok(())
 }

@@ -12,7 +12,7 @@
 
 use h2o_nas::ckpt::{CheckpointStore, FileCheckpointSink};
 use h2o_nas::core::{
-    parallel_search_with, CheckpointSink, DistributedStage, PerfObjective, ResumeState, RewardFn,
+    CheckpointSink, DistributedStage, ParallelStage, PerfObjective, ResumeState, RewardFn,
     RewardKind, SearchConfig, SearchDriver, SearchOutcome,
 };
 use h2o_nas::distributed::NodeCluster;
@@ -97,26 +97,31 @@ fn hardware(flags: &HashMap<String, String>) -> Result<HardwareConfig, String> {
     HardwareConfig::by_name(name).ok_or_else(|| format!("unknown hardware '{name}'"))
 }
 
-fn find_model(name: &str, batch: usize) -> Option<Graph> {
+/// Looks a named model up; the returned closure builds its graph at a
+/// batch size.
+fn find_model(name: &str) -> Option<Box<dyn Fn(usize) -> Graph>> {
     let lname = name.to_ascii_lowercase();
-    for m in CoAtNet::family().into_iter().chain(CoAtNet::h_family()) {
-        if m.name.to_ascii_lowercase() == lname {
-            return Some(m.build_graph(batch));
-        }
+    let named = |model: &str| model.to_ascii_lowercase() == lname;
+    if let Some(m) = CoAtNet::family()
+        .into_iter()
+        .chain(CoAtNet::h_family())
+        .find(|m| named(&m.name))
+    {
+        return Some(Box::new(move |batch| m.build_graph(batch)));
     }
-    for m in EfficientNet::x_family()
+    if let Some(m) = EfficientNet::x_family()
         .into_iter()
         .chain(EfficientNet::h_family())
+        .find(|m| named(&m.name))
     {
-        if m.name.to_ascii_lowercase() == lname {
-            return Some(m.build_graph(batch));
-        }
+        return Some(Box::new(move |batch| m.build_graph(batch)));
     }
-    match lname.as_str() {
-        "dlrm" => Some(h2o_nas::models::dlrm::baseline().build_graph(batch, 128)),
-        "dlrm-h" => Some(h2o_nas::models::dlrm::h_variant().build_graph(batch, 128)),
-        _ => None,
-    }
+    let dlrm = match lname.as_str() {
+        "dlrm" => h2o_nas::models::dlrm::baseline(),
+        "dlrm-h" => h2o_nas::models::dlrm::h_variant(),
+        _ => return None,
+    };
+    Some(Box::new(move |batch| dlrm.build_graph(batch, 128)))
 }
 
 fn cmd_spaces() {
@@ -156,7 +161,8 @@ fn load_graph(flags: &HashMap<String, String>, batch: usize) -> Result<Graph, St
         return h2o_nas::graph::text::parse(&text).map_err(|e| format!("parsing {path}: {e}"));
     }
     let model = flags.get("model").ok_or("missing --model or --hlo")?;
-    find_model(model, batch).ok_or_else(|| format!("unknown model '{model}'"))
+    let build = find_model(model).ok_or_else(|| format!("unknown model '{model}'"))?;
+    Ok(build(batch))
 }
 
 fn cmd_dump(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -237,7 +243,8 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     use h2o_nas::hwsim::sweep::{batch_sweep, ServingLoadModel};
     let hw = hardware(flags)?;
-    let model = flags.get("model").ok_or("missing --model")?.clone();
+    let model = flags.get("model").ok_or("missing --model")?;
+    let build = find_model(model).ok_or_else(|| format!("unknown model '{model}'"))?;
     let batches: Vec<usize> = flags
         .get("batches")
         .map(String::as_str)
@@ -250,13 +257,12 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| "bad --load"))
         .transpose()?
         .unwrap_or(0.7);
+    if !(0.0..1.0).contains(&load) {
+        return Err(format!("--load must be in [0, 1), got {load}"));
+    }
     let queue = ServingLoadModel::new(load);
     let sim = Simulator::new(hw.clone());
-    let points = batch_sweep(
-        &sim,
-        |b| find_model(&model, b).unwrap_or_else(|| panic!("unknown model '{model}'")),
-        &batches,
-    );
+    let points = batch_sweep(&sim, build, &batches);
     println!(
         "{model} serving sweep on {} (queueing load {:.0}%):",
         hw.name,
@@ -342,12 +348,12 @@ fn export_observability(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Builds the checkpoint sink and resume state requested by the
 /// `--checkpoint-dir` / `--checkpoint-every` / `--resume` flags, for a
-/// search whose config fingerprints to `fingerprint` and runs `steps`
-/// steps. Returns `(None, None)` when checkpointing is off.
+/// search whose config fingerprints to `fingerprint`. Returns
+/// `(None, None)` when checkpointing is off. Whether the resume state fits
+/// the run's `--steps` is checked by `SearchDriver::run`.
 fn checkpoint_setup(
     flags: &HashMap<String, String>,
     fingerprint: u64,
-    steps: usize,
 ) -> Result<(Option<FileCheckpointSink>, Option<ResumeState>), String> {
     let every: usize = flags
         .get("checkpoint-every")
@@ -371,17 +377,7 @@ fn checkpoint_setup(
             .load_latest()
             .map_err(|e| format!("resuming from {dir}: {e}"))?
             .ok_or_else(|| format!("--resume: no checkpoint found in {dir}"))?;
-        if state.steps_done > steps {
-            return Err(format!(
-                "--resume: checkpoint has {} completed steps, but --steps is {steps}",
-                state.steps_done
-            ));
-        }
-        println!(
-            "resuming from {dir} at step {} ({} steps remain)",
-            state.steps_done,
-            steps - state.steps_done
-        );
+        println!("resuming from {dir} at step {}", state.steps_done);
         Some(state)
     } else {
         None
@@ -604,6 +600,9 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| "bad --budget-ms"))
         .transpose()?
         .unwrap_or(100.0);
+    if !budget_ms.is_finite() || budget_ms <= 0.0 {
+        return Err(format!("--budget-ms must be positive, got {budget_ms}"));
+    }
     let budget = budget_ms / 1e3;
     let workers: usize = flags
         .get("workers")
@@ -680,7 +679,6 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
             let (mut sink, resume_state) = checkpoint_setup(
                 flags,
                 cfg.fingerprint(&space) ^ scenario.value_fingerprint(),
-                cfg.steps,
             )?;
             let outcome = match &nodes_spec {
                 Some(spec) => run_distributed(
@@ -697,14 +695,13 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
                     // One backend per process, cloned into every shard:
                     // clones share cache storage and fine-tuning state.
                     let backend = scenario.backend()?;
-                    let outcome = parallel_search_with(
-                        &space,
-                        &reward,
-                        |_| scenario.shard_evaluator(&backend),
-                        &cfg,
-                        resume_state,
-                        sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
-                    );
+                    let outcome = SearchDriver::new(&space, &reward, cfg)
+                        .run(
+                            &mut ParallelStage::new(|_| scenario.shard_evaluator(&backend), &cfg),
+                            resume_state,
+                            sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
+                        )
+                        .map_err(|e| e.to_string())?;
                     report_backend(&backend);
                     outcome
                 }
@@ -730,7 +727,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
             // The full §4 loop on a small scale: DLRM super-network +
             // use-once pipeline + simulator-pretrained performance model,
             // exercising core, data, hwsim and perfmodel in one run.
-            use h2o_nas::core::{unified_search_with, OneShotConfig};
+            use h2o_nas::core::{OneShotConfig, UnifiedStage};
             use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
             use h2o_nas::perfmodel::{Featurizer, PerfModel, PerfTargets, TrainConfig};
             use h2o_nas::space::{DlrmSpaceConfig, DlrmSupernet};
@@ -797,20 +794,16 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
             // The perf-model pretrain above is deterministic (fixed seed 0),
             // so a resumed run reconstructs the identical model and only the
             // supernet weights + controller state come from the checkpoint.
-            let (mut sink, resume_state) = checkpoint_setup(
-                flags,
-                oneshot_cfg.fingerprint(space.space()),
-                oneshot_cfg.steps,
-            )?;
-            let outcome = unified_search_with(
-                &mut supernet,
-                &pipeline,
-                &oneshot_reward,
-                perf,
-                &oneshot_cfg,
-                resume_state,
-                sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
-            );
+            let (mut sink, resume_state) =
+                checkpoint_setup(flags, oneshot_cfg.fingerprint(space.space()))?;
+            let outcome =
+                SearchDriver::new(space.space(), &oneshot_reward, oneshot_cfg.controller())
+                    .run(
+                        &mut UnifiedStage::new(&mut supernet, &pipeline, perf, &oneshot_cfg),
+                        resume_state,
+                        sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
+                    )
+                    .map_err(|e| e.to_string())?;
             maybe_export(&outcome)?;
             let stats = pipeline.stats();
             let best = space.decode(&outcome.best);

@@ -1,10 +1,11 @@
-//! Driver-equivalence suite: the proof that extracting the `SearchDriver`
-//! engine behind `parallel_search`, `unified_search_over` and
-//! `tunas_search` was behavior-preserving.
+//! Driver-equivalence suite: the proof that the `SearchDriver` engine
+//! reproduces the three hand-rolled search loops it replaced — the
+//! parallel, unified one-shot and TuNAS searches.
 //!
-//! The goldens under `tests/goldens/` were recorded from the three
-//! *hand-rolled* loops immediately before the refactor. Every test here
-//! re-runs the same scenario through today's wrapper entry points and
+//! The goldens under `tests/goldens/` were recorded from those *hand-rolled*
+//! loops immediately before the refactor. Every test here re-runs the same
+//! scenario through today's one entry point — a stage (`ParallelStage`,
+//! `UnifiedStage`, `TunasStage`) handed to `SearchDriver::run` — and
 //! asserts the outcome — history (timing zeroed), the full evaluated
 //! candidate cloud, and the final argmax architecture — is **bit-identical**
 //! to the pre-refactor recording, across worker counts and
@@ -16,8 +17,9 @@
 
 use h2o_nas::core::telemetry::{candidates_csv, history_csv};
 use h2o_nas::core::{
-    parallel_search_with, unified_search_with, CheckpointSink, EvalResult, OneShotConfig,
-    PerfObjective, ResumeState, RewardFn, RewardKind, SearchConfig, SearchOutcome, SearchSnapshot,
+    CheckpointSink, EvalResult, OneShotConfig, ParallelStage, PerfObjective, ResumeState, RewardFn,
+    RewardKind, SearchConfig, SearchDriver, SearchOutcome, SearchSnapshot, TunasStage,
+    UnifiedStage,
 };
 use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
 use h2o_nas::space::{ArchSample, Decision, DlrmSpaceConfig, DlrmSupernet, SearchSpace};
@@ -89,7 +91,7 @@ impl CheckpointSink for CaptureAt {
 }
 
 // ---------------------------------------------------------------------------
-// Flavor 1: executor-fanned stateless evaluation (`parallel_search`).
+// Flavor 1: executor-fanned stateless evaluation (`ParallelStage`).
 // ---------------------------------------------------------------------------
 
 const PARALLEL_STEPS: usize = 12;
@@ -123,9 +125,7 @@ fn parallel_outcome(
         RewardKind::Relu,
         vec![PerfObjective::new("time", 1.2, -6.0)],
     );
-    parallel_search_with(
-        &parallel_space(),
-        &reward,
+    let mut stage = ParallelStage::new(
         |_shard| {
             |sample: &ArchSample| {
                 let (w, d, r) = (sample[0] as f64, sample[1] as f64, sample[2] as f64);
@@ -136,9 +136,10 @@ fn parallel_outcome(
             }
         },
         cfg,
-        resume,
-        sink,
-    )
+    );
+    SearchDriver::new(&parallel_space(), &reward, *cfg)
+        .run(&mut stage, resume, sink)
+        .expect("parallel search runs")
 }
 
 #[test]
@@ -173,7 +174,7 @@ fn parallel_resume_from_midpoint_matches_pre_refactor_golden() {
 
 // ---------------------------------------------------------------------------
 // Flavor 2: serial supernet quality + executor-fanned perf
-// (`unified_search_over`, via the DLRM `unified_search` wrapper).
+// (`UnifiedStage` over the DLRM super-network).
 // ---------------------------------------------------------------------------
 
 const ONESHOT_STEPS: usize = 8;
@@ -205,7 +206,13 @@ fn oneshot_outcome(
     );
     let perf_space = space.clone();
     let perf = move |sample: &ArchSample| vec![perf_space.decode(sample).model_size_bytes()];
-    unified_search_with(&mut supernet, &pipeline, &reward, perf, cfg, resume, sink)
+    SearchDriver::new(space.space(), &reward, cfg.controller())
+        .run(
+            &mut UnifiedStage::new(&mut supernet, &pipeline, perf, cfg),
+            resume,
+            sink,
+        )
+        .expect("one-shot search runs")
 }
 
 #[test]
@@ -237,7 +244,7 @@ fn oneshot_resume_from_midpoint_matches_pre_refactor_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Flavor 3: alternating train/valid streams (`tunas_search`).
+// Flavor 3: alternating train/valid streams (`TunasStage`).
 // ---------------------------------------------------------------------------
 
 const TUNAS_STEPS: usize = 8;
@@ -262,7 +269,6 @@ fn tunas_outcome_with(
     resume: Option<ResumeState>,
     sink: Option<&mut dyn CheckpointSink>,
 ) -> SearchOutcome {
-    use h2o_nas::core::tunas_search_with;
     let mut rng = StdRng::seed_from_u64(21);
     let mut supernet = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng);
     let mut train = CtrTraffic::new(CtrTrafficConfig::tiny(), 51);
@@ -275,16 +281,13 @@ fn tunas_outcome_with(
     );
     let perf_space = space.clone();
     let perf = move |sample: &ArchSample| vec![perf_space.decode(sample).model_size_bytes()];
-    tunas_search_with(
-        &mut supernet,
-        &mut train,
-        &mut valid,
-        &reward,
-        perf,
-        cfg,
-        resume,
-        sink,
-    )
+    SearchDriver::new(space.space(), &reward, cfg.controller())
+        .run(
+            &mut TunasStage::new(&mut supernet, &mut train, &mut valid, perf, cfg),
+            resume,
+            sink,
+        )
+        .expect("tunas search runs")
 }
 
 #[test]
@@ -295,7 +298,7 @@ fn tunas_matches_pre_refactor_golden() {
 
 #[test]
 fn tunas_resume_from_midpoint_matches_pre_refactor_golden() {
-    // The refactor gave `tunas_search` checkpoint/resume support; a run
+    // The refactor gave the TuNAS search checkpoint/resume support; a run
     // interrupted at the midpoint must still land exactly on the golden
     // recorded from the pre-refactor (checkpoint-less) loop.
     let mut capture = CaptureAt {

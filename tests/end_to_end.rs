@@ -2,8 +2,8 @@
 //! reward, space, supernet, pipeline, simulator and surrogate crates.
 
 use h2o_nas::core::{
-    parallel_search, tunas_search, unified_search, EvalResult, OneShotConfig, PerfObjective,
-    RewardFn, RewardKind, SearchConfig,
+    EvalResult, OneShotConfig, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig,
+    SearchDriver, TunasStage, UnifiedStage,
 };
 use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_nas::hwsim::{HardwareConfig, Simulator, SystemConfig};
@@ -45,7 +45,9 @@ fn cnn_search_meets_hardware_budget() {
         policy_lr: 0.08,
         ..Default::default()
     };
-    let outcome = parallel_search(space.space(), &reward, make, &cfg);
+    let outcome = SearchDriver::new(space.space(), &reward, cfg)
+        .run(&mut ParallelStage::new(make, &cfg), None, None)
+        .expect("sinkless run");
     let best = space.decode(&outcome.best);
     let graph = best.build_graph(64);
     let sim = Simulator::new(HardwareConfig::tpu_v4());
@@ -83,7 +85,13 @@ fn dlrm_oneshot_search_learns_and_respects_size() {
         batch_size: 64,
         ..Default::default()
     };
-    let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &cfg);
+    let outcome = SearchDriver::new(space.space(), &reward, cfg.controller())
+        .run(
+            &mut UnifiedStage::new(&mut supernet, &pipeline, perf, &cfg),
+            None,
+            None,
+        )
+        .expect("sinkless run");
 
     // Pipeline invariants held for every batch.
     let stats = pipeline.stats();
@@ -121,26 +129,27 @@ fn unified_and_tunas_agree_on_output_contract() {
     );
     let p1 = space.clone();
     let pipeline = InMemoryPipeline::new(CtrTraffic::new(CtrTrafficConfig::tiny(), 6));
-    let o1 = unified_search(
-        &mut s1,
-        &pipeline,
-        &reward,
-        move |s: &ArchSample| vec![p1.decode(s).model_size_bytes()],
-        &cfg,
-    );
+    let perf1 = move |s: &ArchSample| vec![p1.decode(s).model_size_bytes()];
+    let o1 = SearchDriver::new(space.space(), &reward, cfg.controller())
+        .run(
+            &mut UnifiedStage::new(&mut s1, &pipeline, perf1, &cfg),
+            None,
+            None,
+        )
+        .expect("sinkless run");
 
     let mut s2 = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng);
     let mut train = CtrTraffic::new(CtrTrafficConfig::tiny(), 7);
     let mut valid = CtrTraffic::new(CtrTrafficConfig::tiny(), 8);
     let p2 = space.clone();
-    let o2 = tunas_search(
-        &mut s2,
-        &mut train,
-        &mut valid,
-        &reward,
-        move |s: &ArchSample| vec![p2.decode(s).model_size_bytes()],
-        &cfg,
-    );
+    let perf2 = move |s: &ArchSample| vec![p2.decode(s).model_size_bytes()];
+    let o2 = SearchDriver::new(space.space(), &reward, cfg.controller())
+        .run(
+            &mut TunasStage::new(&mut s2, &mut train, &mut valid, perf2, &cfg),
+            None,
+            None,
+        )
+        .expect("sinkless run");
 
     assert!(space.space().validate(&o1.best).is_ok());
     assert!(space.space().validate(&o2.best).is_ok());
@@ -174,12 +183,16 @@ fn relu_reward_tolerates_overachieving_candidates_in_search() {
         RewardKind::Absolute,
         vec![PerfObjective::new("t", 4.0, -5.0)],
     );
-    let outcome_abs = parallel_search(&space, &abs_reward, eval, &cfg);
+    let outcome_abs = SearchDriver::new(&space, &abs_reward, cfg)
+        .run(&mut ParallelStage::new(eval, &cfg), None, None)
+        .expect("sinkless run");
     // Absolute: optimum is exactly at target (choice 4 -> value 4.0).
     assert_eq!(outcome_abs.best[0], 4, "absolute reward pins to the target");
 
     let relu_reward = RewardFn::new(RewardKind::Relu, vec![PerfObjective::new("t", 4.0, -5.0)]);
-    let outcome_relu = parallel_search(&space, &relu_reward, eval, &cfg);
+    let outcome_relu = SearchDriver::new(&space, &relu_reward, cfg)
+        .run(&mut ParallelStage::new(eval, &cfg), None, None)
+        .expect("sinkless run");
     // ReLU: anything at-or-under target is optimal; must NOT be above it.
     let value = 8.0 - outcome_relu.best[0] as f64;
     assert!(value <= 4.0, "ReLU must not end over target: {value}");
@@ -206,7 +219,9 @@ fn parallel_shards_do_not_corrupt_policy() {
         policy_lr: 0.08,
         ..Default::default()
     };
-    let outcome = parallel_search(&space, &reward, eval, &cfg);
+    let outcome = SearchDriver::new(&space, &reward, cfg)
+        .run(&mut ParallelStage::new(eval, &cfg), None, None)
+        .expect("sinkless run");
     // Quality is maximised by choosing 4 everywhere.
     assert_eq!(outcome.best, vec![4; 6]);
 }

@@ -122,15 +122,26 @@ echo "==> serialized-schedule smoke (H2O_EXEC_SERIAL=1)"
 H2O_EXEC_SERIAL=1 cargo test -q -p h2o-exec -p h2o-hwsim
 H2O_EXEC_SERIAL=1 cargo test -q --test determinism
 
-# Perf smoke: run the baseline matrix at reduced scale and diff against
-# the committed baseline, warn-only (shared-runner timing is too noisy
-# for a hard gate — see DESIGN.md, "perf trajectory & phase-timing
-# contract"). Catches harness rot (a scenario that no longer runs, an
-# instrument that vanished) without flaking on machine speed.
-echo "==> perf smoke (bench_diff, warn-only, reduced steps)"
-H2O_BENCH_STEPS=8 H2O_BENCH_SIM_EVALS=20 H2O_BENCH_MATMUL_ITERS=5 \
-H2O_BENCH_STRICT=0 \
-    cargo run -q --release -p h2o-bench --bin bench_diff -- --baseline BENCH_pr9.json
+# Benchmark output check: the harness's own tests, then a one-second run
+# of every searchbench workload, untraced and traced. Every run's CSVs must
+# match searchbench/reference.json, so each result line must report
+# correct: true and failed: 0. Timings are not gated: a one-second run is
+# too short to time. On a host with too few CPUs for a workload the
+# harness exits 2, which fails this step.
+echo "==> searchbench (unit tests + output check of every workload)"
+python3 -m unittest discover -s searchbench
+for workload in dlrm_sim dlrm_model dlrm_durable dlrm_oneshot; do
+  for trace in 0 1; do
+    python3 searchbench/run.py --workload "$workload" --seconds 1 --trace "$trace" \
+        | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+print("    %s --trace %s: correct %s, %d runs, %d failed"
+      % (sys.argv[1], sys.argv[2], r["correct"], r["attempted"], r["failed"]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+' "$workload" "$trace"
+  done
+done
 
 # Workspace invariant checker: the determinism / NaN-robustness /
 # panic-hygiene contracts — per-file token rules plus the cross-file

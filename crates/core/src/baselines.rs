@@ -6,7 +6,7 @@
 //! rewards are not). These baselines therefore run in the *multi-trial*
 //! regime — each candidate is evaluated independently — and exist to
 //! quantify the RL controller's sample efficiency (the
-//! `ext_search_baselines` bench).
+//! `ext_search_baselines` experiment of `repro_all`).
 
 use crate::driver::NON_FINITE_REWARD_PENALTY;
 use crate::reward::RewardFn;

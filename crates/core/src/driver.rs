@@ -106,8 +106,8 @@ impl std::fmt::Display for DriverError {
 impl std::error::Error for DriverError {}
 
 /// Phase labels of the `h2o_core_phase_seconds{phase=...}` histograms the
-/// driver records per step, in loop order. `perf_baseline` and the
-/// exporters read time shares per phase from these.
+/// driver records per step, in loop order; the `--metrics-out` export
+/// carries one series per phase.
 pub const PHASES: [&str; 6] = [
     "collect",
     "reward",

@@ -150,15 +150,6 @@ impl BackendSpec {
         }
     }
 
-    /// The legacy `--eval-cache` mapping: `Some(capacity)` is the cached
-    /// backend, `None` the plain simulator.
-    pub fn from_cache_capacity(capacity: Option<usize>) -> Self {
-        match capacity {
-            Some(capacity) => BackendSpec::Cached { capacity },
-            None => BackendSpec::Simulator,
-        }
-    }
-
     /// The cache capacity this spec uses, if any (the cached backend's
     /// memo table, or the model backend's fallback cache).
     pub fn cache_capacity(&self) -> Option<usize> {

@@ -102,16 +102,6 @@ impl EvalScenario {
         Ok(Self { domain, backend })
     }
 
-    /// Legacy constructor from the `--eval-cache` flag pair: `Some`
-    /// capacity is the cached backend, `None` the plain simulator.
-    ///
-    /// # Errors
-    ///
-    /// Same domain validation as [`EvalScenario::new`].
-    pub fn with_cache(domain: &str, cache_capacity: Option<usize>) -> Result<Self, String> {
-        Self::new(domain, BackendSpec::from_cache_capacity(cache_capacity))
-    }
-
     /// The decision space this scenario searches — identical to the space
     /// the single-process `h2o search` arm builds for the same domain.
     pub fn space(&self) -> SearchSpace {

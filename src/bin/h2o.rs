@@ -92,6 +92,17 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
+/// The value of `--name` parsed as a `T`, or `None` when the flag is absent.
+fn parse_flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(name)
+        .map(|s| s.parse().map_err(|_| format!("bad --{name}")))
+        .transpose()
+}
+
 fn hardware(flags: &HashMap<String, String>) -> Result<HardwareConfig, String> {
     let name = flags.get("hw").map(String::as_str).unwrap_or("tpuv4");
     HardwareConfig::by_name(name).ok_or_else(|| format!("unknown hardware '{name}'"))
@@ -166,22 +177,14 @@ fn load_graph(flags: &HashMap<String, String>, batch: usize) -> Result<Graph, St
 }
 
 fn cmd_dump(flags: &HashMap<String, String>) -> Result<(), String> {
-    let batch: usize = flags
-        .get("batch")
-        .map(|b| b.parse().map_err(|_| "bad --batch"))
-        .transpose()?
-        .unwrap_or(64);
+    let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
     let graph = load_graph(flags, batch)?;
     print!("{}", h2o_nas::graph::text::to_text(&graph));
     Ok(())
 }
 
 fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
-    let batch: usize = flags
-        .get("batch")
-        .map(|b| b.parse().map_err(|_| "bad --batch"))
-        .transpose()?
-        .unwrap_or(64);
+    let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
     let graph = load_graph(flags, batch)?;
     let hw = hardware(flags)?;
     let sim = Simulator::new(hw.clone());
@@ -252,11 +255,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad batch '{s}'")))
         .collect::<Result<_, _>>()?;
-    let load: f64 = flags
-        .get("load")
-        .map(|s| s.parse().map_err(|_| "bad --load"))
-        .transpose()?
-        .unwrap_or(0.7);
+    let load: f64 = parse_flag(flags, "load")?.unwrap_or(0.7);
     if !(0.0..1.0).contains(&load) {
         return Err(format!("--load must be in [0, 1), got {load}"));
     }
@@ -355,11 +354,7 @@ fn checkpoint_setup(
     flags: &HashMap<String, String>,
     fingerprint: u64,
 ) -> Result<(Option<FileCheckpointSink>, Option<ResumeState>), String> {
-    let every: usize = flags
-        .get("checkpoint-every")
-        .map(|s| s.parse().map_err(|_| "bad --checkpoint-every"))
-        .transpose()?
-        .unwrap_or(10);
+    let every: usize = parse_flag(flags, "checkpoint-every")?.unwrap_or(10);
     if every == 0 {
         return Err("--checkpoint-every must be at least 1".into());
     }
@@ -467,19 +462,9 @@ fn backend_spec_from_flags(flags: &HashMap<String, String>) -> Result<BackendSpe
         Some("off") | Some("false") => Some(false),
         Some(other) => return Err(format!("bad --eval-cache '{other}' (on|off)")),
     };
-    let cache_capacity: usize = flags
-        .get("eval-cache-capacity")
-        .map(|s| s.parse().map_err(|_| "bad --eval-cache-capacity"))
-        .transpose()?
-        .unwrap_or(4096);
-    let gate_threshold: Option<f64> = flags
-        .get("gate-threshold")
-        .map(|s| s.parse().map_err(|_| "bad --gate-threshold"))
-        .transpose()?;
-    let finetune_cadence: Option<usize> = flags
-        .get("finetune-cadence")
-        .map(|s| s.parse().map_err(|_| "bad --finetune-cadence"))
-        .transpose()?;
+    let cache_capacity: usize = parse_flag(flags, "eval-cache-capacity")?.unwrap_or(4096);
+    let gate_threshold: Option<f64> = parse_flag(flags, "gate-threshold")?;
+    let finetune_cadence: Option<usize> = parse_flag(flags, "finetune-cadence")?;
     let kind = match flags.get("eval-backend").map(String::as_str) {
         None => match cache_on {
             Some(false) => BackendKind::Simulator,
@@ -575,40 +560,21 @@ fn cmd_node_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").ok_or("missing --addr")?;
     let domain = flags.get("domain").ok_or("missing --domain")?;
     let backend = backend_spec_from_flags(flags)?;
-    let chaos_exit_after: Option<usize> = flags
-        .get("chaos-exit-after")
-        .map(|s| s.parse().map_err(|_| "bad --chaos-exit-after"))
-        .transpose()?;
+    let chaos_exit_after: Option<usize> = parse_flag(flags, "chaos-exit-after")?;
     let scenario = EvalScenario::new(domain, backend)?;
     h2o_nas::distributed::run_worker(addr, scenario, chaos_exit_after)
 }
 
 fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
     let domain = flags.get("domain").ok_or("missing --domain")?.as_str();
-    let steps: usize = flags
-        .get("steps")
-        .map(|s| s.parse().map_err(|_| "bad --steps"))
-        .transpose()?
-        .unwrap_or(120);
-    let shards: usize = flags
-        .get("shards")
-        .map(|s| s.parse().map_err(|_| "bad --shards"))
-        .transpose()?
-        .unwrap_or(8);
-    let budget_ms: f64 = flags
-        .get("budget-ms")
-        .map(|s| s.parse().map_err(|_| "bad --budget-ms"))
-        .transpose()?
-        .unwrap_or(100.0);
+    let steps: usize = parse_flag(flags, "steps")?.unwrap_or(120);
+    let shards: usize = parse_flag(flags, "shards")?.unwrap_or(8);
+    let budget_ms: f64 = parse_flag(flags, "budget-ms")?.unwrap_or(100.0);
     if !budget_ms.is_finite() || budget_ms <= 0.0 {
         return Err(format!("--budget-ms must be positive, got {budget_ms}"));
     }
     let budget = budget_ms / 1e3;
-    let workers: usize = flags
-        .get("workers")
-        .map(|s| s.parse().map_err(|_| "bad --workers"))
-        .transpose()?
-        .unwrap_or(0);
+    let workers: usize = parse_flag(flags, "workers")?.unwrap_or(0);
     let backend_spec = backend_spec_from_flags(flags)?;
     // --nodes / H2O_NODES switches candidate evaluation from in-process
     // threads to worker subprocesses; either an integer (auto-spawn that
@@ -617,24 +583,13 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("nodes")
         .cloned()
         .or_else(|| std::env::var("H2O_NODES").ok());
-    let node_timeout = Duration::from_millis(
-        flags
-            .get("node-timeout-ms")
-            .map(|s| s.parse().map_err(|_| "bad --node-timeout-ms"))
-            .transpose()?
-            .unwrap_or(30_000u64),
-    );
+    let node_timeout =
+        Duration::from_millis(parse_flag(flags, "node-timeout-ms")?.unwrap_or(30_000u64));
     let pool_defaults = PoolOptions::default();
-    let node_retries: usize = flags
-        .get("node-retries")
-        .map(|s| s.parse().map_err(|_| "bad --node-retries"))
-        .transpose()?
-        .unwrap_or(pool_defaults.max_node_retries);
-    let min_live_nodes: usize = flags
-        .get("min-live-nodes")
-        .map(|s| s.parse().map_err(|_| "bad --min-live-nodes"))
-        .transpose()?
-        .unwrap_or(pool_defaults.min_live_nodes);
+    let node_retries: usize =
+        parse_flag(flags, "node-retries")?.unwrap_or(pool_defaults.max_node_retries);
+    let min_live_nodes: usize =
+        parse_flag(flags, "min-live-nodes")?.unwrap_or(pool_defaults.min_live_nodes);
     let pool_options = PoolOptions {
         io_timeout: node_timeout,
         max_node_retries: node_retries,
@@ -767,12 +722,12 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
             );
             println!("perf model pretrained on {pool} simulator-labelled candidates");
 
-            // Search with model predictions as the performance signal. The
-            // CTR budget is the median simulated step time (keeps the
-            // objective meaningful for any --budget-ms).
+            // Search with model predictions as the performance signal.
+            // Without --budget-ms the CTR budget is the median simulated
+            // step time of the pretraining pool.
             let mut times: Vec<f64> = ys.iter().map(|y| y.training).collect();
             times.sort_by(|a, b| a.total_cmp(b));
-            let target = if budget_ms != 100.0 {
+            let target = if flags.contains_key("budget-ms") {
                 budget
             } else {
                 times[pool / 2]

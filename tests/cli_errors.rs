@@ -49,6 +49,8 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         .into_iter()
         .chain(["--checkpoint-dir", &done_ckpt])
         .collect(),
+        vec!["search", "--domain", "dlrm", "--steps", "two"],
+        vec!["search", "--domain", "dlrm", "--workers", "-1"],
         vec!["search", "--domain", "dlrm", "--budget-ms", "0"],
         vec!["search", "--domain", "dlrm", "--budget-ms", "NaN"],
         vec!["search", "--domain", "dlrm", "--eval-cache-capacity", "0"],

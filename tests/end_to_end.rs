@@ -225,3 +225,31 @@ fn parallel_shards_do_not_corrupt_policy() {
     // Quality is maximised by choosing 4 everywhere.
     assert_eq!(outcome.best, vec![4; 6]);
 }
+
+/// `h2o search --domain dlrm-oneshot` takes an explicit `--budget-ms` as its
+/// step-time budget even at the default's value: `--budget-ms 100` must not
+/// fall back to the median simulated step time a run without the flag uses.
+#[test]
+fn oneshot_cli_honours_an_explicit_budget() {
+    let dir = std::env::temp_dir().join(format!("h2o_oneshot_budget_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let candidates_csv = |stem: &str, extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_h2o"))
+            .args(["search", "--domain", "dlrm-oneshot", "--steps", "2"])
+            .args(["--shards", "2", "--csv"])
+            .arg(dir.join(stem))
+            .args(extra)
+            .output()
+            .expect("h2o binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(dir.join(format!("{stem}_candidates.csv"))).expect("candidates csv")
+    };
+    let median = candidates_csv("median", &[]);
+    let explicit = candidates_csv("explicit", &["--budget-ms", "100"]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_ne!(median, explicit, "--budget-ms 100 was ignored");
+}

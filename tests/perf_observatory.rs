@@ -4,9 +4,9 @@
 //! freshly reset registry and a run against a registry already warm with
 //! prior measurements must produce byte-identical telemetry CSVs.
 //!
-//! Also pins the instrument names the `perf_baseline` harness consumes,
-//! so a rename in `h2o-core`/`h2o-exec`/`h2o-hwsim` fails here instead of
-//! silently producing a baseline with holes.
+//! Also pins the instrument names, so a rename in
+//! `h2o-core`/`h2o-exec`/`h2o-hwsim` fails here instead of silently
+//! dropping a series from `--metrics-out` exports.
 
 use h2o_nas::core::telemetry::{candidates_csv, history_csv};
 use h2o_nas::core::{

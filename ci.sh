@@ -43,20 +43,26 @@ cargo test -q --release --test driver_equivalence
 # Checkpoint/resume smoke through the release binary, once per executor
 # width: a run truncated at step 4 and resumed must write the same
 # telemetry as an uninterrupted run (history compared modulo the
-# wall-clock column).
-echo "==> checkpoint-resume smoke (H2O_WORKERS=1 and 4)"
+# wall-clock column). The torn leg resumes a copy of the truncated run's
+# directory with junk appended to its log, as a crash mid-append would
+# leave it: resume reads only the prefix the latest snapshot covers.
+echo "==> checkpoint-resume smoke (H2O_WORKERS=1 and 4, clean and torn log)"
 for w in 1 4; do
   ckdir=$(mktemp -d)
   ./target/release/h2o search --domain dlrm --steps 6 --shards 4 --workers "$w" \
       --csv "$ckdir/full" >/dev/null
   ./target/release/h2o search --domain dlrm --steps 4 --shards 4 --workers "$w" \
-      --checkpoint-dir "$ckdir/ckpt" --checkpoint-every 2 >/dev/null
-  ./target/release/h2o search --domain dlrm --steps 6 --shards 4 --workers "$w" \
-      --checkpoint-dir "$ckdir/ckpt" --checkpoint-every 2 --resume \
-      --csv "$ckdir/resumed" >/dev/null
-  cmp "$ckdir/full_candidates.csv" "$ckdir/resumed_candidates.csv"
-  cmp <(cut -d, -f1-4 "$ckdir/full_history.csv") \
-      <(cut -d, -f1-4 "$ckdir/resumed_history.csv")
+      --checkpoint-dir "$ckdir/clean" --checkpoint-every 2 >/dev/null
+  cp -r "$ckdir/clean" "$ckdir/torn"
+  printf 'torn frame' >> "$ckdir/torn/ckpt.log"
+  for leg in clean torn; do
+    ./target/release/h2o search --domain dlrm --steps 6 --shards 4 --workers "$w" \
+        --checkpoint-dir "$ckdir/$leg" --checkpoint-every 2 --resume \
+        --csv "$ckdir/$leg" >/dev/null
+    cmp "$ckdir/full_candidates.csv" "$ckdir/${leg}_candidates.csv"
+    cmp <(cut -d, -f1-4 "$ckdir/full_history.csv") \
+        <(cut -d, -f1-4 "$ckdir/${leg}_history.csv")
+  done
   rm -rf "$ckdir"
 done
 

@@ -7,10 +7,11 @@
 //!
 //! The codec is deliberately boring: `u64`/`u32` little-endian, `f64` via
 //! [`f64::to_bits`] (so round trips are bit-exact and determinism proofs
-//! can compare CSVs byte-for-byte across processes), and byte strings as a
-//! `u64` length prefix followed by the raw bytes. Every decode is
-//! bounds-checked and returns a typed [`WireError`] — never a panic — on
-//! truncated or inconsistent input.
+//! can compare CSVs byte-for-byte across processes), byte strings as a
+//! `u64` length prefix followed by the raw bytes, and unsigned LEB128
+//! varints for small integers that would waste most of a `u64`. Every
+//! decode is bounds-checked and returns a typed [`WireError`] — never a
+//! panic — on truncated or inconsistent input.
 
 use std::fmt;
 
@@ -93,6 +94,16 @@ impl Enc {
         self.u64(v.to_bits());
     }
 
+    /// Appends an unsigned LEB128 varint: seven bits per byte, lowest
+    /// group first, the high bit set on every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
@@ -154,6 +165,49 @@ impl<'a> Dec<'a> {
     /// [`WireError::Truncated`] if fewer than 8 bytes remain.
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads an unsigned LEB128 varint (see [`Enc::varint`]).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] if the input ends inside the varint;
+    /// [`WireError::Corrupt`] for a value past `u64::MAX` or an encoding
+    /// longer than the value needs (so every value has exactly one).
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
+            self.pos += 1;
+            let group = u64::from(byte & 0x7f);
+            if shift == 63 && group > 1 {
+                return Err(WireError::Corrupt("varint exceeds u64".into()));
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(WireError::Corrupt("overlong varint".into()));
+                }
+                return Ok(value);
+            }
+        }
+        Err(WireError::Corrupt("varint exceeds u64".into()))
+    }
+
+    /// Reads a varint count that must not exceed the remaining bytes (see
+    /// [`Dec::len`]): every counted item takes at least one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] or [`WireError::Corrupt`].
+    pub fn varint_len(&mut self, what: &str) -> Result<usize, WireError> {
+        let n = self.varint()?;
+        if n > (self.bytes.len() - self.pos) as u64 {
+            return Err(WireError::Corrupt(format!(
+                "{what} count {n} exceeds payload"
+            )));
+        }
+        Ok(n as usize)
     }
 
     /// Reads a `u64` count that must not exceed the remaining bytes —
@@ -250,6 +304,56 @@ mod tests {
         let mut d = Dec::new(&buf);
         d.u64().unwrap();
         assert!(matches!(d.finish(), Err(WireError::Corrupt(_))));
+    }
+
+    #[test]
+    fn varints_round_trip_at_every_group_boundary() {
+        let values = [
+            0,
+            1,
+            0x7f,
+            0x80,
+            0x3fff,
+            0x4000,
+            1 << 35,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut e = Enc::new();
+        for v in values {
+            e.varint(v);
+        }
+        let buf = e.into_vec();
+        // 1+1+1+2+2+3+6+10+10 bytes: seven value bits per byte.
+        assert_eq!(buf.len(), 36);
+        let mut d = Dec::new(&buf);
+        for v in values {
+            assert_eq!(d.varint().unwrap(), v);
+        }
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn malformed_varints_are_typed() {
+        assert_eq!(Dec::new(&[0x80, 0x80]).varint(), Err(WireError::Truncated));
+        // Zero as two bytes: decodable, but not the one encoding of 0.
+        assert!(matches!(
+            Dec::new(&[0x80, 0x00]).varint(),
+            Err(WireError::Corrupt(_))
+        ));
+        // Ten bytes whose last group carries bits past 2^64.
+        let mut past = [0xff; 10];
+        past[9] = 0x02;
+        assert!(matches!(
+            Dec::new(&past).varint(),
+            Err(WireError::Corrupt(_))
+        ));
+        assert!(matches!(
+            Dec::new(&[0xff; 11]).varint(),
+            Err(WireError::Corrupt(_))
+        ));
+        let mut d = Dec::new(&[5, 1, 2]);
+        assert!(matches!(d.varint_len("test"), Err(WireError::Corrupt(_))));
     }
 
     #[test]

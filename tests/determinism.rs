@@ -305,6 +305,12 @@ fn interrupted_search_resumes_byte_identically() {
             let store = CheckpointStore::new(&dir, fingerprint).expect("store opens");
             let mut sink = FileCheckpointSink::new(store, 4);
             det_search(&cfg_cut, &det_backend(cache_on), None, Some(&mut sink));
+            // The crash tore a log append that never got its snapshot.
+            let mut log = std::fs::OpenOptions::new()
+                .append(true)
+                .open(sink.store().log_path())
+                .expect("log opens");
+            std::io::Write::write_all(&mut log, b"\x2a torn frame").expect("tail appends");
 
             // Crash. A fresh process re-opens the store and resumes; the
             // eval cache starts cold again, which must be value-invisible.
@@ -410,12 +416,12 @@ fn oneshot_resume_restores_supernet_weights_bit_exactly() {
 #[test]
 fn cli_binary_resumes_byte_identically() {
     // End-to-end kill-and-resume through the `h2o` binary: full run vs
-    // (truncated run + --resume) must write identical candidate CSVs and
-    // history CSVs modulo the wall-clock column.
+    // (truncated run + --resume), and vs (truncated run + a fresh shorter
+    // run into the same directory + --resume), must write identical
+    // candidate CSVs and history CSVs modulo the wall-clock column.
     let dir = std::env::temp_dir().join(format!("h2o_cli_resume_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let ckpt_dir = dir.join("ckpt");
     let run = |steps: &str, stem: Option<&str>, extra: &[&str]| {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_h2o"));
         cmd.args([
@@ -441,28 +447,22 @@ fn cli_binary_resumes_byte_identically() {
             .collect();
         (history, text("_candidates.csv"))
     };
-    let ckpt = ckpt_dir.to_str().expect("utf-8 path");
     run("6", Some("full"), &[]);
-    run(
-        "4",
-        None,
-        &["--checkpoint-dir", ckpt, "--checkpoint-every", "2"],
-    );
-    run(
-        "6",
-        Some("resumed"),
-        &[
-            "--checkpoint-dir",
-            ckpt,
-            "--checkpoint-every",
-            "2",
-            "--resume",
-        ],
-    );
-    assert_eq!(
-        read("full"),
-        read("resumed"),
-        "CLI resume must reproduce the uninterrupted run"
-    );
+    // A run without --resume into a used directory starts over: the
+    // 4-step run's snapshots must not outlive the log they point into.
+    for (case, earlier) in [("cut", &["4"][..]), ("fresh_into_used", &["4", "2"][..])] {
+        let ckpt_dir = dir.join(format!("{case}_ckpt"));
+        let ckpt = ckpt_dir.to_str().expect("utf-8 path");
+        let flags = ["--checkpoint-dir", ckpt, "--checkpoint-every", "2"];
+        for steps in earlier {
+            run(steps, None, &flags);
+        }
+        run("6", Some(case), &[&flags[..], &["--resume"]].concat());
+        assert_eq!(
+            read("full"),
+            read(case),
+            "CLI resume must reproduce the uninterrupted run ({case})"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

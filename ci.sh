@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Lockfile drift: a manifest change that would rewrite Cargo.lock or
+# searchbench/trace/Cargo.lock fails here, before `cargo build` or the
+# searchbench build below get the chance to rewrite either one.
+echo "==> cargo metadata --locked (root and searchbench/trace lockfiles)"
+cargo metadata --locked --offline --format-version 1 >/dev/null
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path searchbench/trace/Cargo.toml >/dev/null
+
 echo "==> cargo build --release"
 cargo build --release
 

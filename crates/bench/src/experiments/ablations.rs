@@ -9,12 +9,17 @@
 //!   effective training than isolated per-candidate training — the premise
 //!   of one-shot NAS (§5.1.2).
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_core::{OneShotConfig, PerfObjective, RewardFn, RewardKind, TunasStage, UnifiedStage};
 use h2o_data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_space::{ArchSample, DlrmSpaceConfig, DlrmSupernet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Step budget of the single-step ablation.
+const STEPS: usize = 120;
+/// Training-batch budget of the weight-sharing ablation.
+const BUDGET: usize = 160;
 
 fn reward_and_perf(supernet: &DlrmSupernet) -> (RewardFn, impl Fn(&ArchSample) -> Vec<f64> + Sync) {
     let space = supernet.space().clone();
@@ -134,8 +139,7 @@ pub fn weight_sharing_ablation(budget_batches: usize) -> (f64, f64) {
 
 /// Runs both ablations and renders the report.
 pub fn run() -> String {
-    let steps = env_usize("H2O_ABL_STEPS", 120);
-    let (auc_u, auc_t, ex_u, ex_t) = single_step_ablation(steps);
+    let (auc_u, auc_t, ex_u, ex_t) = single_step_ablation(STEPS);
     let mut t1 = Table::new(
         "Ablation: unified single-step vs TuNAS alternating (equal data budget)",
         &[
@@ -159,8 +163,7 @@ pub fn run() -> String {
     ]);
     let mut out = t1.render();
 
-    let budget = env_usize("H2O_ABL_BUDGET", 160);
-    let (shared, isolated) = weight_sharing_ablation(budget);
+    let (shared, isolated) = weight_sharing_ablation(BUDGET);
     let mut t2 = Table::new(
         "Ablation: weight sharing vs isolated candidate training (equal batch budget)",
         &["scheme", "mean candidate AUC"],

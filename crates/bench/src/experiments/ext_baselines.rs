@@ -9,12 +9,15 @@
 //! come from a shared-weight supernet rather than independent trainings
 //! (a cost gap of orders of magnitude at paper scale).
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_core::baselines::{evolution_search, random_search, EvolutionConfig};
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig};
+
+/// Candidate-evaluation budgets the report compares the searches at.
+const BUDGETS: [usize; 2] = [240, 960];
 
 fn evaluator() -> impl FnMut(&ArchSample) -> EvalResult {
     let space = CnnSpace::new(CnnSpaceConfig::default());
@@ -79,6 +82,11 @@ pub fn compare(budget: usize) -> (f64, f64, f64) {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
+    report(BUDGETS)
+}
+
+/// Compares the searches at each of `budgets` and renders the report.
+fn report(budgets: [usize; 2]) -> String {
     let mut table = Table::new(
         "Extension: search-algorithm sample efficiency (CNN space, best reward at budget)",
         &[
@@ -88,10 +96,6 @@ pub fn run() -> String {
             "regularized evolution",
         ],
     );
-    let budgets = [
-        env_usize("H2O_EXT_BUDGET_SMALL", 240),
-        env_usize("H2O_EXT_BUDGET_LARGE", 960),
-    ];
     for budget in budgets {
         let (rl, random, evo) = compare(budget);
         table.row(&[
@@ -122,8 +126,6 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        std::env::set_var("H2O_EXT_BUDGET_SMALL", "80");
-        std::env::set_var("H2O_EXT_BUDGET_LARGE", "160");
-        assert!(run().contains("sample efficiency"));
+        assert!(report([80, 160]).contains("sample efficiency"));
     }
 }

@@ -12,12 +12,15 @@
 //! blocks, bandwidth-starved chips push the search toward classic MBConv —
 //! demonstrating the late-binding workflow.
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::cnn::BlockType;
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig};
+
+/// Search steps per hardware variant.
+const STEPS: usize = 120;
 
 /// A hypothetical future-hardware variant.
 fn variant(name: &str, flops_scale: f64, hbm_scale: f64, cmem_scale: f64) -> HardwareConfig {
@@ -118,7 +121,6 @@ pub fn search_on(hw: &HardwareConfig, steps: usize) -> CodesignResult {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let steps = env_usize("H2O_EXT_CODESIGN_STEPS", 120);
     let mut table = Table::new(
         "Extension (§9 vision): the searched architecture re-binds to future hardware",
         &[
@@ -131,7 +133,7 @@ pub fn run() -> String {
         ],
     );
     for hw in variants() {
-        let r = search_on(&hw, steps);
+        let r = search_on(&hw, STEPS);
         table.row(&[
             r.hw,
             format!("{:.0}%", r.fused_fraction * 100.0),
@@ -158,7 +160,7 @@ pub fn run() -> String {
         HardwareConfig::gpu_a100(),
         HardwareConfig::gpu_h100(),
     ] {
-        let r = search_on(&hw, steps);
+        let r = search_on(&hw, STEPS);
         real.row(&[
             r.hw,
             format!("{:.0}%", r.fused_fraction * 100.0),

@@ -7,11 +7,14 @@
 //! hardware). This bench sweeps the shard count at a fixed per-step budget
 //! and reports steps-to-threshold.
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig};
+
+/// Search steps per shard count.
+const STEPS: usize = 120;
 
 fn evaluator() -> impl FnMut(&ArchSample) -> EvalResult + Send {
     let space = CnnSpace::new(CnnSpaceConfig::default());
@@ -65,18 +68,17 @@ pub fn scaling_point(shards: usize, steps: usize, threshold: f64) -> (Option<usi
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let steps = env_usize("H2O_EXT_SCALE_STEPS", 120);
     let threshold = 93.0;
     let mut table = Table::new(
         "Extension (§4.2 scale): cross-shard parallelism vs convergence",
         &["shards", "steps to mean reward ≥ 93", "final mean reward"],
     );
     for shards in [1usize, 4, 16] {
-        let (hit, final_reward) = scaling_point(shards, steps, threshold);
+        let (hit, final_reward) = scaling_point(shards, STEPS, threshold);
         table.row(&[
             shards.to_string(),
             hit.map(|s| s.to_string())
-                .unwrap_or_else(|| format!("not in {steps}")),
+                .unwrap_or_else(|| format!("not in {STEPS}")),
             format!("{final_reward:.2}"),
         ]);
     }

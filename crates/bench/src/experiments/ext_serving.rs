@@ -9,17 +9,21 @@
 //! TPUv4i, serving model size) and shows the ReLU reward navigating the
 //! sparse feasible region where the absolute reward stalls.
 
-use crate::report::{env_usize, pct, Table};
+use crate::report::{pct, Table};
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::DlrmQualityModel;
 use h2o_space::{ArchSample, DlrmSpace, DlrmSpaceConfig};
 
-fn space() -> DlrmSpace {
+/// DLRM tables in the production space.
+const TABLES: usize = 40;
+/// Search steps per reward kind.
+const STEPS: usize = 100;
+
+/// The production DLRM space cut to its first `tables` tables.
+fn space(tables: usize) -> DlrmSpace {
     let mut config = DlrmSpaceConfig::production();
-    config
-        .tables
-        .truncate(env_usize("H2O_EXT_SERVE_TABLES", 40));
+    config.tables.truncate(tables);
     DlrmSpace::new(config)
 }
 
@@ -35,10 +39,10 @@ fn measure(space: &DlrmSpace, sample: &ArchSample) -> (f64, f64, f64) {
     (train, p99, arch.model_size_bytes())
 }
 
-/// Runs one three-objective search; returns `(feasible_fraction,
-/// best_feasible_quality, winner_measurements)`.
-pub fn search(kind: RewardKind, steps: usize) -> (f64, f64, (f64, f64, f64)) {
-    let space = space();
+/// Runs one three-objective search over the first `tables` tables; returns
+/// `(feasible_fraction, best_feasible_quality, winner_measurements)`.
+pub fn search(kind: RewardKind, steps: usize, tables: usize) -> (f64, f64, (f64, f64, f64)) {
+    let space = space(tables);
     let baseline = space.decode(&space.baseline());
     let (t0, p0, s0) = measure(&space, &space.baseline());
     let quality_model = DlrmQualityModel::new(&baseline, 85.0);
@@ -60,7 +64,7 @@ pub fn search(kind: RewardKind, steps: usize) -> (f64, f64, (f64, f64, f64)) {
         workers: 0,
     };
     let make = |_shard: usize| {
-        let space = self::space();
+        let space = self::space(tables);
         let quality_model = quality_model.clone();
         move |sample: &ArchSample| {
             let (train, p99, size) = measure(&space, sample);
@@ -90,8 +94,7 @@ pub fn search(kind: RewardKind, steps: usize) -> (f64, f64, (f64, f64, f64)) {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let steps = env_usize("H2O_EXT_SERVE_STEPS", 100);
-    let sp = space();
+    let sp = space(TABLES);
     let (t0, p0, s0) = measure(&sp, &sp.baseline());
     let mut out = format!(
         "Three-objective DLRM search. Baseline: train {:.2} ms, serving P99 {:.2} ms, size {:.0} MB.\n\
@@ -110,7 +113,7 @@ pub fn run() -> String {
         ],
     );
     for kind in [RewardKind::Relu, RewardKind::Absolute] {
-        let (feasible, quality, (t, p, s)) = search(kind, steps);
+        let (feasible, quality, (t, p, s)) = search(kind, STEPS, TABLES);
         table.row(&[
             format!("{kind:?}"),
             pct(feasible),
@@ -142,12 +145,11 @@ mod tests {
 
     #[test]
     fn relu_reaches_feasibility_under_three_objectives() {
-        std::env::set_var("H2O_EXT_SERVE_TABLES", "12");
-        let (feasible, _q, (t, p, s)) = search(RewardKind::Relu, 50);
+        let (feasible, _q, (t, p, s)) = search(RewardKind::Relu, 50, 12);
         // Late-search candidates should be mostly feasible, and the winner
         // close to (or inside) the target box on all three axes.
         assert!(feasible > 0.3, "feasible fraction {feasible}");
-        let sp = space();
+        let sp = space(12);
         let (t0, p0, s0) = measure(&sp, &sp.baseline());
         assert!(t <= t0 * 1.05, "train {t} vs target {}", t0 * 0.9);
         assert!(p <= p0 * 1.05, "serve {p} vs target {}", p0 * 0.9);

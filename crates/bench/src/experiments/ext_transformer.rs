@@ -9,7 +9,7 @@
 //! paper's CoAtNet-H result predicts Squared ReLU and moderate sequence
 //! pooling should be popular.
 
-use crate::report::{env_usize, ratio, Table};
+use crate::report::{ratio, Table};
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
@@ -17,6 +17,8 @@ use h2o_space::{ArchSample, VitSpace, VitSpaceConfig};
 
 const SEQ: usize = 512; // NLP-style sequence length
 const BATCH: usize = 32;
+/// Search steps.
+const STEPS: usize = 150;
 
 fn evaluate_sample(
     space: &VitSpace,
@@ -45,6 +47,11 @@ pub fn baseline_sample() -> ArchSample {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
+    report(STEPS)
+}
+
+/// Searches for `steps` steps and renders the report.
+fn report(steps: usize) -> String {
     let space = VitSpace::new(VitSpaceConfig::pure());
     let sim = Simulator::new(HardwareConfig::tpu_v4());
     let quality = VisionQualityModel::new(DatasetScale::Medium);
@@ -56,7 +63,7 @@ pub fn run() -> String {
         vec![PerfObjective::new("step_time", base_t * 0.7, -8.0)],
     );
     let cfg = SearchConfig {
-        steps: env_usize("H2O_EXT_TFM_STEPS", 150),
+        steps,
         shards: 8,
         policy_lr: 0.07,
         baseline_momentum: 0.9,
@@ -125,13 +132,12 @@ mod tests {
 
     #[test]
     fn transformer_search_finds_faster_neutral_model() {
-        std::env::set_var("H2O_EXT_TFM_STEPS", "80");
         let space = VitSpace::new(VitSpaceConfig::pure());
         let sim = Simulator::new(HardwareConfig::tpu_v4());
         let quality = VisionQualityModel::new(DatasetScale::Medium);
         let base = baseline_sample();
         let (base_q, base_t, _) = evaluate_sample(&space, &sim, &quality, &base);
-        let r = run();
+        let r = report(80);
         assert!(r.contains("searched"));
         // Re-derive the outcome cheaply: just confirm the baseline is valid
         // and quality/step measurable.

@@ -9,12 +9,17 @@
 //! paper's warning that "reusing a single pre-trained model for all
 //! domains ... leads to significant accuracy loss" without fine-tuning.
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_hwsim::{HardwareConfig, ProductionHardware, Simulator, SystemConfig};
 use h2o_perfmodel::{Featurizer, PerfModel, PerfTargets, TrainConfig};
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig, DlrmSpace, DlrmSpaceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Simulator-labelled pretraining samples per domain.
+const SAMPLES: usize = 2500;
+/// Pretraining epochs of the universal and the specialist models.
+const EPOCHS: usize = 60;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Domain {
@@ -98,9 +103,9 @@ fn gather(n: usize, domain: Domain, width: usize, seed: u64) -> DomainData {
 
 /// Measured NRMSEs: `(universal_pretrained, universal_finetuned,
 /// specialist_finetuned)` per domain, training head, on held-out
-/// production measurements.
-pub fn evaluate() -> Vec<(String, f64, f64, f64)> {
-    let n = env_usize("H2O_EXT_UNI_SAMPLES", 2500);
+/// production measurements, after pretraining on `n` samples per domain
+/// for `epochs` epochs.
+pub fn evaluate(n: usize, epochs: usize) -> Vec<(String, f64, f64, f64)> {
     let holdout = 250;
     // Common feature width: max of both featurizers + 1 derived + 2 one-hot.
     let cnn_dim = Featurizer::from_space(CnnSpace::new(CnnSpaceConfig::default()).space()).dim();
@@ -123,7 +128,7 @@ pub fn evaluate() -> Vec<(String, f64, f64, f64)> {
         &mixed_x,
         &mixed_y,
         TrainConfig {
-            epochs: env_usize("H2O_EXT_UNI_EPOCHS", 60),
+            epochs,
             batch_size: 64,
             lr: 1e-3,
         },
@@ -157,7 +162,7 @@ pub fn evaluate() -> Vec<(String, f64, f64, f64)> {
             &data.xs[..n],
             &data.sim_y[..n],
             TrainConfig {
-                epochs: env_usize("H2O_EXT_UNI_EPOCHS", 60),
+                epochs,
                 batch_size: 64,
                 lr: 1e-3,
             },
@@ -189,7 +194,7 @@ pub fn run() -> String {
             "specialist + finetune",
         ],
     );
-    for (name, before, after, spec) in evaluate() {
+    for (name, before, after, spec) in evaluate(SAMPLES, EPOCHS) {
         table.row(&[
             name,
             format!("{:.1}%", before * 100.0),
@@ -212,9 +217,7 @@ mod tests {
 
     #[test]
     fn universal_finetune_closes_most_of_the_gap() {
-        std::env::set_var("H2O_EXT_UNI_SAMPLES", "900");
-        std::env::set_var("H2O_EXT_UNI_EPOCHS", "40");
-        for (name, before, after, spec) in evaluate() {
+        for (name, before, after, spec) in evaluate(900, 40) {
             assert!(
                 after < before,
                 "{name}: finetune must help ({before} -> {after})"

@@ -5,12 +5,15 @@
 //! and +0.12 %. Quality is the first priority: some models (CV5, DLRM3)
 //! accept a performance regression for quality.
 
-use crate::report::{env_usize, geomean, ratio, Table};
+use crate::report::{geomean, ratio, Table};
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::production::{fleet, ProductionDomain, ProductionModel};
 use h2o_models::quality::{DatasetScale, DlrmQualityModel, VisionQualityModel};
 use h2o_space::{ArchSample, CnnSpace, DlrmSpace};
+
+/// Search steps per fleet model.
+const STEPS: usize = 120;
 
 /// The per-decision baseline sample of the CNN space: MBConv, 3×3,
 /// baseline stride, expansion 6, swish, SE 0.25, skip, depth delta 0,
@@ -150,7 +153,6 @@ pub fn optimize(model: &ProductionModel, steps: usize) -> FleetResult {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let steps = env_usize("H2O_FIG10_STEPS", 120);
     let mut table = Table::new(
         "Fig. 10: production fleet gains (quality first; perf target per model)",
         &["model", "perf gain", "quality gain (pp)"],
@@ -160,7 +162,7 @@ pub fn run() -> String {
     let mut dlrm_perf = Vec::new();
     let mut dlrm_q = Vec::new();
     for model in fleet() {
-        let result = optimize(&model, steps);
+        let result = optimize(&model, STEPS);
         table.row(&[
             result.name.clone(),
             ratio(result.perf_gain),

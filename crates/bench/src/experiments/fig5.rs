@@ -8,12 +8,17 @@
 //! better step time per quality bucket (5b), up to ~0.4 % better quality
 //! per step-time bucket (5c), and ~1.6 % smaller serving memory.
 
-use crate::report::{env_usize, pct, Table};
+use crate::report::{pct, Table};
 use h2o_core::pareto::{bucketize_by_cost, bucketize_by_quality, pareto_front, ParetoPoint};
 use h2o_core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::DlrmQualityModel;
 use h2o_space::{ArchSample, DlrmSpace, DlrmSpaceConfig};
+
+/// DLRM tables in the sweep's production-scale space.
+const TABLES: usize = 60;
+/// Search steps per reward kind and step-time target.
+const STEPS: usize = 80;
 
 /// A candidate evaluated during the sweep.
 #[derive(Debug, Clone)]
@@ -26,17 +31,18 @@ pub struct SweepPoint {
     pub size: f64,
 }
 
-/// Search space configuration used by the sweep (production-scale, with a
-/// table count adjustable via `H2O_FIG5_TABLES`).
-fn sweep_space() -> DlrmSpace {
+/// Search space used by the sweep: the production space cut to its first
+/// `tables` tables.
+fn sweep_space(tables: usize) -> DlrmSpace {
     let mut config = DlrmSpaceConfig::production();
-    config.tables.truncate(env_usize("H2O_FIG5_TABLES", 60));
+    config.tables.truncate(tables);
     DlrmSpace::new(config)
 }
 
-/// Runs the reward sweep for one reward kind; returns all evaluated points.
-pub fn sweep(kind: RewardKind, steps: usize) -> Vec<SweepPoint> {
-    let space = sweep_space();
+/// Runs the reward sweep for one reward kind over the first `tables`
+/// tables; returns all evaluated points.
+pub fn sweep(kind: RewardKind, steps: usize, tables: usize) -> Vec<SweepPoint> {
+    let space = sweep_space(tables);
     let baseline_arch = space.decode(&space.baseline());
     let sim = Simulator::new(HardwareConfig::tpu_v4());
     let pod = SystemConfig::training_pod();
@@ -64,7 +70,7 @@ pub fn sweep(kind: RewardKind, steps: usize) -> Vec<SweepPoint> {
             workers: 0,
         };
         let make_evaluator = |_shard: usize| {
-            let space = sweep_space();
+            let space = sweep_space(tables);
             let sim = Simulator::new(HardwareConfig::tpu_v4());
             let quality_model = quality_model.clone();
             move |sample: &ArchSample| {
@@ -107,9 +113,8 @@ fn to_pareto(points: &[SweepPoint]) -> Vec<ParetoPoint> {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let steps = env_usize("H2O_FIG5_STEPS", 80);
-    let relu = sweep(RewardKind::Relu, steps);
-    let abs = sweep(RewardKind::Absolute, steps);
+    let relu = sweep(RewardKind::Relu, STEPS, TABLES);
+    let abs = sweep(RewardKind::Absolute, STEPS, TABLES);
     let mut out = String::new();
 
     // --- 5a: Pareto fronts ---
@@ -215,9 +220,8 @@ mod tests {
     #[test]
     fn relu_front_dominates_absolute_front() {
         // Small-budget smoke version of Fig. 5a: compare dominated areas.
-        std::env::set_var("H2O_FIG5_TABLES", "12");
-        let relu = sweep(RewardKind::Relu, 30);
-        let abs = sweep(RewardKind::Absolute, 30);
+        let relu = sweep(RewardKind::Relu, 30, 12);
+        let abs = sweep(RewardKind::Absolute, 30, 12);
         let fr = pareto_front(&to_pareto(&relu));
         let fa = pareto_front(&to_pareto(&abs));
         let ref_cost = relu

@@ -13,7 +13,7 @@
 //!    is checked against the production measurement, and its quality
 //!    against fresh traffic.
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_core::{OneShotConfig, PerfObjective, RewardFn, RewardKind, UnifiedStage};
 use h2o_data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_hwsim::{HardwareConfig, ProductionHardware, Simulator, SystemConfig};
@@ -21,6 +21,11 @@ use h2o_perfmodel::{Featurizer, PerfModel, PerfTargets, TrainConfig};
 use h2o_space::{ArchSample, DlrmSpace, DlrmSpaceConfig, DlrmSupernet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Simulator-labelled samples the performance model is pretrained on.
+const PRETRAIN: usize = 1500;
+/// One-shot search steps.
+const STEPS: usize = 120;
 
 /// Outcome of the end-to-end run.
 #[derive(Debug, Clone)]
@@ -39,8 +44,9 @@ pub struct PipelineResult {
     pub pipeline_clean: bool,
 }
 
-/// Runs the whole system.
-pub fn evaluate() -> PipelineResult {
+/// Runs the whole system: pretrains the performance model on `n_pretrain`
+/// samples and searches for `steps` steps.
+pub fn evaluate(n_pretrain: usize, steps: usize) -> PipelineResult {
     let space = DlrmSpace::new(DlrmSpaceConfig::tiny());
     let featurizer = Featurizer::from_space(space.space());
     let sim = Simulator::new(HardwareConfig::tpu_v4());
@@ -50,7 +56,6 @@ pub fn evaluate() -> PipelineResult {
 
     // --- Stage 1: performance model (pretrain on simulator, finetune on
     //     production measurements). ---
-    let n_pretrain = env_usize("H2O_PIPE_PRETRAIN", 1500);
     let mut xs = Vec::new();
     let mut sim_y = Vec::new();
     let mut samples = Vec::new();
@@ -137,7 +142,7 @@ pub fn evaluate() -> PipelineResult {
         vec![predicted, size_space.decode(sample).model_size_bytes()]
     };
     let cfg = OneShotConfig {
-        steps: env_usize("H2O_PIPE_STEPS", 120),
+        steps,
         shards: 4,
         batch_size: 64,
         seed: 2,
@@ -175,7 +180,7 @@ pub fn evaluate() -> PipelineResult {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let r = evaluate();
+    let r = evaluate(PRETRAIN, STEPS);
     let mut table = Table::new(
         "Fig. 1 end to end: perf model in the search loop, real supernet, real traffic",
         &["quantity", "value"],
@@ -224,9 +229,7 @@ mod tests {
 
     #[test]
     fn end_to_end_pipeline_is_consistent() {
-        std::env::set_var("H2O_PIPE_PRETRAIN", "900");
-        std::env::set_var("H2O_PIPE_STEPS", "60");
-        let r = evaluate();
+        let r = evaluate(900, 60);
         assert!(r.pipeline_clean, "pipeline invariants must hold");
         assert!(
             r.perfmodel_nrmse < 0.25,

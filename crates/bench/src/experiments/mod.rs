@@ -29,8 +29,8 @@ pub mod table5;
 ///
 /// Experiments return report tables, so there is no caller to hand a
 /// [`DriverError`](h2o_core::DriverError) to: a budget that cannot drive a
-/// search (an `H2O_*` step override of zero) aborts the experiment with
-/// the `DriverError` message instead of reporting numbers.
+/// search (a step budget of zero) aborts the experiment with the
+/// `DriverError` message instead of reporting numbers.
 pub(crate) fn run_search(
     space: &SearchSpace,
     reward: &RewardFn,

@@ -6,18 +6,26 @@
 //! model on production measurements; 1.05–3.08 % after fine-tuning (~10×
 //! reduction).
 //!
-//! Environment knobs (defaults keep the bench minutes-scale on CPU; crank
-//! them toward the paper's budget if you have time):
-//! `H2O_T1_PRETRAIN` (samples, default 8000), `H2O_T1_EPOCHS` (default 100),
-//! `H2O_T1_HIDDEN` (default 128; the paper uses 512), `H2O_T1_HOLDOUT`
-//! (default 400), `H2O_T1_TABLES` (DLRM tables, default 20).
+//! The budget constants below keep the bench minutes-scale on CPU; raise
+//! them toward the paper's budget if you have time.
 
-use crate::report::{env_usize, Table};
+use crate::report::Table;
 use h2o_hwsim::{HardwareConfig, ProductionHardware, Simulator, SystemConfig};
 use h2o_perfmodel::{Featurizer, PerfModel, PerfTargets, TrainConfig};
 use h2o_space::{DlrmSpace, DlrmSpaceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// DLRM tables in the production space.
+const TABLES: usize = 20;
+/// Simulator-labelled pretraining samples (the paper uses 1 M).
+const PRETRAIN: usize = 8000;
+/// Held-out samples, measured on both the simulator and production.
+const HOLDOUT: usize = 400;
+/// Width of each of the MLP's two hidden layers (the paper uses 512).
+const HIDDEN: usize = 128;
+/// Pretraining epochs.
+const EPOCHS: usize = 100;
 
 /// All the NRMSE numbers Table 1 reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,16 +46,14 @@ pub struct Table1Result {
     pub finetuned_serving_nrmse: f64,
 }
 
-/// Runs the two-phase training pipeline end to end.
-pub fn evaluate() -> Table1Result {
+/// Runs the two-phase training pipeline end to end over the first
+/// `tables` DLRM tables, with `n_pretrain` pretraining and `n_holdout`
+/// held-out samples.
+pub fn evaluate(tables: usize, n_pretrain: usize, n_holdout: usize) -> Table1Result {
     let mut config = DlrmSpaceConfig::production();
-    config.tables.truncate(env_usize("H2O_T1_TABLES", 20));
+    config.tables.truncate(tables);
     let space = DlrmSpace::new(config);
     let featurizer = Featurizer::from_space(space.space());
-    let n_pretrain = env_usize("H2O_T1_PRETRAIN", 8000);
-    let n_holdout = env_usize("H2O_T1_HOLDOUT", 400);
-    let hidden = env_usize("H2O_T1_HIDDEN", 128);
-    let epochs = env_usize("H2O_T1_EPOCHS", 100);
 
     let sim = Simulator::new(HardwareConfig::tpu_v4());
     let serve_sim = Simulator::new(HardwareConfig::tpu_v4i());
@@ -101,12 +107,12 @@ pub fn evaluate() -> Table1Result {
     }
     let (train_x, hold_x) = xs.split_at(n_pretrain);
     let (train_y, hold_y) = ys.split_at(n_pretrain);
-    let mut model = PerfModel::new(input_dim, &[hidden, hidden], 4);
+    let mut model = PerfModel::new(input_dim, &[HIDDEN, HIDDEN], 4);
     model.pretrain(
         train_x,
         train_y,
         TrainConfig {
-            epochs,
+            epochs: EPOCHS,
             batch_size: 64,
             lr: 1e-3,
         },
@@ -146,7 +152,7 @@ pub fn evaluate() -> Table1Result {
 
 /// Runs the experiment and renders the report.
 pub fn run() -> String {
-    let r = evaluate();
+    let r = evaluate(TABLES, PRETRAIN, HOLDOUT);
     let mut table = Table::new(
         "Table 1: two-phase performance-model training",
         &["quantity", "this repro", "paper"],
@@ -197,12 +203,7 @@ mod tests {
     #[test]
     fn two_phase_pipeline_matches_table1_shape() {
         // Smaller-than-default budget: shape must still hold.
-        std::env::set_var("H2O_T1_TABLES", "10");
-        std::env::set_var("H2O_T1_PRETRAIN", "3000");
-        std::env::set_var("H2O_T1_HOLDOUT", "150");
-        std::env::set_var("H2O_T1_HIDDEN", "128");
-        std::env::set_var("H2O_T1_EPOCHS", "100");
-        let r = evaluate();
+        let r = evaluate(10, 3000, 150);
         assert!(
             r.pretrain_nrmse < 0.15,
             "pretrain NRMSE {} (paper <0.5%)",

@@ -6,8 +6,8 @@
 //! (producing the content of EXPERIMENTS.md), or only the ones named on
 //! its command line (`repro_all fig4_roofline`).
 //!
-//! Experiment budgets default to minutes-scale on a laptop CPU and scale
-//! up via `H2O_*` environment variables documented per module.
+//! Experiment budgets are minutes-scale on a laptop CPU; each module keeps
+//! its budget (steps, samples, tables) in constants at its top.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

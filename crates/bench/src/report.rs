@@ -103,15 +103,6 @@ pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Reads a `usize` experiment knob from the environment with a default —
-/// used to scale experiments up toward paper-scale sample counts.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,10 +131,5 @@ mod tests {
         assert_eq!(ratio(1.536), "1.54x");
         assert_eq!(pct(0.123), "+12.30%");
         assert_eq!(seconds(0.0021), "2.100 ms");
-    }
-
-    #[test]
-    fn env_default_used_when_unset() {
-        assert_eq!(env_usize("H2O_DOES_NOT_EXIST_XYZ", 7), 7);
     }
 }

@@ -134,14 +134,6 @@ impl From<WireError> for CkptError {
 // distributed protocol can never drift apart byte-wise.
 // ---------------------------------------------------------------------------
 
-fn read_u64_le(chunk: &[u8]) -> Result<u64, CkptError> {
-    Ok(wire::read_u64_le(chunk)?)
-}
-
-fn read_u32_le(chunk: &[u8]) -> Result<u32, CkptError> {
-    Ok(wire::read_u32_le(chunk)?)
-}
-
 fn to_usize(v: u64) -> Result<usize, CkptError> {
     usize::try_from(v).map_err(|_| CkptError::Corrupt(format!("{v} does not fit in usize")))
 }
@@ -405,14 +397,14 @@ fn decode_log(log: &[u8], cursor: &LogCursor, state: &mut ResumeState) -> Result
     let mut pos = 0;
     while pos < log.len() {
         let overrun = || CkptError::Corrupt(format!("log frame at byte {pos} overruns the log"));
-        let len = read_u64_le(log.get(pos..pos + 8).ok_or_else(overrun)?)?;
+        let len = wire::read_u64_le(log.get(pos..pos + 8).ok_or_else(overrun)?)?;
         let end = usize::try_from(len)
             .ok()
             .and_then(|len| (pos + 16).checked_add(len))
             .filter(|&end| end <= log.len())
             .ok_or_else(overrun)?;
         let (framed, checksum) = log[pos..end].split_at(end - pos - 8);
-        let checksum = read_u64_le(checksum)?;
+        let checksum = wire::read_u64_le(checksum)?;
         if wire::fnv1a(framed) != checksum {
             return Err(CkptError::ChecksumMismatch);
         }
@@ -487,25 +479,25 @@ fn decode_snapshot(bytes: &[u8], expected_fingerprint: u64) -> Result<Snapshot, 
         return Err(CkptError::BadMagic);
     }
     let (content, checksum_bytes) = bytes.split_at(bytes.len() - 8);
-    let stored = read_u64_le(checksum_bytes)?;
+    let stored = wire::read_u64_le(checksum_bytes)?;
     if wire::fnv1a(content) != stored {
         return Err(CkptError::ChecksumMismatch);
     }
-    let version = read_u32_le(&content[8..12])?;
+    let version = wire::read_u32_le(&content[8..12])?;
     if version != V1 && version != FORMAT_VERSION {
         return Err(CkptError::BadVersion {
             found: version,
             expected: FORMAT_VERSION,
         });
     }
-    let fingerprint = read_u64_le(&content[12..20])?;
+    let fingerprint = wire::read_u64_le(&content[12..20])?;
     if fingerprint != expected_fingerprint {
         return Err(CkptError::FingerprintMismatch {
             found: fingerprint,
             expected: expected_fingerprint,
         });
     }
-    let payload_len = read_u64_le(&content[20..28])?;
+    let payload_len = wire::read_u64_le(&content[20..28])?;
     let payload = &content[28..];
     if payload_len != payload.len() as u64 {
         return Err(CkptError::Corrupt(format!(

@@ -14,11 +14,10 @@ use crate::search::{ArchEvaluator, EvalResult, EvaluatedCandidate};
 use h2o_space::{ArchSample, SearchSpace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Result of a multi-trial baseline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselineOutcome {
     /// The highest-reward candidate found.
     pub best: EvaluatedCandidate,
@@ -98,7 +97,7 @@ pub fn random_search<E: ArchEvaluator>(
 
 /// Configuration of regularized evolution (Real et al., AAAI'19 — the
 /// paper's reference evolution algorithm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvolutionConfig {
     /// Population size (a FIFO queue; the oldest individual dies).
     pub population: usize,

@@ -30,7 +30,6 @@ use crate::resume::{CheckpointSink, ResumeState, SearchSnapshot};
 use crate::reward::RewardFn;
 use crate::search::{EvalResult, EvaluatedCandidate, SearchOutcome, StepRecord};
 use h2o_space::{ArchSample, SearchSpace};
-use serde::{Deserialize, Serialize};
 
 /// Reward assigned to a candidate whose combined reward is not finite
 /// (NaN/±∞ from a diverged evaluator or a pathological objective value).
@@ -125,7 +124,7 @@ pub const PHASES: [&str; 6] = [
 /// this type (the parallel loop has no extra knobs), and
 /// [`OneShotConfig`](crate::OneShotConfig) projects onto it via
 /// [`OneShotConfig::controller`](crate::OneShotConfig::controller).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Search steps (policy updates).
     // h2o-lint: allow(fingerprint-completeness) -- deliberately excluded from the
@@ -143,7 +142,6 @@ pub struct ControllerConfig {
     /// Evaluation worker threads. `0` means auto: the `H2O_WORKERS`
     /// environment variable if set, else available parallelism. The
     /// search outcome is bit-identical for every worker count.
-    #[serde(default)]
     pub workers: usize,
 }
 

@@ -27,7 +27,6 @@ use h2o_data::{CtrTraffic, TrafficSource};
 use h2o_space::{ArchSample, DlrmSupernet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of the one-shot supernet searches: the shared
@@ -38,7 +37,7 @@ use std::fmt;
 /// existing struct literals are untouched; [`OneShotConfig::controller`]
 /// projects onto the shared controller view that
 /// [`SearchDriver::new`](crate::SearchDriver::new) takes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OneShotConfig {
     /// Search steps (policy updates).
     pub steps: usize,
@@ -59,7 +58,6 @@ pub struct OneShotConfig {
     /// Worker threads for the performance-evaluation stage. `0` means
     /// auto: `H2O_WORKERS` if set, else available parallelism. The search
     /// outcome is bit-identical for every worker count.
-    #[serde(default)]
     pub workers: usize,
 }
 

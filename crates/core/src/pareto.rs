@@ -1,11 +1,9 @@
 //! Pareto-front utilities for quality/performance trade-off analysis
 //! (Figs. 5 and 6 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// One evaluated candidate: quality (higher better) and a primary cost
 /// (lower better), with an arbitrary payload index into the caller's data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParetoPoint {
     /// Quality, higher is better (accuracy, AUC, ...).
     pub quality: f64,

@@ -9,7 +9,6 @@
 
 use h2o_space::{ArchSample, SearchSpace};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Softmax policy over a search space's decisions.
@@ -31,7 +30,7 @@ use std::ops::Range;
 /// let sample = policy.sample(&mut rng);
 /// assert!(sample[0] < 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     /// Every decision's logits, concatenated in decision order.
     logits: Vec<f64>,
@@ -206,7 +205,7 @@ fn softmax_into(logits: &[f64], probs: &mut [f64]) {
 }
 
 /// Exponential-moving-average reward baseline, shared across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardBaseline {
     value: f64,
     momentum: f64,

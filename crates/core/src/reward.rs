@@ -13,10 +13,8 @@
 //! value reward** (Eq. 2), which also penalises overachievers; Fig. 5 shows
 //! the ReLU form dominating it under multiple objectives.
 
-use serde::{Deserialize, Serialize};
-
 /// One performance objective: a target and a penalty weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfObjective {
     /// Display name, e.g. `"train_step_time"` or `"model_size"`.
     pub name: String,
@@ -47,7 +45,7 @@ impl PerfObjective {
 }
 
 /// The reward-combination rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardKind {
     /// The paper's single-sided ReLU reward (Eq. 1).
     Relu,
@@ -70,7 +68,7 @@ pub enum RewardKind {
 /// assert_eq!(reward.reward(90.0, &[0.5e-3]), 90.0);
 /// assert!(reward.reward(90.0, &[2.0e-3]) < 90.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RewardFn {
     kind: RewardKind,
     objectives: Vec<PerfObjective>,

@@ -17,7 +17,6 @@ use crate::policy::Policy;
 use h2o_space::ArchSample;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// SplitMix64 finalizer: a full-avalanche bijection on `u64` (Steele et
@@ -41,7 +40,7 @@ pub fn shard_seed(seed: u64, step: u64, shard: u64) -> u64 {
 }
 
 /// Quality and measured performance of one evaluated candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalResult {
     /// Quality `Q(α)` (accuracy / AUC / −logloss, higher better).
     pub quality: f64,
@@ -75,7 +74,7 @@ where
 pub type SearchConfig = ControllerConfig;
 
 /// Per-step telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
     /// Step index.
     pub step: usize,
@@ -90,7 +89,7 @@ pub struct StepRecord {
 }
 
 /// One evaluated candidate with its reward.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatedCandidate {
     /// The sampled architecture.
     pub sample: ArchSample,
@@ -101,7 +100,7 @@ pub struct EvaluatedCandidate {
 }
 
 /// The result of a search run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// The final architecture: per-decision argmax of the policy (§4.2).
     pub best: ArchSample,

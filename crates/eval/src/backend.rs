@@ -330,8 +330,9 @@ pub struct ModelServedBackend {
     frozen: Arc<PerfModel>,
     featurizer: Arc<Featurizer>,
     spec: ModelSpec,
-    /// Ground-truth path for gated-out candidates.
-    fallback: FallbackSim,
+    /// Ground-truth path for gated-out candidates: the plain or the cached
+    /// simulator backend.
+    fallback: Box<EvalBackend>,
     learner: Arc<Mutex<Learner>>,
     served: Arc<AtomicU64>,
 }
@@ -343,14 +344,6 @@ impl std::fmt::Debug for ModelServedBackend {
             .field("stats", &self.stats())
             .finish()
     }
-}
-
-/// The fallback simulator front-end: cached or plain, mirroring the
-/// standalone backends.
-#[derive(Debug, Clone)]
-enum FallbackSim {
-    Plain(Simulator),
-    Cached(CachedSimulator),
 }
 
 /// Serving statistics of one model backend (aggregated over all clones).
@@ -420,12 +413,12 @@ impl ModelServedBackend {
             },
         );
         let refined = model.clone();
-        let fallback = match fallback_capacity {
+        let fallback = Box::new(match fallback_capacity {
             Some(capacity) => {
-                FallbackSim::Cached(CachedSimulator::new(sim.clone(), EvalCache::new(capacity)))
+                EvalBackend::Cached(CachedSimulator::new(sim.clone(), EvalCache::new(capacity)))
             }
-            None => FallbackSim::Plain(sim.clone()),
-        };
+            None => EvalBackend::Simulator(sim.clone()),
+        });
         Self {
             frozen: Arc::new(model),
             featurizer: Arc::new(featurizer),
@@ -466,12 +459,7 @@ impl ModelServedBackend {
             };
         }
         h2o_obs::counter(FALLBACK_TOTAL).inc();
-        let truth = match &self.fallback {
-            FallbackSim::Plain(sim) => {
-                EvalCost::from_report(&sim.simulate_training(&build(), system))
-            }
-            FallbackSim::Cached(cached) => cached.training_cost(key, system, build),
-        };
+        let truth = self.fallback.training_cost(sample, key, system, build);
         let mut learner = self.learner.lock();
         learner.fallback += 1;
         if learner.seen.insert(key) {
@@ -519,11 +507,6 @@ impl ModelServedBackend {
         }
     }
 
-    /// The frozen generation-0 model that serves and gates.
-    pub fn frozen_model(&self) -> &PerfModel {
-        &self.frozen
-    }
-
     /// A snapshot of the refined generation — the online fine-tuning
     /// product a subsequent search warms up from.
     pub fn refined_model(&self) -> PerfModel {
@@ -552,10 +535,7 @@ impl ModelServedBackend {
 
     /// The fallback path's eval cache, when it memoizes.
     pub fn fallback_cache(&self) -> Option<&EvalCache> {
-        match &self.fallback {
-            FallbackSim::Plain(_) => None,
-            FallbackSim::Cached(cached) => Some(cached.cache()),
-        }
+        self.fallback.cache()
     }
 
     /// The search space the pretraining pool was drawn from (the DLRM

@@ -143,30 +143,35 @@ mod tests {
     fn negative_gate_threshold_matches_cached_backend_exactly() {
         // novelty >= 0 always, so a negative threshold forces every
         // candidate through the fallback — the model backend degenerates
-        // to the cached backend bit-for-bit.
-        let scenario = dlrm_scenario(BackendSpec::ModelServed {
-            fallback_capacity: Some(32),
-            model: ModelSpec {
-                gate_threshold: -1.0,
-                pretrain_pool: 8,
-                ..ModelSpec::default()
-            },
-        });
-        let space = scenario.space();
-        let model = scenario.backend().expect("model");
-        let cached = dlrm_scenario(BackendSpec::Cached { capacity: 32 })
-            .backend()
-            .expect("cached");
-        let mut eval_model = scenario.shard_evaluator(&model);
-        let mut eval_cached = scenario.shard_evaluator(&cached);
-        for sample in samples(&space, 5, 11) {
-            let a = eval_model(&sample);
-            let b = eval_cached(&sample);
-            assert_eq!(a.perf_values[0].to_bits(), b.perf_values[0].to_bits());
+        // bit-for-bit to the cached backend, or to the plain simulator
+        // when its fallback is uncached.
+        for (fallback_capacity, reference) in [
+            (Some(32), BackendSpec::Cached { capacity: 32 }),
+            (None, BackendSpec::Simulator),
+        ] {
+            let scenario = dlrm_scenario(BackendSpec::ModelServed {
+                fallback_capacity,
+                model: ModelSpec {
+                    gate_threshold: -1.0,
+                    pretrain_pool: 8,
+                    ..ModelSpec::default()
+                },
+            });
+            let space = scenario.space();
+            let model = scenario.backend().expect("model");
+            let reference = dlrm_scenario(reference).backend().expect("reference");
+            let mut eval_model = scenario.shard_evaluator(&model);
+            let mut eval_reference = scenario.shard_evaluator(&reference);
+            for sample in samples(&space, 5, 11) {
+                let a = eval_model(&sample);
+                let b = eval_reference(&sample);
+                assert_eq!(a.perf_values[0].to_bits(), b.perf_values[0].to_bits());
+            }
+            let stats = model.model_served().expect("model backend").stats();
+            assert_eq!(stats.served, 0);
+            assert_eq!(stats.fallback, 5);
+            assert_eq!(model.cache().is_some(), fallback_capacity.is_some());
         }
-        let stats = model.model_served().expect("model backend").stats();
-        assert_eq!(stats.served, 0);
-        assert_eq!(stats.fallback, 5);
     }
 
     #[test]
@@ -274,19 +279,53 @@ mod tests {
         assert_eq!(model.fingerprint(), resized.fingerprint());
     }
 
+    /// Reads `worker_args` back into a spec under the CLI's flag rules: a
+    /// capacity flag is a cached fallback, `--eval-cache off` an uncached
+    /// one, and unlisted model parameters take their defaults.
+    fn spec_from_worker_args(args: &[String]) -> BackendSpec {
+        let flag = |name: &str| {
+            let at = args.iter().position(|a| a == name)?;
+            Some(args[at + 1].as_str())
+        };
+        let capacity = flag("--eval-cache-capacity").map(|c| c.parse().expect("capacity"));
+        match flag("--eval-backend") {
+            Some("cached") => BackendSpec::Cached {
+                capacity: capacity.expect("cached capacity"),
+            },
+            Some("model") => {
+                assert_eq!(capacity.is_none(), flag("--eval-cache") == Some("off"));
+                BackendSpec::ModelServed {
+                    fallback_capacity: capacity,
+                    model: ModelSpec {
+                        gate_threshold: flag("--gate-threshold").expect("gate").parse().unwrap(),
+                        finetune_cadence: flag("--finetune-cadence")
+                            .expect("cadence")
+                            .parse()
+                            .unwrap(),
+                        ..ModelSpec::default()
+                    },
+                }
+            }
+            other => panic!("unexpected --eval-backend {other:?}"),
+        }
+    }
+
     #[test]
     fn worker_args_round_trip_the_backend() {
-        let scenario = dlrm_scenario(BackendSpec::ModelServed {
-            fallback_capacity: Some(128),
-            model: ModelSpec::default(),
-        });
-        let args = scenario.worker_args();
-        assert!(args.contains(&"--eval-backend".to_string()));
-        assert!(args.contains(&"model".to_string()));
-        assert!(args.contains(&"--gate-threshold".to_string()));
-        assert!(args.contains(&"--finetune-cadence".to_string()));
-        let cached = dlrm_scenario(BackendSpec::Cached { capacity: 64 });
-        assert!(cached.worker_args().contains(&"cached".to_string()));
+        for spec in [
+            BackendSpec::Cached { capacity: 64 },
+            BackendSpec::ModelServed {
+                fallback_capacity: Some(128),
+                model: ModelSpec::default(),
+            },
+            BackendSpec::ModelServed {
+                fallback_capacity: None,
+                model: ModelSpec::default(),
+            },
+        ] {
+            let args = dlrm_scenario(spec).worker_args();
+            assert_eq!(spec_from_worker_args(&args), spec, "{args:?}");
+        }
     }
 
     #[test]

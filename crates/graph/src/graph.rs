@@ -9,14 +9,13 @@
 //! `step time = MAX(embedding time, MLP time)` behaviour (Fig. 8).
 
 use crate::op::{DType, OpCost, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within its [`Graph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// One operator instance in the DAG.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Identifier (index into [`Graph::nodes`]).
     pub id: NodeId,
@@ -45,7 +44,7 @@ pub struct Node {
 /// assert_eq!(g.len(), 2);
 /// assert!(g.total_cost().flops > 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     name: String,
     dtype: DType,

@@ -6,10 +6,8 @@
 //! (§6.2.3 of the paper: "walks through a TensorFlow/HLO graph, simulates
 //! run-time of each operator").
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric element type of a tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
     /// 16-bit brain float — the TPU matrix-unit native type.
     #[default]
@@ -34,7 +32,7 @@ impl DType {
 /// Aggregate hardware cost of one operator instance.
 ///
 /// All quantities are totals for the operator at its configured batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpCost {
     /// Matrix/tensor-unit floating-point operations (multiply-adds × 2).
     pub flops: f64,
@@ -87,7 +85,7 @@ impl OpCost {
 ///
 /// Shapes are given per *batch element* where a `batch` field exists; the
 /// cost methods multiply batch in. Dimensions are in elements, not bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     /// Dense matrix product `(m×k) · (k×n)`, with the `k×n` operand being
     /// trainable weights (an MLP or projection layer).

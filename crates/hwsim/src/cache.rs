@@ -18,7 +18,6 @@ use crate::config::SystemConfig;
 use crate::simulator::{SimReport, Simulator};
 use h2o_graph::Graph;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -71,7 +70,7 @@ pub fn context_key(base: u64, tag: &str, chips: usize) -> u64 {
 /// memory triple the reward objectives consume, plus the parameter count
 /// quality surrogates need (cached alongside so a hit also skips the graph
 /// build).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvalCost {
     /// Critical-path execution time, seconds.
     pub latency: f64,
@@ -96,7 +95,7 @@ impl EvalCost {
 }
 
 /// Hit / miss / eviction counters of an [`EvalCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups that found the key.
     pub hits: u64,

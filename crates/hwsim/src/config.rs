@@ -6,13 +6,11 @@
 //! Micro'18). Power/energy coefficients are representative datacenter
 //! values; EXPERIMENTS.md compares *shapes*, not absolute watts.
 
-use serde::{Deserialize, Serialize};
-
 /// A datacenter ML accelerator chip model.
 ///
 /// All rates are peak per chip. The simulator derates matrix-unit throughput
 /// with a tiling-efficiency model (see [`crate::roofline`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareConfig {
     /// Platform name, e.g. `"TPUv4"`.
     pub name: String,
@@ -217,7 +215,7 @@ impl HardwareConfig {
 
 /// A multi-chip training/serving system (e.g. the paper's 128-chip TPUv4
 /// training pods, Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of accelerator chips.
     pub chips: usize,

@@ -11,7 +11,6 @@
 
 use crate::config::HardwareConfig;
 use h2o_graph::{DType, OpCost, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Achieved fraction of peak for a GEMM of logical shape `(m, k, n)` on a
 /// `tile`-wide systolic array.
@@ -50,18 +49,8 @@ pub fn gemm_shape(kind: &OpKind) -> Option<(usize, usize, usize)> {
     }
 }
 
-/// Dominant service point of an operator's activation traffic (kept for
-/// reporting; the timing model splits traffic fractionally).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemoryPlacement {
-    /// Working set fits in the on-chip scratchpad.
-    Cmem,
-    /// Spills to off-chip HBM.
-    Hbm,
-}
-
 /// Timing and traffic breakdown of a single operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpTiming {
     /// Wall-clock time of the operator in seconds (max over rails, plus
     /// launch overhead).
@@ -153,7 +142,7 @@ pub fn time_op(kind: &OpKind, cost: &OpCost, hw: &HardwareConfig) -> OpTiming {
 
 /// A point on the classic roofline plot: operational intensity (x) and
 /// achieved FLOP/s (y). Used directly by the Fig. 4b bench.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflinePoint {
     /// FLOPs per byte of memory traffic.
     pub operational_intensity: f64,

@@ -10,11 +10,10 @@
 use crate::config::{HardwareConfig, SystemConfig};
 use crate::roofline::{roofline_point, time_op, RooflinePoint};
 use h2o_graph::{Graph, OpCost, OpKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated result of simulating one graph execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
     /// Critical-path execution time in seconds.
     pub time: f64,

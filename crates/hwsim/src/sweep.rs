@@ -13,10 +13,9 @@
 use crate::config::HardwareConfig;
 use crate::simulator::Simulator;
 use h2o_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// One point of a batch-size sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSweepPoint {
     /// Batch size.
     pub batch: usize,
@@ -58,7 +57,7 @@ pub fn batch_sweep(
 /// M/M/1 queueing model over a simulated service time: at utilisation
 /// `rho`, the mean sojourn time is `service / (1 − ρ)` and quantiles are
 /// exponential (`P99 = −ln(0.01) × mean ≈ 4.6 × mean`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingLoadModel {
     /// Offered load as a fraction of capacity, in `[0, 1)`.
     pub utilization: f64,

@@ -16,10 +16,9 @@
 
 use h2o_graph::blocks::{mbconv, transformer_block, ActDesc, MbConvConfig, TransformerConfig};
 use h2o_graph::{DType, Graph, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// A concrete CoAtNet-style hybrid architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoAtNet {
     /// Variant name, e.g. `"CoAtNet-5"` or `"CoAtNet-H5"`.
     pub name: String,
@@ -40,7 +39,7 @@ pub struct CoAtNet {
 }
 
 /// Transformer FFN activation — the Table 3 ablation knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FfnAct {
     /// Baseline CoAtNet activation.
     Gelu,

@@ -9,10 +9,9 @@
 
 use h2o_graph::blocks::{fused_mbconv, mbconv, ActDesc, MbConvConfig};
 use h2o_graph::{DType, Graph, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// One stage of the EfficientNet backbone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ENetStage {
     /// Layers in the stage (before depth scaling).
     pub depth: usize,
@@ -29,7 +28,7 @@ pub struct ENetStage {
 }
 
 /// A concrete EfficientNet-style architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EfficientNet {
     /// Variant name, e.g. `"EfficientNet-X-B5"`.
     pub name: String,

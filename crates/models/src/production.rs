@@ -8,10 +8,9 @@
 
 use h2o_space::cnn::StageBaseline;
 use h2o_space::{CnnSpaceConfig, DlrmSpaceConfig};
-use serde::{Deserialize, Serialize};
 
 /// A production model's search setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProductionModel {
     /// Fleet name (CV1..CV5, DLRM1..DLRM3 in Fig. 10).
     pub name: String,
@@ -27,7 +26,7 @@ pub struct ProductionModel {
 }
 
 /// Which search space a fleet model uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProductionDomain {
     /// Computer vision over the convolutional space.
     Vision(CnnSpaceConfig),

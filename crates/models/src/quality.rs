@@ -21,10 +21,9 @@
 
 use h2o_space::cnn::CnnArch;
 use h2o_space::DlrmArch;
-use serde::{Deserialize, Serialize};
 
 /// Pre-training dataset scale (Fig. 6: ImageNet1K / ImageNet21K / JFT).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetScale {
     /// ImageNet-1K ("SD" in Fig. 6).
     Small,
@@ -61,7 +60,7 @@ impl DatasetScale {
 }
 
 /// Activation family, for the quality bonus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActFamily {
     /// `max(0, x)`.
     Relu,
@@ -85,7 +84,7 @@ impl ActFamily {
 }
 
 /// Everything the vision surrogate needs to score a model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisionModelDesc {
     /// Trainable parameters, millions.
     pub params_m: f64,

@@ -19,10 +19,9 @@
 use h2o_tensor::{loss::nrmse, Activation, Matrix, Mlp, OptimConfig};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which head of the dual-headed model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Head {
     /// Training step time (seconds).
     Training,
@@ -42,7 +41,7 @@ impl Head {
 }
 
 /// One performance observation for both heads, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfTargets {
     /// Training step time.
     pub training: f64,
@@ -60,7 +59,7 @@ impl PerfTargets {
 }
 
 /// A prediction from the model, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfPrediction {
     /// Predicted training step time.
     pub training: f64,
@@ -70,7 +69,7 @@ pub struct PerfPrediction {
 
 /// One row of a batched inference: the calibrated prediction plus the
 /// novelty score the model-served evaluation gate consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPrediction {
     /// Calibrated dual-head prediction, in seconds.
     pub prediction: PerfPrediction,
@@ -160,11 +159,6 @@ impl PerfModel {
             calibration: [(1.0, 0.0); 2],
             rng,
         }
-    }
-
-    /// The paper's configuration: 2 hidden layers of 512 neurons.
-    pub fn paper_default(input_dim: usize, seed: u64) -> Self {
-        Self::new(input_dim, &[512, 512], seed)
     }
 
     fn to_z(&self, head: Head, seconds: f64) -> f32 {
@@ -414,16 +408,9 @@ impl PerfModel {
         }
     }
 
-    /// Samples `count` indices without replacement — utility for picking the
-    /// O(20) fine-tuning candidates from the pretraining pool (§6.2.2).
-    pub fn choose_finetune_indices(&mut self, pool: usize, count: usize) -> Vec<usize> {
-        let mut indices: Vec<usize> = (0..pool).collect();
-        indices.shuffle(&mut self.rng);
-        indices.truncate(count);
-        indices
-    }
-
-    /// Deterministic helper used by benches: seeded index choice.
+    /// Samples `count` of `pool` indices without replacement, seeded — for
+    /// picking the O(20) fine-tuning candidates from the pretraining pool
+    /// (§6.2.2).
     pub fn choose_finetune_indices_seeded(pool: usize, count: usize, seed: u64) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut indices: Vec<usize> = (0..pool).collect();

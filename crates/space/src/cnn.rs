@@ -9,10 +9,9 @@
 use crate::decision::{ArchSample, Decision, SearchSpace};
 use h2o_graph::blocks::{fused_mbconv, mbconv, ActDesc, MbConvConfig};
 use h2o_graph::{DType, Graph, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Searchable block type (Fig. 4a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockType {
     /// Classic inverted bottleneck.
     MbConv,
@@ -21,7 +20,7 @@ pub enum BlockType {
 }
 
 /// Searchable tensor-reshaping option (Table 5 "Tensor reshaping").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reshape {
     /// No reformatting.
     None,
@@ -51,7 +50,7 @@ pub mod choices {
 }
 
 /// Baseline (seed) description of one convolutional stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageBaseline {
     /// Layers in the stage.
     pub depth: usize,
@@ -62,7 +61,7 @@ pub struct StageBaseline {
 }
 
 /// Configuration of the convolutional search space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CnnSpaceConfig {
     /// Baseline stages (the paper uses 7 searchable blocks).
     pub stages: Vec<StageBaseline>,
@@ -120,7 +119,7 @@ impl Default for CnnSpaceConfig {
 }
 
 /// Decoded architecture of one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CnnBlockArch {
     /// MBConv vs Fused-MBConv.
     pub block_type: BlockType,
@@ -145,7 +144,7 @@ pub struct CnnBlockArch {
 }
 
 /// A fully decoded convolutional architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CnnArch {
     /// Input resolution (square).
     pub resolution: usize,

@@ -8,11 +8,10 @@
 //! log₁₀ space because the paper's DLRM space has ~10²⁸² candidates.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One categorical architecture decision (e.g. "block 3 kernel size",
 /// 3 choices).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// Human-readable name, unique within its space.
     pub name: String,
@@ -51,7 +50,7 @@ pub type ArchSample = Vec<usize>;
 /// assert_eq!(space.num_decisions(), 2);
 /// assert!((space.log10_size() - (30f64).log10()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     name: String,
     decisions: Vec<Decision>,

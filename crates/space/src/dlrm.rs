@@ -14,7 +14,6 @@
 use crate::decision::{ArchSample, Decision, SearchSpace};
 use h2o_graph::blocks::{mlp_stack, ActDesc};
 use h2o_graph::{DType, Graph, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Choice tables for the DLRM decisions.
 pub mod choices {
@@ -35,7 +34,7 @@ pub mod choices {
 }
 
 /// Baseline description of one embedding table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableBaseline {
     /// Baseline vocabulary size (rows).
     pub vocab: usize,
@@ -46,7 +45,7 @@ pub struct TableBaseline {
 }
 
 /// Baseline description of one MLP group (a run of equal-width layers).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlpGroupBaseline {
     /// Baseline layer count in the group.
     pub depth: usize,
@@ -58,7 +57,7 @@ pub struct MlpGroupBaseline {
 }
 
 /// Configuration of the DLRM search space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DlrmSpaceConfig {
     /// Embedding-table baselines.
     pub tables: Vec<TableBaseline>,
@@ -180,7 +179,7 @@ impl DlrmSpaceConfig {
 }
 
 /// Decoded embedding-table architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TableArch {
     /// Vocabulary rows.
     pub vocab: usize,
@@ -191,7 +190,7 @@ pub struct TableArch {
 }
 
 /// Decoded MLP-group architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlpGroupArch {
     /// Layers in the group.
     pub depth: usize,
@@ -204,7 +203,7 @@ pub struct MlpGroupArch {
 }
 
 /// A fully decoded DLRM architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DlrmArch {
     /// Embedding tables.
     pub tables: Vec<TableArch>,

@@ -14,10 +14,9 @@ use h2o_tensor::{
     StateWriter,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Baseline of one tower group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisionGroupBaseline {
     /// Baseline layer count.
     pub depth: usize,
@@ -26,7 +25,7 @@ pub struct VisionGroupBaseline {
 }
 
 /// Configuration of the vision super-network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisionSupernetConfig {
     /// Input feature dimensionality.
     pub input_features: usize,

@@ -10,7 +10,6 @@ use crate::cnn::{CnnSpace, CnnSpaceConfig, StageBaseline, DECISIONS_PER_BLOCK};
 use crate::decision::{ArchSample, Decision, SearchSpace};
 use h2o_graph::blocks::{transformer_block, ActDesc, TransformerConfig};
 use h2o_graph::{DType, Graph, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Choice tables for the transformer decisions.
 pub mod choices {
@@ -46,7 +45,7 @@ pub mod choices {
 }
 
 /// Searchable activation for transformer blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActChoice {
     /// `max(0, x)`.
     Relu,
@@ -71,7 +70,7 @@ impl ActChoice {
 }
 
 /// Decoded architecture of one multi-layer transformer block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfmBlockArch {
     /// Hidden size.
     pub hidden: usize,
@@ -88,14 +87,14 @@ pub struct TfmBlockArch {
 }
 
 /// Baseline for one transformer block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TfmBlockBaseline {
     /// Baseline layer count.
     pub layers: usize,
 }
 
 /// Configuration of the (pure or hybrid) transformer space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VitSpaceConfig {
     /// Baselines for the transformer blocks (the paper uses 2).
     pub tfm_blocks: Vec<TfmBlockBaseline>,
@@ -143,7 +142,7 @@ impl VitSpaceConfig {
 }
 
 /// A fully decoded (hybrid) vision-transformer architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VitArch {
     /// Input resolution (square); `None` for pure transformer spaces, which
     /// take a fixed token sequence instead.

@@ -6,7 +6,6 @@
 //! needed by DLRM heads and the performance model.
 
 use crate::Matrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An element-wise activation function with an analytic derivative.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(Activation::Relu.apply(-1.0), 0.0);
 /// assert_eq!(Activation::SquaredRelu.apply(3.0), 9.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// `max(0, x)`.
     #[default]
@@ -58,14 +57,6 @@ fn sigmoid(x: f32) -> f32 {
 }
 
 impl Activation {
-    /// All activations searchable in the ViT space, in Table 5 order.
-    pub const VIT_CHOICES: [Activation; 4] = [
-        Activation::Relu,
-        Activation::Swish,
-        Activation::Gelu,
-        Activation::SquaredRelu,
-    ];
-
     /// Applies the activation to a scalar.
     pub fn apply(self, x: f32) -> f32 {
         match self {

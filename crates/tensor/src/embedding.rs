@@ -241,11 +241,6 @@ impl SharedEmbeddingBank {
         &self.tables[self.active_table]
     }
 
-    /// Mutable access to the currently selected table.
-    pub fn active_mut(&mut self) -> &mut EmbeddingTable {
-        &mut self.tables[self.active_table]
-    }
-
     /// Bag lookup through the active table.
     pub fn lookup_bag(&mut self, batch: &[Vec<usize>]) -> Matrix {
         self.tables[self.active_table].lookup_bag(batch)

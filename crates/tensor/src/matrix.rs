@@ -6,7 +6,6 @@
 //! row-major buffer with a handful of BLAS-level-3 kernels is sufficient.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f32` values.
@@ -21,7 +20,7 @@ use std::fmt;
 /// let c = a.matmul(&b);
 /// assert_eq!(c.get(1, 0), 3.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -5,12 +5,10 @@
 //! optimizer trains them. Containers such as [`crate::Mlp`] assign slots in a
 //! stable order across steps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::{StateError, StateReader, StateWriter};
 
 /// Optimizer algorithm and hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimConfig {
     /// Stochastic gradient descent with classical momentum.
     Sgd {

@@ -62,12 +62,11 @@ USAGE:
   --finetune-cadence distinct fallback measurements.
 
   --nodes N spawns N local node-worker subprocesses on Unix sockets;
-  --nodes with addresses connects to already-running workers (H2O_NODES
-  is the environment equivalent). Search outcomes are byte-identical for
-  any node count — node deaths are absorbed by redispatching unfinished
-  jobs to survivors (spawn-managed workers are also respawned, up to
-  --node-retries times per death). The run only fails once fewer than
-  --min-live-nodes workers remain.
+  --nodes with addresses connects to already-running workers. Search
+  outcomes are byte-identical for any node count — node deaths are
+  absorbed by redispatching unfinished jobs to survivors (spawn-managed
+  workers are also respawned, up to --node-retries times per death). The
+  run only fails once fewer than --min-live-nodes workers remain.
 
 MODELS:
   coatnet-0..coatnet-5, coatnet-h0..coatnet-h5,
@@ -576,13 +575,10 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
     let budget = budget_ms / 1e3;
     let workers: usize = parse_flag(flags, "workers")?.unwrap_or(0);
     let backend_spec = backend_spec_from_flags(flags)?;
-    // --nodes / H2O_NODES switches candidate evaluation from in-process
-    // threads to worker subprocesses; either an integer (auto-spawn that
-    // many local Unix-socket workers) or a comma-separated address list.
-    let nodes_spec = flags
-        .get("nodes")
-        .cloned()
-        .or_else(|| std::env::var("H2O_NODES").ok());
+    // --nodes switches candidate evaluation from in-process threads to
+    // worker subprocesses; either an integer (auto-spawn that many local
+    // Unix-socket workers) or a comma-separated address list.
+    let nodes_spec = flags.get("nodes").cloned();
     let node_timeout =
         Duration::from_millis(parse_flag(flags, "node-timeout-ms")?.unwrap_or(30_000u64));
     let pool_defaults = PoolOptions::default();

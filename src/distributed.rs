@@ -1,5 +1,5 @@
 //! Multi-process search plumbing shared by the `h2o` CLI's controller
-//! side (`--nodes` / `H2O_NODES`) and its `node-worker` subprocess mode.
+//! side (`--nodes`) and its `node-worker` subprocess mode.
 //!
 //! The evaluation recipe itself — the [`EvalScenario`] both sides agree
 //! on, and the `BackendSpec → EvalBackend` factory every evaluator is

@@ -5,6 +5,10 @@
 //! the order listed in [`EXPERIMENTS`]; otherwise only the named ones run
 //! (`repro_all fig4_roofline table1_perfmodel`). An unknown NAME exits 1
 //! with an `error:` line listing the valid names.
+
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::expect_used, clippy::panic, clippy::unwrap_used)]
+
 use h2o_bench::experiments as ex;
 use h2o_bench::report::Table;
 use std::process::ExitCode;
@@ -168,6 +172,10 @@ fn main() -> ExitCode {
         // Fresh instruments per experiment, so the summary below reflects
         // this experiment alone.
         h2o_obs::reset();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the report states each experiment's wall time"
+        )]
         let start = std::time::Instant::now();
         print!("{}", run());
         if let Some(summary) = metrics_summary() {

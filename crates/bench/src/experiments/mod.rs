@@ -31,6 +31,10 @@ pub mod table5;
 /// [`DriverError`](h2o_core::DriverError) to: a budget that cannot drive a
 /// search (a step budget of zero) aborts the experiment with the
 /// `DriverError` message instead of reporting numbers.
+#[expect(
+    clippy::expect_used,
+    reason = "in-process stages without a sink fail only on a zero shard or step budget: a misconfigured experiment, which must not report numbers"
+)]
 pub(crate) fn run_search(
     space: &SearchSpace,
     reward: &RewardFn,
@@ -39,7 +43,5 @@ pub(crate) fn run_search(
 ) -> SearchOutcome {
     SearchDriver::new(space, reward, config)
         .run(stage, None, None)
-        // h2o-lint: allow(panic-hygiene) -- in-process stages without a sink fail only on a zero
-        // shard or step budget: a misconfigured experiment, which must not report numbers
         .expect("experiment search budget")
 }

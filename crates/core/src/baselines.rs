@@ -57,10 +57,13 @@ fn record(
 }
 
 fn finish(evaluated: Vec<EvaluatedCandidate>, best_so_far: Vec<f64>) -> BaselineOutcome {
+    #[expect(
+        clippy::expect_used,
+        reason = "non-empty: both entry points assert a positive budget before recording"
+    )]
     let best = evaluated
         .iter()
         .max_by(|a, b| a.reward.total_cmp(&b.reward))
-        // h2o-lint: allow(panic-hygiene) -- non-empty: both entry points assert a positive budget before recording
         .expect("at least one evaluation")
         .clone();
     BaselineOutcome {
@@ -153,10 +156,13 @@ pub fn evolution_search<E: ArchEvaluator>(
     }
     // Tournament + mutate + age out.
     while evaluated.len() < budget {
+        #[expect(
+            clippy::expect_used,
+            reason = "non-empty: tournament draws at least one contestant"
+        )]
         let parent = (0..config.tournament.max(1))
             .map(|_| &population[rng.gen_range(0..population.len())])
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            // h2o-lint: allow(panic-hygiene) -- non-empty: tournament draws at least one contestant
             .expect("population non-empty")
             .0
             .clone();

@@ -63,6 +63,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
+#![warn(clippy::expect_used, clippy::panic, clippy::unwrap_used)]
+#![warn(unused_extern_crates, unused_macro_rules)]
 
 pub mod baselines;
 mod distributed;

@@ -202,17 +202,20 @@ where
     }
 
     fn restore(&mut self, state: &ResumeState) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the snapshot was produced by this stage's own checkpoint_state(), which always embeds supernet state; absence means a foreign file that already passed checksum+fingerprint validation, which cannot happen by construction"
+        )]
         let weights = state
             .supernet_state
             .as_deref()
-            // h2o-lint: allow(panic-hygiene) -- the snapshot was produced by this stage's own
-            // checkpoint_state(), which always embeds supernet state; absence means a foreign file
-            // that already passed checksum+fingerprint validation, which cannot happen by construction
             .expect("tunas resume requires snapshotted supernet state");
+        #[expect(
+            clippy::expect_used,
+            reason = "state shape is covered by the config fingerprint the ckpt layer validated before handing us the payload"
+        )]
         self.supernet
             .load_state(weights)
-            // h2o-lint: allow(panic-hygiene) -- state shape is covered by the config fingerprint
-            // the ckpt layer validated before handing us the payload
             .expect("supernet state does not match this super-network");
         let config = &self.config;
         // Rejoin the run-long sample stream: each completed step drew

@@ -220,10 +220,12 @@ where
             } else {
                 -10.0 * config.quality_scale.abs().max(1.0)
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "seq came from next_batch() two lines up; a stale-sequence error here means pipeline-internal corruption, not bad input"
+            )]
             self.pipeline
                 .mark_policy_use(batch.seq)
-                // h2o-lint: allow(panic-hygiene) -- seq came from next_batch() two lines up; a
-                // stale-sequence error here means pipeline-internal corruption, not bad input
                 .expect("fresh batch");
             quality_data.push((batch, sample, quality));
         }
@@ -260,25 +262,31 @@ where
         for ((sample, _), batch) in candidates.iter().zip(self.step_batches.drain(..)) {
             self.supernet.apply_sample(sample);
             self.supernet.train_step_on(&batch.data);
+            #[expect(
+                clippy::expect_used,
+                reason = "every batch in step_batches was marked policy-used in produce_candidates; the pipeline enforces exactly that ordering"
+            )]
             self.pipeline
                 .mark_weights_use(batch.seq)
-                // h2o-lint: allow(panic-hygiene) -- every batch in step_batches was marked
-                // policy-used in produce_candidates; the pipeline enforces exactly that ordering
                 .expect("policy-seen batch");
         }
     }
 
     fn restore(&mut self, state: &ResumeState) {
+        #[expect(
+            clippy::expect_used,
+            reason = "this stage's checkpoint_state() always embeds supernet state; the ckpt layer validated checksum+fingerprint before we got here"
+        )]
         let weights = state
             .supernet_state
             .as_deref()
-            // h2o-lint: allow(panic-hygiene) -- this stage's checkpoint_state() always embeds
-            // supernet state; the ckpt layer validated checksum+fingerprint before we got here
             .expect("one-shot resume requires snapshotted supernet state");
+        #[expect(
+            clippy::expect_used,
+            reason = "state shape is covered by the config fingerprint the ckpt layer validated before handing us the payload"
+        )]
         self.supernet
             .load_state(weights)
-            // h2o-lint: allow(panic-hygiene) -- state shape is covered by the config fingerprint
-            // the ckpt layer validated before handing us the payload
             .expect("supernet state does not match this super-network");
         self.pipeline.fast_forward(
             state.steps_done * self.config.shards,

@@ -27,6 +27,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
+#![warn(clippy::expect_used, clippy::panic, clippy::unwrap_used)]
 
 mod backend;
 mod scenario;

@@ -199,6 +199,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline, so a regression fails rather than hangs"
+    )]
     fn the_first_reported_panic_wins() {
         use std::time::{Duration, Instant};
         let helpers = Helpers::spawn(2);

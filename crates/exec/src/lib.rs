@@ -40,6 +40,9 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
+#![warn(clippy::expect_used, clippy::panic, clippy::unwrap_used)]
 
 pub mod distributed;
 pub mod frame;
@@ -200,6 +203,10 @@ impl Executor {
     /// # Panics
     ///
     /// Re-raises the first job panic after every worker has stopped.
+    #[expect(
+        clippy::expect_used,
+        reason = "`run_batch` returns only after every worker stopped, and workers only stop once all deques are drained, so each result slot was filled"
+    )]
     pub fn execute<J, R>(&self, jobs: Vec<J>) -> Vec<R>
     where
         J: FnOnce() -> R + Send,
@@ -269,8 +276,10 @@ impl Executor {
                     })
                 });
                 let Some(i) = idx else { break };
-                // h2o-lint: allow(panic-hygiene) -- each index is pushed to exactly one
-                // deque and stealing pops, never clones, so a slot is taken exactly once
+                #[expect(
+                    clippy::expect_used,
+                    reason = "each index is pushed to exactly one deque and stealing pops, never clones, so a slot is taken exactly once"
+                )]
                 let job = slots[i].lock().take().expect("job taken exactly once");
                 let job_watch = h2o_obs::Stopwatch::start();
                 let result = job();
@@ -286,8 +295,6 @@ impl Executor {
         h2o_obs::counter("h2o_exec_steals_total").add(steals.into_inner());
         results
             .into_iter()
-            // h2o-lint: allow(panic-hygiene) -- `run_batch` returns only after every worker stopped,
-            // and workers only stop once all deques are drained, so each result slot was filled
             .map(|slot| slot.into_inner().expect("every job produced a result"))
             .collect()
     }

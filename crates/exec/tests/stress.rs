@@ -6,7 +6,6 @@
 
 use h2o_exec::Executor;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -59,7 +58,16 @@ thread_local! {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "ThreadId is not Ord, so the threads seen go in a HashSet"
+)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bounds how long dropping the executor may take"
+)]
 fn helpers_persist_across_batches_and_join_on_drop() {
+    use std::collections::HashSet;
     let caller = std::thread::current().id();
     let exec = Executor::new(2);
     let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());

@@ -207,10 +207,29 @@ impl ArgMap {
             .map_err(|_| err(self.line, format!("argument '{key}' is not an integer")))
     }
 
+    /// A stride or window: zero would divide by zero in the cost model.
+    fn positive(&self, key: &str) -> Result<usize, ParseGraphError> {
+        match self.usize(key)? {
+            0 => Err(err(self.line, format!("argument '{key}' must be positive"))),
+            v => Ok(v),
+        }
+    }
+
+    /// A per-element op count or byte count: NaN, infinite or negative
+    /// values would turn into NaN, infinite or negative costs.
     fn f64(&self, key: &str) -> Result<f64, ParseGraphError> {
-        self.get(key)?
+        let v: f64 = self
+            .get(key)?
             .parse()
-            .map_err(|_| err(self.line, format!("argument '{key}' is not a number")))
+            .map_err(|_| err(self.line, format!("argument '{key}' is not a number")))?;
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(err(
+                self.line,
+                format!("argument '{key}' must be finite and non-negative"),
+            ))
+        }
     }
 
     fn string(&self, key: &str) -> Result<String, ParseGraphError> {
@@ -291,6 +310,7 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
             .ok_or_else(|| err(line_no, "expected op(...)"))?;
         let close = rhs
             .rfind(')')
+            .filter(|&close| close > open)
             .ok_or_else(|| err(line_no, "unterminated argument list"))?;
         let op_name = rhs[..open].trim();
         let args = ArgMap {
@@ -349,7 +369,7 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
                 c_out: args.usize("c_out")?,
                 kh: args.usize("kh")?,
                 kw: args.usize("kw")?,
-                stride: args.usize("stride")?,
+                stride: args.positive("stride")?,
             },
             "depthwise_conv2d" => OpKind::DepthwiseConv2d {
                 batch: args.usize("batch")?,
@@ -358,7 +378,7 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
                 c: args.usize("c")?,
                 kh: args.usize("kh")?,
                 kw: args.usize("kw")?,
-                stride: args.usize("stride")?,
+                stride: args.positive("stride")?,
             },
             "embedding_lookup" => OpKind::EmbeddingLookup {
                 lookups: args.usize("lookups")?,
@@ -375,7 +395,7 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
                 h: args.usize("h")?,
                 w: args.usize("w")?,
                 c: args.usize("c")?,
-                window: args.usize("window")?,
+                window: args.positive("window")?,
             },
             "concat" => OpKind::Concat {
                 elems: args.usize("elems")?,
@@ -543,6 +563,47 @@ mod tests {
     fn parse_rejects_missing_brace() {
         let text = "graph \"x\" dtype=bf16 {\n  %0 = reshape(elems=1)\n";
         assert!(parse(text).unwrap_err().message.contains("missing closing"));
+    }
+
+    #[test]
+    fn parse_rejects_unmatched_parens_and_out_of_range_arguments() {
+        let zero = "must be positive";
+        let bad_float = "must be finite and non-negative";
+        for (node, message) in [
+            (")x(", "unterminated argument list".to_string()),
+            (
+                "conv2d(batch=1, h=8, w=8, c_in=3, c_out=4, kh=3, kw=3, stride=0)",
+                format!("argument 'stride' {zero}"),
+            ),
+            (
+                "depthwise_conv2d(batch=1, h=4, w=4, c=4, kh=3, kw=3, stride=0)",
+                format!("argument 'stride' {zero}"),
+            ),
+            (
+                "pool(batch=1, h=4, w=4, c=4, window=0)",
+                format!("argument 'window' {zero}"),
+            ),
+            (
+                "elementwise(elems=4, ops_per_elem=NaN, label=\"x\")",
+                format!("argument 'ops_per_elem' {bad_float}"),
+            ),
+            (
+                "elementwise(elems=4, ops_per_elem=inf, label=\"x\")",
+                format!("argument 'ops_per_elem' {bad_float}"),
+            ),
+            (
+                "all_to_all(bytes_per_chip=-5)",
+                format!("argument 'bytes_per_chip' {bad_float}"),
+            ),
+            (
+                "all_reduce(bytes_per_chip=-inf)",
+                format!("argument 'bytes_per_chip' {bad_float}"),
+            ),
+        ] {
+            let text = format!("graph \"x\" dtype=bf16 {{\n  %0 = {node}\n}}\n");
+            let e = parse(&text).unwrap_err();
+            assert_eq!((e.line, e.message), (2, message), "{node}");
+        }
     }
 
     #[test]

@@ -125,10 +125,12 @@ pub fn sweep_on(
     graph_at_batch: impl FnMut(usize) -> Graph,
     batches: &[usize],
 ) -> SweepReport {
-    let hw = HardwareConfig::by_name(hw_name)
-        // h2o-lint: allow(panic-hygiene) -- documented panic on an unknown preset name: this is a
-        // config-time entry point (bench/CLI), never reached from a running search
-        .unwrap_or_else(|| panic!("unknown hardware '{hw_name}'"));
+    #[expect(
+        clippy::panic,
+        reason = "documented panic on an unknown preset name: this is a config-time entry point (bench/CLI), never reached from a running search"
+    )]
+    let hw =
+        HardwareConfig::by_name(hw_name).unwrap_or_else(|| panic!("unknown hardware '{hw_name}'"));
     let name = hw.name.clone();
     let sim = Simulator::new(hw);
     SweepReport {

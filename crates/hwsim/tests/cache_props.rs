@@ -73,7 +73,7 @@ proptest! {
         // A single shard whose capacity covers the whole key universe, so
         // nothing is evicted and every key reports its most recent insert.
         let cache = EvalCache::with_shards(16, 1);
-        let mut last = std::collections::HashMap::new();
+        let mut last = std::collections::BTreeMap::new();
         for &(key, tag) in &inserts {
             cache.insert(key, cost(tag));
             last.insert(key, cost(tag));

@@ -1,12 +1,12 @@
-//! Workspace-level orchestration: per-file token rules → symbol index →
+//! Workspace-level orchestration: per-file token rule → symbol index →
 //! call graph → semantic rules → escape-hatch post-pass.
 //!
 //! [`lint_files`] is the one entry point every mode funnels through:
 //! `lint_workspace` hands it the whole tree, `lint_source` hands it a
-//! single file (which makes the token rules behave exactly as in v1,
-//! while the semantic rules see a one-file call graph). The ordering
-//! matters: the `unused-pragma` pass must run *after* both the token and
-//! the semantic rules, because either may be what a pragma suppresses.
+//! single file (the token rule sees all it ever does, the semantic rules
+//! a one-file call graph). The ordering matters: the `unused-pragma` pass
+//! must run *after* both the token and the semantic rules, because either
+//! may be what a pragma suppresses.
 
 use crate::findings::Finding;
 use crate::graph::WorkspaceIndex;
@@ -28,7 +28,7 @@ pub struct SourceFile {
 /// Lints a set of files as one workspace, returning findings in
 /// `(file, line, col, rule)` order.
 pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
-    // Per-file analysis: lex, pragma table, test ranges, token rules.
+    // Per-file analysis: lex, pragma table, test ranges, token rule.
     let tokens_per_file: Vec<Vec<Token>> = files.iter().map(|f| lex(&f.source)).collect();
     let code_per_file: Vec<Vec<&Token>> = tokens_per_file
         .iter()
@@ -47,7 +47,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
         .enumerate()
         .map(|(i, f)| {
             rules::token_pass(
-                &f.crate_name,
                 &f.rel_path,
                 &code_per_file[i],
                 &test_ranges[i],

@@ -2,56 +2,29 @@
 
 use std::fmt;
 
-/// The twelve contracts h2o-lint enforces. Rule ids (`as_str`) are what
-/// the allow-pragma names: `// h2o-lint: allow(no-wallclock) -- reason`.
+/// The five contracts h2o-lint enforces. Rule ids (`as_str`) are what
+/// the allow-pragma names: `// h2o-lint: allow(float-ordering) -- reason`.
 ///
-/// The first eight are per-file token-pattern rules; `nondet-taint`,
+/// `float-ordering` is a per-file token-pattern rule; `nondet-taint`,
 /// `fingerprint-completeness` and `float-cast-on-reward-path` are
 /// *semantic* rules that run over the workspace symbol index and call
 /// graph (see [`crate::graph`]); `unused-pragma` is the post-pass that
-/// polices the escape hatch itself.
+/// polices the escape hatch itself. The rest of the static-analysis
+/// contract is clippy lints (workspace `clippy.toml` plus crate-root
+/// attributes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
-    /// `Instant::now` / `SystemTime::now` outside the observability crate
-    /// and bench binaries: a wall-clock read on a search/sim path breaks
-    /// kill/resume determinism.
-    NoWallclock,
-    /// `thread_rng` / `from_entropy` / OS entropy: all randomness must
-    /// flow through the seeded SplitMix64 `shard_seed` stream helpers.
-    NoAmbientRng,
-    /// `HashMap` / `HashSet` in crates that produce user-visible or
-    /// checkpointed output: iteration order is unspecified, so ordered
-    /// (`BTreeMap`/`BTreeSet`) containers are required.
-    NoUnorderedCollections,
     /// `partial_cmp(..).unwrap()/.expect()` (NaN panics at comparison
     /// time) and `partial_cmp(..).unwrap_or(..)` (a NaN-swallowing
     /// fallback makes the comparator non-transitive, silently
     /// mis-sorting): `total_cmp` orders every float.
     FloatOrdering,
-    /// `.unwrap()` / `.expect()` / `panic!` in non-test code of crates on
-    /// the search hot path: typed errors (or a justified pragma) instead.
-    PanicHygiene,
-    /// `println!` / `eprintln!` / `dbg!` in library code (anything
-    /// outside a `main.rs` / `src/bin/` entry point): libraries return
-    /// data or go through `h2o_obs`; only binaries own the terminal.
-    NoPrintlnInLibs,
-    /// `unreachable!` / `todo!` in non-test code: a branch the author
-    /// believed impossible is a panic waiting for the first input that
-    /// disproves the belief — return a typed error (or justify the
-    /// structural invariant with a pragma) instead.
-    NoUnreachable,
-    /// `std::process::exit` in library code: it skips every destructor on
-    /// the stack — checkpoint sinks never flush, worker sockets never
-    /// send Shutdown, temp dirs leak — and it makes the library unusable
-    /// from a host that needs to survive the error. Return a typed error
-    /// and let the binary entry point decide the exit code.
-    NoProcessExit,
     /// Cross-file taint: a function in a determinism-contract crate
     /// (`core`, `exec`, `eval`, `hwsim`, `ckpt`) calls — possibly through
     /// helpers in other crates — a function that reads a nondeterminism
     /// source (wall clock, ambient RNG, unordered-collection iteration,
-    /// thread identity). The per-file rules see the source; this rule sees
-    /// the *laundering path* that smuggles its value into contract code.
+    /// thread identity). Clippy sees the source; this rule sees the
+    /// *laundering path* that smuggles its value into contract code.
     NondetTaint,
     /// Every field of a struct feeding `fingerprint` /
     /// `value_fingerprint` / `value_descriptor` must be hashed by that
@@ -72,15 +45,8 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
-        Rule::NoWallclock,
-        Rule::NoAmbientRng,
-        Rule::NoUnorderedCollections,
+    pub const ALL: [Rule; 5] = [
         Rule::FloatOrdering,
-        Rule::PanicHygiene,
-        Rule::NoPrintlnInLibs,
-        Rule::NoUnreachable,
-        Rule::NoProcessExit,
         Rule::NondetTaint,
         Rule::FingerprintCompleteness,
         Rule::FloatCastOnRewardPath,
@@ -90,14 +56,7 @@ impl Rule {
     /// The stable id used in pragmas and reports.
     pub fn as_str(self) -> &'static str {
         match self {
-            Rule::NoWallclock => "no-wallclock",
-            Rule::NoAmbientRng => "no-ambient-rng",
-            Rule::NoUnorderedCollections => "no-unordered-collections",
             Rule::FloatOrdering => "float-ordering",
-            Rule::PanicHygiene => "panic-hygiene",
-            Rule::NoPrintlnInLibs => "no-println-in-libs",
-            Rule::NoUnreachable => "no-unreachable",
-            Rule::NoProcessExit => "no-process-exit",
             Rule::NondetTaint => "nondet-taint",
             Rule::FingerprintCompleteness => "fingerprint-completeness",
             Rule::FloatCastOnRewardPath => "float-cast-on-reward-path",
@@ -141,43 +100,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document (the tool is
-/// dependency-free, so no serde here).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON array (stable field order, one object per
-/// finding) for machine consumption in CI.
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}{}\n",
-            f.rule,
-            json_escape(&f.file),
-            f.line,
-            f.col,
-            json_escape(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,26 +110,5 @@ mod tests {
             assert_eq!(Rule::parse(rule.as_str()), Some(rule));
         }
         assert_eq!(Rule::parse("no-such-rule"), None);
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn json_array_shape() {
-        let findings = vec![Finding {
-            rule: Rule::NoWallclock,
-            file: "crates/x/src/lib.rs".into(),
-            line: 3,
-            col: 7,
-            message: "m".into(),
-        }];
-        let json = to_json(&findings);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"rule\": \"no-wallclock\""));
-        assert!(json.contains("\"line\": 3"));
     }
 }

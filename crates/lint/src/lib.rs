@@ -4,38 +4,34 @@
 //! across worker counts, cache states, and kill/resume — is a *contract*
 //! (DESIGN.md, "determinism contract"), and contracts rot when they are
 //! only enforced by end-to-end tests that fire long after the offending
-//! line was merged. This crate enforces the contracts mechanically, at
-//! the source level, with rules ordinary clippy cannot express because
-//! they are project policy rather than language misuse:
+//! line was merged. Most of the static-analysis contract is clippy lints
+//! (the workspace `clippy.toml` plus crate-root attributes: wall clock,
+//! ambient RNG, unordered collections, panics, printing, `process::exit`,
+//! `unreachable!`/`todo!`). This crate enforces the part clippy cannot
+//! express:
 //!
 //! | rule | contract protected |
 //! |------|--------------------|
-//! | `no-wallclock` | resume determinism: no `Instant::now`/`SystemTime::now` outside `obs`/`bench` |
-//! | `no-ambient-rng` | replay determinism: all RNGs derive from the seeded SplitMix64 streams |
-//! | `no-unordered-collections` | output byte-stability: no `HashMap`/`HashSet` in output-producing crates |
 //! | `float-ordering` | NaN robustness: `total_cmp`, never `partial_cmp().unwrap()` or a NaN-swallowing `.unwrap_or(..)` fallback |
-//! | `panic-hygiene` | crash-safety: typed errors on search-reachable paths |
-//! | `no-println-in-libs` | output ownership: only binary entry points (`main.rs`, `src/bin/`) write to stdout/stderr |
-//! | `no-unreachable` | crash-safety: no `unreachable!`/`todo!` in non-test code — "impossible" branches return typed errors |
-//! | `no-process-exit` | crash-safety: `std::process::exit` only in binary entry points — libraries return typed errors |
 //! | `nondet-taint` | cross-file determinism: no call path carries a nondeterminism source's value into `core`/`exec`/`eval`/`hwsim`/`ckpt` |
 //! | `fingerprint-completeness` | value visibility: every field of a fingerprinted struct is hashed (or pragma'd value-invisible) |
 //! | `float-cast-on-reward-path` | reward integrity: no silent `as f64`/`as f32` rounding in fns call-graph-reachable from the reward computation |
 //! | `unused-pragma` | escape-hatch hygiene: an `allow` pragma that suppresses nothing must be deleted |
 //!
-//! The per-file rules are token-pattern matchers. The three *semantic*
+//! `float-ordering` is a token-pattern matcher. The three *semantic*
 //! rules run over a workspace symbol index ([`parser`] items →
 //! [`graph::WorkspaceIndex`]) with a conservative name-resolved call
 //! graph — that is what lets `nondet-taint` catch a wall-clock read
-//! laundered through a helper crate, which no per-file rule can see.
+//! laundered through a helper crate, which no per-file check can see.
 //!
-//! Run it with `cargo run -p h2o-lint` (add `--json` for machine-readable
-//! findings); it exits non-zero when any un-allowed finding exists, and
-//! ci.sh runs it as a dedicated stage. See DESIGN.md for the rule
-//! rationale and the `// h2o-lint: allow(<rule>) -- <reason>` escape
-//! hatch.
+//! Run it with `cargo run -p h2o-lint`; it prints one line per finding
+//! and exits non-zero when any un-allowed finding exists, and ci.sh runs
+//! it as a dedicated stage. See DESIGN.md for the rule rationale and the
+//! `// h2o-lint: allow(<rule>) -- <reason>` escape hatch.
 
 #![forbid(unsafe_code)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
 
 pub mod analysis;
 pub mod findings;
@@ -46,7 +42,7 @@ pub mod rules;
 pub mod semantic;
 
 pub use analysis::{lint_files, SourceFile};
-pub use findings::{to_json, Finding, Rule};
+pub use findings::{Finding, Rule};
 pub use rules::lint_source;
 
 use std::io;
@@ -75,7 +71,7 @@ impl LintReport {
 /// # Errors
 ///
 /// Propagates I/O errors from walking or reading the tree; a missing
-/// `crates/` directory is an error (wrong `--root`).
+/// `crates/` directory is an error (not the workspace root).
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut units: Vec<(String, PathBuf)> = Vec::new();
     let crates_dir = root.join("crates");

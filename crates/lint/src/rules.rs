@@ -1,11 +1,11 @@
-//! The invariant rules, their crate scopes, and the allow-pragma
-//! machinery.
+//! The `float-ordering` token rule and the allow-pragma machinery.
 //!
-//! Rules run over the token stream from [`crate::lexer`] — no syntax tree
-//! and no type information, which bounds what they can express (see
-//! DESIGN.md, "static-analysis contract"). Each rule is a token-pattern
-//! matcher plus a *crate scope*: the set of workspace crates whose output
-//! contracts the rule protects.
+//! The token rule runs over the token stream from [`crate::lexer`] — no
+//! syntax tree and no type information (see DESIGN.md, "static-analysis
+//! contract"). The other per-file checks of that contract are clippy
+//! lints; `float-ordering` stays here because clippy cannot tell an
+//! unchecked `partial_cmp(..).unwrap()` from an inspected `match
+//! a.partial_cmp(&b)`.
 //!
 //! Code under `#[cfg(test)]` / `#[test]` items is exempt from every rule
 //! (a test may unwrap freely), as are the `tests/`, `examples/` and
@@ -16,7 +16,7 @@
 //! A finding is suppressed by a pragma **with a justification**:
 //!
 //! ```text
-//! // h2o-lint: allow(panic-hygiene) -- slots are filled exactly once by construction
+//! // h2o-lint: allow(float-ordering) -- both operands are finite by construction
 //! ```
 //!
 //! on the same line as the finding or on the comment line(s) directly
@@ -24,116 +24,17 @@
 //! suppress anything.
 //!
 //! The escape hatch polices itself: a well-formed pragma that suppresses
-//! **no** finding (the code it justified was refactored away, or the rule
-//! never fires in that crate) is reported as `unused-pragma` — stale
-//! pragmas must be deleted, not left to license a future violation.
+//! **no** finding (the code it justified was refactored away) is reported
+//! as `unused-pragma` — stale pragmas must be deleted, not left to
+//! license a future violation.
 
 use crate::findings::{Finding, Rule};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Where a rule applies, expressed over crate directory names (`core`,
-/// `hwsim`, …; the root `h2o-nas` package participates as `h2o-nas`).
-pub(crate) enum Scope {
-    /// Every workspace crate except the listed ones.
-    AllExcept(&'static [&'static str]),
-    /// Only the listed crates.
-    Only(&'static [&'static str]),
-}
-
-impl Scope {
-    pub(crate) fn contains(&self, crate_name: &str) -> bool {
-        match self {
-            Scope::AllExcept(excluded) => !excluded.contains(&crate_name),
-            Scope::Only(included) => included.contains(&crate_name),
-        }
-    }
-}
-
-/// The crates whose CSV/console/checkpoint output must be reproducible:
-/// unordered iteration anywhere here can leak schedule- or hash-order
-/// noise into user-visible bytes.
-pub(crate) const ORDERED_OUTPUT_CRATES: &[&str] =
-    &["core", "data", "hwsim", "tensor", "ckpt", "eval"];
-
-/// The crates bound by the determinism contract end to end: controller,
-/// executor, evaluation backends, hardware simulator, checkpoints. The
-/// `nondet-taint` rule flags any call path that carries a nondeterminism
-/// source's value into these crates.
-pub(crate) const NONDET_CONTRACT_CRATES: &[&str] = &["ckpt", "core", "eval", "exec", "hwsim"];
-
-/// The crates on the search hot path, where a panic kills a multi-hour
-/// run: errors must be typed (or the panic justified by a pragma). `obs`
-/// is included because every hot-path step crosses it, and `bench`
-/// because a panicking harness scenario loses the whole baseline run.
-/// `tensor`/`graph`/`models`/`space` carry the decode → build-graph →
-/// train path every shard evaluator (and every worker node) runs per
-/// candidate, so a panic there takes down a distributed run too; `eval`
-/// is the backend layer every one of those evaluations flows through.
-const PANIC_SCOPED_CRATES: &[&str] = &[
-    "core",
-    "exec",
-    "hwsim",
-    "data",
-    "ckpt",
-    "perfmodel",
-    "obs",
-    "bench",
-    "tensor",
-    "space",
-    "models",
-    "graph",
-    "eval",
-];
-
-/// Crates allowed to read the wall clock: the observability crate (spans,
-/// histograms — the `step_time_ms` sink measures through it) and the
-/// bench harness binaries, which exist to measure wall time.
-pub(crate) const WALLCLOCK_ALLOWED_CRATES: &[&str] = &["obs", "bench"];
-
-pub(crate) fn scope_of(rule: Rule) -> Scope {
-    match rule {
-        Rule::NoWallclock => Scope::AllExcept(WALLCLOCK_ALLOWED_CRATES),
-        Rule::NoAmbientRng => Scope::AllExcept(&[]),
-        Rule::NoUnorderedCollections => Scope::Only(ORDERED_OUTPUT_CRATES),
-        Rule::FloatOrdering => Scope::AllExcept(&[]),
-        Rule::PanicHygiene => Scope::Only(PANIC_SCOPED_CRATES),
-        Rule::NoPrintlnInLibs => Scope::AllExcept(&[]),
-        Rule::NoUnreachable => Scope::AllExcept(&[]),
-        Rule::NoProcessExit => Scope::AllExcept(&[]),
-        Rule::NondetTaint => Scope::Only(NONDET_CONTRACT_CRATES),
-        Rule::FingerprintCompleteness => Scope::AllExcept(&[]),
-        Rule::FloatCastOnRewardPath => Scope::AllExcept(&[]),
-        Rule::UnusedPragma => Scope::AllExcept(&[]),
-    }
-}
-
-/// Whether a workspace-relative path is a binary entry point — the only
-/// code that owns the terminal and may print. Everything else is library
-/// code, where `no-println-in-libs` applies.
-fn is_binary_entry(rel_path: &str) -> bool {
-    rel_path == "main.rs"
-        || rel_path.ends_with("/main.rs")
-        || rel_path.contains("/bin/")
-        || rel_path.starts_with("bin/")
-}
-
-/// Macros that write to the process's stdout/stderr directly.
-const PRINT_MACROS: &[&str] = &["println", "print", "eprintln", "eprint", "dbg"];
-
-/// RNG constructors that bypass the seeded SplitMix64 stream discipline.
-pub(crate) const AMBIENT_RNG_IDENTS: &[&str] = &[
-    "thread_rng",
-    "from_entropy",
-    "from_os_rng",
-    "OsRng",
-    "ThreadRng",
-    "getrandom",
-];
-
 /// Lints one source file in isolation, as a one-file workspace: the
-/// token-pattern rules see everything they ever did, and the semantic
-/// rules see whatever call graph the single file carries. `crate_name`
+/// token rule sees everything it would in the whole tree, and the
+/// semantic rules see whatever call graph the single file carries. `crate_name`
 /// is the crate's directory name (`core`, `data`, …, or `h2o-nas` for
 /// the root package); `rel_path` is the workspace-relative path reported
 /// in findings.
@@ -145,34 +46,17 @@ pub fn lint_source(crate_name: &str, rel_path: &str, src: &str) -> Vec<Finding> 
     }])
 }
 
-/// Runs every in-scope token-pattern rule over one file's non-trivia
-/// token slice, suppressing pragma'd findings (and marking those pragmas
-/// used). The `unused-pragma` post-pass runs later, in
+/// Runs the `float-ordering` rule over one file's non-trivia token
+/// slice, suppressing pragma'd findings (and marking those pragmas used).
+/// The `unused-pragma` post-pass runs later, in
 /// [`crate::analysis::lint_files`], after the semantic rules have had
 /// their chance to consume pragmas too.
 pub(crate) fn token_pass(
-    crate_name: &str,
     rel_path: &str,
     code: &[&Token],
     test_ranges: &BTreeMap<usize, usize>,
     pragmas: &mut Pragmas,
 ) -> Vec<Finding> {
-    let active: Vec<Rule> = Rule::ALL
-        .into_iter()
-        .filter(|&r| {
-            !matches!(
-                r,
-                Rule::UnusedPragma
-                    | Rule::NondetTaint
-                    | Rule::FingerprintCompleteness
-                    | Rule::FloatCastOnRewardPath
-            ) && scope_of(r).contains(crate_name)
-        })
-        .filter(|&r| {
-            !(matches!(r, Rule::NoPrintlnInLibs | Rule::NoProcessExit) && is_binary_entry(rel_path))
-        })
-        .collect();
-
     let mut findings = Vec::new();
     let mut i = 0usize;
     while i < code.len() {
@@ -180,11 +64,9 @@ pub(crate) fn token_pass(
             i = end;
             continue;
         }
-        for &rule in &active {
-            if let Some(finding) = match_rule(rule, code, i, rel_path) {
-                if !pragmas.allows(rule, finding.line) {
-                    findings.push(finding);
-                }
+        if let Some(finding) = float_ordering(code, i, rel_path) {
+            if !pragmas.allows(Rule::FloatOrdering, finding.line) {
+                findings.push(finding);
             }
         }
         i += 1;
@@ -232,167 +114,39 @@ pub(crate) fn unused_pragma_pass(
     findings
 }
 
-/// Tries every rule pattern anchored at token `i`; at most one finding
-/// per (rule, token) anchor.
-fn match_rule(rule: Rule, code: &[&Token], i: usize, rel_path: &str) -> Option<Finding> {
+/// The `float-ordering` pattern anchored at token `i`:
+/// `partial_cmp(..)` followed by a panicking or NaN-swallowing unwrap.
+fn float_ordering(code: &[&Token], i: usize, rel_path: &str) -> Option<Finding> {
     let t = code[i];
-    let finding = |message: String| {
-        Some(Finding {
-            rule,
-            file: rel_path.to_string(),
-            line: t.line,
-            col: t.col,
-            message,
-        })
-    };
-    match rule {
-        Rule::NoWallclock => {
-            if (t.is_ident("Instant") || t.is_ident("SystemTime"))
-                && path_sep(code, i + 1)
-                && code.get(i + 3).is_some_and(|n| n.is_ident("now"))
-            {
-                return finding(format!(
-                    "{}::now() reads the wall clock; search/simulator paths must stay \
-                     deterministic across kill/resume — time through `h2o_obs` spans or \
-                     histograms instead",
-                    t.text
-                ));
-            }
-            None
-        }
-        Rule::NoAmbientRng => {
-            if t.kind == TokenKind::Ident && AMBIENT_RNG_IDENTS.contains(&t.text.as_str()) {
-                return finding(format!(
-                    "`{}` draws OS/ambient entropy; derive every RNG from the SplitMix64 \
-                     `shard_seed`/stream helpers so runs replay bit-identically",
-                    t.text
-                ));
-            }
-            None
-        }
-        Rule::NoUnorderedCollections => {
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                return finding(format!(
-                    "`{}` has unspecified iteration order; this crate produces \
-                     user-visible or checkpointed output — use BTreeMap/BTreeSet (or \
-                     justify with a pragma that order never escapes)",
-                    t.text
-                ));
-            }
-            None
-        }
-        Rule::FloatOrdering => {
-            if t.is_ident("partial_cmp") && code.get(i + 1).is_some_and(|p| p.is_punct('(')) {
-                let close = matching_close(code, i + 1, '(', ')')?;
-                if code.get(close + 1).is_some_and(|d| d.is_punct('.')) {
-                    if let Some(next) = code.get(close + 2) {
-                        if next.is_ident("unwrap") || next.is_ident("expect") {
-                            return finding(
-                                "partial_cmp().unwrap()/.expect() panics on NaN (rewards \
-                                 can be NaN under diverged training) — use total_cmp"
-                                    .to_string(),
-                            );
-                        }
-                        if next.is_ident("unwrap_or")
-                            || next.is_ident("unwrap_or_else")
-                            || next.is_ident("unwrap_or_default")
-                        {
-                            return finding(format!(
-                                "partial_cmp().{}() swallows the NaN case: \"NaN compares \
-                                 equal to everything\" is not transitive, so a sort using \
-                                 this comparator silently mis-orders — use total_cmp",
-                                next.text
-                            ));
-                        }
-                    }
-                }
-            }
-            None
-        }
-        Rule::PanicHygiene => {
-            let panicking_method = (t.is_ident("unwrap")
-                || t.is_ident("expect")
-                || t.is_ident("unwrap_err")
-                || t.is_ident("expect_err"))
-                && i > 0
-                && (code[i - 1].is_punct('.') || path_sep_back(code, i))
-                && code.get(i + 1).is_some_and(|p| p.is_punct('('));
-            if panicking_method {
-                return finding(format!(
-                    "`.{}()` can panic on a search-reachable path; return a typed error \
-                     (or justify the invariant with a pragma)",
-                    t.text
-                ));
-            }
-            if t.is_ident("panic") && code.get(i + 1).is_some_and(|p| p.is_punct('!')) {
-                return finding(
-                    "`panic!` on a search-reachable path; return a typed error (or \
-                     justify the invariant with a pragma)"
-                        .to_string(),
-                );
-            }
-            None
-        }
-        Rule::NoPrintlnInLibs => {
-            if t.kind == TokenKind::Ident
-                && PRINT_MACROS.contains(&t.text.as_str())
-                && code.get(i + 1).is_some_and(|p| p.is_punct('!'))
-            {
-                return finding(format!(
-                    "`{}!` writes to the terminal from library code; return the text to \
-                     the caller or record it through `h2o_obs` — only binary entry \
-                     points (`main.rs`, `src/bin/`) own stdout/stderr",
-                    t.text
-                ));
-            }
-            None
-        }
-        Rule::NoUnreachable => {
-            if (t.is_ident("unreachable") || t.is_ident("todo"))
-                && code.get(i + 1).is_some_and(|p| p.is_punct('!'))
-            {
-                return finding(format!(
-                    "`{}!` in non-test code: the first input that disproves the \
-                     \"impossible\" branch panics the run — return a typed error, or \
-                     justify the structural invariant with a pragma",
-                    t.text
-                ));
-            }
-            None
-        }
-        Rule::NoProcessExit => {
-            if t.is_ident("process")
-                && path_sep(code, i + 1)
-                && code.get(i + 3).is_some_and(|n| n.is_ident("exit"))
-                && code.get(i + 4).is_some_and(|p| p.is_punct('('))
-            {
-                return finding(
-                    "`process::exit` in library code skips every destructor on the \
-                     stack — checkpoint sinks never flush, worker sockets never say \
-                     goodbye; return a typed error and let the binary entry point \
-                     pick the exit code"
-                        .to_string(),
-                );
-            }
-            None
-        }
-        // Semantic rules run over the workspace call graph in
-        // `crate::semantic`; `unused-pragma` is the post-pass above.
-        Rule::NondetTaint
-        | Rule::FingerprintCompleteness
-        | Rule::FloatCastOnRewardPath
-        | Rule::UnusedPragma => None,
+    if !(t.is_ident("partial_cmp") && code.get(i + 1).is_some_and(|p| p.is_punct('('))) {
+        return None;
     }
-}
-
-/// Whether tokens `i`, `i+1` are the `::` path separator.
-pub(crate) fn path_sep(code: &[&Token], i: usize) -> bool {
-    code.get(i).is_some_and(|a| a.is_punct(':')) && code.get(i + 1).is_some_and(|b| b.is_punct(':'))
-}
-
-/// Whether the two tokens before `i` are `::` (e.g. `Option::unwrap`).
-fn path_sep_back(code: &[&Token], i: usize) -> bool {
-    i >= 2 && code[i - 1].is_punct(':') && code[i - 2].is_punct(':')
+    let close = matching_close(code, i + 1, '(', ')')?;
+    if !code.get(close + 1).is_some_and(|d| d.is_punct('.')) {
+        return None;
+    }
+    let next = code.get(close + 2)?;
+    let message = if next.is_any_ident(&["unwrap", "expect"]) {
+        "partial_cmp().unwrap()/.expect() panics on NaN (rewards can be NaN under \
+         diverged training) — use total_cmp"
+            .to_string()
+    } else if next.is_any_ident(&["unwrap_or", "unwrap_or_else", "unwrap_or_default"]) {
+        format!(
+            "partial_cmp().{}() swallows the NaN case: \"NaN compares equal to \
+             everything\" is not transitive, so a sort using this comparator silently \
+             mis-orders — use total_cmp",
+            next.text
+        )
+    } else {
+        return None;
+    };
+    Some(Finding {
+        rule: Rule::FloatOrdering,
+        file: rel_path.to_string(),
+        line: t.line,
+        col: t.col,
+        message,
+    })
 }
 
 /// Index of the token closing the group opened at `open_idx`, honouring
@@ -613,97 +367,71 @@ fn parse_pragmas(comment: &str) -> Vec<(Rule, String)> {
 mod tests {
     use super::*;
 
-    fn lint_in(crate_name: &str, src: &str) -> Vec<Finding> {
-        lint_source(crate_name, "test.rs", src)
+    fn lint(src: &str) -> Vec<Finding> {
+        lint_source("core", "test.rs", src)
     }
+
+    /// One `partial_cmp(..).unwrap()` site, the example every pragma test
+    /// below suppresses (or fails to).
+    const SORT: &str = "xs.sort_by(|a, b| a.partial_cmp(b).unwrap());";
 
     #[test]
     fn pragma_requires_reason() {
-        let bare = "fn f() { let t = Instant::now(); } // h2o-lint: allow(no-wallclock)\n";
-        assert_eq!(lint_in("core", bare).len(), 1, "reasonless pragma ignored");
-        let justified =
-            "fn f() { let t = Instant::now(); } // h2o-lint: allow(no-wallclock) -- bench only\n";
-        assert!(lint_in("core", justified).is_empty());
+        // A reasonless pragma never registers, so it is neither an escape
+        // hatch nor a stale one: only the underlying finding fires.
+        let bare =
+            format!("fn f(xs: &mut [f64]) {{ {SORT} }} // h2o-lint: allow(float-ordering)\n");
+        let found = lint(&bare);
+        assert_eq!(found.len(), 1, "reasonless pragma ignored");
+        assert_eq!(found[0].rule, Rule::FloatOrdering);
+        let justified = format!(
+            "fn f(xs: &mut [f64]) {{ {SORT} }} // h2o-lint: allow(float-ordering) -- finite\n"
+        );
+        assert!(lint(&justified).is_empty());
     }
 
     #[test]
     fn pragma_on_preceding_comment_line() {
-        let src = "\
-// h2o-lint: allow(no-ambient-rng) -- interactive tool, determinism not required
-let mut rng = thread_rng();
-";
-        assert!(lint_in("core", src).is_empty());
+        let src = format!("// h2o-lint: allow(float-ordering) -- inputs are finite\n{SORT}\n");
+        assert!(lint(&src).is_empty());
     }
 
     #[test]
     fn pragma_does_not_leak_past_code_lines() {
-        let src = "\
-// h2o-lint: allow(no-ambient-rng) -- only for the next line
-let a = thread_rng();
-let b = thread_rng();
-";
-        let found = lint_in("core", src);
+        let src = format!(
+            "// h2o-lint: allow(float-ordering) -- only for the next line\n{SORT}\n{SORT}\n"
+        );
+        let found = lint(&src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 3);
     }
 
     #[test]
     fn cfg_test_module_is_exempt() {
-        let src = "\
-pub fn lib() {}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { let x: Option<u32> = None; x.unwrap(); }
-}
-";
-        assert!(lint_in("core", src).is_empty());
+        let src = format!(
+            "pub fn lib() {{}}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    \
+             fn t() {{ let mut xs = vec![1.0]; {SORT} }}\n}}\n"
+        );
+        assert!(lint(&src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_not_exempt() {
-        let src = "#[cfg(not(test))]\nfn f(x: Option<u32>) { x.unwrap(); }\n";
-        assert_eq!(lint_in("core", src).len(), 1);
-    }
-
-    #[test]
-    fn scope_excludes_unlisted_crates() {
-        let src = "fn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        assert_eq!(lint_in("core", src).len(), 2, "two HashMap tokens");
-        assert!(
-            lint_in("space", src).is_empty(),
-            "space is not output-ordered"
-        );
-        assert!(
-            lint_in("obs", src).is_empty(),
-            "obs is outside the collections scope"
-        );
+        let src = format!("#[cfg(not(test))]\nfn f(xs: &mut [f64]) {{ {SORT} }}\n");
+        assert_eq!(lint(&src).len(), 1);
     }
 
     #[test]
     fn stale_pragma_is_a_finding() {
         let src = "\
-// h2o-lint: allow(panic-hygiene) -- stale: the unwrap was refactored away
-fn f() -> u32 { 1 }
+// h2o-lint: allow(float-ordering) -- stale: the sort now uses total_cmp
+fn f(xs: &mut [f64]) { xs.sort_by(|a, b| a.total_cmp(b)); }
 ";
-        let found = lint_in("core", src);
+        let found = lint(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, Rule::UnusedPragma);
         assert_eq!(found[0].line, 1);
-        assert!(found[0].message.contains("allow(panic-hygiene)"));
-    }
-
-    #[test]
-    fn pragma_for_out_of_scope_rule_is_unused() {
-        // panic-hygiene never fires in `lint`, so the pragma there
-        // suppresses nothing even though an unwrap sits right under it.
-        let src = "\
-// h2o-lint: allow(panic-hygiene) -- wrong crate for this rule
-fn f(x: Option<u32>) -> u32 { x.unwrap() }
-";
-        let found = lint_in("lint", src);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::UnusedPragma);
+        assert!(found[0].message.contains("allow(float-ordering)"));
     }
 
     #[test]
@@ -712,82 +440,31 @@ fn f(x: Option<u32>) -> u32 { x.unwrap() }
 pub fn lib() {}
 #[cfg(test)]
 mod tests {
-    // h2o-lint: allow(panic-hygiene) -- tests may unwrap anyway
+    // h2o-lint: allow(float-ordering) -- tests may unwrap anyway
     #[test]
     fn t() {}
 }
 ";
-        assert!(lint_in("core", src).is_empty());
+        assert!(lint(src).is_empty());
     }
 
     #[test]
     fn doc_comment_pragma_text_is_not_a_pragma() {
         // Quoting the pragma syntax in rustdoc neither suppresses the
         // finding below nor registers as a stale pragma.
-        let src = "\
-/// Use `// h2o-lint: allow(no-wallclock) -- reason` to suppress.
-fn f() { let t = Instant::now(); }
-";
-        let found = lint_in("core", src);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::NoWallclock);
-    }
-
-    #[test]
-    fn reasonless_pragma_is_not_reported_unused() {
-        // A reasonless pragma never registers, so it is neither an escape
-        // hatch nor a stale one — only the underlying finding fires.
-        let bare = "fn f() { let t = Instant::now(); } // h2o-lint: allow(no-wallclock)\n";
-        let found = lint_in("core", bare);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, Rule::NoWallclock);
-    }
-
-    #[test]
-    fn panic_hygiene_covers_the_whole_candidate_eval_path() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        for scoped in ["obs", "bench", "tensor", "space", "models", "graph"] {
-            assert_eq!(lint_in(scoped, src).len(), 1, "{scoped} is in scope");
-        }
-        assert!(lint_in("lint", src).is_empty(), "lint stays out of scope");
-    }
-
-    #[test]
-    fn println_in_library_code_fires_for_every_print_macro() {
-        for mac in ["println", "print", "eprintln", "eprint", "dbg"] {
-            let src = format!("fn f() {{ {mac}!(\"x\"); }}\n");
-            let found = lint_in("space", &src);
-            assert_eq!(found.len(), 1, "{mac}! should fire");
-            assert_eq!(found[0].rule, Rule::NoPrintlnInLibs);
-        }
-    }
-
-    #[test]
-    fn println_in_binary_entry_points_is_allowed() {
-        let src = "fn main() { println!(\"usage\"); }\n";
-        for path in ["crates/lint/src/main.rs", "src/bin/h2o.rs", "main.rs"] {
-            assert!(
-                lint_source("h2o-nas", path, src).is_empty(),
-                "{path} owns the terminal"
-            );
-        }
-        assert_eq!(
-            lint_source("h2o-nas", "src/distributed.rs", src).len(),
-            1,
-            "library modules of a package with binaries are still libraries"
+        let src = format!(
+            "/// Use `// h2o-lint: allow(float-ordering) -- reason` to suppress.\n\
+             fn f(xs: &mut [f64]) {{ {SORT} }}\n"
         );
-    }
-
-    #[test]
-    fn writeln_to_a_caller_supplied_writer_is_fine() {
-        let src = "fn f(w: &mut impl std::io::Write) { let _ = writeln!(w, \"x\"); }\n";
-        assert!(lint_in("space", src).is_empty());
+        let found = lint(&src);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, Rule::FloatOrdering);
     }
 
     #[test]
     fn string_contents_never_fire() {
-        let src = "fn f() { let s = \"thread_rng Instant::now unwrap()\"; }\n";
-        assert!(lint_in("core", src).is_empty());
+        let src = "fn f() { let s = \"a.partial_cmp(b).unwrap()\"; }\n";
+        assert!(lint(src).is_empty());
     }
 
     #[test]
@@ -798,7 +475,7 @@ fn f() { let t = Instant::now(); }
             "unwrap_or_default()",
         ] {
             let src = format!("fn f(a: f64, b: f64) {{ let _ = a.partial_cmp(&b).{call}; }}\n");
-            let found = lint_in("space", &src);
+            let found = lint(&src);
             assert_eq!(found.len(), 1, "partial_cmp().{call} should fire");
             assert_eq!(found[0].rule, Rule::FloatOrdering);
         }
@@ -807,86 +484,6 @@ fn f() { let t = Instant::now(); }
     #[test]
     fn unwrap_or_without_partial_cmp_is_fine() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
-        assert!(lint_in("space", src).is_empty());
-    }
-
-    #[test]
-    fn unreachable_and_todo_fire_everywhere() {
-        for mac in ["unreachable", "todo"] {
-            let src = format!("fn f(x: u32) {{ match x {{ 0 => {{}}, _ => {mac}!() }} }}\n");
-            for crate_name in ["core", "lint", "h2o-nas"] {
-                let found = lint_in(crate_name, &src);
-                assert_eq!(found.len(), 1, "{mac}! should fire in {crate_name}");
-                assert_eq!(found[0].rule, Rule::NoUnreachable);
-            }
-        }
-    }
-
-    #[test]
-    fn unreachable_in_test_code_is_exempt() {
-        let src = "\
-pub fn lib() {}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t(x: u32) { match x { 0 => {}, _ => unreachable!() } }
-}
-";
-        assert!(lint_in("core", src).is_empty());
-    }
-
-    #[test]
-    fn process_exit_fires_in_library_code_everywhere() {
-        let src = "fn f() { std::process::exit(1); }\n";
-        for crate_name in ["core", "lint", "h2o-nas"] {
-            let found = lint_in(crate_name, src);
-            assert_eq!(found.len(), 1, "process::exit should fire in {crate_name}");
-            assert_eq!(found[0].rule, Rule::NoProcessExit);
-        }
-        // Both the fully-qualified and the `process::exit(..)` spelling.
-        let short = "use std::process;\nfn f() { process::exit(1); }\n";
-        assert_eq!(lint_in("core", short).len(), 1);
-    }
-
-    #[test]
-    fn process_exit_in_binary_entry_points_is_allowed() {
-        let src = "fn main() { std::process::exit(2); }\n";
-        for path in ["crates/lint/src/main.rs", "src/bin/h2o.rs", "main.rs"] {
-            assert!(
-                lint_source("h2o-nas", path, src).is_empty(),
-                "{path} owns the exit code"
-            );
-        }
-        assert_eq!(
-            lint_source("h2o-nas", "src/distributed.rs", src).len(),
-            1,
-            "library modules of a package with binaries still may not exit"
-        );
-    }
-
-    #[test]
-    fn process_exit_pragma_with_reason_suppresses() {
-        let src = "\
-// h2o-lint: allow(no-process-exit) -- simulated node death for the chaos tests
-fn f() { std::process::exit(41); }
-";
-        assert!(lint_in("h2o-nas", src).is_empty());
-    }
-
-    #[test]
-    fn exit_without_the_process_path_is_fine() {
-        // A method or free fn named `exit` on its own is not the process
-        // killer — only the `process::exit(` path pattern fires.
-        let src = "fn f(l: Loop) { l.exit(); }\n";
-        assert!(lint_in("core", src).is_empty());
-    }
-
-    #[test]
-    fn unreachable_pragma_with_reason_suppresses() {
-        let src = "\
-// h2o-lint: allow(no-unreachable) -- enum is #[non_exhaustive] upstream, new variants rejected at parse
-fn f(x: u32) { match x { 0 => {}, _ => unreachable!() } }
-";
-        assert!(lint_in("core", src).is_empty());
+        assert!(lint(src).is_empty());
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! All three walk the [`crate::graph::WorkspaceIndex`]; none of them can
 //! be expressed per file, which is exactly why they exist (DESIGN.md,
-//! "static-analysis contract, v2"). Pragmas participate the same way as
-//! for token rules — `// h2o-lint: allow(<rule>) -- <reason>` on or above
+//! "static-analysis contract"). Pragmas participate the same way as
+//! for the token rule — `// h2o-lint: allow(<rule>) -- <reason>` on or above
 //! the flagged line — and for `nondet-taint` a pragma on a *source* line
 //! is additionally a sanitizer: it stops taint from propagating out of
 //! that function, so one justified source does not light up every caller.
@@ -12,11 +12,30 @@
 use crate::findings::{Finding, Rule};
 use crate::graph::WorkspaceIndex;
 use crate::lexer::Token;
-use crate::rules::{
-    path_sep, Pragmas, AMBIENT_RNG_IDENTS, NONDET_CONTRACT_CRATES, ORDERED_OUTPUT_CRATES,
-    WALLCLOCK_ALLOWED_CRATES,
-};
+use crate::rules::Pragmas;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// The crates bound by the determinism contract end to end: controller,
+/// executor, evaluation backends, hardware simulator, checkpoints. The
+/// `nondet-taint` rule flags any call path that carries a nondeterminism
+/// source's value into these crates.
+const NONDET_CONTRACT_CRATES: &[&str] = &["ckpt", "core", "eval", "exec", "hwsim"];
+
+/// Crates whose clock reads are the sanctioned timing path: the
+/// observability crate (spans, histograms — the `step_time_ms` sink
+/// measures through it) and the bench harness, which exists to measure
+/// wall time. Each read there carries an `#[expect]` for clippy.
+const WALLCLOCK_ALLOWED_CRATES: &[&str] = &["obs", "bench"];
+
+/// RNG constructors that bypass the seeded SplitMix64 stream discipline.
+const AMBIENT_RNG_IDENTS: &[&str] = &[
+    "thread_rng",
+    "from_entropy",
+    "from_os_rng",
+    "OsRng",
+    "ThreadRng",
+    "getrandom",
+];
 
 /// Identifiers that iterate a collection; together with a `HashMap` /
 /// `HashSet` mention in the same body they signal hash-order-dependent
@@ -117,25 +136,16 @@ fn nondet_taint(
         }
     }
 
-    // 3a. Direct findings in contract crates, only for the source kinds
-    //     no per-file rule already covers there: thread identity
-    //     (nowhere covered) and unordered iteration (covered by
-    //     `no-unordered-collections` except in `exec`). Wall-clock and
-    //     ambient-RNG sources are per-file findings wherever they sit.
+    // 3a. Direct findings in contract crates, only for thread identity,
+    //     the one source kind clippy does not ban: wall-clock, ambient-RNG
+    //     and hash-order sources are clippy findings wherever they sit
+    //     (`clippy.toml`'s disallowed methods and types).
     for (&(f, kind), w) in &tainted {
-        if w.chain.len() != 1 {
-            continue; // propagated, not direct — handled at the frontier
+        if w.chain.len() != 1 || kind != TaintKind::ThreadId {
+            continue; // propagated ones are handled at the frontier
         }
         let crate_name = index.crate_of(f);
         if !NONDET_CONTRACT_CRATES.contains(&crate_name) {
-            continue;
-        }
-        let report = match kind {
-            TaintKind::ThreadId => true,
-            TaintKind::UnorderedIter => !ORDERED_OUTPUT_CRATES.contains(&crate_name),
-            TaintKind::Wallclock | TaintKind::AmbientRng => false,
-        };
-        if !report {
             continue;
         }
         let node = &index.fns[f];
@@ -218,6 +228,11 @@ fn nondet_taint(
             }
         }
     }
+}
+
+/// Whether tokens `i`, `i+1` are the `::` path separator.
+fn path_sep(code: &[&Token], i: usize) -> bool {
+    code.get(i).is_some_and(|a| a.is_punct(':')) && code.get(i + 1).is_some_and(|b| b.is_punct(':'))
 }
 
 fn kind_phrase(kind: TaintKind) -> &'static str {

@@ -1,121 +1,22 @@
-//! Per-rule fixture tests: every token-pattern rule gets at least one
-//! known-bad snippet that must produce exactly the expected findings, plus
-//! a known-good variant that must stay clean. These pin the token-pattern
-//! matchers against regressions in the lexer or the rule engine.
+//! Per-rule fixture tests: every rule gets at least one known-bad snippet
+//! that must produce exactly the expected findings, plus a known-good
+//! variant that must stay clean. These pin the matchers against
+//! regressions in the lexer, the parser or the rule engine.
 
 use h2o_lint::findings::Rule;
 use h2o_lint::rules::lint_source;
 use h2o_lint::{lint_files, SourceFile};
 
-/// Lints `src` as if it were a file inside `crate_name`, returning the
+/// Lints `src` as if it were a file inside `core`, returning the
 /// `(rule, line)` pairs found.
-fn findings_in(crate_name: &str, src: &str) -> Vec<(Rule, u32)> {
-    lint_source(crate_name, "src/lib.rs", src)
+fn findings_in(src: &str) -> Vec<(Rule, u32)> {
+    lint_source("core", "src/lib.rs", src)
         .into_iter()
         .map(|f| (f.rule, f.line))
         .collect()
 }
 
-// ---------------------------------------------------------------- rule 1
-
-#[test]
-fn no_wallclock_flags_instant_and_system_time() {
-    let bad = r#"
-pub fn elapsed() -> f64 {
-    let t0 = std::time::Instant::now();
-    let _wall = std::time::SystemTime::now();
-    t0.elapsed().as_secs_f64()
-}
-"#;
-    let got = findings_in("core", bad);
-    assert_eq!(got, vec![(Rule::NoWallclock, 3), (Rule::NoWallclock, 4)]);
-}
-
-#[test]
-fn no_wallclock_is_allowed_in_obs_and_bench() {
-    let src = "pub fn t() { let _ = std::time::Instant::now(); }\n";
-    assert!(findings_in("obs", src).is_empty(), "obs owns the clock");
-    assert!(
-        findings_in("bench", src).is_empty(),
-        "bench times real work"
-    );
-    assert_eq!(findings_in("hwsim", src).len(), 1, "hwsim may not");
-}
-
-#[test]
-fn no_wallclock_ignores_strings_and_comments() {
-    let src = r#"
-// Instant::now is mentioned here but not called.
-pub const DOC: &str = "never call Instant::now in library code";
-"#;
-    assert!(findings_in("core", src).is_empty());
-}
-
-// ---------------------------------------------------------------- rule 2
-
-#[test]
-fn no_ambient_rng_flags_thread_rng_and_from_entropy() {
-    let bad = r#"
-fn sample() -> u64 {
-    let mut rng = rand::thread_rng();
-    let other = SmallRng::from_entropy();
-    rng.gen()
-}
-"#;
-    let got = findings_in("space", bad);
-    assert_eq!(got, vec![(Rule::NoAmbientRng, 3), (Rule::NoAmbientRng, 4)]);
-}
-
-#[test]
-fn no_ambient_rng_applies_everywhere_even_obs() {
-    let bad = "fn f() { let _ = thread_rng(); }\n";
-    assert_eq!(findings_in("obs", bad).len(), 1);
-}
-
-#[test]
-fn seeded_rng_is_fine() {
-    let good = "fn f(seed: u64) { let _rng = SmallRng::seed_from_u64(seed); }\n";
-    assert!(findings_in("core", good).is_empty());
-}
-
-// ---------------------------------------------------------------- rule 3
-
-#[test]
-fn unordered_collections_flagged_in_output_crates() {
-    let bad = r#"
-use std::collections::HashMap;
-pub struct Cache {
-    entries: HashMap<u64, f64>,
-}
-"#;
-    let got = findings_in("hwsim", bad);
-    // One finding per HashMap token: the `use` and the field type.
-    assert_eq!(
-        got,
-        vec![
-            (Rule::NoUnorderedCollections, 2),
-            (Rule::NoUnorderedCollections, 4)
-        ]
-    );
-}
-
-#[test]
-fn unordered_collections_allowed_outside_scoped_crates() {
-    let src = "use std::collections::HashSet;\n";
-    assert!(
-        findings_in("obs", src).is_empty(),
-        "obs output is unordered"
-    );
-    assert_eq!(findings_in("data", src).len(), 1, "data is scoped");
-}
-
-#[test]
-fn btreemap_is_always_fine() {
-    let good = "use std::collections::BTreeMap;\npub type M = BTreeMap<u32, u32>;\n";
-    assert!(findings_in("core", good).is_empty());
-}
-
-// ---------------------------------------------------------------- rule 4
+// --------------------------------------------------------- float-ordering
 
 #[test]
 fn float_ordering_flags_partial_cmp_unwrap_and_expect() {
@@ -125,9 +26,7 @@ fn sort(xs: &mut Vec<f64>) {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
 }
 "#;
-    // `lint` is outside panic-hygiene's scope, so only the float rule
-    // fires and the expectation stays single-rule.
-    let got = findings_in("lint", bad);
+    let got = findings_in(bad);
     assert_eq!(
         got,
         vec![(Rule::FloatOrdering, 3), (Rule::FloatOrdering, 4)]
@@ -144,7 +43,7 @@ fn sort(xs: &mut Vec<f64>) {
     }
 }
 "#;
-    assert!(findings_in("core", good).is_empty());
+    assert!(findings_in(good).is_empty());
 }
 
 #[test]
@@ -159,7 +58,7 @@ fn sort(xs: &mut Vec<f64>) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or_default());
 }
 "#;
-    let got = findings_in("lint", bad);
+    let got = findings_in(bad);
     assert_eq!(
         got,
         vec![
@@ -175,148 +74,7 @@ fn float_ordering_matches_through_nested_args() {
     // The paren matcher must pair the partial_cmp(...) parens, not stop at
     // the first `)` inside the argument expression.
     let bad = "fn f(a: f64, b: f64) { a.abs().partial_cmp(&(b + 1.0).abs()).unwrap(); }\n";
-    assert_eq!(findings_in("lint", bad), vec![(Rule::FloatOrdering, 1)]);
-}
-
-// ---------------------------------------------------------------- rule 5
-
-#[test]
-fn panic_hygiene_flags_unwrap_expect_panic_in_scoped_crates() {
-    let bad = r#"
-pub fn load(path: &str) -> String {
-    let text = std::fs::read_to_string(path).unwrap();
-    let first = text.lines().next().expect("non-empty");
-    if first.is_empty() {
-        panic!("bad file");
-    }
-    first.to_string()
-}
-"#;
-    let got = findings_in("core", bad);
-    assert_eq!(
-        got,
-        vec![
-            (Rule::PanicHygiene, 3),
-            (Rule::PanicHygiene, 4),
-            (Rule::PanicHygiene, 6)
-        ]
-    );
-}
-
-#[test]
-fn panic_hygiene_exempts_test_code() {
-    let src = r#"
-pub fn double(x: u32) -> u32 { x * 2 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn doubles() {
-        assert_eq!(super::double(2), 4);
-        let v: Vec<u32> = vec![1];
-        let _ = v.first().unwrap();
-    }
-}
-"#;
-    assert!(findings_in("core", src).is_empty());
-}
-
-#[test]
-fn panic_hygiene_skips_unscoped_crates() {
-    let src = "pub fn f(v: Vec<u32>) -> u32 { *v.first().unwrap() }\n";
-    assert!(
-        findings_in("lint", src).is_empty(),
-        "the linter itself is not on the search path"
-    );
-    assert_eq!(findings_in("exec", src).len(), 1, "exec is scoped");
-    assert_eq!(findings_in("tensor", src).len(), 1, "tensor is scoped");
-}
-
-// ---------------------------------------------------------------- rule 7
-
-#[test]
-fn no_unreachable_flags_unreachable_and_todo_everywhere() {
-    let bad = r#"
-pub fn route(kind: u8) -> u32 {
-    match kind {
-        0 => 1,
-        1 => todo!(),
-        _ => unreachable!("kinds are validated upstream"),
-    }
-}
-"#;
-    // Fires even in crates outside panic-hygiene's scope.
-    let got = findings_in("lint", bad);
-    assert_eq!(
-        got,
-        vec![(Rule::NoUnreachable, 5), (Rule::NoUnreachable, 6)]
-    );
-}
-
-#[test]
-fn no_unreachable_exempts_tests_and_honours_pragmas() {
-    let test_code = r#"
-pub fn lib() {}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        match 1u8 {
-            1 => {}
-            _ => unreachable!(),
-        }
-    }
-}
-"#;
-    assert!(findings_in("lint", test_code).is_empty());
-
-    let justified = r#"
-pub fn f(x: u8) {
-    match x & 1 {
-        0 | 1 => {}
-        // h2o-lint: allow(no-unreachable) -- x & 1 is 0 or 1 by arithmetic
-        _ => unreachable!(),
-    }
-}
-"#;
-    assert!(findings_in("lint", justified).is_empty());
-}
-
-// ---------------------------------------------------------------- rule 8
-
-#[test]
-fn no_process_exit_flags_library_exits() {
-    let bad = r#"
-pub fn die(code: i32) {
-    std::process::exit(code);
-}
-"#;
-    let got = findings_in("core", bad);
-    assert_eq!(got, vec![(Rule::NoProcessExit, 3)]);
-    // Short path spelling after `use std::process`.
-    let short = "use std::process;\npub fn die() { process::exit(1); }\n";
-    assert_eq!(findings_in("exec", short), vec![(Rule::NoProcessExit, 2)]);
-}
-
-#[test]
-fn no_process_exit_spares_binaries_and_honours_pragmas() {
-    let main = "fn main() { std::process::exit(2); }\n";
-    assert!(
-        lint_source("h2o-nas", "src/bin/h2o.rs", main).is_empty(),
-        "binaries own the exit code"
-    );
-
-    let justified = r#"
-pub fn chaos() {
-    // h2o-lint: allow(no-process-exit) -- simulated node death for fault-tolerance tests
-    std::process::exit(41);
-}
-"#;
-    assert!(findings_in("h2o-nas", justified).is_empty());
-
-    // A method named `exit` is not the process killer.
-    let method = "pub fn f(l: &mut Loop) { l.exit(); }\n";
-    assert!(findings_in("core", method).is_empty());
+    assert_eq!(findings_in(bad), vec![(Rule::FloatOrdering, 1)]);
 }
 
 // ---------------------------------------------------------------- pragmas
@@ -324,42 +82,42 @@ pub fn chaos() {
 #[test]
 fn pragma_with_reason_suppresses_only_its_rule() {
     let src = r#"
-pub fn f(v: Vec<u32>) -> u32 {
-    // h2o-lint: allow(panic-hygiene) -- v is non-empty by construction
-    *v.first().unwrap()
+fn sort(xs: &mut Vec<f64>) {
+    // h2o-lint: allow(float-ordering) -- xs holds finite rewards by construction
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 "#;
-    assert!(findings_in("core", src).is_empty());
+    assert!(findings_in(src).is_empty());
 
-    // The same pragma does not excuse a different rule on that line — and
-    // since it then suppresses nothing, the pragma itself is flagged stale.
+    // A pragma naming another rule does not excuse this one — and since
+    // it then suppresses nothing, the pragma itself is flagged stale.
     let cross = r#"
-pub fn f() {
-    // h2o-lint: allow(panic-hygiene) -- wrong rule named
-    let _ = std::time::Instant::now();
+fn sort(xs: &mut Vec<f64>) {
+    // h2o-lint: allow(nondet-taint) -- wrong rule named
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 "#;
     assert_eq!(
-        findings_in("core", cross),
-        vec![(Rule::UnusedPragma, 3), (Rule::NoWallclock, 4)]
+        findings_in(cross),
+        vec![(Rule::UnusedPragma, 3), (Rule::FloatOrdering, 4)]
     );
 }
 
 #[test]
 fn pragma_without_reason_is_rejected() {
     let src = r#"
-pub fn f(v: Vec<u32>) -> u32 {
-    // h2o-lint: allow(panic-hygiene)
-    *v.first().unwrap()
+fn sort(xs: &mut Vec<f64>) {
+    // h2o-lint: allow(float-ordering)
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 "#;
-    assert_eq!(findings_in("core", src), vec![(Rule::PanicHygiene, 4)]);
+    assert_eq!(findings_in(src), vec![(Rule::FloatOrdering, 4)]);
 }
 
 #[test]
 fn same_line_pragma_works() {
-    let src = "pub fn f(v: Vec<u32>) -> u32 { *v.first().unwrap() } // h2o-lint: allow(panic-hygiene) -- non-empty\n";
-    assert!(findings_in("core", src).is_empty());
+    let src = "fn f(a: f64) -> bool { a.partial_cmp(&0.0).unwrap().is_lt() } // h2o-lint: allow(float-ordering) -- finite\n";
+    assert!(findings_in(src).is_empty());
 }
 
 // ------------------------------------------------------- semantic rules

@@ -1,13 +1,12 @@
 //! The self-check: the workspace this linter ships in must itself be
-//! lint-clean. This is the test that turns the twelve rules from a style
-//! suggestion into an enforced contract — reintroducing a wall-clock read,
-//! an ambient RNG, an unordered map in an output crate, a
-//! `partial_cmp().unwrap()`, an unjustified `.unwrap()` on a scoped path,
-//! or (since the semantic rules) a cross-file nondeterminism laundering
-//! chain, an unhashed fingerprint field, or a reward-path float cast
-//! fails `cargo test`, not just the separate ci.sh lint stage.
+//! lint-clean. This is the test that turns the rules from a style
+//! suggestion into an enforced contract — reintroducing a
+//! `partial_cmp().unwrap()`, a cross-file nondeterminism laundering
+//! chain, an unhashed fingerprint field, a reward-path float cast or a
+//! stale pragma fails `cargo test`, not just the separate ci.sh lint
+//! stage.
 
-use h2o_lint::{lint_files, lint_workspace, Rule, SourceFile};
+use h2o_lint::{lint_files, lint_workspace, Finding, Rule, SourceFile};
 use std::path::Path;
 
 fn workspace_root() -> std::path::PathBuf {
@@ -37,19 +36,15 @@ fn workspace_has_no_unallowed_findings() {
     );
 }
 
-/// The `--json` exporter feeds CI artifacts and diffing; two runs over the
-/// same tree must be byte-identical (the linter is itself held to the
-/// repository's determinism contract).
+/// Two runs over the same tree must print byte-identical findings (the
+/// linter is itself held to the repository's determinism contract).
 #[test]
-fn json_output_is_byte_identical_across_runs() {
+fn findings_are_byte_identical_across_runs() {
     let root = workspace_root();
     let a = lint_workspace(&root).expect("first run");
     let b = lint_workspace(&root).expect("second run");
     assert_eq!(a.files_checked, b.files_checked);
-    assert_eq!(
-        h2o_lint::to_json(&a.findings),
-        h2o_lint::to_json(&b.findings)
-    );
+    assert_eq!(lines(&a.findings), lines(&b.findings));
 
     // And with a non-empty finding set, via the same engine: the fixture
     // has sources in multiple crates so the cross-file machinery (index
@@ -70,10 +65,15 @@ fn json_output_is_byte_identical_across_runs() {
                 .to_string(),
         },
     ];
-    let x = h2o_lint::to_json(&lint_files(&files));
-    let y = h2o_lint::to_json(&lint_files(&files));
+    let x = lines(&lint_files(&files));
+    let y = lines(&lint_files(&files));
     assert!(x.contains("nondet-taint"), "fixture must produce findings");
-    assert_eq!(x, y, "--json must be byte-identical across runs");
+    assert_eq!(x, y, "findings must be byte-identical across runs");
+}
+
+/// The findings as the binary prints them, one line each.
+fn lines(findings: &[Finding]) -> String {
+    findings.iter().map(|f| format!("{f}\n")).collect()
 }
 
 /// Proof that the in-tree pragmas are load-bearing: stripping the

@@ -162,7 +162,10 @@ impl CoAtNet {
     /// The Table 3 ablation ladder: baseline C5, +DeeperConv, +ResShrink,
     /// +SquaredReLU (= CoAtNet-H5).
     pub fn table3_ablation() -> Vec<CoAtNet> {
-        // h2o-lint: allow(panic-hygiene) -- family() returns a fixed non-empty ladder by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "family() returns a fixed non-empty ladder by construction"
+        )]
         let base = Self::family().pop().expect("family non-empty");
         let mut deeper = base.clone();
         deeper.name = "+DeeperConv".to_string();

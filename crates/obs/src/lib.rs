@@ -37,6 +37,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
+#![warn(clippy::expect_used, clippy::panic, clippy::unwrap_used)]
 
 pub mod export;
 pub mod metrics;

@@ -257,10 +257,14 @@ impl Histogram {
     /// Times `f` and records its wall-clock duration in seconds.
     ///
     /// This is the sanctioned way for other crates to measure durations:
-    /// the workspace bans `Instant::now` outside `h2o-obs` (h2o-lint's
-    /// `no-wallclock` rule), so the clock read lives here, where resume
+    /// the workspace bans `Instant::now` (a `disallowed-methods` entry in
+    /// `clippy.toml`), so the clock read lives here, where resume
     /// determinism is already out of scope.
     pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sanctioned timing path: the reading feeds this histogram only"
+        )]
         let start = std::time::Instant::now();
         let out = f();
         self.record(start.elapsed().as_secs_f64());
@@ -335,10 +339,10 @@ impl Histogram {
 /// instruments.
 ///
 /// This is the second sanctioned clock access next to
-/// [`Histogram::time`]: the workspace bans `Instant::now` outside
-/// `h2o-obs` (h2o-lint's `no-wallclock` rule), but utilization metrics —
-/// a worker's busy vs idle split, a cache lookup's hit vs miss latency —
-/// need a reading *before* the destination instrument is known.
+/// [`Histogram::time`]: the workspace bans `Instant::now` (see
+/// `clippy.toml`), but utilization metrics — a worker's busy vs idle
+/// split, a cache lookup's hit vs miss latency — need a reading *before*
+/// the destination instrument is known.
 /// `Stopwatch` keeps the clock read inside this crate; by contract its
 /// readings go into counters/gauges/histograms only, never into search
 /// state, so resume determinism is unaffected.
@@ -349,6 +353,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts the timer now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned timing path: readings feed instruments only"
+    )]
     pub fn start() -> Self {
         Self {
             start: std::time::Instant::now(),

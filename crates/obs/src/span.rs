@@ -83,6 +83,10 @@ impl Tracer {
     }
 
     /// Like [`Tracer::new`] with an explicit event-buffer cap.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trace epoch: span timings feed the trace export and histograms only, never search state"
+    )]
     pub fn with_capacity(registry: Registry, capacity: usize) -> Self {
         Self {
             core: Arc::new(TracerCore {
@@ -97,6 +101,10 @@ impl Tracer {
 
     /// Opens a span named `name`, nested under any span already open on
     /// this thread. Close it by dropping the guard.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timings feed the trace export and histograms only, never search state"
+    )]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         PATH_STACK.with(|s| s.borrow_mut().push(name));
         SpanGuard {
@@ -128,6 +136,10 @@ impl Tracer {
     }
 
     fn finish(&self, start: Instant) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span timings feed the trace export and histograms only, never search state"
+        )]
         let end = Instant::now();
         let dur = end.duration_since(start);
         let path = PATH_STACK.with(|s| {

@@ -218,7 +218,10 @@ impl CnnSpace {
     ///
     /// Panics if the sample is invalid for this space.
     pub fn decode(&self, sample: &ArchSample) -> CnnArch {
-        // h2o-lint: allow(panic-hygiene) -- documented `# Panics` contract; samples come from this space
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract; samples come from this space"
+        )]
         self.space.validate(sample).expect("invalid sample");
         let mut blocks = Vec::with_capacity(self.config.stages.len());
         for (i, stage) in self.config.stages.iter().enumerate() {

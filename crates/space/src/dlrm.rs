@@ -494,7 +494,10 @@ impl DlrmSpace {
     ///
     /// Panics if the sample is invalid for this space.
     pub fn decode(&self, sample: &ArchSample) -> DlrmArch {
-        // h2o-lint: allow(panic-hygiene) -- documented `# Panics` contract; samples come from this space
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract; samples come from this space"
+        )]
         self.space.validate(sample).expect("invalid sample");
         let mut tables = Vec::with_capacity(self.config.tables.len());
         for (i, base) in self.config.tables.iter().enumerate() {

@@ -165,7 +165,10 @@ impl DlrmSupernet {
     /// CPU training.
     pub fn new(config: DlrmSpaceConfig, embedding_lr: f32, rng: &mut impl Rng) -> Self {
         let space = DlrmSpace::new(config.clone());
-        // h2o-lint: allow(panic-hygiene) -- static choice tables are non-empty consts
+        #[expect(
+            clippy::unwrap_used,
+            reason = "static choice tables are non-empty consts"
+        )]
         let max_emb_delta = *choices::EMB_WIDTH_DELTAS.last().unwrap();
         let banks: Vec<SharedEmbeddingBank> = config
             .tables
@@ -181,9 +184,15 @@ impl DlrmSupernet {
             })
             .collect();
         let emb_slot_widths: Vec<usize> = banks.iter().map(|b| b.active().max_width()).collect();
-        // h2o-lint: allow(panic-hygiene) -- static choice tables are non-empty consts
+        #[expect(
+            clippy::unwrap_used,
+            reason = "static choice tables are non-empty consts"
+        )]
         let max_depth_delta = *choices::DEPTH_DELTAS.last().unwrap();
-        // h2o-lint: allow(panic-hygiene) -- static choice tables are non-empty consts
+        #[expect(
+            clippy::unwrap_used,
+            reason = "static choice tables are non-empty consts"
+        )]
         let max_mlp_delta = *choices::MLP_WIDTH_DELTAS.last().unwrap();
         let max_width_of = |base: usize| {
             (base as i32 + max_mlp_delta * config.mlp_width_increment as i32).max(8) as usize

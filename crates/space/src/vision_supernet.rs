@@ -119,10 +119,16 @@ impl VisionSupernet {
                 choices::ACTIVATIONS.len(),
             ));
         }
-        // h2o-lint: allow(panic-hygiene) -- static choice tables are non-empty consts
+        #[expect(
+            clippy::expect_used,
+            reason = "static choice tables are non-empty consts"
+        )]
         let max_delta = *choices::WIDTH_DELTAS.last().expect("non-empty") as usize;
         let max_width = |base: usize| base + max_delta * config.width_increment;
-        // h2o-lint: allow(panic-hygiene) -- static choice tables are non-empty consts
+        #[expect(
+            clippy::expect_used,
+            reason = "static choice tables are non-empty consts"
+        )]
         let max_depth_delta = *choices::DEPTH_DELTAS.last().expect("non-empty");
         let mut groups = Vec::with_capacity(config.groups.len());
         let mut prev_max = config.input_features;
@@ -183,7 +189,10 @@ impl VisionSupernet {
     ///
     /// Panics if the sample is invalid.
     pub fn apply_sample(&mut self, sample: &ArchSample) {
-        // h2o-lint: allow(panic-hygiene) -- documented `# Panics` contract; samples come from this space
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract; samples come from this space"
+        )]
         self.space.validate(sample).expect("invalid sample");
         let mut prev_active = self.config.input_features;
         for (i, (base, layers)) in self

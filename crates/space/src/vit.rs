@@ -240,7 +240,10 @@ impl VitSpace {
     ///
     /// Panics if the sample is invalid for this space.
     pub fn decode(&self, sample: &ArchSample) -> VitArch {
-        // h2o-lint: allow(panic-hygiene) -- documented `# Panics` contract; samples come from this space
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract; samples come from this space"
+        )]
         self.space.validate(sample).expect("invalid sample");
         let mut tfm_blocks = Vec::with_capacity(self.config.tfm_blocks.len());
         for (i, base) in self.config.tfm_blocks.iter().enumerate() {

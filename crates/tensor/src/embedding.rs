@@ -114,10 +114,13 @@ impl EmbeddingTable {
     /// Panics if called before [`EmbeddingTable::lookup_bag`] or if
     /// `grad_out` has the wrong shape.
     pub fn backward(&mut self, grad_out: &Matrix) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
         let batch = self
             .cached_batch
             .as_ref()
-            // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
             .expect("backward before lookup_bag");
         assert_eq!(grad_out.rows(), batch.len().max(1), "grad rows mismatch");
         assert_eq!(grad_out.cols(), self.active_width, "grad cols mismatch");

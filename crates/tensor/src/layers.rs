@@ -104,8 +104,16 @@ impl Dense {
     ///
     /// Panics if called before [`Dense::forward`].
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_input.as_ref().expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
-        let pre = self.cached_pre.as_ref().expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
+        let x = self.cached_input.as_ref().expect("backward before forward");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
+        let pre = self.cached_pre.as_ref().expect("backward before forward");
         let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
         self.grad_w.add_scaled_assign(&x.matmul_tn(&d_pre), 1.0);
         for (g, s) in self.grad_b.iter_mut().zip(d_pre.col_sums()) {
@@ -261,8 +269,16 @@ impl MaskedDense {
     ///
     /// Panics if called before [`MaskedDense::forward`].
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_input.as_ref().expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
-        let pre = self.cached_pre.as_ref().expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
+        let x = self.cached_input.as_ref().expect("backward before forward");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
+        let pre = self.cached_pre.as_ref().expect("backward before forward");
         assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
         let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
         // grad_w[k, j] += sum_i x[i, k] * d_pre[i, j]  (active region only)
@@ -480,12 +496,24 @@ impl LowRankDense {
     ///
     /// Panics if called before [`LowRankDense::forward`].
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_input.as_ref().expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
+        let x = self.cached_input.as_ref().expect("backward before forward");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
         let hidden = self
             .cached_hidden
             .as_ref()
-            .expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
-        let pre = self.cached_pre.as_ref().expect("backward before forward"); // h2o-lint: allow(panic-hygiene) -- documented `# Panics` training-order contract
+            .expect("backward before forward");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` training-order contract"
+        )]
+        let pre = self.cached_pre.as_ref().expect("backward before forward");
         let r = self.active_rank;
         let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
         // grad_v[:r, :active_out] += hiddenᵀ · d_pre

@@ -40,6 +40,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
+#![warn(clippy::expect_used, clippy::panic, clippy::unwrap_used)]
 
 mod activation;
 mod embedding;

@@ -67,8 +67,8 @@ impl Mlp {
     }
 
     /// Output width.
+    #[expect(clippy::expect_used, reason = "constructor rejects empty layer lists")]
     pub fn n_out(&self) -> usize {
-        // h2o-lint: allow(panic-hygiene) -- constructor rejects empty layer lists
         self.layers.last().expect("non-empty").n_out()
     }
 

@@ -132,9 +132,13 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// [`StateError::Truncated`] if fewer than 8 bytes remain.
+    #[expect(
+        clippy::expect_used,
+        reason = "chunk width fixed by take()/chunks_exact"
+    )]
     pub fn take_u64(&mut self) -> Result<u64, StateError> {
         let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes"))) // h2o-lint: allow(panic-hygiene) -- chunk width fixed by take()/chunks_exact
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
     /// Reads a length-prefixed `f32` buffer into `dst`, requiring the
@@ -153,8 +157,11 @@ impl<'a> StateReader<'a> {
             });
         }
         let bytes = self.take(found * 4)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "chunk width fixed by take()/chunks_exact"
+        )]
         for (d, chunk) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
-            // h2o-lint: allow(panic-hygiene) -- chunk width fixed by take()/chunks_exact
             *d = f32::from_bits(u32::from_le_bytes(chunk.try_into().expect("4 bytes")));
         }
         Ok(())
@@ -166,12 +173,16 @@ impl<'a> StateReader<'a> {
     /// # Errors
     ///
     /// [`StateError::Truncated`] if the stream ends early.
+    #[expect(
+        clippy::expect_used,
+        reason = "chunk width fixed by take()/chunks_exact"
+    )]
     pub fn take_f32_vec(&mut self) -> Result<Vec<f32>, StateError> {
         let len = self.take_u64()? as usize;
         let bytes = self.take(len * 4)?;
         Ok(bytes
             .chunks_exact(4)
-            .map(|chunk| f32::from_bits(u32::from_le_bytes(chunk.try_into().expect("4 bytes")))) // h2o-lint: allow(panic-hygiene) -- chunk width fixed by take()/chunks_exact
+            .map(|chunk| f32::from_bits(u32::from_le_bytes(chunk.try_into().expect("4 bytes"))))
             .collect())
     }
 

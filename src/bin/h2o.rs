@@ -10,6 +10,8 @@
 //! Argument parsing is hand-rolled (the workspace's dependency set is
 //! intentionally small); every subcommand prints plain text.
 
+#![warn(clippy::todo, clippy::unreachable)]
+
 use h2o_nas::ckpt::{CheckpointStore, FileCheckpointSink};
 use h2o_nas::core::{
     CheckpointSink, DistributedStage, ParallelStage, PerfObjective, ResumeState, RewardFn,
@@ -25,7 +27,7 @@ use h2o_nas::models::efficientnet::EfficientNet;
 use h2o_nas::space::{
     ArchSample, CnnSpace, CnnSpaceConfig, DlrmSpace, DlrmSpaceConfig, VitSpace, VitSpaceConfig,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -73,8 +75,8 @@ MODELS:
   efficientnet-x-b0..b7, efficientnet-h-b0..b7, dlrm, dlrm-h
 ";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
@@ -93,7 +95,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
 
 /// The value of `--name` parsed as a `T`, or `None` when the flag is absent.
 fn parse_flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
+    flags: &BTreeMap<String, String>,
     name: &str,
 ) -> Result<Option<T>, String> {
     flags
@@ -102,7 +104,7 @@ fn parse_flag<T: std::str::FromStr>(
         .transpose()
 }
 
-fn hardware(flags: &HashMap<String, String>) -> Result<HardwareConfig, String> {
+fn hardware(flags: &BTreeMap<String, String>) -> Result<HardwareConfig, String> {
     let name = flags.get("hw").map(String::as_str).unwrap_or("tpuv4");
     HardwareConfig::by_name(name).ok_or_else(|| format!("unknown hardware '{name}'"))
 }
@@ -165,7 +167,7 @@ fn cmd_spaces() {
     }
 }
 
-fn load_graph(flags: &HashMap<String, String>, batch: usize) -> Result<Graph, String> {
+fn load_graph(flags: &BTreeMap<String, String>, batch: usize) -> Result<Graph, String> {
     if let Some(path) = flags.get("hlo") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         return h2o_nas::graph::text::parse(&text).map_err(|e| format!("parsing {path}: {e}"));
@@ -175,14 +177,14 @@ fn load_graph(flags: &HashMap<String, String>, batch: usize) -> Result<Graph, St
     Ok(build(batch))
 }
 
-fn cmd_dump(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_dump(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
     let graph = load_graph(flags, batch)?;
     print!("{}", h2o_nas::graph::text::to_text(&graph));
     Ok(())
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
     let graph = load_graph(flags, batch)?;
     let hw = hardware(flags)?;
@@ -242,7 +244,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
     use h2o_nas::hwsim::sweep::{batch_sweep, ServingLoadModel};
     let hw = hardware(flags)?;
     let model = flags.get("model").ok_or("missing --model")?;
@@ -281,7 +283,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_roofline(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_roofline(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let hw = hardware(flags)?;
     println!(
         "{}: peak {:.0} TFLOPS, HBM {:.0} GB/s, CMEM {:.0} MB @ {:.1} TB/s, ridge {:.0} FLOPs/B",
@@ -326,7 +328,7 @@ fn cmd_roofline(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Writes the global metrics snapshot (Prometheus text) and the buffered
 /// span trace (Chrome trace-event JSON) if the flags ask for them.
-fn export_observability(flags: &HashMap<String, String>) -> Result<(), String> {
+fn export_observability(flags: &BTreeMap<String, String>) -> Result<(), String> {
     if let Some(path) = flags.get("metrics-out") {
         let text = h2o_nas::obs::export::to_prometheus(&h2o_nas::obs::snapshot());
         std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
@@ -350,7 +352,7 @@ fn export_observability(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `(None, None)` when checkpointing is off. Whether the resume state fits
 /// the run's `--steps` is checked by `SearchDriver::run`.
 fn checkpoint_setup(
-    flags: &HashMap<String, String>,
+    flags: &BTreeMap<String, String>,
     fingerprint: u64,
 ) -> Result<(Option<FileCheckpointSink>, Option<ResumeState>), String> {
     let every: usize = parse_flag(flags, "checkpoint-every")?.unwrap_or(10);
@@ -454,7 +456,7 @@ fn run_distributed(
 /// simulator. Contradictory combinations (`sim` with an explicit
 /// `--eval-cache on`, `cached` with `--eval-cache off`, model-gate flags
 /// without the model backend) are rejected rather than guessed at.
-fn backend_spec_from_flags(flags: &HashMap<String, String>) -> Result<BackendSpec, String> {
+fn backend_spec_from_flags(flags: &BTreeMap<String, String>) -> Result<BackendSpec, String> {
     let cache_on = match flags.get("eval-cache").map(String::as_str) {
         None => None,
         Some("on") | Some("true") => Some(true),
@@ -555,7 +557,7 @@ fn report_backend(backend: &EvalBackend) {
     }
 }
 
-fn cmd_node_worker(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_node_worker(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").ok_or("missing --addr")?;
     let domain = flags.get("domain").ok_or("missing --domain")?;
     let backend = backend_spec_from_flags(flags)?;
@@ -564,7 +566,7 @@ fn cmd_node_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     h2o_nas::distributed::run_worker(addr, scenario, chaos_exit_after)
 }
 
-fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let domain = flags.get("domain").ok_or("missing --domain")?.as_str();
     let steps: usize = parse_flag(flags, "steps")?.unwrap_or(120);
     let shards: usize = parse_flag(flags, "shards")?.unwrap_or(8);

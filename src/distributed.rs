@@ -43,6 +43,10 @@ const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 /// # Errors
 ///
 /// Any bind/accept/transport failure, rendered for CLI display.
+#[expect(
+    clippy::print_stdout,
+    reason = "the stdout announcement IS the worker discovery protocol: controllers and tests read this line to learn the bound port"
+)]
 pub fn run_worker(
     addr_spec: &str,
     scenario: EvalScenario,
@@ -51,8 +55,6 @@ pub fn run_worker(
     let addr = NodeAddr::parse(addr_spec).map_err(|e| e.to_string())?;
     let listener = NodeListener::bind(&addr).map_err(|e| e.to_string())?;
     let resolved = listener.local_addr().map_err(|e| e.to_string())?;
-    // h2o-lint: allow(no-println-in-libs) -- the stdout announcement IS the worker
-    // discovery protocol: controllers and tests read this line to learn the bound port
     println!("node-worker listening {resolved}");
     let mut transport = listener.accept(ACCEPT_TIMEOUT).map_err(|e| e.to_string())?;
     let backend = scenario.backend()?;
@@ -60,9 +62,10 @@ pub fn run_worker(
     let mut served = 0usize;
     serve(&mut transport, scenario.fingerprint(), move |payload| {
         if chaos_exit_after.is_some_and(|limit| served >= limit) {
-            // h2o-lint: allow(no-process-exit) -- simulated node death for the
-            // fault-tolerance tests: vanish mid-conversation without Shutdown or
-            // Error frame, leaving the controller a half-open socket
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "simulated node death for the fault-tolerance tests: vanish mid-conversation without Shutdown or Error frame, leaving the controller a half-open socket"
+            )]
             std::process::exit(41);
         }
         served += 1;

@@ -67,6 +67,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::todo, clippy::unreachable)]
+#![warn(clippy::dbg_macro, clippy::print_stderr, clippy::print_stdout)]
 
 pub mod distributed;
 

@@ -20,6 +20,17 @@ fn checkpointing<'a>(args: &[&'a str], dir: &'a str) -> Vec<&'a str> {
     argv
 }
 
+/// An HLO text file holding one node line, for `--hlo` cases.
+fn hlo_file(root: &Path, name: &str, node: &str) -> String {
+    let path = root.join(format!("{name}.hlo"));
+    std::fs::write(
+        &path,
+        format!("graph \"x\" dtype=f32 {{\n  %0 = {node}\n}}\n"),
+    )
+    .expect("write the HLO file");
+    path.to_str().expect("utf-8 path").to_string()
+}
+
 #[test]
 fn bad_input_exits_1_with_an_error_and_no_panic() {
     let root = std::env::temp_dir().join(format!("h2o_cli_errors_{}", std::process::id()));
@@ -27,6 +38,24 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
     let dlrm_ckpt = blocked_checkpoint_dir(&root, "dlrm");
     let nodes_ckpt = blocked_checkpoint_dir(&root, "nodes");
     let oneshot_ckpt = blocked_checkpoint_dir(&root, "oneshot");
+    let hlo = [
+        ("parens", ")x("),
+        (
+            "conv_stride",
+            "conv2d(batch=1, h=8, w=8, c_in=3, c_out=4, kh=3, kw=3, stride=0)",
+        ),
+        (
+            "depthwise_stride",
+            "depthwise_conv2d(batch=1, h=4, w=4, c=4, kh=3, kw=3, stride=0)",
+        ),
+        ("pool_window", "pool(batch=1, h=4, w=4, c=4, window=0)"),
+        (
+            "nan_ops",
+            "elementwise(elems=4, ops_per_elem=NaN, label=\"relu\")",
+        ),
+        ("negative_bytes", "all_to_all(bytes_per_chip=-5)"),
+    ]
+    .map(|(name, node)| hlo_file(&root, name, node));
     // A checkpoint at step 2 of 3, for a resume whose --steps lies before it.
     let done_ckpt = root.join("done").to_str().expect("utf-8 path").to_string();
     let status = Command::new(env!("CARGO_BIN_EXE_h2o"))
@@ -35,7 +64,7 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         .expect("h2o binary runs")
         .status;
     assert!(status.success(), "the checkpointing run exits 0");
-    let cases: Vec<Vec<&str>> = vec![
+    let mut cases: Vec<Vec<&str>> = vec![
         vec!["search", "--domain", "dlrm", "--shards", "0"],
         vec!["search", "--domain", "dlrm", "--steps", "0"],
         vec!["search", "--domain", "dlrm-oneshot", "--shards", "0"],
@@ -57,6 +86,10 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         vec!["sweep", "--model", "nope"],
         vec!["sweep", "--model", "dlrm", "--load", "1.5"],
     ];
+    cases.extend(
+        hlo.iter()
+            .map(|path| vec!["simulate", "--hlo", path.as_str()]),
+    );
     let failures: Vec<String> = cases
         .iter()
         .filter_map(|args| {

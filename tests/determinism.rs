@@ -254,10 +254,10 @@ fn cli_binary_is_deterministic_across_worker_counts() {
 fn shard_seed_streams_are_pairwise_distinct() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     // Every (seed, step, shard) cell in a realistic grid must open a
     // distinct RNG stream: compare the first 8 draws bit-for-bit.
-    let mut seen: HashMap<Vec<u64>, (u64, u64, u64)> = HashMap::new();
+    let mut seen: BTreeMap<Vec<u64>, (u64, u64, u64)> = BTreeMap::new();
     for seed in 0..4u64 {
         for step in 0..3u64 {
             for shard in 0..6u64 {

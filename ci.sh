@@ -129,13 +129,6 @@ cmp <(cut -d, -f1-4 "$msdir/a_history.csv") \
     <(cut -d, -f1-4 "$msdir/b_history.csv")
 rm -rf "$msdir"
 
-# Loom-style smoke: force every executor batch through the serialized
-# in-order schedule and re-check the executor, cache and determinism
-# suites against it.
-echo "==> serialized-schedule smoke (H2O_EXEC_SERIAL=1)"
-H2O_EXEC_SERIAL=1 cargo test -q -p h2o-exec -p h2o-hwsim
-H2O_EXEC_SERIAL=1 cargo test -q --test determinism
-
 # Benchmark output check: the harness's own tests, then a one-second run
 # of every searchbench workload, untraced and traced. Every run's CSVs must
 # match searchbench/reference.json, so each result line must report

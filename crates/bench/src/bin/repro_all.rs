@@ -152,13 +152,8 @@ fn main() -> ExitCode {
     // so the whole report runs under whatever `H2O_WORKERS` resolves to —
     // make that visible up front since it shapes the eval-throughput rows.
     println!(
-        "evaluation executor: {} worker(s){}",
-        h2o_exec::resolve_workers(0, usize::MAX),
-        if std::env::var_os("H2O_EXEC_SERIAL").is_some() {
-            " [serialized schedule]"
-        } else {
-            ""
-        }
+        "evaluation executor: {} worker(s)",
+        h2o_exec::resolve_workers(0, usize::MAX)
     );
     // The report always runs end to end; crash-safe runs go through
     // `h2o search --checkpoint-dir ... --resume` (see DESIGN.md,

@@ -48,39 +48,6 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which evaluation backend a search runs on (`--eval-backend`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Every candidate walks the roofline simulator.
-    Simulator,
-    /// Simulator walks memoized by canonical architecture key.
-    Cached,
-    /// MLP performance model serves; a novelty gate falls back to the
-    /// cached simulator and feeds the online fine-tuning buffer.
-    ModelServed,
-}
-
-impl BackendKind {
-    /// Parses a `--eval-backend` value.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "sim" => Some(BackendKind::Simulator),
-            "cached" => Some(BackendKind::Cached),
-            "model" => Some(BackendKind::ModelServed),
-            _ => None,
-        }
-    }
-
-    /// The CLI name of the backend.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendKind::Simulator => "sim",
-            BackendKind::Cached => "cached",
-            BackendKind::ModelServed => "model",
-        }
-    }
-}
-
 /// Model-served backend parameters. All of them change served values, so
 /// all of them are part of the scenario handshake fingerprint — unlike
 /// cache capacity, which is value-invisible.
@@ -141,38 +108,31 @@ pub enum BackendSpec {
 }
 
 impl BackendSpec {
-    /// The kind this spec builds.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            BackendSpec::Simulator => BackendKind::Simulator,
-            BackendSpec::Cached { .. } => BackendKind::Cached,
-            BackendSpec::ModelServed { .. } => BackendKind::ModelServed,
-        }
-    }
-
-    /// The cache capacity this spec uses, if any (the cached backend's
-    /// memo table, or the model backend's fallback cache).
-    pub fn cache_capacity(&self) -> Option<usize> {
-        match self {
-            BackendSpec::Simulator => None,
-            BackendSpec::Cached { capacity } => Some(*capacity),
-            BackendSpec::ModelServed {
-                fallback_capacity, ..
-            } => *fallback_capacity,
-        }
-    }
-
     /// Validates spec invariants the factory relies on.
     ///
     /// # Errors
     ///
-    /// A cache capacity of zero, a fine-tune cadence below 2 (calibration
-    /// needs two points) or an empty pretraining pool.
+    /// A cache capacity of zero, a NaN or infinite gate threshold, a
+    /// fine-tune cadence below 2 (calibration needs two points) or an empty
+    /// pretraining pool.
     pub fn validate(&self) -> Result<(), String> {
-        if self.cache_capacity() == Some(0) {
-            return Err("--eval-cache-capacity must be at least 1".into());
+        if matches!(
+            self,
+            BackendSpec::Cached { capacity: 0 }
+                | BackendSpec::ModelServed {
+                    fallback_capacity: Some(0),
+                    ..
+                }
+        ) {
+            return Err("the eval cache capacity must be at least 1".into());
         }
         if let BackendSpec::ModelServed { model, .. } = self {
+            if !model.gate_threshold.is_finite() {
+                return Err(format!(
+                    "--gate-threshold must be finite, got {}",
+                    model.gate_threshold
+                ));
+            }
             if model.finetune_cadence < 2 {
                 return Err("--finetune-cadence must be at least 2".into());
             }

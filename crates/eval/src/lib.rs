@@ -22,8 +22,8 @@
 //!
 //! An [`EvalScenario`] pairs a search [`Domain`] with a backend spec and
 //! derives everything a process needs to participate in a run: the
-//! decision space, the handshake fingerprint, worker CLI arguments, and
-//! per-shard evaluator closures.
+//! decision space, the handshake fingerprint, the backend flags (parsed
+//! and rendered in one place), and per-shard evaluator closures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -34,9 +34,7 @@
 mod backend;
 mod scenario;
 
-pub use backend::{
-    BackendKind, BackendSpec, EvalBackend, ModelServeStats, ModelServedBackend, ModelSpec,
-};
+pub use backend::{BackendSpec, EvalBackend, ModelServeStats, ModelServedBackend, ModelSpec};
 pub use scenario::{Domain, EvalScenario};
 
 #[cfg(test)]
@@ -98,27 +96,38 @@ mod tests {
 
     #[test]
     fn spec_validation_rejects_degenerate_parameters() {
-        let err = BackendSpec::ModelServed {
+        let model = |model: ModelSpec| BackendSpec::ModelServed {
             fallback_capacity: None,
-            model: ModelSpec {
-                finetune_cadence: 1,
-                ..ModelSpec::default()
-            },
-        }
-        .validate()
-        .expect_err("cadence 1");
-        assert!(err.contains("finetune-cadence"));
-        assert!(BackendSpec::Cached { capacity: 1 }.validate().is_ok());
-        for spec in [
-            BackendSpec::Cached { capacity: 0 },
-            BackendSpec::ModelServed {
-                fallback_capacity: Some(0),
-                model: ModelSpec::default(),
-            },
+            model,
+        };
+        for (spec, flag) in [
+            (
+                model(ModelSpec {
+                    finetune_cadence: 1,
+                    ..ModelSpec::default()
+                }),
+                "finetune-cadence",
+            ),
+            (
+                model(ModelSpec {
+                    gate_threshold: f64::NAN,
+                    ..ModelSpec::default()
+                }),
+                "gate-threshold",
+            ),
+            (BackendSpec::Cached { capacity: 0 }, "cache capacity"),
+            (
+                BackendSpec::ModelServed {
+                    fallback_capacity: Some(0),
+                    model: ModelSpec::default(),
+                },
+                "cache capacity",
+            ),
         ] {
-            let err = spec.validate().expect_err("a zero-capacity cache");
-            assert!(err.contains("eval-cache-capacity"), "{err}");
+            let err = spec.validate().expect_err("a degenerate spec");
+            assert!(err.contains(flag), "{spec:?}: {err}");
         }
+        assert!(BackendSpec::Cached { capacity: 1 }.validate().is_ok());
     }
 
     #[test]
@@ -282,40 +291,10 @@ mod tests {
         assert_eq!(model.fingerprint(), resized.fingerprint());
     }
 
-    /// Reads `worker_args` back into a spec under the CLI's flag rules: a
-    /// capacity flag is a cached fallback, `--eval-cache off` an uncached
-    /// one, and unlisted model parameters take their defaults.
-    fn spec_from_worker_args(args: &[String]) -> BackendSpec {
-        let flag = |name: &str| {
-            let at = args.iter().position(|a| a == name)?;
-            Some(args[at + 1].as_str())
-        };
-        let capacity = flag("--eval-cache-capacity").map(|c| c.parse().expect("capacity"));
-        match flag("--eval-backend") {
-            Some("cached") => BackendSpec::Cached {
-                capacity: capacity.expect("cached capacity"),
-            },
-            Some("model") => {
-                assert_eq!(capacity.is_none(), flag("--eval-cache") == Some("off"));
-                BackendSpec::ModelServed {
-                    fallback_capacity: capacity,
-                    model: ModelSpec {
-                        gate_threshold: flag("--gate-threshold").expect("gate").parse().unwrap(),
-                        finetune_cadence: flag("--finetune-cadence")
-                            .expect("cadence")
-                            .parse()
-                            .unwrap(),
-                        ..ModelSpec::default()
-                    },
-                }
-            }
-            other => panic!("unexpected --eval-backend {other:?}"),
-        }
-    }
-
     #[test]
     fn worker_args_round_trip_the_backend() {
         for spec in [
+            BackendSpec::Simulator,
             BackendSpec::Cached { capacity: 64 },
             BackendSpec::ModelServed {
                 fallback_capacity: Some(128),
@@ -323,11 +302,72 @@ mod tests {
             },
             BackendSpec::ModelServed {
                 fallback_capacity: None,
-                model: ModelSpec::default(),
+                model: ModelSpec {
+                    gate_threshold: -0.25,
+                    finetune_cadence: 3,
+                    ..ModelSpec::default()
+                },
             },
         ] {
-            let args = dlrm_scenario(spec).worker_args();
-            assert_eq!(spec_from_worker_args(&args), spec, "{args:?}");
+            let scenario = dlrm_scenario(spec);
+            let args = scenario.worker_args();
+            for pair in args.chunks(2) {
+                let name = pair[0].strip_prefix("--").expect("a --flag");
+                assert!(
+                    name == "domain" || EvalScenario::BACKEND_FLAGS.contains(&name),
+                    "{args:?}"
+                );
+            }
+            let flag = |name: &str| {
+                let at = args
+                    .iter()
+                    .position(|a| a.strip_prefix("--") == Some(name))?;
+                args.get(at + 1).map(String::as_str)
+            };
+            let parsed = EvalScenario::parse_backend_flags(flag).expect("worker args parse");
+            let round = EvalScenario::new(flag("domain").expect("--domain"), parsed)
+                .expect("worker args build a scenario");
+            assert_eq!(
+                std::mem::discriminant(&round.backend),
+                std::mem::discriminant(&spec),
+                "{args:?}"
+            );
+            if let (
+                BackendSpec::ModelServed { model: theirs, .. },
+                BackendSpec::ModelServed { model: ours, .. },
+            ) = (round.backend, spec)
+            {
+                assert_eq!(theirs, ours, "{args:?}");
+            }
+            assert_eq!(round.fingerprint(), scenario.fingerprint(), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn backend_flags_are_checked() {
+        let parse = |pairs: &[(&str, &str)]| {
+            EvalScenario::parse_backend_flags(|name: &str| {
+                pairs.iter().find(|(k, _)| *k == name).map(|(_, v)| *v)
+            })
+        };
+        assert!(matches!(parse(&[]), Ok(BackendSpec::Cached { .. })));
+        for (pairs, expected) in [
+            (&[("eval-backend", "cache")][..], "bad --eval-backend"),
+            (
+                &[("gate-threshold", "1")][..],
+                "requires --eval-backend model",
+            ),
+            (
+                &[("eval-backend", "sim"), ("finetune-cadence", "4")][..],
+                "requires --eval-backend model",
+            ),
+            (
+                &[("eval-backend", "model"), ("gate-threshold", "x")][..],
+                "bad --gate-threshold",
+            ),
+        ] {
+            let err = parse(pairs).expect_err("bad backend flags");
+            assert!(err.contains(expected), "{pairs:?}: {err}");
         }
     }
 

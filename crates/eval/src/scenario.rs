@@ -13,7 +13,7 @@
 //! `ScenarioMismatch` instead of silently returning numbers from a
 //! different search.
 
-use crate::backend::{BackendKind, BackendSpec, EvalBackend};
+use crate::backend::{BackendSpec, EvalBackend, ModelSpec};
 use h2o_core::EvalResult;
 use h2o_hwsim::{arch_key, SystemConfig};
 use h2o_models::quality::{DatasetScale, DlrmQualityModel, VisionQualityModel};
@@ -65,6 +65,11 @@ pub(crate) fn dlrm_space() -> DlrmSpace {
     DlrmSpace::new(config)
 }
 
+/// Entries of the eval cache behind the `cached` backend and the model
+/// backend's fallback, as [`EvalScenario::parse_backend_flags`] builds
+/// them. Capacity is value-invisible memoization, so no flag sets it.
+const CACHE_CAPACITY: usize = 4096;
+
 /// The evaluation recipe both sides of a multi-process run agree on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalScenario {
@@ -91,7 +96,7 @@ impl EvalScenario {
             format!("domain '{domain}' cannot run multi-process (needs a stateless evaluator)")
         })?;
         backend.validate()?;
-        if backend.kind() == BackendKind::ModelServed && domain != Domain::Dlrm {
+        if matches!(backend, BackendSpec::ModelServed { .. }) && domain != Domain::Dlrm {
             return Err(format!(
                 "--eval-backend model does not support the {} domain: its quality \
                  surrogate consumes simulated parameter counts, which the \
@@ -154,37 +159,84 @@ impl EvalScenario {
         EvalBackend::build(&self.backend, self.domain)
     }
 
-    /// The `node-worker` CLI arguments that reconstruct this scenario in a
-    /// spawned subprocess.
-    pub fn worker_args(&self) -> Vec<String> {
-        let mut args = vec![
-            "--domain".to_string(),
-            self.domain.name().to_string(),
-            "--eval-backend".to_string(),
-            self.backend.kind().name().to_string(),
-        ];
-        match self.backend {
-            BackendSpec::Simulator => {}
-            BackendSpec::Cached { capacity } => {
-                args.push("--eval-cache-capacity".to_string());
-                args.push(capacity.to_string());
-            }
-            BackendSpec::ModelServed {
-                fallback_capacity,
-                model,
-            } => {
-                if let Some(capacity) = fallback_capacity {
-                    args.push("--eval-cache-capacity".to_string());
-                    args.push(capacity.to_string());
-                } else {
-                    args.push("--eval-cache".to_string());
-                    args.push("off".to_string());
+    /// The backend flags, without their leading `--`, that
+    /// [`EvalScenario::parse_backend_flags`] reads and
+    /// [`EvalScenario::worker_args`] renders.
+    pub const BACKEND_FLAGS: [&'static str; 3] =
+        ["eval-backend", "gate-threshold", "finetune-cadence"];
+
+    /// Parses the backend flags of `h2o search` and `h2o node-worker`:
+    /// `--eval-backend sim|cached|model` (default `cached`) and, for the
+    /// model backend only, `--gate-threshold` and `--finetune-cadence`.
+    /// `flag(name)` is the value of `--name`, or `None` when it is absent.
+    /// The cached backend and the model backend's fallback memoize through
+    /// a fixed 4096-entry cache.
+    ///
+    /// # Errors
+    ///
+    /// An unknown backend, a value that does not parse, a model flag
+    /// without `--eval-backend model`, or a spec
+    /// [`BackendSpec::validate`] rejects.
+    pub fn parse_backend_flags<'a>(
+        flag: impl Fn(&str) -> Option<&'a str>,
+    ) -> Result<BackendSpec, String> {
+        fn value<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Result<Option<T>, String> {
+            raw.map(|v| v.parse().map_err(|_| format!("bad --{name}")))
+                .transpose()
+        }
+        let gate_threshold = value::<f64>("gate-threshold", flag("gate-threshold"))?;
+        let finetune_cadence = value::<usize>("finetune-cadence", flag("finetune-cadence"))?;
+        let spec = match flag("eval-backend").unwrap_or("cached") {
+            "sim" => BackendSpec::Simulator,
+            "cached" => BackendSpec::Cached {
+                capacity: CACHE_CAPACITY,
+            },
+            "model" => {
+                let defaults = ModelSpec::default();
+                BackendSpec::ModelServed {
+                    fallback_capacity: Some(CACHE_CAPACITY),
+                    model: ModelSpec {
+                        gate_threshold: gate_threshold.unwrap_or(defaults.gate_threshold),
+                        finetune_cadence: finetune_cadence.unwrap_or(defaults.finetune_cadence),
+                        ..defaults
+                    },
                 }
-                args.push("--gate-threshold".to_string());
-                args.push(model.gate_threshold.to_string());
-                args.push("--finetune-cadence".to_string());
-                args.push(model.finetune_cadence.to_string());
             }
+            other => return Err(format!("bad --eval-backend '{other}' (sim|cached|model)")),
+        };
+        if !matches!(spec, BackendSpec::ModelServed { .. }) {
+            if gate_threshold.is_some() {
+                return Err("--gate-threshold requires --eval-backend model".into());
+            }
+            if finetune_cadence.is_some() {
+                return Err("--finetune-cadence requires --eval-backend model".into());
+            }
+        }
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// The `node-worker` CLI arguments that reconstruct this scenario in a
+    /// spawned subprocess: `--domain` plus the backend flags
+    /// [`EvalScenario::parse_backend_flags`] reads. Cache capacities are
+    /// not forwarded: memoization is value-invisible, so a worker's cache
+    /// need not match the controller's.
+    pub fn worker_args(&self) -> Vec<String> {
+        let backend = match self.backend {
+            BackendSpec::Simulator => "sim",
+            BackendSpec::Cached { .. } => "cached",
+            BackendSpec::ModelServed { .. } => "model",
+        };
+        let mut args: Vec<String> = ["--domain", self.domain.name(), "--eval-backend", backend]
+            .map(String::from)
+            .into();
+        if let BackendSpec::ModelServed { model, .. } = self.backend {
+            args.extend([
+                "--gate-threshold".to_string(),
+                model.gate_threshold.to_string(),
+                "--finetune-cadence".to_string(),
+                model.finetune_cadence.to_string(),
+            ]);
         }
         args
     }

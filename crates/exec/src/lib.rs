@@ -29,12 +29,8 @@
 //! asserts on whole search-history CSVs.
 //!
 //! Scheduling *placement* is intentionally nondeterministic (that is what
-//! makes stealing fast); only the reduction order is pinned. For
-//! schedule-sensitive debugging, [`Executor::serialized`] (or
-//! `H2O_EXEC_SERIAL=1` with [`Executor::from_env`]) degrades the executor
-//! to running every job on the calling thread in submission order — a
-//! loom-style single-schedule mode the CI smoke target runs the suite
-//! under.
+//! makes stealing fast); only the reduction order is pinned. A one-worker
+//! executor runs every job on the calling thread in submission order.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -65,10 +61,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Environment variable overriding the worker count when a config asks for
 /// auto selection (`workers == 0`).
 pub const WORKERS_ENV: &str = "H2O_WORKERS";
-
-/// Environment variable forcing the serialized (single-schedule) mode in
-/// [`Executor::from_env`]. Any non-empty value other than `0` enables it.
-pub const SERIAL_ENV: &str = "H2O_EXEC_SERIAL";
 
 /// Resolves a requested worker count to a concrete one.
 ///
@@ -119,8 +111,7 @@ pub fn resolve_workers(requested: usize, max_useful: usize) -> usize {
 #[derive(Debug)]
 pub struct Executor {
     workers: usize,
-    serialized: bool,
-    /// `None` for one worker and for the serialized schedule.
+    /// `None` for one worker.
     helpers: Option<helpers::Helpers>,
 }
 
@@ -135,52 +126,20 @@ impl Executor {
         assert!(workers > 0, "need at least one worker");
         Self {
             workers,
-            serialized: false,
             helpers: (workers > 1).then(|| helpers::Helpers::spawn(workers)),
         }
     }
 
-    /// Creates an executor that runs every job on the calling thread in
-    /// strict submission order, regardless of `workers` — the serialized
-    /// schedule used by the CI ordering-smoke target. `workers` is kept so
-    /// worker-count-dependent *logic* (sharding arithmetic) still sees the
-    /// configured pool size; no helper thread is spawned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn serialized(workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        Self {
-            workers,
-            serialized: true,
-            helpers: None,
-        }
-    }
-
     /// Builds an executor from a config-requested worker count plus the
-    /// environment: [`WORKERS_ENV`] fills in auto counts and
-    /// [`SERIAL_ENV`] switches to the serialized schedule.
+    /// environment: [`WORKERS_ENV`] fills in auto counts (see
+    /// [`resolve_workers`]).
     pub fn from_env(requested: usize, max_useful: usize) -> Self {
-        let workers = resolve_workers(requested, max_useful);
-        let serial = std::env::var(SERIAL_ENV)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        if serial {
-            Self::serialized(workers)
-        } else {
-            Self::new(workers)
-        }
+        Self::new(resolve_workers(requested, max_useful))
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Whether this executor runs the serialized schedule.
-    pub fn is_serialized(&self) -> bool {
-        self.serialized
     }
 
     /// Runs every job and returns results in **submission order**:
@@ -189,9 +148,8 @@ impl Executor {
     /// Jobs are pre-sharded round-robin over per-worker deques (job `i`
     /// starts on worker `i % workers`, worker 0 being the calling thread);
     /// an idle worker steals from the back of the other deques. Each job
-    /// runs exactly once. The serialized schedule, a one-worker executor
-    /// and a call made from inside a running job run the batch inline, in
-    /// submission order.
+    /// runs exactly once. A one-worker executor and a call made from inside
+    /// a running job run the batch inline, in submission order.
     ///
     /// Utilization telemetry per batch: jobs executed per worker
     /// (`h2o_exec_worker_jobs_total{worker=...}`), steals
@@ -344,15 +302,6 @@ mod tests {
         let a = Executor::new(1).map((0..257).collect(), work);
         let b = Executor::new(7).map((0..257).collect(), work);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serialized_schedule_matches_parallel() {
-        let work = |i: usize, x: u64| x ^ (i as u64) << 3;
-        let parallel = Executor::new(4).map((0..100).collect(), work);
-        let serial = Executor::serialized(4).map((0..100).collect(), work);
-        assert_eq!(parallel, serial);
-        assert!(Executor::serialized(4).is_serialized());
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub struct PerfPrediction {
     pub serving: f64,
 }
 
-/// One row of a batched inference: the calibrated prediction plus the
-/// novelty score the model-served evaluation gate consumes.
+/// What [`PerfModel::infer_one`] returns: the calibrated prediction plus
+/// the novelty score the model-served evaluation gate consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPrediction {
     /// Calibrated dual-head prediction, in seconds.
@@ -174,73 +174,22 @@ impl PerfModel {
     }
 
     /// Predicts both heads for a feature vector, applying the fine-tune
-    /// calibration if one has been fitted.
+    /// calibration if one has been fitted: [`PerfModel::infer_one`]'s
+    /// prediction, counted and timed in the metrics registry.
     pub fn predict(&self, features: &[f32]) -> PerfPrediction {
         let infer_span = h2o_obs::span("perfmodel_infer");
         h2o_obs::counter("h2o_perfmodel_inferences_total").inc();
-        let mut out = [0.0f64; 2];
-        for head in Head::ALL {
-            let log_sim = self.raw_log_prediction(features, head);
-            let (a, b) = self.calibration[head.index()];
-            out[head.index()] = (a * log_sim + b).exp();
-        }
+        let prediction = self.infer_one(features).prediction;
         h2o_obs::histogram("h2o_perfmodel_infer_seconds").record(infer_span.finish());
-        PerfPrediction {
-            training: out[0],
-            serving: out[1],
-        }
+        prediction
     }
 
-    /// Batched inference: one [`h2o_tensor::Mlp::forward_batch`] pass over
-    /// the whole feature batch, then both heads read per row — the serving
-    /// hot path's replacement for `features.len()` calls to
-    /// [`PerfModel::predict`] (which runs one full network forward *per
-    /// head* per candidate). Each row also carries the gate's novelty
-    /// score, so gating and serving share the single forward.
-    ///
-    /// Row `i` of the result is bit-identical to what
-    /// [`PerfModel::predict`] returns for `features[i]`: the batched
-    /// matmul accumulates each row in the same order as a 1-row forward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is empty or a row mismatches the input width.
-    pub fn infer_batch(&self, features: &[Vec<f32>]) -> Vec<BatchPrediction> {
-        let infer_span = h2o_obs::span("perfmodel_infer_batch");
-        h2o_obs::counter("h2o_perfmodel_inferences_total").add(features.len() as u64);
-        let out = self.net.forward_batch(features);
-        let rows = (0..features.len())
-            .map(|r| {
-                let mut seconds = [0.0f64; 2];
-                let mut novelty = 0.0f64;
-                for head in Head::ALL {
-                    let z = out.get(r, head.index()) as f64;
-                    novelty = novelty.max(z.abs());
-                    let log_sim =
-                        z * self.target_std[head.index()] + self.target_mean[head.index()];
-                    let (a, b) = self.calibration[head.index()];
-                    seconds[head.index()] = (a * log_sim + b).exp();
-                }
-                BatchPrediction {
-                    prediction: PerfPrediction {
-                        training: seconds[0],
-                        serving: seconds[1],
-                    },
-                    novelty,
-                }
-            })
-            .collect();
-        h2o_obs::histogram("h2o_perfmodel_infer_seconds").record(infer_span.finish());
-        rows
-    }
-
-    /// Single-candidate [`PerfModel::infer_batch`] without the per-call
-    /// instrumentation. The model-served eval path calls this once per
+    /// One network forward for both heads: the calibrated prediction plus
+    /// the novelty score the model-served evaluation gate consumes. No
+    /// instrumentation: the model-served eval path calls this once per
     /// candidate, where the span plus registry lookups cost about as much
     /// as the forward itself at small hidden widths; callers on that path
-    /// keep their own served/fallback counters. Bit-identical to
-    /// `infer_batch(&[features.to_vec()])[0]` — same forward, same
-    /// per-head denormalisation and calibration.
+    /// keep their own served/fallback counters.
     ///
     /// # Panics
     ///
@@ -264,18 +213,6 @@ impl PerfModel {
             },
             novelty,
         }
-    }
-
-    /// Batched [`PerfModel::predict`]: calibrated predictions only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is empty or a row mismatches the input width.
-    pub fn predict_batch(&self, features: &[Vec<f32>]) -> Vec<PerfPrediction> {
-        self.infer_batch(features)
-            .into_iter()
-            .map(|row| row.prediction)
-            .collect()
     }
 
     /// Phase 1: regresses simulator targets. Returns the final epoch's mean
@@ -518,28 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_single_row_predict() {
-        let (xs, ys) = synth_data(200, 21);
-        let mut model = PerfModel::new(4, &[32, 32], 0);
-        model.pretrain(
-            &xs,
-            &ys,
-            TrainConfig {
-                epochs: 20,
-                batch_size: 32,
-                lr: 1e-3,
-            },
-        );
-        let (queries, _) = synth_data(7, 22);
-        let batched = model.predict_batch(&queries);
-        for (x, b) in queries.iter().zip(&batched) {
-            let single = model.predict(x);
-            assert_eq!(single.training, b.training, "training head drifted");
-            assert_eq!(single.serving, b.serving, "serving head drifted");
-        }
-    }
-
-    #[test]
     fn novelty_scores_flag_out_of_distribution_candidates() {
         let (xs, ys) = synth_data(400, 23);
         let mut model = PerfModel::new(4, &[32, 32], 0);
@@ -557,8 +472,8 @@ mod tests {
         // network's linear tails and blow the |z| score out.
         let (in_dist, _) = synth_data(20, 24);
         let out_dist: Vec<Vec<f32>> = vec![vec![60.0; 4], vec![-40.0; 4]];
-        let in_scores = model.infer_batch(&in_dist);
-        let out_scores = model.infer_batch(&out_dist);
+        let in_scores: Vec<_> = in_dist.iter().map(|x| model.infer_one(x)).collect();
+        let out_scores: Vec<_> = out_dist.iter().map(|x| model.infer_one(x)).collect();
         let max_in = in_scores.iter().map(|r| r.novelty).fold(0.0, f64::max);
         let min_out = out_scores
             .iter()
@@ -569,13 +484,6 @@ mod tests {
             "out-of-distribution novelty {min_out} must exceed in-distribution {max_in}"
         );
         assert!(in_scores.iter().all(|r| r.novelty.is_finite()));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one row")]
-    fn infer_batch_rejects_empty_batch() {
-        let model = PerfModel::new(2, &[8], 0);
-        model.infer_batch(&[]);
     }
 
     #[test]

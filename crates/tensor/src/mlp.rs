@@ -96,26 +96,6 @@ impl Mlp {
         h
     }
 
-    /// Batched inference over a slice of feature rows: assembles one
-    /// `rows.len() × n_in` matrix and runs a single [`Mlp::infer`] pass, so
-    /// a whole candidate batch costs one matmul chain instead of
-    /// `rows.len()` single-row forwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty (matrices are non-degenerate) or any
-    /// row's length differs from the network input width.
-    pub fn forward_batch(&self, rows: &[Vec<f32>]) -> Matrix {
-        assert!(!rows.is_empty(), "batched forward needs at least one row");
-        let n_in = self.n_in();
-        let mut x = Matrix::zeros(rows.len(), n_in);
-        for (r, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), n_in, "batch row {r} width mismatch");
-            x.row_mut(r).copy_from_slice(row);
-        }
-        self.infer(&x)
-    }
-
     /// Backpropagates `grad_out` and applies one optimizer step.
     pub fn backward_and_step(&mut self, grad_out: &Matrix) {
         let mut g = grad_out.clone();
@@ -223,41 +203,6 @@ mod tests {
         );
         let x = Matrix::xavier(3, 4, &mut rng);
         assert_eq!(net.forward(&x), net.infer(&x));
-    }
-
-    #[test]
-    fn forward_batch_matches_per_row_infer() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let net = Mlp::new(
-            &[3, 8, 2],
-            Activation::Relu,
-            OptimConfig::sgd(0.1),
-            &mut rng,
-        );
-        let rows: Vec<Vec<f32>> = (0..5)
-            .map(|_| (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let batched = net.forward_batch(&rows);
-        assert_eq!(batched.shape(), (5, 2));
-        for (r, row) in rows.iter().enumerate() {
-            let single = net.infer(&Matrix::from_vec(1, 3, row.clone()));
-            for c in 0..2 {
-                assert_eq!(batched.get(r, c), single.get(0, c), "row {r} col {c}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one row")]
-    fn forward_batch_rejects_empty_batch() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let net = Mlp::new(
-            &[2, 4, 1],
-            Activation::Relu,
-            OptimConfig::sgd(0.1),
-            &mut rng,
-        );
-        net.forward_batch(&[]);
     }
 
     #[test]

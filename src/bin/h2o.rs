@@ -18,7 +18,7 @@ use h2o_nas::core::{
     RewardKind, SearchConfig, SearchDriver, SearchOutcome,
 };
 use h2o_nas::distributed::NodeCluster;
-use h2o_nas::eval::{BackendKind, BackendSpec, EvalBackend, EvalScenario, ModelSpec};
+use h2o_nas::eval::{BackendSpec, EvalBackend, EvalScenario};
 use h2o_nas::exec::{DistributedPool, NodeAddr, PoolOptions};
 use h2o_nas::graph::Graph;
 use h2o_nas::hwsim::{HardwareConfig, Simulator, SystemConfig};
@@ -44,23 +44,21 @@ USAGE:
   h2o sweep --model <NAME> [--hw ...] [--batches 1,8,64,256] [--load 0.7]
   h2o search --domain <cnn|dlrm|vit|dlrm-oneshot> [--budget-ms X] [--steps N] [--shards N]
              [--workers N] [--eval-backend sim|cached|model]
-             [--eval-cache on|off] [--eval-cache-capacity N]
              [--gate-threshold X] [--finetune-cadence N]
              [--csv STEM] [--metrics-out FILE] [--trace-out FILE]
              [--checkpoint-dir DIR] [--checkpoint-every K] [--resume]
              [--nodes N | --nodes addr,addr,...] [--node-timeout-ms X]
              [--node-retries N] [--min-live-nodes N]
   h2o node-worker --addr <unix:PATH|tcp:HOST:PORT> --domain <cnn|dlrm|vit>
-             [--eval-backend sim|cached|model] [--eval-cache on|off]
-             [--eval-cache-capacity N] [--gate-threshold X]
+             [--eval-backend sim|cached|model] [--gate-threshold X]
              [--finetune-cadence N] [--chaos-exit-after N]
 
   --eval-backend selects how candidate costs are produced: 'sim' walks
-  the roofline simulator per candidate, 'cached' (the default when
-  --eval-cache is on) memoizes those walks, and 'model' (dlrm only)
-  serves in-distribution candidates from the pretrained MLP performance
-  model, falling back to the cached simulator when the novelty gate
-  exceeds --gate-threshold and fine-tuning a refined model every
+  the roofline simulator per candidate, 'cached' (the default) memoizes
+  those walks in a 4096-entry cache, and 'model' (dlrm only) serves
+  in-distribution candidates from the pretrained MLP performance model,
+  falling back to the cached simulator when the novelty gate exceeds
+  --gate-threshold and fine-tuning a refined model every
   --finetune-cadence distinct fallback measurements.
 
   --nodes N spawns N local node-worker subprocesses on Unix sockets;
@@ -69,6 +67,8 @@ USAGE:
   absorbed by redispatching unfinished jobs to survivors (spawn-managed
   workers are also respawned, up to --node-retries times per death). The
   run only fails once fewer than --min-live-nodes workers remain.
+
+  A flag that its subcommand does not list above is an error.
 
 MODELS:
   coatnet-0..coatnet-5, coatnet-h0..coatnet-h5,
@@ -445,83 +445,6 @@ fn run_distributed(
     result.map_err(|e| e.to_string())
 }
 
-/// Resolves the `--eval-backend` / `--eval-cache` / `--gate-threshold` /
-/// `--finetune-cadence` flag group into one [`BackendSpec`] — the single
-/// translation both `h2o search` and `h2o node-worker` use, so a
-/// controller and its workers can never parse the same flags into
-/// different backends.
-///
-/// Legacy mapping: with `--eval-backend` unset, `--eval-cache on` (the
-/// default) is the cached backend and `--eval-cache off` the plain
-/// simulator. Contradictory combinations (`sim` with an explicit
-/// `--eval-cache on`, `cached` with `--eval-cache off`, model-gate flags
-/// without the model backend) are rejected rather than guessed at.
-fn backend_spec_from_flags(flags: &BTreeMap<String, String>) -> Result<BackendSpec, String> {
-    let cache_on = match flags.get("eval-cache").map(String::as_str) {
-        None => None,
-        Some("on") | Some("true") => Some(true),
-        Some("off") | Some("false") => Some(false),
-        Some(other) => return Err(format!("bad --eval-cache '{other}' (on|off)")),
-    };
-    let cache_capacity: usize = parse_flag(flags, "eval-cache-capacity")?.unwrap_or(4096);
-    let gate_threshold: Option<f64> = parse_flag(flags, "gate-threshold")?;
-    let finetune_cadence: Option<usize> = parse_flag(flags, "finetune-cadence")?;
-    let kind = match flags.get("eval-backend").map(String::as_str) {
-        None => match cache_on {
-            Some(false) => BackendKind::Simulator,
-            _ => BackendKind::Cached,
-        },
-        Some(name) => BackendKind::parse(name)
-            .ok_or_else(|| format!("bad --eval-backend '{name}' (sim|cached|model)"))?,
-    };
-    if kind != BackendKind::ModelServed {
-        if gate_threshold.is_some() {
-            return Err("--gate-threshold requires --eval-backend model".into());
-        }
-        if finetune_cadence.is_some() {
-            return Err("--finetune-cadence requires --eval-backend model".into());
-        }
-    }
-    let spec = match kind {
-        BackendKind::Simulator => {
-            if cache_on == Some(true) {
-                return Err("--eval-backend sim contradicts --eval-cache on \
-                            (use --eval-backend cached)"
-                    .into());
-            }
-            BackendSpec::Simulator
-        }
-        BackendKind::Cached => {
-            if cache_on == Some(false) {
-                return Err("--eval-backend cached contradicts --eval-cache off \
-                            (use --eval-backend sim)"
-                    .into());
-            }
-            BackendSpec::Cached {
-                capacity: cache_capacity,
-            }
-        }
-        BackendKind::ModelServed => {
-            let defaults = ModelSpec::default();
-            BackendSpec::ModelServed {
-                // For the model backend the cache flags govern the
-                // fallback simulator's memoization.
-                fallback_capacity: match cache_on {
-                    Some(false) => None,
-                    _ => Some(cache_capacity),
-                },
-                model: ModelSpec {
-                    gate_threshold: gate_threshold.unwrap_or(defaults.gate_threshold),
-                    finetune_cadence: finetune_cadence.unwrap_or(defaults.finetune_cadence),
-                    ..defaults
-                },
-            }
-        }
-    };
-    spec.validate()?;
-    Ok(spec)
-}
-
 /// Prints the end-of-run evaluation report for an in-process backend:
 /// model serving statistics (when model-served) and fallback/eval cache
 /// statistics (when memoizing).
@@ -560,7 +483,7 @@ fn report_backend(backend: &EvalBackend) {
 fn cmd_node_worker(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let addr = flags.get("addr").ok_or("missing --addr")?;
     let domain = flags.get("domain").ok_or("missing --domain")?;
-    let backend = backend_spec_from_flags(flags)?;
+    let backend = EvalScenario::parse_backend_flags(|name| flags.get(name).map(String::as_str))?;
     let chaos_exit_after: Option<usize> = parse_flag(flags, "chaos-exit-after")?;
     let scenario = EvalScenario::new(domain, backend)?;
     h2o_nas::distributed::run_worker(addr, scenario, chaos_exit_after)
@@ -576,7 +499,8 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
     }
     let budget = budget_ms / 1e3;
     let workers: usize = parse_flag(flags, "workers")?.unwrap_or(0);
-    let backend_spec = backend_spec_from_flags(flags)?;
+    let backend_spec =
+        EvalScenario::parse_backend_flags(|name| flags.get(name).map(String::as_str))?;
     // --nodes switches candidate evaluation from in-process threads to
     // worker subprocesses; either an integer (auto-spawn that many local
     // Unix-socket workers) or a comma-separated address list.
@@ -669,7 +593,7 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
                     .into(),
             );
         }
-        "dlrm-oneshot" if backend_spec.kind() == BackendKind::ModelServed => {
+        "dlrm-oneshot" if matches!(backend_spec, BackendSpec::ModelServed { .. }) => {
             return Err(
                 "--eval-backend model does not support dlrm-oneshot: the one-shot search \
                  already scores candidates with its own supernet-trained performance model"
@@ -785,33 +709,65 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs one subcommand. Each subcommand lists the flags it reads; any
+/// other flag is an error before the command does any work, so a typo or a
+/// retired flag never runs with defaults.
+fn run(cmd: &str, args: &[String]) -> Result<(), String> {
+    type Command = fn(&BTreeMap<String, String>) -> Result<(), String>;
+    let backend = EvalScenario::BACKEND_FLAGS;
+    let (known, command): (Vec<&str>, Command) = match cmd {
+        "spaces" => (vec![], |_| {
+            cmd_spaces();
+            Ok(())
+        }),
+        "simulate" => (vec!["hlo", "model", "batch", "hw", "serving"], cmd_simulate),
+        "dump" => (vec!["hlo", "model", "batch"], cmd_dump),
+        "roofline" => (vec!["hw"], cmd_roofline),
+        "sweep" => (vec!["model", "hw", "batches", "load"], cmd_sweep),
+        "search" => {
+            let own = [
+                "domain",
+                "steps",
+                "shards",
+                "budget-ms",
+                "workers",
+                "csv",
+                "metrics-out",
+                "trace-out",
+                "checkpoint-dir",
+                "checkpoint-every",
+                "resume",
+                "nodes",
+                "node-timeout-ms",
+                "node-retries",
+                "min-live-nodes",
+            ];
+            ([&own[..], &backend].concat(), cmd_search)
+        }
+        "node-worker" => (
+            [&["addr", "domain", "chaos-exit-after"][..], &backend].concat(),
+            cmd_node_worker,
+        ),
+        "help" | "--help" | "-h" => (vec![], |_| {
+            print!("{USAGE}");
+            Ok(())
+        }),
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    let flags = parse_flags(args)?;
+    if let Some(name) = flags.keys().find(|name| !known.contains(&name.as_str())) {
+        return Err(format!("unknown flag --{name}"));
+    }
+    command(&flags)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match parse_flags(rest) {
-        Err(e) => Err(e),
-        Ok(flags) => match cmd.as_str() {
-            "spaces" => {
-                cmd_spaces();
-                Ok(())
-            }
-            "simulate" => cmd_simulate(&flags),
-            "dump" => cmd_dump(&flags),
-            "roofline" => cmd_roofline(&flags),
-            "sweep" => cmd_sweep(&flags),
-            "search" => cmd_search(&flags),
-            "node-worker" => cmd_node_worker(&flags),
-            "help" | "--help" | "-h" => {
-                print!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command '{other}'")),
-        },
-    };
-    match result {
+    match run(cmd, rest) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n");

@@ -33,7 +33,9 @@ const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 /// Runs the `node-worker` serve loop: bind, announce the resolved
 /// address on stdout (`node-worker listening <addr>` — how callers
 /// discover a TCP port chosen by the OS), accept one controller, then
-/// answer Job frames until Shutdown or peer close.
+/// answer Job frames until Shutdown or peer close. A job whose sample does
+/// not fit the scenario's space is answered with an Error frame, which
+/// the controller reports as a typed worker error.
 ///
 /// `chaos_exit_after` is a fault-injection hook for the node-death tests:
 /// after answering that many jobs the process exits abruptly
@@ -59,6 +61,7 @@ pub fn run_worker(
     let mut transport = listener.accept(ACCEPT_TIMEOUT).map_err(|e| e.to_string())?;
     let backend = scenario.backend()?;
     let mut evaluate = scenario.shard_evaluator(&backend);
+    let space = scenario.space();
     let mut served = 0usize;
     serve(&mut transport, scenario.fingerprint(), move |payload| {
         if chaos_exit_after.is_some_and(|limit| served >= limit) {
@@ -70,6 +73,9 @@ pub fn run_worker(
         }
         served += 1;
         let (_step, _shard, sample) = decode_eval_job(payload).map_err(|e| e.to_string())?;
+        space
+            .validate(&sample)
+            .map_err(|e| format!("invalid sample: {e}"))?;
         Ok(encode_eval_result(&evaluate(&sample)))
     })
     .map_err(|e| e.to_string())

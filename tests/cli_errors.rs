@@ -64,6 +64,9 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         .expect("h2o binary runs")
         .status;
     assert!(status.success(), "the checkpointing run exits 0");
+    let short_search = [
+        "search", "--domain", "dlrm", "--steps", "2", "--shards", "2",
+    ];
     let mut cases: Vec<Vec<&str>> = vec![
         vec!["search", "--domain", "dlrm", "--shards", "0"],
         vec!["search", "--domain", "dlrm", "--steps", "0"],
@@ -82,7 +85,16 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         vec!["search", "--domain", "dlrm", "--workers", "-1"],
         vec!["search", "--domain", "dlrm", "--budget-ms", "0"],
         vec!["search", "--domain", "dlrm", "--budget-ms", "NaN"],
-        vec!["search", "--domain", "dlrm", "--eval-cache-capacity", "0"],
+        [
+            &short_search[..],
+            &["--eval-backend", "model", "--gate-threshold", "NaN"],
+        ]
+        .concat(),
+        vec![
+            "search", "--domain", "dlrm", "--stpes", "3", "--shards", "2",
+        ],
+        [&short_search[..], &["--eval-cache", "off"]].concat(),
+        [&short_search[..], &["--eval-cache-capacity", "64"]].concat(),
         vec!["sweep", "--model", "nope"],
         vec!["sweep", "--model", "dlrm", "--load", "1.5"],
     ];
@@ -118,4 +130,30 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         "expected exit 1 with an error line:\n{}",
         failures.join("\n")
     );
+}
+
+#[test]
+fn node_worker_rejects_unknown_flags_before_it_binds() {
+    let sock = std::env::temp_dir().join(format!("h2o_cli_flags_{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let addr = format!("unix:{}", sock.display());
+    for flag in [["--eval-cache", "off"], ["--eval-cache-capacity", "64"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_h2o"))
+            .args(["node-worker", "--addr", &addr, "--domain", "dlrm"])
+            .args(flag)
+            .output()
+            .expect("h2o binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code() == Some(1)
+                && stderr.starts_with(&format!("error: unknown flag {}\n", flag[0])),
+            "h2o node-worker ... {}: exit {:?}\n{stderr}",
+            flag.join(" "),
+            out.status.code()
+        );
+        assert!(
+            !sock.exists(),
+            "node-worker bound before checking its flags"
+        );
+    }
 }

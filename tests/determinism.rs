@@ -197,10 +197,8 @@ fn stateful_evaluators_stay_pinned_to_their_shard() {
 
 #[test]
 fn serialized_executor_mode_matches_parallel() {
-    // H2O_EXEC_SERIAL=1 forces in-order inline execution; per-process env
-    // mutation is unsafe under parallel tests, so exercise the same path
-    // via workers=1 (which the executor treats identically) against a wide
-    // pool.
+    // A one-worker executor runs every batch inline, in submission order;
+    // a wide pool must reproduce that schedule's output.
     let narrow = run_with(1, false);
     let wide = run_with(6, false);
     assert_eq!(narrow, wide);

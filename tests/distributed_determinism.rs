@@ -2,7 +2,7 @@
 //! multi-process search): the `h2o` binary run end-to-end must write
 //! byte-identical telemetry CSVs whether candidates are evaluated
 //! in-process or across 1, 2, or 4 worker node processes, over Unix
-//! sockets or TCP, with the eval cache on or off, and through a
+//! sockets or TCP, with the `cached` or the `sim` backend, and through a
 //! kill-and-resume cycle — the history CSV compared modulo its wall-clock
 //! column, exactly as the single-process determinism suite does.
 //!
@@ -18,6 +18,9 @@
 //! after which a resume from the last checkpoint must still reproduce
 //! the golden run.
 
+use h2o_nas::core::encode_eval_job;
+use h2o_nas::eval::{BackendSpec, EvalScenario};
+use h2o_nas::exec::{DistributedPool, ExecError, NodeAddr, PoolOptions};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -97,18 +100,18 @@ fn node_counts_one_two_four_match_the_serial_run() {
 #[test]
 fn cache_off_distributed_matches_cache_off_serial() {
     // The worker processes keep their own private eval caches; cache
-    // state is value-invisible memoization, so cache-off runs must agree
-    // with cache-on runs AND distributed cache-off must agree with serial
-    // cache-off.
+    // state is value-invisible memoization, so uncached (`sim`) runs must
+    // agree with cached runs AND distributed `sim` must agree with serial
+    // `sim`.
     let dir = unique_temp_dir("cache_off");
     let out = run_search(&dir, Some("serial_on"), &[]);
     assert_success(&out, "serial cache-on run");
-    let out = run_search(&dir, Some("serial_off"), &["--eval-cache", "off"]);
+    let out = run_search(&dir, Some("serial_off"), &["--eval-backend", "sim"]);
     assert_success(&out, "serial cache-off run");
     let out = run_search(
         &dir,
         Some("dist_off"),
-        &["--eval-cache", "off", "--nodes", "2"],
+        &["--eval-backend", "sim", "--nodes", "2"],
     );
     assert_success(&out, "2-node cache-off run");
     let golden = read_csvs(&dir, "serial_on");
@@ -215,6 +218,38 @@ fn tcp_nodes_match_the_serial_run() {
         "TCP transport diverged from the serial run"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn invalid_samples_get_a_worker_error_instead_of_a_node_death() {
+    // A job whose sample does not fit the space must come back as an
+    // Error frame (ExecError::Worker) from a worker that stays up, not
+    // kill the process and surface as a node loss.
+    let (mut worker, addr) = spawn_worker(&["--addr", "tcp:127.0.0.1:0", "--domain", "dlrm"]);
+    let scenario = EvalScenario::new("dlrm", BackendSpec::Simulator).expect("dlrm scenario");
+    let space = scenario.space();
+    let options = PoolOptions {
+        max_node_retries: 0,
+        ..PoolOptions::default()
+    };
+    let addr = NodeAddr::parse(&addr).expect("announced address");
+    let mut pool = DistributedPool::connect(&[addr], scenario.fingerprint(), options)
+        .expect("handshake with the worker");
+    let mut out_of_range = space.baseline_sample();
+    out_of_range[0] = space.decisions()[0].choices;
+    for sample in [vec![0, 0, 0], out_of_range] {
+        match pool.execute(vec![encode_eval_job(0, 0, &sample)]) {
+            Err(ExecError::Worker { message, .. }) => {
+                assert!(message.contains("invalid sample"), "{message}")
+            }
+            other => panic!("expected a worker error, got {other:?}"),
+        }
+    }
+    let valid = pool.execute(vec![encode_eval_job(0, 0, &space.baseline_sample())]);
+    pool.shutdown();
+    let _ = worker.kill();
+    let _ = worker.wait();
+    valid.expect("the worker still evaluates a valid sample");
 }
 
 #[test]

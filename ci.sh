@@ -15,12 +15,31 @@ cargo metadata --locked --offline --format-version 1 \
 echo "==> cargo build --release"
 cargo build --release
 
-# The examples that drive a search each call SearchDriver::run, but
-# `cargo test` only compiles examples; run them so a broken one fails CI.
-echo "==> search examples (release)"
-for example in quickstart driver_custom_stage dlrm_oneshot_search vision_oneshot; do
+# `cargo test` only compiles examples; run every one so a broken one fails
+# CI. Four drive a search through SearchDriver::run, hardware_explorer
+# walks the simulator and perf_model_two_phase pretrains and fine-tunes
+# the performance model.
+echo "==> examples (release)"
+for example in quickstart driver_custom_stage dlrm_oneshot_search vision_oneshot \
+    hardware_explorer perf_model_two_phase; do
   cargo run -q --release --example "$example" >/dev/null
 done
+
+# HLO interchange smoke: a model dumped as textual HLO and simulated from
+# that file must print exactly what simulating the model directly prints,
+# for a training step and for serving.
+echo "==> HLO round trip (h2o dump | h2o simulate --hlo)"
+hlodir=$(mktemp -d)
+for model in dlrm coatnet-0 efficientnet-x-b0; do
+  ./target/release/h2o dump --model "$model" > "$hlodir/$model.hlo"
+  for mode in training serving; do
+    serving=()
+    if [ "$mode" = serving ]; then serving=(--serving); fi
+    cmp <(./target/release/h2o simulate --model "$model" "${serving[@]}") \
+        <(./target/release/h2o simulate --hlo "$hlodir/$model.hlo" "${serving[@]}")
+  done
+done
+rm -rf "$hlodir"
 
 # The evaluation executor promises bit-identical search output for any
 # worker count, so the suite runs under both a serial and a wide pool —

@@ -10,20 +10,20 @@ use h2o_space::DlrmArch;
 /// the 128-chip TPUv4 pod at per-chip batch 64.
 pub fn step_breakdown(arch: &DlrmArch) -> (f64, f64, f64) {
     let sim = Simulator::new(HardwareConfig::tpu_v4());
-    let report = sim.simulate_training(&arch.build_graph(64, 128), &SystemConfig::training_pod());
-    let emb: f64 = report
-        .breakdown
+    let graph = arch.build_graph(64, 128);
+    let pod = SystemConfig::training_pod();
+    let breakdown = sim.breakdown(&graph, Some(&pod));
+    let emb: f64 = breakdown
         .iter()
         .filter(|(k, _)| k.contains("embedding") || k.contains("all_to_all"))
         .map(|(_, v)| v)
         .sum();
-    let dnn: f64 = report
-        .breakdown
+    let dnn: f64 = breakdown
         .iter()
         .filter(|(k, _)| k.contains("matmul") || k.contains("all_reduce"))
         .map(|(_, v)| v)
         .sum();
-    (report.time, emb, dnn)
+    (sim.simulate_training(&graph, &pod).time, emb, dnn)
 }
 
 /// Runs the experiment and renders the report.

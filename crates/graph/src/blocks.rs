@@ -431,22 +431,21 @@ pub fn transformer_block(g: &mut Graph, cfg: &TransformerConfig, input: NodeId) 
     )
 }
 
-/// Builds a plain MLP stack (DLRM bottom/top towers). `widths` are the layer
-/// output sizes; `input_width` feeds the first layer. Each layer may carry a
-/// low-rank factorisation (rank fraction in (0, 1]). Returns the output node.
+/// Builds a plain MLP stack (DLRM bottom/top towers). `layers` yields each
+/// layer's output width and low-rank fraction in (0, 1]; `input_width`
+/// feeds the first layer. A fraction below 1.0 factorises the layer's
+/// matmul into a down/up pair. Returns the output node.
 pub fn mlp_stack(
     g: &mut Graph,
     batch: usize,
     input_width: usize,
-    widths: &[usize],
-    low_ranks: &[f64],
+    layers: impl IntoIterator<Item = (usize, f64)>,
     act: ActDesc,
     input: NodeId,
 ) -> NodeId {
-    assert_eq!(widths.len(), low_ranks.len(), "one rank per layer");
     let mut x = input;
     let mut k = input_width;
-    for (&n, &rank) in widths.iter().zip(low_ranks) {
+    for (n, rank) in layers {
         if rank < 1.0 {
             let r = ((k.min(n) as f64 * rank).round() as usize).max(1);
             let down = g.add(OpKind::MatMul { m: batch, k, n: r }, &[x]);
@@ -609,8 +608,7 @@ mod tests {
             &mut g,
             256,
             128,
-            &[512, 256, 1],
-            &[1.0, 1.0, 1.0],
+            [(512, 1.0), (256, 1.0), (1, 1.0)],
             ActDesc::RELU,
             i,
         );
@@ -626,7 +624,7 @@ mod tests {
     fn mlp_stack_low_rank_splits_matmuls() {
         let mut g = Graph::new("t", DType::Bf16);
         let i = g.add(OpKind::Reshape { elems: 1 }, &[]);
-        mlp_stack(&mut g, 256, 128, &[512], &[0.25], ActDesc::RELU, i);
+        mlp_stack(&mut g, 256, 128, [(512, 0.25)], ActDesc::RELU, i);
         let matmuls = g
             .nodes()
             .iter()
@@ -640,7 +638,7 @@ mod tests {
         let flops = |rank| {
             let mut g = Graph::new("t", DType::Bf16);
             let i = g.add(OpKind::Reshape { elems: 1 }, &[]);
-            mlp_stack(&mut g, 1024, 1024, &[1024], &[rank], ActDesc::RELU, i);
+            mlp_stack(&mut g, 1024, 1024, [(1024, rank)], ActDesc::RELU, i);
             g.total_flops()
         };
         assert!(flops(0.2) < 0.5 * flops(1.0));

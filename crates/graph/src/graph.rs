@@ -9,6 +9,7 @@
 //! `step time = MAX(embedding time, MLP time)` behaviour (Fig. 8).
 
 use crate::op::{DType, OpCost, OpKind};
+use std::ops::Range;
 
 /// Identifier of a node within its [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,8 +22,9 @@ pub struct Node {
     pub id: NodeId,
     /// The operator.
     pub kind: OpKind,
-    /// Producer nodes this operator consumes.
-    pub inputs: Vec<NodeId>,
+    /// This node's producers, as a range of the graph's flat edge array;
+    /// read them through [`Graph::inputs`].
+    inputs: Range<usize>,
     /// Set by the fusion pass: a fused elementwise op reads its input from
     /// registers/accumulators, so its memory traffic is elided.
     pub fused: bool,
@@ -49,15 +51,31 @@ pub struct Graph {
     name: String,
     dtype: DType,
     nodes: Vec<Node>,
+    /// Every node's inputs, concatenated in node order (compressed sparse
+    /// rows: node `i` owns `edges[nodes[i].inputs]`).
+    edges: Vec<NodeId>,
 }
 
 impl Graph {
     /// Creates an empty graph.
     pub fn new(name: impl Into<String>, dtype: DType) -> Self {
+        Self::with_capacity(name, dtype, 0, 0)
+    }
+
+    /// Creates an empty graph with room for `nodes` nodes and `edges`
+    /// input references in total, so a builder that knows its size up
+    /// front allocates each array once.
+    pub fn with_capacity(
+        name: impl Into<String>,
+        dtype: DType,
+        nodes: usize,
+        edges: usize,
+    ) -> Self {
         Self {
             name: name.into(),
             dtype,
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(edges),
         }
     }
 
@@ -95,6 +113,15 @@ impl Graph {
         &self.nodes[id.0]
     }
 
+    /// The producers node `id` consumes, in the order they were given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    pub fn inputs(&self, id: NodeId) -> &[NodeId] {
+        &self.edges[self.nodes[id.0].inputs.clone()]
+    }
+
     /// Appends an operator whose inputs must already exist, returning its id.
     ///
     /// Insertion order is required to be a valid topological order (inputs
@@ -104,14 +131,16 @@ impl Graph {
     ///
     /// Panics if an input id is not yet in the graph.
     pub fn add(&mut self, kind: OpKind, inputs: &[NodeId]) -> NodeId {
-        let id = NodeId(self.nodes.len());
         for &input in inputs {
             assert!(input.0 < self.nodes.len(), "input {input:?} not yet added");
         }
+        let id = NodeId(self.nodes.len());
+        let start = self.edges.len();
+        self.edges.extend_from_slice(inputs);
         self.nodes.push(Node {
             id,
             kind,
-            inputs: inputs.to_vec(),
+            inputs: start..self.edges.len(),
             fused: false,
         });
         id
@@ -122,16 +151,13 @@ impl Graph {
     pub fn append_subgraph(&mut self, other: &Graph, attach: &[NodeId]) -> Vec<NodeId> {
         let offset = self.nodes.len();
         let mut has_consumer = vec![false; other.nodes.len()];
-        for node in &other.nodes {
-            for input in &node.inputs {
-                has_consumer[input.0] = true;
-            }
+        for input in &other.edges {
+            has_consumer[input.0] = true;
         }
         for node in &other.nodes {
-            let inputs: Vec<NodeId> = if node.inputs.is_empty() {
-                attach.to_vec()
-            } else {
-                node.inputs.iter().map(|i| NodeId(i.0 + offset)).collect()
+            let inputs: Vec<NodeId> = match other.inputs(node.id) {
+                [] => attach.to_vec(),
+                inputs => inputs.iter().map(|i| NodeId(i.0 + offset)).collect(),
             };
             self.add(node.kind.clone(), &inputs);
         }
@@ -192,23 +218,23 @@ impl Graph {
     /// optimisation.
     pub fn fuse_elementwise(&mut self) -> usize {
         let mut consumer_count = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for input in &node.inputs {
-                consumer_count[input.0] += 1;
-            }
+        for input in &self.edges {
+            consumer_count[input.0] += 1;
         }
         let mut fused = 0;
-        for i in 0..self.nodes.len() {
+        for node in &mut self.nodes {
             let fusible = matches!(
-                self.nodes[i].kind,
+                node.kind,
                 OpKind::Elementwise { .. } | OpKind::Reshape { .. } | OpKind::Concat { .. }
             );
-            if !fusible || self.nodes[i].fused {
+            if !fusible || node.fused {
                 continue;
             }
-            if self.nodes[i].inputs.len() == 1 && consumer_count[self.nodes[i].inputs[0].0] == 1 {
-                self.nodes[i].fused = true;
-                fused += 1;
+            if let [producer] = &self.edges[node.inputs.clone()] {
+                if consumer_count[producer.0] == 1 {
+                    node.fused = true;
+                    fused += 1;
+                }
             }
         }
         fused
@@ -228,8 +254,7 @@ impl Graph {
         for node in &self.nodes {
             let t = node_time(node.id);
             assert!(t >= 0.0, "negative node time for {:?}", node.id);
-            let start = node
-                .inputs
+            let start = self.edges[node.inputs.clone()]
                 .iter()
                 .map(|i| finish[i.0])
                 .fold(0.0f64, f64::max);
@@ -249,13 +274,10 @@ impl Graph {
         let mut has_consumer = vec![false; self.nodes.len()];
         for node in &self.nodes {
             let t = node_time(node.id);
-            let start = node
-                .inputs
-                .iter()
-                .map(|i| finish[i.0])
-                .fold(0.0f64, f64::max);
+            let inputs = &self.edges[node.inputs.clone()];
+            let start = inputs.iter().map(|i| finish[i.0]).fold(0.0f64, f64::max);
             finish[node.id.0] = start + t;
-            for input in &node.inputs {
+            for input in inputs {
                 has_consumer[input.0] = true;
             }
         }
@@ -379,7 +401,7 @@ mod tests {
         assert_eq!(sinks.len(), 1);
         assert_eq!(g.len(), 3);
         // The subgraph's source must now consume `root`.
-        assert_eq!(g.node(NodeId(1)).inputs, vec![root]);
+        assert_eq!(g.inputs(NodeId(1)), [root]);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! (§6.2.3 of the paper: "walks through a TensorFlow/HLO graph, simulates
 //! run-time of each operator").
 
+use std::borrow::Cow;
+
 /// Numeric element type of a tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
@@ -162,8 +164,9 @@ pub enum OpKind {
         /// VPU scalar ops per element (see
         /// `h2o_tensor::Activation::vpu_ops_per_element` for typical values).
         ops_per_elem: f64,
-        /// Human-readable label, e.g. `"swish"`.
-        label: String,
+        /// Human-readable label, e.g. `"swish"`. The built-in builders
+        /// borrow a static label; a parsed graph owns its own.
+        label: Cow<'static, str>,
     },
     /// Spatial pooling (average/max); vector-unit work plus memory traffic.
     Pool {

@@ -19,6 +19,7 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::op::{DType, OpKind};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Serialises a graph to the textual HLO-like format.
@@ -116,9 +117,12 @@ pub fn to_text(graph: &Graph) -> String {
                 let _ = write!(out, "reshape(elems={elems})");
             }
         }
-        if !node.inputs.is_empty() {
-            let refs: Vec<String> = node.inputs.iter().map(|i| format!("%{}", i.0)).collect();
-            let _ = write!(out, " inputs=[{}]", refs.join(", "));
+        if let Some((first, rest)) = graph.inputs(node.id).split_first() {
+            let _ = write!(out, " inputs=[%{}", first.0);
+            for input in rest {
+                let _ = write!(out, ", %{}", input.0);
+            }
+            out.push(']');
         }
         if node.fused {
             let _ = write!(out, " fused");
@@ -238,12 +242,68 @@ impl ArgMap {
     }
 }
 
+/// Headroom kept above every GEMM dimension for the simulator's tiling
+/// model, which pads each one up to a multiple of the matrix-unit tile
+/// (128 on every platform preset) or of 8 rows.
+const TILE_HEADROOM: usize = 1024;
+
+/// Rejects a shape whose integer products overflow `usize`. The cost model
+/// forms a pool's element count and window area; the simulator's tiling
+/// model (`h2o_hwsim::roofline`) forms a batched matmul's or a
+/// convolution's GEMM rows and contraction, then pads each GEMM dimension
+/// up to a tile. The check lives here rather than in [`Graph::add`],
+/// which the search calls for every node of every candidate.
+fn check_integer_shape(kind: &OpKind, line: usize) -> Result<(), ParseGraphError> {
+    let overflow = || err(line, "shape too large: an element count overflows");
+    let product = |dims: &[usize]| {
+        dims.iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(overflow)
+    };
+    let gemm = match *kind {
+        OpKind::MatMul { m, k, n } => (m, k, n),
+        OpKind::BatchedMatMul { batches, m, k, n } => (product(&[batches, m])?, k, n),
+        OpKind::Conv2d {
+            batch,
+            h,
+            w,
+            c_in,
+            c_out,
+            kh,
+            kw,
+            stride,
+        } => (
+            product(&[batch, h.div_ceil(stride), w.div_ceil(stride)])?,
+            product(&[c_in, kh, kw])?,
+            c_out,
+        ),
+        OpKind::Pool {
+            batch,
+            h,
+            w,
+            c,
+            window,
+        } => {
+            product(&[batch, h, w, c])?;
+            product(&[window, window])?;
+            return Ok(());
+        }
+        _ => return Ok(()),
+    };
+    for dim in [gemm.0, gemm.1, gemm.2] {
+        dim.checked_next_multiple_of(TILE_HEADROOM)
+            .ok_or_else(overflow)?;
+    }
+    Ok(())
+}
+
 /// Parses the textual format back into a [`Graph`].
 ///
 /// # Errors
 ///
 /// Returns a [`ParseGraphError`] with the offending line on any syntax or
-/// referential problem (unknown op, forward reference, bad argument).
+/// referential problem (unknown op, forward reference, bad argument), and
+/// on a shape whose element counts overflow `usize`.
 pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
     let mut lines = text.lines().enumerate();
     // Header: graph "name" dtype=<d> {
@@ -388,7 +448,7 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
             "elementwise" => OpKind::Elementwise {
                 elems: args.usize("elems")?,
                 ops_per_elem: args.f64("ops_per_elem")?,
-                label: args.string("label")?,
+                label: Cow::Owned(args.string("label")?),
             },
             "pool" => OpKind::Pool {
                 batch: args.usize("batch")?,
@@ -411,6 +471,7 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
             },
             other => return Err(err(line_no, format!("unknown op '{other}'"))),
         };
+        check_integer_shape(&kind, line_no)?;
         let id = graph.add(kind, &inputs);
         if fused {
             graph.set_fused(id, true);
@@ -451,7 +512,7 @@ mod tests {
         assert_eq!(parsed.total_cost(), g.total_cost());
         for (a, b) in g.nodes().iter().zip(parsed.nodes()) {
             assert_eq!(a.kind, b.kind);
-            assert_eq!(a.inputs, b.inputs);
+            assert_eq!(g.inputs(a.id), parsed.inputs(b.id));
             assert_eq!(a.fused, b.fused);
         }
     }
@@ -569,6 +630,7 @@ mod tests {
     fn parse_rejects_unmatched_parens_and_out_of_range_arguments() {
         let zero = "must be positive";
         let bad_float = "must be finite and non-negative";
+        let overflow = "shape too large: an element count overflows";
         for (node, message) in [
             (")x(", "unterminated argument list".to_string()),
             (
@@ -598,6 +660,30 @@ mod tests {
             (
                 "all_reduce(bytes_per_chip=-inf)",
                 format!("argument 'bytes_per_chip' {bad_float}"),
+            ),
+            (
+                "pool(batch=18446744073709551615, h=4, w=4, c=4, window=2)",
+                overflow.to_string(),
+            ),
+            (
+                "pool(batch=1, h=4, w=4, c=4, window=18446744073709551615)",
+                overflow.to_string(),
+            ),
+            (
+                "conv2d(batch=18446744073709551615, h=8, w=8, c_in=3, c_out=4, kh=3, kw=3, stride=1)",
+                overflow.to_string(),
+            ),
+            (
+                "conv2d(batch=1, h=8, w=8, c_in=18446744073709551615, c_out=4, kh=3, kw=3, stride=1)",
+                overflow.to_string(),
+            ),
+            (
+                "batched_matmul(batches=18446744073709551615, m=4, k=4, n=4)",
+                overflow.to_string(),
+            ),
+            (
+                "matmul(m=4, k=18446744073709551615, n=4)",
+                overflow.to_string(),
             ),
         ] {
             let text = format!("graph \"x\" dtype=bf16 {{\n  %0 = {node}\n}}\n");

@@ -39,8 +39,6 @@ pub struct SimReport {
     pub params: f64,
     /// Sum of per-op busy time on the matrix units (utilisation proxy).
     pub mxu_busy: f64,
-    /// Per-op-label time breakdown, seconds.
-    pub breakdown: BTreeMap<String, f64>,
 }
 
 impl SimReport {
@@ -107,7 +105,7 @@ impl Simulator {
 
     /// Simulates one forward execution (a serving step) of the graph.
     pub fn simulate(&self, graph: &Graph) -> SimReport {
-        self.simulate_scaled(graph, 1.0, 0.0)
+        self.walk(graph, None, |_, _| {})
     }
 
     /// Simulates one *training* step of the graph on a (possibly
@@ -120,30 +118,41 @@ impl Simulator {
     /// chips with all-to-all exchange, as in production DLRM systems), so
     /// their parameters are excluded from the all-reduce.
     pub fn simulate_training(&self, graph: &Graph, system: &SystemConfig) -> SimReport {
-        let dense_params: f64 = graph
-            .nodes()
-            .iter()
-            .filter(|n| !matches!(n.kind, OpKind::EmbeddingLookup { .. }))
-            .map(|n| graph.node_cost(n.id).params)
-            .sum();
-        let grad_bytes = dense_params * graph.dtype().bytes() as f64;
-        let allreduce_bytes = if system.chips > 1 {
-            2.0 * grad_bytes
-        } else {
-            0.0
-        };
-        self.simulate_scaled(graph, 3.0, allreduce_bytes)
+        self.walk(graph, Some(system), |_, _| {})
     }
 
-    fn simulate_scaled(&self, graph: &Graph, work_scale: f64, extra_ici_bytes: f64) -> SimReport {
+    /// Per-op-label time breakdown in seconds of the walk that
+    /// [`Simulator::simulate`] (`system` is `None`) or
+    /// [`Simulator::simulate_training`] (`Some`) makes. The training view
+    /// adds the exposed gradient all-reduce to the `all_reduce` entry.
+    pub fn breakdown(&self, graph: &Graph, system: Option<&SystemConfig>) -> BTreeMap<String, f64> {
+        let mut breakdown = BTreeMap::new();
+        self.walk(graph, system, |label, time| {
+            *breakdown.entry(label.to_string()).or_insert(0.0) += time;
+        });
+        breakdown
+    }
+
+    /// The one pass over the graph behind every public method: prices each
+    /// node once, accumulates the report, folds the critical path and hands
+    /// each op's label and time to `sink`. `system` selects the training
+    /// view: 3× the forward work plus the data-parallel all-reduce.
+    fn walk(
+        &self,
+        graph: &Graph,
+        system: Option<&SystemConfig>,
+        mut sink: impl FnMut(&str, f64),
+    ) -> SimReport {
         let walk_span = h2o_obs::span("simulator_walk");
         h2o_obs::counter("h2o_hwsim_graphs_walked_total").inc();
         h2o_obs::counter("h2o_hwsim_ops_visited_total").add(graph.len() as u64);
+        let work_scale = if system.is_some() { 3.0 } else { 1.0 };
         let mut report = SimReport::default();
-        let mut timings = Vec::with_capacity(graph.len());
-        for node in graph.nodes() {
-            let cost = graph.node_cost(node.id);
-            let t = time_op(&node.kind, &cost, &self.hw);
+        let mut dense_params = 0.0;
+        let mut time = graph.critical_path_time(|id| {
+            let kind = &graph.node(id).kind;
+            let cost = graph.node_cost(id);
+            let t = time_op(kind, &cost, &self.hw);
             report.flops += cost.flops * work_scale;
             report.hbm_bytes += t.hbm_bytes * work_scale;
             report.cmem_bytes += t.cmem_bytes * work_scale;
@@ -156,38 +165,27 @@ impl Simulator {
                 + t.cmem_bytes * work_scale * self.hw.pj_per_cmem_byte
                 + t.ici_bytes * work_scale * self.hw.pj_per_ici_byte
                 + vpu_energy;
-            *report
-                .breakdown
-                .entry(node.kind.label().to_string())
-                .or_insert(0.0) += t.time * work_scale;
-            timings.push(t.time * work_scale);
-        }
-        // Per-op-kind visit counts, aggregated once per walk (one labelled
-        // counter add per distinct op label, not per node).
-        for (label, visits) in graph.nodes().iter().fold(
-            std::collections::BTreeMap::<&str, u64>::new(),
-            |mut acc, node| {
-                *acc.entry(node.kind.label()).or_insert(0) += 1;
-                acc
-            },
-        ) {
-            h2o_obs::counter(&format!("h2o_hwsim_op_visits{{op=\"{label}\"}}")).add(visits);
-        }
-        let mut time = graph.critical_path_time(|id| timings[id.0]);
-        if extra_ici_bytes > 0.0 {
+            if !matches!(kind, OpKind::EmbeddingLookup { .. }) {
+                dense_params += cost.params;
+            }
+            sink(kind.label(), t.time * work_scale);
+            t.time * work_scale
+        });
+        let allreduce_bytes = match system {
+            Some(system) if system.chips > 1 => 2.0 * (dense_params * graph.dtype().bytes() as f64),
+            _ => 0.0,
+        };
+        if allreduce_bytes > 0.0 {
             let allreduce = OpKind::AllReduce {
-                bytes_per_chip: extra_ici_bytes / 2.0,
+                bytes_per_chip: allreduce_bytes / 2.0,
             };
             let t = time_op(&allreduce, &allreduce.cost(graph.dtype()), &self.hw);
             // Gradient all-reduce partially overlaps the backward pass; model
             // half of it as exposed.
             time += 0.5 * t.time;
-            report.ici_bytes += extra_ici_bytes;
-            report.energy += extra_ici_bytes * self.hw.pj_per_ici_byte;
-            *report
-                .breakdown
-                .entry("all_reduce".to_string())
-                .or_insert(0.0) += t.time;
+            report.ici_bytes += allreduce_bytes;
+            report.energy += allreduce_bytes * self.hw.pj_per_ici_byte;
+            sink("all_reduce", t.time);
         }
         report.time = time;
         report.energy += self.hw.idle_watts * time;
@@ -352,9 +350,9 @@ mod tests {
             },
             &[],
         );
-        let r = sim.simulate(&g);
-        assert!(r.breakdown.contains_key("matmul"));
-        assert!(r.breakdown.contains_key("relu"));
+        let breakdown = sim.breakdown(&g, None);
+        assert!(breakdown.contains_key("matmul"));
+        assert!(breakdown.contains_key("relu"));
     }
 
     #[test]

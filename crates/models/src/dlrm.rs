@@ -98,21 +98,20 @@ mod tests {
         // Per-chip batch 64 on a 128-chip pod, as in Table 2.
         let g = arch.build_graph(64, 128);
         let sim = Simulator::new(HardwareConfig::tpu_v4());
-        let report = sim.simulate_training(&g, &SystemConfig::training_pod());
+        let pod = SystemConfig::training_pod();
         // Branch breakdown: embedding ops vs matmul ops.
-        let emb: f64 = report
-            .breakdown
+        let breakdown = sim.breakdown(&g, Some(&pod));
+        let emb: f64 = breakdown
             .iter()
             .filter(|(k, _)| k.contains("embedding") || k.contains("all_to_all"))
             .map(|(_, v)| v)
             .sum();
-        let mlp: f64 = report
-            .breakdown
+        let mlp: f64 = breakdown
             .iter()
             .filter(|(k, _)| k.contains("matmul"))
             .map(|(_, v)| v)
             .sum();
-        (report.time, emb, mlp)
+        (sim.simulate_training(&g, &pod).time, emb, mlp)
     }
 
     #[test]

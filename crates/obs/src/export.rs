@@ -47,7 +47,7 @@ fn prom_f64(v: f64) -> String {
 pub fn to_prometheus(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     // `# TYPE` must appear once per metric family: labelled series that
-    // share a base name (e.g. `op_visits{op=...}`) get a single header.
+    // share a base name (e.g. `h2o_exec_node_jobs_total{node=...}`) get a single header.
     let mut typed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for (name, value) in &snapshot.counters {
         let (base, labels) = split_labels(name);

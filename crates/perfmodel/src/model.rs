@@ -166,11 +166,16 @@ impl PerfModel {
             as f32
     }
 
-    fn raw_log_prediction(&self, features: &[f32], head: Head) -> f64 {
+    /// Both heads' z-scored log-time outputs from one network forward.
+    fn forward(&self, features: &[f32]) -> [f64; 2] {
         let x = Matrix::from_vec(1, features.len(), features.to_vec());
         let out = self.net.infer(&x);
-        out.get(0, head.index()) as f64 * self.target_std[head.index()]
-            + self.target_mean[head.index()]
+        Head::ALL.map(|head| out.get(0, head.index()) as f64)
+    }
+
+    /// Un-z-scores one head's network output into an uncalibrated log time.
+    fn log_time(&self, head: Head, z: f64) -> f64 {
+        z * self.target_std[head.index()] + self.target_mean[head.index()]
     }
 
     /// Predicts both heads for a feature vector, applying the fine-tune
@@ -195,14 +200,13 @@ impl PerfModel {
     ///
     /// Panics if `features` mismatches the input width.
     pub fn infer_one(&self, features: &[f32]) -> BatchPrediction {
-        let x = Matrix::from_vec(1, features.len(), features.to_vec());
-        let out = self.net.infer(&x);
+        let z = self.forward(features);
         let mut seconds = [0.0f64; 2];
         let mut novelty = 0.0f64;
         for head in Head::ALL {
-            let z = out.get(0, head.index()) as f64;
+            let z = z[head.index()];
             novelty = novelty.max(z.abs());
-            let log_sim = z * self.target_std[head.index()] + self.target_mean[head.index()];
+            let log_sim = self.log_time(head, z);
             let (a, b) = self.calibration[head.index()];
             seconds[head.index()] = (a * log_sim + b).exp();
         }
@@ -290,11 +294,13 @@ impl PerfModel {
         let _span = h2o_obs::span("perfmodel_finetune");
         assert!(xs.len() >= 2, "fine-tuning needs at least two measurements");
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
+        // One forward per measurement serves both heads' fits.
+        let zs: Vec<[f64; 2]> = xs.iter().map(|x| self.forward(x)).collect();
         for head in Head::ALL {
             // Least squares of log(measured) on log(pretrained prediction).
-            let sims: Vec<f64> = xs
+            let sims: Vec<f64> = zs
                 .iter()
-                .map(|x| self.raw_log_prediction(x, head))
+                .map(|z| self.log_time(head, z[head.index()]))
                 .collect();
             let prods: Vec<f64> = ys.iter().map(|y| y.get(head).max(1e-12).ln()).collect();
             let n = sims.len() as f64;

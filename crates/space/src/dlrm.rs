@@ -13,7 +13,7 @@
 
 use crate::decision::{ArchSample, Decision, SearchSpace};
 use h2o_graph::blocks::{mlp_stack, ActDesc};
-use h2o_graph::{DType, Graph, OpKind};
+use h2o_graph::{DType, Graph, NodeId, OpKind};
 
 /// Choice tables for the DLRM decisions.
 pub mod choices {
@@ -263,32 +263,18 @@ impl DlrmArch {
     /// and bottom MLP run concurrently, so the simulated step time exhibits
     /// the paper's `MAX(embedding time, MLP time)` structure (Fig. 8).
     pub fn build_graph(&self, batch: usize, chips: usize) -> Graph {
-        let mut g = Graph::new("dlrm", DType::F32);
+        // Every node has one input except the dense input and the tables
+        // (none), the embedding exchange (one per table) and the
+        // interaction concat (two): one edge fewer than there are nodes.
+        let nodes = self.graph_nodes();
+        let mut g = Graph::with_capacity("dlrm", DType::F32, nodes, nodes - 1);
         let dense_in = g.add(
             OpKind::Reshape {
                 elems: batch * self.dense_features,
             },
             &[],
         );
-        // Bottom tower.
-        let bottom_groups: Vec<&MlpGroupArch> =
-            self.mlp_groups.iter().filter(|m| m.bottom).collect();
-        let mut bottom_out = dense_in;
-        let mut prev = self.dense_features;
-        for group in &bottom_groups {
-            let widths = vec![group.width; group.depth];
-            let ranks = vec![group.low_rank; group.depth];
-            bottom_out = mlp_stack(
-                &mut g,
-                batch,
-                prev,
-                &widths,
-                &ranks,
-                ActDesc::RELU,
-                bottom_out,
-            );
-            prev = group.width;
-        }
+        let (bottom_out, prev) = self.tower(&mut g, batch, true, dense_in, self.dense_features);
         // Embedding branch (parallel to the bottom tower). Each chip owns
         // 1/chips of the tables and exchanges results all-to-all.
         let mut emb_nodes = Vec::with_capacity(self.tables.len());
@@ -330,14 +316,7 @@ impl DlrmArch {
             },
             &[bottom_out, emb_out],
         );
-        let mut top_out = concat;
-        let mut prev = concat_width;
-        for group in self.mlp_groups.iter().filter(|m| !m.bottom) {
-            let widths = vec![group.width; group.depth];
-            let ranks = vec![group.low_rank; group.depth];
-            top_out = mlp_stack(&mut g, batch, prev, &widths, &ranks, ActDesc::RELU, top_out);
-            prev = group.width;
-        }
+        let (top_out, prev) = self.tower(&mut g, batch, false, concat, concat_width);
         let logits = g.add(
             OpKind::MatMul {
                 m: batch,
@@ -354,8 +333,42 @@ impl DlrmArch {
             },
             &[logits],
         );
+        debug_assert_eq!(g.len(), nodes, "graph_nodes out of step with build_graph");
         g.fuse_elementwise();
         g
+    }
+
+    /// Appends the bottom (`bottom`) or top MLP tower to `input`, whose
+    /// width is `width`. Returns the tower's output node and the width of
+    /// its last group.
+    fn tower(
+        &self,
+        g: &mut Graph,
+        batch: usize,
+        bottom: bool,
+        input: NodeId,
+        width: usize,
+    ) -> (NodeId, usize) {
+        let (mut x, mut prev) = (input, width);
+        for group in self.mlp_groups.iter().filter(|m| m.bottom == bottom) {
+            let layers = std::iter::repeat_n((group.width, group.low_rank), group.depth);
+            x = mlp_stack(g, batch, prev, layers, ActDesc::RELU, x);
+            prev = group.width;
+        }
+        (x, prev)
+    }
+
+    /// The number of nodes [`DlrmArch::build_graph`] adds: two per MLP
+    /// layer (three when `mlp_stack` splits a low-rank matmul), one per
+    /// table, plus the dense input, the embedding exchange, the
+    /// interaction concat, the logits and the sigmoid.
+    fn graph_nodes(&self) -> usize {
+        let mlp: usize = self
+            .mlp_groups
+            .iter()
+            .map(|g| g.depth * if g.low_rank < 1.0 { 3 } else { 2 })
+            .sum();
+        mlp + self.tables.len() + 5
     }
 }
 
@@ -616,7 +629,11 @@ mod tests {
         let arch = s.decode(&s.baseline());
         let g = arch.build_graph(64, 1);
         // Embedding lookups and the dense input are independent sources.
-        let sources = g.nodes().iter().filter(|n| n.inputs.is_empty()).count();
+        let sources = g
+            .nodes()
+            .iter()
+            .filter(|n| g.inputs(n.id).is_empty())
+            .count();
         assert!(sources > s.config().tables.len());
     }
 

@@ -18,7 +18,7 @@ use h2o_nas::core::{
     RewardKind, SearchConfig, SearchDriver, SearchOutcome,
 };
 use h2o_nas::distributed::NodeCluster;
-use h2o_nas::eval::{BackendSpec, EvalBackend, EvalScenario};
+use h2o_nas::eval::{EvalBackend, EvalScenario};
 use h2o_nas::exec::{DistributedPool, NodeAddr, PoolOptions};
 use h2o_nas::graph::Graph;
 use h2o_nas::hwsim::{HardwareConfig, Simulator, SystemConfig};
@@ -68,7 +68,10 @@ USAGE:
   workers are also respawned, up to --node-retries times per death). The
   run only fails once fewer than --min-live-nodes workers remain.
 
-  A flag that its subcommand does not list above is an error.
+  A flag that its subcommand does not list above is an error, and so is
+  one the run would never read: --checkpoint-every or --resume without
+  --checkpoint-dir, --node-timeout-ms, --node-retries or --min-live-nodes
+  without --nodes, and any backend flag on dlrm-oneshot.
 
 MODELS:
   coatnet-0..coatnet-5, coatnet-h0..coatnet-h5,
@@ -190,10 +193,11 @@ fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let hw = hardware(flags)?;
     let sim = Simulator::new(hw.clone());
     let serving = flags.contains_key("serving");
-    let report = if serving {
-        sim.simulate(&graph)
-    } else {
-        sim.simulate_training(&graph, &SystemConfig::training_pod())
+    let pod = SystemConfig::training_pod();
+    let system = (!serving).then_some(&pod);
+    let report = match system {
+        None => sim.simulate(&graph),
+        Some(system) => sim.simulate_training(&graph, system),
     };
     println!(
         "{} on {} (batch {batch}, {}):",
@@ -235,7 +239,8 @@ fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
         report.avg_power, report.energy
     );
     println!("  params          : {:.1} M", report.params / 1e6);
-    let mut slowest: Vec<(&String, &f64)> = report.breakdown.iter().collect();
+    let breakdown = sim.breakdown(&graph, system);
+    let mut slowest: Vec<(&String, &f64)> = breakdown.iter().collect();
     slowest.sort_by(|a, b| b.1.total_cmp(a.1));
     println!("  top op classes  :");
     for (label, t) in slowest.iter().take(4) {
@@ -359,16 +364,12 @@ fn checkpoint_setup(
     if every == 0 {
         return Err("--checkpoint-every must be at least 1".into());
     }
-    let resume = flags.contains_key("resume");
     let Some(dir) = flags.get("checkpoint-dir") else {
-        if resume {
-            return Err("--resume requires --checkpoint-dir".into());
-        }
         return Ok((None, None));
     };
     let store =
         CheckpointStore::new(dir, fingerprint).map_err(|e| format!("opening {dir}: {e}"))?;
-    let state = if resume {
+    let state = if flags.contains_key("resume") {
         let state = store
             .load_latest()
             .map_err(|e| format!("resuming from {dir}: {e}"))?
@@ -491,6 +492,19 @@ fn cmd_node_worker(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
 fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let domain = flags.get("domain").ok_or("missing --domain")?.as_str();
+    // Flags that only a checkpointing or a multi-process run reads are an
+    // error without the flag that turns that mode on.
+    for (flag, mode) in [
+        ("checkpoint-every", "checkpoint-dir"),
+        ("resume", "checkpoint-dir"),
+        ("node-timeout-ms", "nodes"),
+        ("node-retries", "nodes"),
+        ("min-live-nodes", "nodes"),
+    ] {
+        if flags.contains_key(flag) && !flags.contains_key(mode) {
+            return Err(format!("--{flag} requires --{mode}"));
+        }
+    }
     let steps: usize = parse_flag(flags, "steps")?.unwrap_or(120);
     let shards: usize = parse_flag(flags, "shards")?.unwrap_or(8);
     let budget_ms: f64 = parse_flag(flags, "budget-ms")?.unwrap_or(100.0);
@@ -593,14 +607,16 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
                     .into(),
             );
         }
-        "dlrm-oneshot" if matches!(backend_spec, BackendSpec::ModelServed { .. }) => {
-            return Err(
-                "--eval-backend model does not support dlrm-oneshot: the one-shot search \
-                 already scores candidates with its own supernet-trained performance model"
-                    .into(),
-            );
-        }
         "dlrm-oneshot" => {
+            if let Some(flag) = EvalScenario::BACKEND_FLAGS
+                .into_iter()
+                .find(|name| flags.contains_key(*name))
+            {
+                return Err(format!(
+                    "--{flag} does not apply to dlrm-oneshot: the one-shot search scores \
+                     candidates with its own supernet-trained performance model"
+                ));
+            }
             // The full §4 loop on a small scale: DLRM super-network +
             // use-once pipeline + simulator-pretrained performance model,
             // exercising core, data, hwsim and perfmodel in one run.

@@ -54,6 +54,18 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
             "elementwise(elems=4, ops_per_elem=NaN, label=\"relu\")",
         ),
         ("negative_bytes", "all_to_all(bytes_per_chip=-5)"),
+        (
+            "pool_overflow",
+            "pool(batch=18446744073709551615, h=4, w=4, c=4, window=2)",
+        ),
+        (
+            "conv_overflow",
+            "conv2d(batch=18446744073709551615, h=8, w=8, c_in=3, c_out=4, kh=3, kw=3, stride=1)",
+        ),
+        (
+            "batched_matmul_overflow",
+            "batched_matmul(batches=18446744073709551615, m=4, k=4, n=4)",
+        ),
     ]
     .map(|(name, node)| hlo_file(&root, name, node));
     // A checkpoint at step 2 of 3, for a resume whose --steps lies before it.
@@ -95,6 +107,25 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         ],
         [&short_search[..], &["--eval-cache", "off"]].concat(),
         [&short_search[..], &["--eval-cache-capacity", "64"]].concat(),
+        // Flags the chosen configuration never reads.
+        [&short_search[..], &["--checkpoint-every", "1"]].concat(),
+        [
+            &short_search[..],
+            &["--node-retries", "5", "--min-live-nodes", "9"],
+            &["--node-timeout-ms", "1"],
+        ]
+        .concat(),
+        vec![
+            "search",
+            "--domain",
+            "dlrm-oneshot",
+            "--steps",
+            "2",
+            "--shards",
+            "2",
+            "--eval-backend",
+            "sim",
+        ],
         vec!["sweep", "--model", "nope"],
         vec!["sweep", "--model", "dlrm", "--load", "1.5"],
     ];

@@ -211,3 +211,131 @@ fn runtime_stats_flow_into_simulated_costs() {
         "4x hotter tables cannot be cheaper: {t_measured} vs {t_base}"
     );
 }
+
+/// FNV-1a, 64-bit, over the little-endian bytes it is fed.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.bytes(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Hashes every field of the serving and training reports of `graph`, and
+/// each `(label, time)` of both breakdowns, in that order.
+fn hash_walks(h: &mut Fnv, sim: &Simulator, graph: &h2o_nas::graph::Graph) {
+    let pod = SystemConfig::training_pod();
+    for system in [None, Some(&pod)] {
+        let report = match system {
+            None => sim.simulate(graph),
+            Some(system) => sim.simulate_training(graph, system),
+        };
+        let h2o_nas::hwsim::SimReport {
+            time,
+            flops,
+            achieved_flops_rate,
+            hbm_bytes,
+            cmem_bytes,
+            ici_bytes,
+            hbm_bw_used,
+            cmem_bw_used,
+            energy,
+            avg_power,
+            params,
+            mxu_busy,
+        } = report;
+        for v in [
+            time,
+            flops,
+            achieved_flops_rate,
+            hbm_bytes,
+            cmem_bytes,
+            ici_bytes,
+            hbm_bw_used,
+            cmem_bw_used,
+            energy,
+            avg_power,
+            params,
+            mxu_busy,
+        ] {
+            h.f64(v);
+        }
+        for (label, t) in sim.breakdown(graph, system) {
+            h.bytes(label.as_bytes());
+            h.f64(t);
+        }
+    }
+}
+
+/// Pins the simulator's output bit for bit: every report field and every
+/// breakdown entry, serving and training, over 32 seeded production-DLRM
+/// candidates, three vision models and one parsed HLO graph. The
+/// searchbench digests cover only latency; energy, memory, params and the
+/// breakdown feed Fig. 8, `h2o simulate` and `ProductionHardware`.
+#[test]
+fn simulator_outputs_are_pinned() {
+    use h2o_nas::models::coatnet::CoAtNet;
+    use h2o_nas::models::efficientnet::EfficientNet;
+    use h2o_nas::space::{VitSpace, VitSpaceConfig};
+    let sim = Simulator::new(HardwareConfig::tpu_v4());
+    let mut h = Fnv::new();
+    let space = DlrmSpace::new(DlrmSpaceConfig::production());
+    let mut rng = StdRng::seed_from_u64(23);
+    for _ in 0..32 {
+        let arch = space.decode(&space.space().sample_uniform(&mut rng));
+        hash_walks(&mut h, &sim, &arch.build_graph(64, 128));
+    }
+    let find = |family: Vec<EfficientNet>, name: &str| {
+        family
+            .into_iter()
+            .find(|m| m.name == name)
+            .expect("model in family")
+    };
+    hash_walks(
+        &mut h,
+        &sim,
+        &find(EfficientNet::x_family(), "EfficientNet-X-B0").build_graph(8),
+    );
+    let coatnet = CoAtNet::family()
+        .into_iter()
+        .find(|m| m.name == "CoAtNet-0")
+        .expect("CoAtNet-0 in family");
+    hash_walks(&mut h, &sim, &coatnet.build_graph(8));
+    let vit = VitSpace::new(VitSpaceConfig::pure());
+    let sample = vit.space().sample_uniform(&mut rng);
+    hash_walks(&mut h, &sim, &vit.decode(&sample).build_graph(8, 196));
+    let parsed = h2o_nas::graph::text::parse(
+        "graph \"pinned\" dtype=bf16 {\n\
+         \x20 %0 = reshape(elems=4096)\n\
+         \x20 %1 = matmul(m=64, k=64, n=300) inputs=[%0]\n\
+         \x20 %2 = elementwise(elems=19200, ops_per_elem=3.5, label=\"hard,swish\") inputs=[%1] fused\n\
+         \x20 %3 = embedding_lookup(lookups=640, width=48, vocab=100000)\n\
+         \x20 %4 = all_to_all(bytes_per_chip=122880) inputs=[%3]\n\
+         \x20 %5 = conv2d(batch=2, h=17, w=17, c_in=3, c_out=40, kh=3, kw=3, stride=2)\n\
+         \x20 %6 = depthwise_conv2d(batch=2, h=9, w=9, c=40, kh=5, kw=5, stride=1) inputs=[%5]\n\
+         \x20 %7 = pool(batch=2, h=9, w=9, c=40, window=3) inputs=[%6]\n\
+         \x20 %8 = batched_matmul(batches=6, m=33, k=17, n=33) inputs=[%7]\n\
+         \x20 %9 = all_reduce(bytes_per_chip=65536) inputs=[%8]\n\
+         \x20 %10 = concat(elems=20000) inputs=[%2, %4, %9]\n\
+         \x20 %11 = elementwise(elems=20000, ops_per_elem=1, label=\"relu\") inputs=[%10, %1]\n\
+         }\n",
+    )
+    .expect("the pinned graph parses");
+    hash_walks(&mut h, &sim, &parsed);
+    assert_eq!(
+        h.0, 0x621b_b667_1407_2118,
+        "simulator digest moved: {:#018x}",
+        h.0
+    );
+}

@@ -367,7 +367,7 @@ proptest! {
                 1 => OpKind::Elementwise {
                     elems: dim * dim,
                     ops_per_elem: 1.0,
-                    label: format!("act_{dim}"),
+                    label: format!("act_{dim}").into(),
                 },
                 2 => OpKind::Reshape { elems: dim },
                 3 => OpKind::EmbeddingLookup { lookups: dim, width: dim, vocab: dim * 10 },
@@ -382,7 +382,7 @@ proptest! {
         prop_assert_eq!(parsed.total_cost(), g.total_cost());
         for (a, b) in g.nodes().iter().zip(parsed.nodes()) {
             prop_assert_eq!(&a.kind, &b.kind);
-            prop_assert_eq!(&a.inputs, &b.inputs);
+            prop_assert_eq!(g.inputs(a.id), parsed.inputs(b.id));
             prop_assert_eq!(a.fused, b.fused);
         }
     }

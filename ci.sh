@@ -148,6 +148,23 @@ cmp <(cut -d, -f1-4 "$msdir/a_history.csv") \
     <(cut -d, -f1-4 "$msdir/b_history.csv")
 rm -rf "$msdir"
 
+# Exporter smoke: the global tracer keeps span events only when
+# --trace-out asks for them, so a traced run's trace must hold the step
+# and shard spans, and --metrics-out, written after the CSVs, must hold
+# the CSV write's span series.
+echo "==> exporter smoke (--csv, --metrics-out, --trace-out)"
+exdir=$(mktemp -d)
+./target/release/h2o search --domain dlrm --steps 6 --shards 4 --csv "$exdir/run" \
+    --metrics-out "$exdir/run.prom" --trace-out "$exdir/run.json" >/dev/null
+python3 - "$exdir/run.json" <<'EOF'
+import json, sys
+names = {e["name"] for e in json.load(open(sys.argv[1]))["traceEvents"]}
+missing = {"search_step", "shard_evaluate"} - names
+sys.exit("trace lacks %s" % sorted(missing) if missing else 0)
+EOF
+grep -q '^span_seconds_count{path="write_csvs"} 1$' "$exdir/run.prom"
+rm -rf "$exdir"
+
 # Benchmark output check: the harness's own tests, then a one-second run
 # of every searchbench workload, untraced and traced. Every run's CSVs must
 # match searchbench/reference.json, so each result line must report

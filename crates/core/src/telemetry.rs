@@ -2,23 +2,28 @@
 //!
 //! Production NAS runs are monitored: reward curves, entropy decay and the
 //! evaluated-candidate cloud (Fig. 5a's scatter) all come from step
-//! telemetry. This module renders a [`SearchOutcome`] into CSV, ready for
-//! any plotting tool, and writes it to disk — the only on-disk artefact the
-//! system produces (architectures and telemetry only; never training data,
-//! per the §3 privacy posture).
+//! telemetry. This module writes a [`SearchOutcome`] as CSV, ready for any
+//! plotting tool, streaming rows straight to disk — the only on-disk
+//! artefact the system produces (architectures and telemetry only; never
+//! training data, per the §3 privacy posture).
 
-use crate::search::SearchOutcome;
-use std::fmt::Write as _;
-use std::io;
+use crate::search::{EvaluatedCandidate, SearchOutcome, StepRecord};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-/// Renders per-step telemetry
-/// (`step, mean_reward, best_reward, entropy, step_time_ms`) as CSV. The
-/// timing column is fed by the span timers around each search step.
-pub fn history_csv(outcome: &SearchOutcome) -> String {
-    let mut out = String::from("step,mean_reward,best_reward,entropy,step_time_ms\n");
-    for record in &outcome.history {
-        let _ = writeln!(
+/// Writes per-step telemetry
+/// (`step, mean_reward, best_reward, entropy, step_time_ms`) as CSV: the
+/// header, then one row per record. The timing column is fed by the span
+/// timers around each search step.
+///
+/// # Errors
+///
+/// Propagates the first error `out` returns.
+pub fn write_history(out: &mut impl Write, history: &[StepRecord]) -> io::Result<()> {
+    out.write_all(b"step,mean_reward,best_reward,entropy,step_time_ms\n")?;
+    for record in history {
+        writeln!(
             out,
             "{},{},{},{},{}",
             record.step,
@@ -26,51 +31,108 @@ pub fn history_csv(outcome: &SearchOutcome) -> String {
             record.best_reward,
             record.entropy,
             record.step_time_ms
-        );
+        )?;
     }
-    out
+    Ok(())
 }
 
-/// Renders the evaluated-candidate cloud
-/// (`reward, quality, perf_0..perf_{n-1}, sample`) as CSV. The sample is
-/// encoded as `/`-joined choice indices so it stays a single CSV field.
-pub fn candidates_csv(outcome: &SearchOutcome) -> String {
-    let n_perf = outcome
-        .evaluated
-        .first()
-        .map(|c| c.result.perf_values.len())
-        .unwrap_or(0);
-    let mut out = String::from("reward,quality");
-    for i in 0..n_perf {
-        let _ = write!(out, ",perf_{i}");
-    }
-    out.push_str(",sample\n");
-    for c in &outcome.evaluated {
-        let _ = write!(out, "{},{}", c.reward, c.result.quality);
-        for v in &c.result.perf_values {
-            let _ = write!(out, ",{v}");
-        }
-        let sample: Vec<String> = c.sample.iter().map(|x| x.to_string()).collect();
-        let _ = writeln!(out, ",{}", sample.join("/"));
-    }
-    out
-}
-
-/// Writes both CSVs next to each other: `<stem>_history.csv` and
-/// `<stem>_candidates.csv`.
+/// Writes the evaluated-candidate cloud
+/// (`reward, quality, perf_0..perf_{n-1}, sample`) as CSV: the header,
+/// sized by the first candidate's perf values, then one row per candidate.
+/// The sample is encoded as `/`-joined choice indices so it stays a single
+/// CSV field; each choice is written straight to `out`.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Propagates the first error `out` returns.
+pub fn write_candidates(out: &mut impl Write, evaluated: &[EvaluatedCandidate]) -> io::Result<()> {
+    let n_perf = evaluated.first().map_or(0, |c| c.result.perf_values.len());
+    out.write_all(b"reward,quality")?;
+    for i in 0..n_perf {
+        write!(out, ",perf_{i}")?;
+    }
+    out.write_all(b",sample\n")?;
+    for c in evaluated {
+        write!(out, "{},{}", c.reward, c.result.quality)?;
+        for v in &c.result.perf_values {
+            write!(out, ",{v}")?;
+        }
+        out.write_all(b",")?;
+        for (i, choice) in c.sample.iter().enumerate() {
+            if i > 0 {
+                out.write_all(b"/")?;
+            }
+            write_decimal(out, *choice)?;
+        }
+        out.write_all(b"\n")?;
+    }
+    Ok(())
+}
+
+/// Writes `v` as `{v}` would, without the formatting machinery's per-call
+/// cost: a production-DLRM row holds 110 choices.
+fn write_decimal(out: &mut impl Write, mut v: usize) -> io::Result<()> {
+    const MAX_DIGITS: usize = usize::MAX.ilog10() as usize + 1;
+    let mut digits = [0u8; MAX_DIGITS];
+    let mut start = MAX_DIGITS;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_all(&digits[start..])
+}
+
+/// The history CSV of [`write_history`] as a `String`.
+pub fn history_csv(outcome: &SearchOutcome) -> String {
+    render(|out| write_history(out, &outcome.history))
+}
+
+/// The candidates CSV of [`write_candidates`] as a `String`.
+pub fn candidates_csv(outcome: &SearchOutcome) -> String {
+    render(|out| write_candidates(out, &outcome.evaluated))
+}
+
+fn render(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail, and the writers emit only ASCII.
+    let _ = write(&mut out);
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Writes both CSVs next to each other: `<stem>_history.csv` and
+/// `<stem>_candidates.csv`, each streamed through a buffer.
+///
+/// # Errors
+///
+/// Propagates filesystem errors, including one that only the final flush
+/// of a file meets.
 pub fn write_csvs(outcome: &SearchOutcome, stem: &Path) -> io::Result<()> {
-    let with_suffix = |suffix: &str| {
+    let create = |suffix: &str| {
         let mut name = stem.file_name().unwrap_or_default().to_os_string();
         name.push(suffix);
-        stem.with_file_name(name)
+        File::create(stem.with_file_name(name))
     };
-    std::fs::write(with_suffix("_history.csv"), history_csv(outcome))?;
-    std::fs::write(with_suffix("_candidates.csv"), candidates_csv(outcome))?;
-    Ok(())
+    write_buffered(create("_history.csv")?, |out| {
+        write_history(out, &outcome.history)
+    })?;
+    write_buffered(create("_candidates.csv")?, |out| {
+        write_candidates(out, &outcome.evaluated)
+    })
+}
+
+/// Runs `rows` against `file` through a [`BufWriter`], then flushes it:
+/// dropping a `BufWriter` would discard the error of its last write.
+fn write_buffered<W: Write>(
+    file: W,
+    rows: impl FnOnce(&mut BufWriter<W>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = BufWriter::new(file);
+    rows(&mut out)?;
+    out.flush()
 }
 
 #[cfg(test)]
@@ -165,6 +227,181 @@ mod tests {
         assert!(text.starts_with("step,mean_reward,best_reward,entropy,step_time_ms\n"));
         assert!(text.contains(",12.5\n"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The `String` formatter the streaming writers replaced, kept as their
+    /// reference.
+    fn reference_csvs(outcome: &SearchOutcome) -> (String, String) {
+        use std::fmt::Write as _;
+        let mut history = String::from("step,mean_reward,best_reward,entropy,step_time_ms\n");
+        for record in &outcome.history {
+            let _ = writeln!(
+                history,
+                "{},{},{},{},{}",
+                record.step,
+                record.mean_reward,
+                record.best_reward,
+                record.entropy,
+                record.step_time_ms
+            );
+        }
+        let n_perf = outcome
+            .evaluated
+            .first()
+            .map(|c| c.result.perf_values.len())
+            .unwrap_or(0);
+        let mut candidates = String::from("reward,quality");
+        for i in 0..n_perf {
+            let _ = write!(candidates, ",perf_{i}");
+        }
+        candidates.push_str(",sample\n");
+        for c in &outcome.evaluated {
+            let _ = write!(candidates, "{},{}", c.reward, c.result.quality);
+            for v in &c.result.perf_values {
+                let _ = write!(candidates, ",{v}");
+            }
+            let sample: Vec<String> = c.sample.iter().map(|x| x.to_string()).collect();
+            let _ = writeln!(candidates, ",{}", sample.join("/"));
+        }
+        (history, candidates)
+    }
+
+    /// An outcome whose rows hold multi-digit and extreme choices and
+    /// non-finite, negative-zero and subnormal floats, with `n_perf` perf
+    /// columns.
+    fn edge_outcome(n_perf: usize) -> SearchOutcome {
+        let floats = [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            -1.5e-7,
+            8.25,
+        ];
+        let choices = [0, 9, 10, 99, 100, usize::MAX];
+        let float = |i: usize| floats[i % floats.len()];
+        let mut o = outcome();
+        o.history = (0..floats.len())
+            .map(|i| StepRecord {
+                step: [i, usize::MAX][i % 2],
+                mean_reward: float(i),
+                best_reward: float(i + 1),
+                entropy: float(i + 2),
+                step_time_ms: float(i + 3),
+            })
+            .collect();
+        o.evaluated = (0..floats.len())
+            .map(|i| EvaluatedCandidate {
+                sample: (0..choices.len() + i)
+                    .map(|j| choices[(i + j) % choices.len()])
+                    .collect(),
+                result: EvalResult {
+                    quality: float(i + 1),
+                    perf_values: (0..n_perf).map(|j| float(i + 2 + j)).collect(),
+                },
+                reward: float(i),
+            })
+            .collect();
+        o.evaluated.push(EvaluatedCandidate {
+            sample: vec![],
+            result: EvalResult {
+                quality: 0.0,
+                perf_values: vec![1.0; n_perf],
+            },
+            reward: 0.0,
+        });
+        o
+    }
+
+    #[test]
+    fn writers_match_the_reference_formatter_byte_for_byte() {
+        let dir = unique_temp_dir("writers_match_the_reference_formatter");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut empty = edge_outcome(0);
+        empty.history.clear();
+        empty.evaluated.clear();
+        for (name, o) in [
+            ("zero_perf", edge_outcome(0)),
+            ("two_perf", edge_outcome(2)),
+            ("empty", empty),
+        ] {
+            let (history, candidates) = reference_csvs(&o);
+            assert_eq!(history_csv(&o), history, "{name}");
+            assert_eq!(candidates_csv(&o), candidates, "{name}");
+            let stem = dir.join(name);
+            write_csvs(&o, &stem).unwrap();
+            let read = |suffix: &str| {
+                std::fs::read_to_string(dir.join(format!("{name}{suffix}"))).unwrap()
+            };
+            assert_eq!(read("_history.csv"), history, "{name}");
+            assert_eq!(read("_candidates.csv"), candidates, "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Takes `.0` more bytes, then fails every write, as a disk that fills
+    /// up mid-file does.
+    struct FailAfter(usize);
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.0 == 0 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
+            }
+            let n = buf.len().min(self.0);
+            self.0 -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_write_error_mid_file_reaches_the_caller() {
+        // The large file fails while rows are still being written, the
+        // small one only in the final flush.
+        let mut large = edge_outcome(2);
+        let rows = large.evaluated.clone();
+        for _ in 0..100 {
+            large.evaluated.extend_from_slice(&rows);
+        }
+        let (_, large_csv) = reference_csvs(&large);
+        assert!(large_csv.len() > 8 * 1024, "larger than the write buffer");
+        let small = outcome();
+        let (small_history, small_csv) = reference_csvs(&small);
+        let fails = |limit: usize, rows: &dyn Fn(&mut BufWriter<FailAfter>) -> io::Result<()>| {
+            write_buffered(FailAfter(limit), rows).map_err(|e| e.kind())
+        };
+        for limit in [0, 100, large_csv.len() - 1] {
+            assert_eq!(
+                fails(limit, &|out| write_candidates(out, &large.evaluated)),
+                Err(io::ErrorKind::StorageFull),
+                "large candidates file, failing after {limit} bytes"
+            );
+        }
+        for limit in [0, small_csv.len() - 1] {
+            assert_eq!(
+                fails(limit, &|out| write_candidates(out, &small.evaluated)),
+                Err(io::ErrorKind::StorageFull),
+                "small candidates file, failing after {limit} bytes"
+            );
+        }
+        assert_eq!(
+            fails(small_history.len() - 1, &|out| {
+                write_history(out, &small.history)
+            }),
+            Err(io::ErrorKind::StorageFull)
+        );
+        assert_eq!(
+            fails(large_csv.len(), &|out| write_candidates(
+                out,
+                &large.evaluated
+            )),
+            Ok(())
+        );
     }
 
     #[test]

@@ -205,15 +205,16 @@ impl ArgMap {
             .ok_or_else(|| err(self.line, format!("missing argument '{key}'")))
     }
 
-    fn usize(&self, key: &str) -> Result<usize, ParseGraphError> {
-        self.get(key)?
+    /// A dimension, element count, stride or window. Zero is rejected: a
+    /// zero stride or window divides by zero in the cost model, and any
+    /// other zero makes an empty op whose zero time turns into an infinite
+    /// throughput.
+    fn dim(&self, key: &str) -> Result<usize, ParseGraphError> {
+        let v: usize = self
+            .get(key)?
             .parse()
-            .map_err(|_| err(self.line, format!("argument '{key}' is not an integer")))
-    }
-
-    /// A stride or window: zero would divide by zero in the cost model.
-    fn positive(&self, key: &str) -> Result<usize, ParseGraphError> {
-        match self.usize(key)? {
+            .map_err(|_| err(self.line, format!("argument '{key}' is not an integer")))?;
+        match v {
             0 => Err(err(self.line, format!("argument '{key}' must be positive"))),
             v => Ok(v),
         }
@@ -233,6 +234,16 @@ impl ArgMap {
                 self.line,
                 format!("argument '{key}' must be finite and non-negative"),
             ))
+        }
+    }
+
+    /// A byte count: like any other count, zero would make an empty op.
+    fn bytes(&self, key: &str) -> Result<f64, ParseGraphError> {
+        let v = self.f64(key)?;
+        if v > 0.0 {
+            Ok(v)
+        } else {
+            Err(err(self.line, format!("argument '{key}' must be positive")))
         }
     }
 
@@ -302,8 +313,9 @@ fn check_integer_shape(kind: &OpKind, line: usize) -> Result<(), ParseGraphError
 /// # Errors
 ///
 /// Returns a [`ParseGraphError`] with the offending line on any syntax or
-/// referential problem (unknown op, forward reference, bad argument), and
-/// on a shape whose element counts overflow `usize`.
+/// referential problem (unknown op, forward reference, bad argument), on a
+/// zero dimension, element or byte count, and on a shape whose element
+/// counts overflow `usize`.
 pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
     let mut lines = text.lines().enumerate();
     // Header: graph "name" dtype=<d> {
@@ -411,63 +423,63 @@ pub fn parse(text: &str) -> Result<Graph, ParseGraphError> {
         };
         let kind = match op_name {
             "matmul" => OpKind::MatMul {
-                m: args.usize("m")?,
-                k: args.usize("k")?,
-                n: args.usize("n")?,
+                m: args.dim("m")?,
+                k: args.dim("k")?,
+                n: args.dim("n")?,
             },
             "batched_matmul" => OpKind::BatchedMatMul {
-                batches: args.usize("batches")?,
-                m: args.usize("m")?,
-                k: args.usize("k")?,
-                n: args.usize("n")?,
+                batches: args.dim("batches")?,
+                m: args.dim("m")?,
+                k: args.dim("k")?,
+                n: args.dim("n")?,
             },
             "conv2d" => OpKind::Conv2d {
-                batch: args.usize("batch")?,
-                h: args.usize("h")?,
-                w: args.usize("w")?,
-                c_in: args.usize("c_in")?,
-                c_out: args.usize("c_out")?,
-                kh: args.usize("kh")?,
-                kw: args.usize("kw")?,
-                stride: args.positive("stride")?,
+                batch: args.dim("batch")?,
+                h: args.dim("h")?,
+                w: args.dim("w")?,
+                c_in: args.dim("c_in")?,
+                c_out: args.dim("c_out")?,
+                kh: args.dim("kh")?,
+                kw: args.dim("kw")?,
+                stride: args.dim("stride")?,
             },
             "depthwise_conv2d" => OpKind::DepthwiseConv2d {
-                batch: args.usize("batch")?,
-                h: args.usize("h")?,
-                w: args.usize("w")?,
-                c: args.usize("c")?,
-                kh: args.usize("kh")?,
-                kw: args.usize("kw")?,
-                stride: args.positive("stride")?,
+                batch: args.dim("batch")?,
+                h: args.dim("h")?,
+                w: args.dim("w")?,
+                c: args.dim("c")?,
+                kh: args.dim("kh")?,
+                kw: args.dim("kw")?,
+                stride: args.dim("stride")?,
             },
             "embedding_lookup" => OpKind::EmbeddingLookup {
-                lookups: args.usize("lookups")?,
-                width: args.usize("width")?,
-                vocab: args.usize("vocab")?,
+                lookups: args.dim("lookups")?,
+                width: args.dim("width")?,
+                vocab: args.dim("vocab")?,
             },
             "elementwise" => OpKind::Elementwise {
-                elems: args.usize("elems")?,
+                elems: args.dim("elems")?,
                 ops_per_elem: args.f64("ops_per_elem")?,
                 label: Cow::Owned(args.string("label")?),
             },
             "pool" => OpKind::Pool {
-                batch: args.usize("batch")?,
-                h: args.usize("h")?,
-                w: args.usize("w")?,
-                c: args.usize("c")?,
-                window: args.positive("window")?,
+                batch: args.dim("batch")?,
+                h: args.dim("h")?,
+                w: args.dim("w")?,
+                c: args.dim("c")?,
+                window: args.dim("window")?,
             },
             "concat" => OpKind::Concat {
-                elems: args.usize("elems")?,
+                elems: args.dim("elems")?,
             },
             "all_to_all" => OpKind::AllToAll {
-                bytes_per_chip: args.f64("bytes_per_chip")?,
+                bytes_per_chip: args.bytes("bytes_per_chip")?,
             },
             "all_reduce" => OpKind::AllReduce {
-                bytes_per_chip: args.f64("bytes_per_chip")?,
+                bytes_per_chip: args.bytes("bytes_per_chip")?,
             },
             "reshape" => OpKind::Reshape {
-                elems: args.usize("elems")?,
+                elems: args.dim("elems")?,
             },
             other => return Err(err(line_no, format!("unknown op '{other}'"))),
         };
@@ -684,6 +696,42 @@ mod tests {
             (
                 "matmul(m=4, k=18446744073709551615, n=4)",
                 overflow.to_string(),
+            ),
+            ("matmul(m=0, k=0, n=0)", format!("argument 'm' {zero}")),
+            ("matmul(m=4, k=4, n=0)", format!("argument 'n' {zero}")),
+            (
+                "batched_matmul(batches=0, m=4, k=4, n=4)",
+                format!("argument 'batches' {zero}"),
+            ),
+            (
+                "conv2d(batch=1, h=8, w=8, c_in=0, c_out=4, kh=3, kw=3, stride=1)",
+                format!("argument 'c_in' {zero}"),
+            ),
+            (
+                "depthwise_conv2d(batch=1, h=4, w=4, c=4, kh=0, kw=3, stride=1)",
+                format!("argument 'kh' {zero}"),
+            ),
+            (
+                "embedding_lookup(lookups=10, width=0, vocab=100)",
+                format!("argument 'width' {zero}"),
+            ),
+            (
+                "elementwise(elems=0, ops_per_elem=1, label=\"x\")",
+                format!("argument 'elems' {zero}"),
+            ),
+            (
+                "pool(batch=0, h=4, w=4, c=4, window=2)",
+                format!("argument 'batch' {zero}"),
+            ),
+            ("concat(elems=0)", format!("argument 'elems' {zero}")),
+            ("reshape(elems=0)", format!("argument 'elems' {zero}")),
+            (
+                "all_to_all(bytes_per_chip=0)",
+                format!("argument 'bytes_per_chip' {zero}"),
+            ),
+            (
+                "all_reduce(bytes_per_chip=-0)",
+                format!("argument 'bytes_per_chip' {zero}"),
             ),
         ] {
             let text = format!("graph \"x\" dtype=bf16 {{\n  %0 = {node}\n}}\n");

@@ -9,7 +9,8 @@
 //!   shards don't contend.
 //! - **Spans** ([`mod@span`]): RAII wall-clock timers with hierarchical
 //!   per-thread paths (`search_step/policy_sample`). Durations mirror into
-//!   the registry as histograms; completed spans buffer for trace export.
+//!   the registry as histograms; completed spans buffer for trace export
+//!   once an exporter turns buffering on (`span::global().set_buffering`).
 //! - **Exporters** ([`export`]): Prometheus text exposition, JSON
 //!   snapshot, and Chrome trace-event JSON (loadable in Perfetto).
 //!
@@ -80,7 +81,8 @@ pub fn snapshot() -> Snapshot {
     registry::global().snapshot()
 }
 
-/// Drains the global tracer's buffered span events.
+/// Drains the global tracer's buffered span events: none unless
+/// [`Tracer::set_buffering`] turned its buffering on.
 pub fn drain_spans() -> Vec<SpanEvent> {
     span::global().drain_events()
 }

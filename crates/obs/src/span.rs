@@ -4,9 +4,15 @@
 //! enclosing span names are tracked per thread, so a guard knows its full
 //! path (e.g. `search_step/policy_sample`) and both the per-path duration
 //! histogram and the Chrome-trace buffer see properly nested events.
+//!
+//! Every span feeds its histogram. Events are buffered only while an
+//! exporter wants them: a tracer built with [`Tracer::new`] buffers from
+//! the start, while the process-global one ([`global`]) buffers nothing
+//! until [`Tracer::set_buffering`] turns it on, so a run that exports no
+//! trace holds no events.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -29,6 +35,10 @@ pub struct SpanEvent {
 
 struct TracerCore {
     epoch: Instant,
+    /// Whether closed spans are kept in `events`. Relaxed suffices: the
+    /// flag publishes no other data, and a span closing while another
+    /// thread flips it may land on either side of the switch.
+    buffering: AtomicBool,
     events: Mutex<Vec<SpanEvent>>,
     /// Spans beyond this are counted but dropped, bounding memory on long
     /// runs.
@@ -91,6 +101,7 @@ impl Tracer {
         Self {
             core: Arc::new(TracerCore {
                 epoch: Instant::now(),
+                buffering: AtomicBool::new(true),
                 events: Mutex::new(Vec::new()),
                 capacity,
                 dropped: AtomicU64::new(0),
@@ -118,6 +129,14 @@ impl Tracer {
     pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let _g = self.span(name);
         f()
+    }
+
+    /// Starts (`true`) or stops (`false`) keeping closed spans for
+    /// [`Tracer::drain_events`]. While buffering is off, closing a span
+    /// still records its duration histogram but stores no event and counts
+    /// no drop.
+    pub fn set_buffering(&self, on: bool) {
+        self.core.buffering.store(on, Ordering::Relaxed);
     }
 
     /// Number of spans dropped because the buffer was full.
@@ -152,6 +171,9 @@ impl Tracer {
             &format!("span_seconds{{path=\"{path}\"}}"),
             dur.as_secs_f64(),
         );
+        if !self.core.buffering.load(Ordering::Relaxed) {
+            return;
+        }
         let mut events = self.core.events.lock();
         if events.len() >= self.core.capacity {
             self.core.dropped.fetch_add(1, Ordering::Relaxed);
@@ -202,10 +224,15 @@ impl Drop for SpanGuard {
     }
 }
 
-/// The process-global tracer, mirroring into the global registry.
+/// The process-global tracer, mirroring into the global registry. It
+/// buffers no events until [`Tracer::set_buffering`] turns buffering on.
 pub fn global() -> &'static Tracer {
     static GLOBAL: OnceLock<Tracer> = OnceLock::new();
-    GLOBAL.get_or_init(|| Tracer::new(crate::registry::global().clone()))
+    GLOBAL.get_or_init(|| {
+        let tracer = Tracer::new(crate::registry::global().clone());
+        tracer.set_buffering(false);
+        tracer
+    })
 }
 
 #[cfg(test)]
@@ -259,6 +286,28 @@ mod tests {
             3,
             "drops are visible in exports, not just the accessor"
         );
+    }
+
+    #[test]
+    fn buffering_off_keeps_histograms_but_no_events_or_drops() {
+        let r = Registry::new();
+        let t = Tracer::with_capacity(r.clone(), 1);
+        t.set_buffering(false);
+        for _ in 0..3 {
+            t.time("x", || {});
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.histograms["span_seconds{path=\"x\"}"].count, 3);
+        assert!(t.events().is_empty());
+        assert_eq!(t.dropped(), 0);
+        assert!(!snap.counters.contains_key("h2o_obs_spans_dropped_total"));
+        t.set_buffering(true);
+        for _ in 0..3 {
+            t.time("x", || {});
+        }
+        assert_eq!(t.events().len(), 1);
+        assert_eq!(t.dropped(), 2);
+        assert_eq!(r.snapshot().counters["h2o_obs_spans_dropped_total"], 2);
     }
 
     #[test]

@@ -28,8 +28,10 @@ use h2o_nas::space::{
     ArchSample, CnnSpace, CnnSpaceConfig, DlrmSpace, DlrmSpaceConfig, VitSpace, VitSpaceConfig,
 };
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -77,6 +79,29 @@ MODELS:
   coatnet-0..coatnet-5, coatnet-h0..coatnet-h5,
   efficientnet-x-b0..b7, efficientnet-h-b0..b7, dlrm, dlrm-h
 ";
+
+/// The error that stopped standard output, once one has.
+static STDOUT_FAILED: OnceLock<io::Error> = OnceLock::new();
+
+/// Writes to standard output. `print!` panics when a write fails, as it
+/// does once the reader of a pipe has exited (`h2o dump ... | head`); after
+/// a failed write this drops all further output instead, and the command
+/// runs to completion, so a search still writes its CSV and metrics files.
+/// [`main`] reports any failure other than a closed pipe.
+fn write_stdout(args: fmt::Arguments) {
+    if STDOUT_FAILED.get().is_none() {
+        if let Err(e) = io::stdout().lock().write_fmt(args) {
+            let _ = STDOUT_FAILED.set(e);
+        }
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
@@ -140,7 +165,7 @@ fn find_model(name: &str) -> Option<Box<dyn Fn(usize) -> Graph>> {
 }
 
 fn cmd_spaces() {
-    println!("search spaces (Table 5):");
+    say!("search spaces (Table 5):");
     let rows = [
         (
             "cnn",
@@ -162,7 +187,7 @@ fn cmd_spaces() {
         ),
     ];
     for (name, space) in rows {
-        println!(
+        say!(
             "  {name:12} {:>4} decisions   O(10^{:.1}) candidates",
             space.num_decisions(),
             space.log10_size()
@@ -183,7 +208,7 @@ fn load_graph(flags: &BTreeMap<String, String>, batch: usize) -> Result<Graph, S
 fn cmd_dump(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
     let graph = load_graph(flags, batch)?;
-    print!("{}", h2o_nas::graph::text::to_text(&graph));
+    write_stdout(format_args!("{}", h2o_nas::graph::text::to_text(&graph)));
     Ok(())
 }
 
@@ -199,7 +224,7 @@ fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
         None => sim.simulate(&graph),
         Some(system) => sim.simulate_training(&graph, system),
     };
-    println!(
+    say!(
         "{} on {} (batch {batch}, {}):",
         graph.name(),
         hw.name,
@@ -209,42 +234,43 @@ fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
             "training step, 128-chip pod"
         }
     );
-    println!("  time            : {:.3} ms", report.time * 1e3);
-    println!(
+    say!("  time            : {:.3} ms", report.time * 1e3);
+    say!(
         "  throughput      : {:.0} examples/s/chip",
         batch as f64 / report.time
     );
-    println!(
+    say!(
         "  compute         : {:.1} TFLOPs at {:.1} TFLOPS achieved",
         report.flops / 1e12,
         report.achieved_flops_rate / 1e12
     );
-    println!(
+    say!(
         "  MXU utilization : {:.0}%",
         report.mxu_utilization() * 100.0
     );
-    println!(
+    say!(
         "  HBM traffic     : {:.2} GB ({:.0} GB/s)",
         report.hbm_bytes / 1e9,
         report.hbm_bw_used / 1e9
     );
-    println!(
+    say!(
         "  CMEM traffic    : {:.2} GB ({:.0} GB/s)",
         report.cmem_bytes / 1e9,
         report.cmem_bw_used / 1e9
     );
-    println!("  ICI traffic     : {:.2} GB", report.ici_bytes / 1e9);
-    println!(
+    say!("  ICI traffic     : {:.2} GB", report.ici_bytes / 1e9);
+    say!(
         "  power           : {:.0} W  energy {:.2} J",
-        report.avg_power, report.energy
+        report.avg_power,
+        report.energy
     );
-    println!("  params          : {:.1} M", report.params / 1e6);
+    say!("  params          : {:.1} M", report.params / 1e6);
     let breakdown = sim.breakdown(&graph, system);
     let mut slowest: Vec<(&String, &f64)> = breakdown.iter().collect();
     slowest.sort_by(|a, b| b.1.total_cmp(a.1));
-    println!("  top op classes  :");
+    say!("  top op classes  :");
     for (label, t) in slowest.iter().take(4) {
-        println!("    {label:20} {:.3} ms", **t * 1e3);
+        say!("    {label:20} {:.3} ms", **t * 1e3);
     }
     Ok(())
 }
@@ -268,14 +294,14 @@ fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let queue = ServingLoadModel::new(load);
     let sim = Simulator::new(hw.clone());
     let points = batch_sweep(&sim, build, &batches);
-    println!(
+    say!(
         "{model} serving sweep on {} (queueing load {:.0}%):",
         hw.name,
         load * 100.0
     );
-    println!("  batch | latency (ms) | P99@load (ms) | qps      | MXU util | J/example");
+    say!("  batch | latency (ms) | P99@load (ms) | qps      | MXU util | J/example");
     for p in points {
-        println!(
+        say!(
             "  {:>5} | {:>12.3} | {:>13.3} | {:>8.0} | {:>7.0}% | {:.4}",
             p.batch,
             p.latency * 1e3,
@@ -290,7 +316,7 @@ fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
 fn cmd_roofline(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let hw = hardware(flags)?;
-    println!(
+    say!(
         "{}: peak {:.0} TFLOPS, HBM {:.0} GB/s, CMEM {:.0} MB @ {:.1} TB/s, ridge {:.0} FLOPs/B",
         hw.name,
         hw.peak_flops / 1e12,
@@ -300,7 +326,7 @@ fn cmd_roofline(flags: &BTreeMap<String, String>) -> Result<(), String> {
         hw.ridge_intensity()
     );
     let sim = Simulator::new(hw);
-    println!("\nMBConv dynamic-fusion crossover (56x56 feature map, batch 8):");
+    say!("\nMBConv dynamic-fusion crossover (56x56 feature map, batch 8):");
     for depth in [16usize, 32, 64, 128, 256] {
         use h2o_nas::graph::blocks::{fused_mbconv, mbconv, MbConvConfig};
         use h2o_nas::graph::{DType, OpKind};
@@ -317,7 +343,7 @@ fn cmd_roofline(flags: &BTreeMap<String, String>) -> Result<(), String> {
             sim.simulate(&g).time
         };
         let (t_mbc, t_fused) = (time_of(false), time_of(true));
-        println!(
+        say!(
             "  depth {depth:>3}: MBC {:>8.1} us  F-MBC {:>8.1} us  -> {}",
             t_mbc * 1e6,
             t_fused * 1e6,
@@ -337,13 +363,13 @@ fn export_observability(flags: &BTreeMap<String, String>) -> Result<(), String> 
     if let Some(path) = flags.get("metrics-out") {
         let text = h2o_nas::obs::export::to_prometheus(&h2o_nas::obs::snapshot());
         std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("metrics written to {path}");
+        say!("metrics written to {path}");
     }
     if let Some(path) = flags.get("trace-out") {
         let events = h2o_nas::obs::drain_spans();
         let json = h2o_nas::obs::export::to_chrome_trace(&events);
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!(
+        say!(
             "trace written to {path} ({} spans; open in Perfetto)",
             events.len()
         );
@@ -374,12 +400,12 @@ fn checkpoint_setup(
             .load_latest()
             .map_err(|e| format!("resuming from {dir}: {e}"))?
             .ok_or_else(|| format!("--resume: no checkpoint found in {dir}"))?;
-        println!("resuming from {dir} at step {}", state.steps_done);
+        say!("resuming from {dir} at step {}", state.steps_done);
         Some(state)
     } else {
         None
     };
-    println!("checkpointing to {dir} every {every} steps");
+    say!("checkpointing to {dir} every {every} steps");
     Ok((Some(FileCheckpointSink::new(store, every)), state))
 }
 
@@ -413,7 +439,7 @@ fn run_distributed(
             .collect::<Result<Vec<_>, _>>()?;
         (None, addrs)
     };
-    println!(
+    say!(
         "distributed: {} node process(es), io timeout {:?}, node retries {}, min live nodes {}",
         addrs.len(),
         pool_options.io_timeout,
@@ -452,7 +478,7 @@ fn run_distributed(
 fn report_backend(backend: &EvalBackend) {
     if let Some(served) = backend.model_served() {
         let stats = served.stats();
-        println!(
+        say!(
             "model served: {} served / {} fallback ({:.0}% served), {} finetune rounds, \
              {} measurements buffered",
             stats.served,
@@ -462,7 +488,7 @@ fn report_backend(backend: &EvalBackend) {
             stats.buffered
         );
         if let Some((frozen, refined)) = served.buffer_nrmse() {
-            println!(
+            say!(
                 "model refinement: training-head NRMSE on fallback ground truth \
                  {frozen:.3} frozen -> {refined:.3} refined"
             );
@@ -470,7 +496,7 @@ fn report_backend(backend: &EvalBackend) {
     }
     if let Some(cache) = backend.cache() {
         let s = cache.stats();
-        println!(
+        say!(
             "eval cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {} entries resident",
             s.hits,
             s.misses,
@@ -487,7 +513,9 @@ fn cmd_node_worker(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let backend = EvalScenario::parse_backend_flags(|name| flags.get(name).map(String::as_str))?;
     let chaos_exit_after: Option<usize> = parse_flag(flags, "chaos-exit-after")?;
     let scenario = EvalScenario::new(domain, backend)?;
-    h2o_nas::distributed::run_worker(addr, scenario, chaos_exit_after)
+    h2o_nas::distributed::run_worker(addr, scenario, chaos_exit_after, |resolved| {
+        say!("node-worker listening {resolved}")
+    })
 }
 
 fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
@@ -504,6 +532,10 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
         if flags.contains_key(flag) && !flags.contains_key(mode) {
             return Err(format!("--{flag} requires --{mode}"));
         }
+    }
+    // The global tracer keeps span events only for a trace export.
+    if flags.contains_key("trace-out") {
+        h2o_nas::obs::span::global().set_buffering(true);
     }
     let steps: usize = parse_flag(flags, "steps")?.unwrap_or(120);
     let shards: usize = parse_flag(flags, "shards")?.unwrap_or(8);
@@ -544,15 +576,15 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
         RewardKind::Relu,
         vec![PerfObjective::new("step_time", budget, -8.0)],
     );
-    println!(
-        "searching {domain} space: {steps} steps x {shards} shards, step budget {budget_ms} ms"
-    );
+    say!("searching {domain} space: {steps} steps x {shards} shards, step budget {budget_ms} ms");
     let csv_stem = flags.get("csv").cloned();
     let maybe_export = |outcome: &h2o_nas::core::SearchOutcome| -> Result<(), String> {
         if let Some(stem) = &csv_stem {
-            h2o_nas::core::telemetry::write_csvs(outcome, std::path::Path::new(stem))
-                .map_err(|e| format!("writing telemetry: {e}"))?;
-            println!("telemetry written to {stem}_history.csv / {stem}_candidates.csv");
+            h2o_nas::obs::time("write_csvs", || {
+                h2o_nas::core::telemetry::write_csvs(outcome, std::path::Path::new(stem))
+            })
+            .map_err(|e| format!("writing telemetry: {e}"))?;
+            say!("telemetry written to {stem}_history.csv / {stem}_candidates.csv");
         }
         Ok(())
     };
@@ -598,7 +630,7 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 }
             };
             maybe_export(&outcome)?;
-            println!("{}", scenario.describe_best(&outcome.best));
+            say!("{}", scenario.describe_best(&outcome.best));
         }
         "dlrm-oneshot" if nodes_spec.is_some() => {
             return Err(
@@ -658,7 +690,7 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
                     lr: 1e-3,
                 },
             );
-            println!("perf model pretrained on {pool} simulator-labelled candidates");
+            say!("perf model pretrained on {pool} simulator-labelled candidates");
 
             // Search with model predictions as the performance signal.
             // Without --budget-ms the CTR budget is the median simulated
@@ -700,14 +732,14 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
             maybe_export(&outcome)?;
             let stats = pipeline.stats();
             let best = space.decode(&outcome.best);
-            println!(
+            say!(
                 "pipeline: {} batches served, {} policy-used, {} weights-used, {} in flight",
                 stats.produced,
                 stats.policy_used,
                 stats.weights_used,
                 pipeline.in_flight()
             );
-            println!(
+            say!(
                 "best: {} tables totalling {:.2}M embedding params, size {:.2} MB, predicted step {:.3} ms",
                 best.tables.len(),
                 best.embedding_params() / 1e6,
@@ -765,7 +797,7 @@ fn run(cmd: &str, args: &[String]) -> Result<(), String> {
             cmd_node_worker,
         ),
         "help" | "--help" | "-h" => (vec![], |_| {
-            print!("{USAGE}");
+            write_stdout(format_args!("{USAGE}"));
             Ok(())
         }),
         other => return Err(format!("unknown command '{other}'")),
@@ -783,12 +815,16 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    match run(cmd, rest) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
+    if let Err(e) = run(cmd, rest) {
+        eprintln!("error: {e}\n");
+        eprint!("{USAGE}");
+        return ExitCode::FAILURE;
+    }
+    match STDOUT_FAILED.get() {
+        Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("error: writing to stdout: {e}");
             ExitCode::FAILURE
         }
+        _ => ExitCode::SUCCESS,
     }
 }

@@ -30,12 +30,12 @@ pub use crate::eval::{Domain, EvalScenario};
 /// before giving up and exiting with a timeout error.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Runs the `node-worker` serve loop: bind, announce the resolved
-/// address on stdout (`node-worker listening <addr>` — how callers
-/// discover a TCP port chosen by the OS), accept one controller, then
-/// answer Job frames until Shutdown or peer close. A job whose sample does
-/// not fit the scenario's space is answered with an Error frame, which
-/// the controller reports as a typed worker error.
+/// Runs the `node-worker` serve loop: bind, pass the resolved address to
+/// `announce` (the CLI prints `node-worker listening <addr>` on stdout —
+/// how callers discover a TCP port chosen by the OS), accept one
+/// controller, then answer Job frames until Shutdown or peer close. A job
+/// whose sample does not fit the scenario's space is answered with an
+/// Error frame, which the controller reports as a typed worker error.
 ///
 /// `chaos_exit_after` is a fault-injection hook for the node-death tests:
 /// after answering that many jobs the process exits abruptly
@@ -45,19 +45,16 @@ const ACCEPT_TIMEOUT: Duration = Duration::from_secs(60);
 /// # Errors
 ///
 /// Any bind/accept/transport failure, rendered for CLI display.
-#[expect(
-    clippy::print_stdout,
-    reason = "the stdout announcement IS the worker discovery protocol: controllers and tests read this line to learn the bound port"
-)]
 pub fn run_worker(
     addr_spec: &str,
     scenario: EvalScenario,
     chaos_exit_after: Option<usize>,
+    announce: impl FnOnce(&NodeAddr),
 ) -> Result<(), String> {
     let addr = NodeAddr::parse(addr_spec).map_err(|e| e.to_string())?;
     let listener = NodeListener::bind(&addr).map_err(|e| e.to_string())?;
     let resolved = listener.local_addr().map_err(|e| e.to_string())?;
-    println!("node-worker listening {resolved}");
+    announce(&resolved);
     let mut transport = listener.accept(ACCEPT_TIMEOUT).map_err(|e| e.to_string())?;
     let backend = scenario.backend()?;
     let mut evaluate = scenario.shard_evaluator(&backend);

@@ -66,6 +66,9 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
             "batched_matmul_overflow",
             "batched_matmul(batches=18446744073709551615, m=4, k=4, n=4)",
         ),
+        ("zero_matmul", "matmul(m=0, k=0, n=0)"),
+        ("zero_reshape", "reshape(elems=0)"),
+        ("zero_all_to_all", "all_to_all(bytes_per_chip=0)"),
     ]
     .map(|(name, node)| hlo_file(&root, name, node));
     // A checkpoint at step 2 of 3, for a resume whose --steps lies before it.
@@ -185,6 +188,44 @@ fn node_worker_rejects_unknown_flags_before_it_binds() {
         assert!(
             !sock.exists(),
             "node-worker bound before checking its flags"
+        );
+    }
+}
+
+/// `println!` panics when stdout fails. `h2o` stops printing quietly once
+/// the reader of its stdout has gone, and exits 1 with an error line when
+/// stdout fails otherwise.
+#[test]
+fn a_failing_stdout_is_not_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_h2o"))
+        .args(["simulate", "--model", "dlrm", "--serving"])
+        .stdout(writer)
+        .output()
+        .expect("h2o binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.code() != Some(101) && !stderr.contains("panicked"),
+        "closed pipe: exit {:?}\n{stderr}",
+        out.status.code()
+    );
+    // Every write to /dev/full fails with "no space left on device".
+    if cfg!(target_os = "linux") {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_h2o"))
+            .arg("spaces")
+            .stdout(full)
+            .output()
+            .expect("h2o binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code() == Some(1) && stderr.starts_with("error: writing to stdout: "),
+            "full device: exit {:?}\n{stderr}",
+            out.status.code()
         );
     }
 }

@@ -5,8 +5,8 @@
 //! prior measurements must produce byte-identical telemetry CSVs.
 //!
 //! Also pins the instrument names, so a rename in
-//! `h2o-core`/`h2o-exec`/`h2o-hwsim` fails here instead of silently
-//! dropping a series from `--metrics-out` exports.
+//! `h2o-core`/`h2o-exec`/`h2o-hwsim` or in the `h2o` CLI fails here instead
+//! of silently dropping a series from `--metrics-out` exports.
 
 use h2o_nas::core::telemetry::{candidates_csv, history_csv};
 use h2o_nas::core::{
@@ -153,4 +153,43 @@ fn run_populates_the_observatory_instruments() {
     assert!(snap
         .histograms
         .contains_key("h2o_hwsim_eval_seconds{result=\"hit\"}"));
+
+    // No exporter turned span buffering on, so the spans above fed their
+    // histograms (the path depends on which thread ran the job) but left
+    // no events behind.
+    assert!(snap
+        .histograms
+        .keys()
+        .any(|k| k.starts_with("span_seconds{path=") && k.contains("shard_evaluate")));
+    assert!(h2o_nas::obs::drain_spans().is_empty());
+}
+
+/// `h2o search --csv` times its CSV write as the `write_csvs` span, and
+/// `--metrics-out`, written after the CSVs, exports that span's series.
+#[test]
+fn cli_exports_the_csv_write_span() {
+    let dir = std::env::temp_dir().join(format!("h2o_perf_observatory_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the temp dir");
+    let metrics = dir.join("run.prom");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_h2o"))
+        .args([
+            "search", "--domain", "dlrm", "--steps", "2", "--shards", "2",
+        ])
+        .arg("--csv")
+        .arg(dir.join("run"))
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .output()
+        .expect("h2o binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        text.contains("span_seconds_count{path=\"write_csvs\"} 1\n"),
+        "{text}"
+    );
 }

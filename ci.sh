@@ -44,12 +44,14 @@ rm -rf "$hlodir"
 # The evaluation executor promises bit-identical search output for any
 # worker count, so the suite runs under both a serial and a wide pool —
 # any schedule leak shows up as a determinism-test failure in one matrix
-# leg but not the other.
-echo "==> cargo test -q --workspace (H2O_WORKERS=1)"
-H2O_WORKERS=1 cargo test -q --workspace
-
-echo "==> cargo test -q --workspace (H2O_WORKERS=4)"
-H2O_WORKERS=4 cargo test -q --workspace
+# leg but not the other. Each leg reports its wall time (the first one
+# includes building the test targets at the dev profile, opt-level 1).
+for workers in 1 4; do
+  echo "==> cargo test -q --workspace (H2O_WORKERS=$workers)"
+  leg_start=$SECONDS
+  H2O_WORKERS=$workers cargo test -q --workspace
+  echo "    H2O_WORKERS=$workers leg: $((SECONDS - leg_start)) s"
+done
 
 # The executor holds the workspace's one `unsafe` block (the lifetime
 # erasure that lets parked helper threads run borrowing jobs), and an
@@ -59,8 +61,9 @@ echo "==> cargo test -q --release -p h2o-exec"
 cargo test -q --release -p h2o-exec
 
 # The supernet weight step's kernels (Adam, the transposed-block backward
-# product) are vectorised only in optimized builds, so the debug legs above
-# never run the loops the benchmark times. Re-run h2o-tensor's bit-exact
+# product) are vectorised only from opt-level 2 (the release profile), so
+# the debug legs above, at opt-level 1, never run the loops the benchmark
+# times. Re-run h2o-tensor's bit-exact
 # reference properties and the one-shot/TuNAS goldens in release mode.
 echo "==> cargo test -q --release -p h2o-tensor"
 cargo test -q --release -p h2o-tensor
@@ -188,9 +191,9 @@ done
 
 # Workspace invariant checker: the contracts clippy cannot express — the
 # float-ordering token rule plus the cross-file semantic rules
-# (nondet-taint, fingerprint-completeness, float-cast-on-reward-path) —
-# are enforced mechanically (see DESIGN.md, "static-analysis contract").
-# Any un-allowed finding fails the build.
+# (nondet-taint, float-cast-on-reward-path) — are enforced mechanically
+# (see DESIGN.md, "static-analysis contract"). Any un-allowed finding
+# fails the build.
 echo "==> h2o-lint (workspace invariant checker)"
 cargo run -q --release -p h2o-lint
 

@@ -127,9 +127,6 @@ pub const PHASES: [&str; 6] = [
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Search steps (policy updates).
-    // h2o-lint: allow(fingerprint-completeness) -- deliberately excluded from the
-    // resume fingerprint: a resumed run may extend the horizon without perturbing
-    // the trajectory (resume.rs::fingerprint_ignores_steps_and_workers).
     pub steps: usize,
     /// Virtual accelerator shards per step (parallel candidate samples).
     pub shards: usize,

@@ -14,9 +14,10 @@
 //! telemetry, and — for one-shot loops — the supernet's shared weights are
 //! the complete resumable state.
 
+use crate::oneshot::OneShotConfig;
 use crate::policy::{Policy, RewardBaseline};
 use crate::search::{EvaluatedCandidate, SearchConfig, StepRecord};
-use h2o_space::SearchSpace;
+use h2o_space::{Decision, SearchSpace};
 
 /// Borrowed view of everything needed to resume a search after a completed
 /// step, handed to [`CheckpointSink::on_checkpoint`].
@@ -126,12 +127,16 @@ fn fnv1a_str(mut hash: u64, value: &str) -> u64 {
 fn space_fingerprint(mut hash: u64, space: &SearchSpace) -> u64 {
     hash = fnv1a_str(hash, space.name());
     hash = fnv1a_u64(hash, space.num_decisions() as u64);
-    for decision in space.decisions() {
-        hash = fnv1a_str(hash, &decision.name);
-        hash = fnv1a_u64(hash, decision.choices as u64);
+    for Decision { name, choices } in space.decisions() {
+        hash = fnv1a_str(hash, name);
+        hash = fnv1a_u64(hash, *choices as u64);
     }
     hash
 }
+
+// Each fingerprint destructures the config it hashes, without `..`: a new
+// field does not compile until it is hashed or bound as `_` beside the
+// reason it cannot change the trajectory.
 
 impl SearchConfig {
     /// A fingerprint of everything that must match for a checkpoint to be
@@ -141,37 +146,58 @@ impl SearchConfig {
     /// *excluded* — a resumed run may extend the horizon or change the
     /// worker count without perturbing the outcome.
     pub fn fingerprint(&self, space: &SearchSpace) -> u64 {
+        let Self {
+            // A resumed run may extend the horizon.
+            steps: _,
+            shards,
+            policy_lr,
+            baseline_momentum,
+            seed,
+            // The outcome is bit-identical for every worker count.
+            workers: _,
+        } = *self;
         let mut hash = fnv1a_str(FNV_OFFSET, "parallel_search");
         hash = space_fingerprint(hash, space);
-        hash = fnv1a_u64(hash, self.shards as u64);
-        hash = fnv1a_u64(hash, self.policy_lr.to_bits());
-        hash = fnv1a_u64(hash, self.baseline_momentum.to_bits());
-        fnv1a_u64(hash, self.seed)
+        hash = fnv1a_u64(hash, shards as u64);
+        hash = fnv1a_u64(hash, policy_lr.to_bits());
+        hash = fnv1a_u64(hash, baseline_momentum.to_bits());
+        fnv1a_u64(hash, seed)
     }
 }
 
-impl crate::oneshot::OneShotConfig {
+impl OneShotConfig {
     /// A fingerprint of everything that must match for a checkpoint to be
     /// resumable under this config (see [`SearchConfig::fingerprint`]);
     /// additionally covers `batch_size` and `quality_scale`, which shape
     /// the supernet training trajectory. `steps` and `workers` are
     /// excluded.
     pub fn fingerprint(&self, space: &SearchSpace) -> u64 {
+        let Self {
+            // A resumed run may extend the horizon.
+            steps: _,
+            shards,
+            batch_size,
+            policy_lr,
+            baseline_momentum,
+            quality_scale,
+            seed,
+            // The outcome is bit-identical for every worker count.
+            workers: _,
+        } = *self;
         let mut hash = fnv1a_str(FNV_OFFSET, "unified_search");
         hash = space_fingerprint(hash, space);
-        hash = fnv1a_u64(hash, self.shards as u64);
-        hash = fnv1a_u64(hash, self.batch_size as u64);
-        hash = fnv1a_u64(hash, self.policy_lr.to_bits());
-        hash = fnv1a_u64(hash, self.baseline_momentum.to_bits());
-        hash = fnv1a_u64(hash, self.quality_scale.to_bits());
-        fnv1a_u64(hash, self.seed)
+        hash = fnv1a_u64(hash, shards as u64);
+        hash = fnv1a_u64(hash, batch_size as u64);
+        hash = fnv1a_u64(hash, policy_lr.to_bits());
+        hash = fnv1a_u64(hash, baseline_momentum.to_bits());
+        hash = fnv1a_u64(hash, quality_scale.to_bits());
+        fnv1a_u64(hash, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2o_space::Decision;
 
     fn space() -> SearchSpace {
         let mut s = SearchSpace::new("fp");
@@ -182,43 +208,90 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_steps_and_workers() {
+        let s = space();
         let base = SearchConfig {
             steps: 100,
             workers: 1,
             ..Default::default()
         };
-        let more = SearchConfig {
-            steps: 500,
-            workers: 8,
-            ..base
+        for other in [
+            SearchConfig { steps: 500, ..base },
+            SearchConfig { workers: 8, ..base },
+        ] {
+            assert_eq!(base.fingerprint(&s), other.fingerprint(&s), "{other:?}");
+        }
+        let base = OneShotConfig {
+            steps: 100,
+            workers: 1,
+            ..Default::default()
         };
-        assert_eq!(base.fingerprint(&space()), more.fingerprint(&space()));
+        for other in [
+            OneShotConfig { steps: 500, ..base },
+            OneShotConfig { workers: 8, ..base },
+        ] {
+            assert_eq!(base.fingerprint(&s), other.fingerprint(&s), "{other:?}");
+        }
     }
 
     #[test]
     fn fingerprint_covers_seed_shards_and_lr() {
-        let base = SearchConfig::default();
         let s = space();
-        let fp = base.fingerprint(&s);
-        assert_ne!(fp, SearchConfig { seed: 1, ..base }.fingerprint(&s));
-        assert_ne!(fp, SearchConfig { shards: 9, ..base }.fingerprint(&s));
-        assert_ne!(
-            fp,
+        let base = SearchConfig::default();
+        for other in [
+            SearchConfig { seed: 1, ..base },
+            SearchConfig { shards: 9, ..base },
             SearchConfig {
                 policy_lr: 0.051,
                 ..base
-            }
-            .fingerprint(&s)
-        );
+            },
+            SearchConfig {
+                baseline_momentum: 0.91,
+                ..base
+            },
+        ] {
+            assert_ne!(base.fingerprint(&s), other.fingerprint(&s), "{other:?}");
+        }
+        let base = OneShotConfig::default();
+        for other in [
+            OneShotConfig { seed: 1, ..base },
+            OneShotConfig { shards: 9, ..base },
+            OneShotConfig {
+                batch_size: 65,
+                ..base
+            },
+            OneShotConfig {
+                policy_lr: 0.051,
+                ..base
+            },
+            OneShotConfig {
+                baseline_momentum: 0.91,
+                ..base
+            },
+            OneShotConfig {
+                quality_scale: 10.5,
+                ..base
+            },
+        ] {
+            assert_ne!(base.fingerprint(&s), other.fingerprint(&s), "{other:?}");
+        }
     }
 
     #[test]
     fn fingerprint_covers_the_space_shape() {
         let cfg = SearchConfig::default();
-        let mut other = SearchSpace::new("fp");
-        other.push(Decision::new("a", 3));
-        other.push(Decision::new("b", 5));
-        assert_ne!(cfg.fingerprint(&space()), cfg.fingerprint(&other));
+        let shaped = |name: &str, b: &str, choices: usize| {
+            let mut s = SearchSpace::new(name);
+            s.push(Decision::new("a", 3));
+            s.push(Decision::new(b, choices));
+            s
+        };
+        for other in [
+            shaped("fp", "b", 5),
+            shaped("fp", "c", 4),
+            shaped("fq", "b", 4),
+        ] {
+            assert_ne!(cfg.fingerprint(&space()), cfg.fingerprint(&other));
+        }
     }
 
     #[test]

@@ -89,18 +89,12 @@ pub enum BackendSpec {
     /// Memoizing simulator with this cache capacity.
     Cached {
         /// Maximum entries in the shared eval cache.
-        // h2o-lint: allow(fingerprint-completeness) -- cache capacity is
-        // value-invisible memoization: results are bit-identical across cache
-        // states (cache_transparency tier-1 tests), so it stays out of the
-        // scenario handshake descriptor by design.
         capacity: usize,
     },
     /// Model-served hot path with a simulator fallback.
     ModelServed {
         /// Cache capacity of the fallback simulator, or `None` to
         /// simulate every fallback candidate uncached.
-        // h2o-lint: allow(fingerprint-completeness) -- value-invisible memoization,
-        // same argument as `capacity` above.
         fallback_capacity: Option<usize>,
         /// Gate / fine-tuning parameters.
         model: ModelSpec,
@@ -146,14 +140,25 @@ impl BackendSpec {
     /// The part of the spec that changes evaluation *values*, rendered
     /// into the scenario handshake descriptor. Cache capacities are
     /// value-invisible memoization and stay out; every model parameter is
-    /// value-visible and goes in.
+    /// value-visible and goes in. The patterns name every field, so a new
+    /// one does not compile until it is rendered or bound as `_`.
     pub fn value_descriptor(&self) -> String {
-        match self {
-            BackendSpec::Simulator | BackendSpec::Cached { .. } => String::new(),
-            BackendSpec::ModelServed { model, .. } => format!(
-                "|model|g{}|c{}|p{}|s{}",
-                model.gate_threshold, model.finetune_cadence, model.pretrain_pool, model.seed
-            ),
+        match *self {
+            // Cache capacity is value-invisible memoization: results are
+            // bit-identical across cache states (the cache_transparency
+            // tests), so it stays out of the descriptor.
+            BackendSpec::Simulator | BackendSpec::Cached { capacity: _ } => String::new(),
+            BackendSpec::ModelServed {
+                // Value-invisible memoization, as `capacity` above.
+                fallback_capacity: _,
+                model:
+                    ModelSpec {
+                        gate_threshold,
+                        finetune_cadence,
+                        pretrain_pool,
+                        seed,
+                    },
+            } => format!("|model|g{gate_threshold}|c{finetune_cadence}|p{pretrain_pool}|s{seed}"),
         }
     }
 }

@@ -267,28 +267,62 @@ mod tests {
         assert_eq!(sim.fingerprint(), cached.fingerprint());
         assert_eq!(sim.value_fingerprint(), 0);
         assert_eq!(cached.value_fingerprint(), 0);
+        // The domain changes the handshake, not the backend's share of
+        // checkpoint identity (the space fingerprint carries it there).
+        let cnn = EvalScenario {
+            domain: Domain::Cnn,
+            ..sim
+        };
+        assert_ne!(cnn.fingerprint(), sim.fingerprint());
 
-        let model = dlrm_scenario(BackendSpec::ModelServed {
-            fallback_capacity: Some(999),
-            model: ModelSpec::default(),
-        });
+        let served = |fallback_capacity, model| {
+            dlrm_scenario(BackendSpec::ModelServed {
+                fallback_capacity,
+                model,
+            })
+        };
+        let defaults = ModelSpec::default();
+        let model = served(Some(999), defaults);
         assert_ne!(model.fingerprint(), sim.fingerprint());
         assert_ne!(model.value_fingerprint(), 0);
+        let cnn_model = EvalScenario {
+            domain: Domain::Cnn,
+            ..model
+        };
+        assert_eq!(cnn_model.value_fingerprint(), model.value_fingerprint());
         // Every model parameter is value-affecting.
-        let other = dlrm_scenario(BackendSpec::ModelServed {
-            fallback_capacity: Some(999),
-            model: ModelSpec {
-                seed: 1,
-                ..ModelSpec::default()
+        for other in [
+            ModelSpec {
+                gate_threshold: 2.0,
+                ..defaults
             },
-        });
-        assert_ne!(model.fingerprint(), other.fingerprint());
+            ModelSpec {
+                finetune_cadence: 8,
+                ..defaults
+            },
+            ModelSpec {
+                pretrain_pool: 64,
+                ..defaults
+            },
+            ModelSpec {
+                seed: 1,
+                ..defaults
+            },
+        ] {
+            let other = served(Some(999), other);
+            assert_ne!(model.fingerprint(), other.fingerprint(), "{other:?}");
+            assert_ne!(
+                model.value_fingerprint(),
+                other.value_fingerprint(),
+                "{other:?}"
+            );
+        }
         // Fallback cache capacity is not.
-        let resized = dlrm_scenario(BackendSpec::ModelServed {
-            fallback_capacity: None,
-            model: ModelSpec::default(),
-        });
-        assert_eq!(model.fingerprint(), resized.fingerprint());
+        for capacity in [None, Some(1)] {
+            let resized = served(capacity, defaults);
+            assert_eq!(model.fingerprint(), resized.fingerprint());
+            assert_eq!(model.value_fingerprint(), resized.value_fingerprint());
+        }
     }
 
     #[test]

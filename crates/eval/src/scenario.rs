@@ -123,13 +123,14 @@ impl EvalScenario {
     /// numbers. Sim and cached backends share a fingerprint (memoization
     /// is value-invisible); every model parameter changes it.
     pub fn fingerprint(&self) -> u64 {
+        let Self { domain, backend } = self;
         let space = self.space();
         let descriptor = format!(
             "h2o-eval-scenario|{}|{}|{:.3}{}",
-            self.domain.name(),
+            domain.name(),
             space.num_decisions(),
             space.log10_size(),
-            self.backend.value_descriptor()
+            backend.value_descriptor()
         );
         h2o_exec::wire::fnv1a(descriptor.as_bytes())
     }
@@ -140,7 +141,10 @@ impl EvalScenario {
     /// of the model parameters otherwise. XOR into the search-config
     /// fingerprint.
     pub fn value_fingerprint(&self) -> u64 {
-        let descriptor = self.backend.value_descriptor();
+        // The domain already reaches checkpoint identity through the
+        // search-config fingerprint's space shape.
+        let Self { domain: _, backend } = self;
+        let descriptor = backend.value_descriptor();
         if descriptor.is_empty() {
             0
         } else {

@@ -2,16 +2,16 @@
 
 use std::fmt;
 
-/// The five contracts h2o-lint enforces. Rule ids (`as_str`) are what
+/// The four contracts h2o-lint enforces. Rule ids (`as_str`) are what
 /// the allow-pragma names: `// h2o-lint: allow(float-ordering) -- reason`.
 ///
-/// `float-ordering` is a per-file token-pattern rule; `nondet-taint`,
-/// `fingerprint-completeness` and `float-cast-on-reward-path` are
-/// *semantic* rules that run over the workspace symbol index and call
-/// graph (see [`crate::graph`]); `unused-pragma` is the post-pass that
-/// polices the escape hatch itself. The rest of the static-analysis
-/// contract is clippy lints (workspace `clippy.toml` plus crate-root
-/// attributes).
+/// `float-ordering` is a per-file token-pattern rule; `nondet-taint` and
+/// `float-cast-on-reward-path` are *semantic* rules that run over the
+/// workspace symbol index and call graph (see [`crate::graph`]);
+/// `unused-pragma` is the post-pass that polices the escape hatch itself.
+/// The rest of the static-analysis contract is clippy lints (workspace
+/// `clippy.toml` plus crate-root attributes) and rustc's exhaustive
+/// struct patterns (fingerprint completeness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
     /// `partial_cmp(..).unwrap()/.expect()` (NaN panics at comparison
@@ -26,12 +26,6 @@ pub enum Rule {
     /// thread identity). Clippy sees the source; this rule sees the
     /// *laundering path* that smuggles its value into contract code.
     NondetTaint,
-    /// Every field of a struct feeding `fingerprint` /
-    /// `value_fingerprint` / `value_descriptor` must be hashed by that
-    /// fingerprint family (or justified value-invisible with a pragma):
-    /// a behavior-affecting field missing from the handshake lets two
-    /// processes agree on a fingerprint while computing different values.
-    FingerprintCompleteness,
     /// `as f64` / `as f32` in functions call-graph-reachable from the
     /// reward computation (`RewardFn::reward`, `clamp_reward`, their
     /// callers and transitive callees): a silent rounding there changes
@@ -45,10 +39,9 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 4] = [
         Rule::FloatOrdering,
         Rule::NondetTaint,
-        Rule::FingerprintCompleteness,
         Rule::FloatCastOnRewardPath,
         Rule::UnusedPragma,
     ];
@@ -58,7 +51,6 @@ impl Rule {
         match self {
             Rule::FloatOrdering => "float-ordering",
             Rule::NondetTaint => "nondet-taint",
-            Rule::FingerprintCompleteness => "fingerprint-completeness",
             Rule::FloatCastOnRewardPath => "float-cast-on-reward-path",
             Rule::UnusedPragma => "unused-pragma",
         }

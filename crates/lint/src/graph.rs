@@ -18,7 +18,7 @@
 //! under-approximation (calls through function pointers, macros) is the
 //! usual static-analysis bargain and is documented in DESIGN.md.
 
-use crate::parser::{CallSite, FileItems, FnItem, TypeItem};
+use crate::parser::{CallSite, FileItems, FnItem};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One function in the workspace, with its defining file and resolved
@@ -37,10 +37,9 @@ pub struct WorkspaceIndex {
     pub files: Vec<(String, String)>,
     /// Every non-test fn in the workspace.
     pub fns: Vec<FnNode>,
-    /// Non-test struct/enum definitions: name → (file index, item).
-    /// On a cross-crate name collision the first definition in file
-    /// order wins — acceptable for conservative field lookups.
-    pub types: BTreeMap<String, (usize, TypeItem)>,
+    /// Names of the non-test structs and enums: a `Qual::name(…)` call
+    /// resolves to `Qual`'s methods when `Qual` is one of them.
+    pub types: BTreeSet<String>,
     /// `alias → target` from `type A = B;` and `use … as` renames.
     pub aliases: BTreeMap<String, String>,
     /// Reverse edges: `callers[i]` = fns containing a call resolving to
@@ -62,7 +61,7 @@ impl WorkspaceIndex {
         let mut index = WorkspaceIndex {
             files: files.to_vec(),
             fns: Vec::new(),
-            types: BTreeMap::new(),
+            types: BTreeSet::new(),
             aliases: BTreeMap::new(),
             callers: Vec::new(),
             free_by_name: BTreeMap::new(),
@@ -72,10 +71,7 @@ impl WorkspaceIndex {
         for (file_idx, items) in items_per_file.iter().enumerate() {
             for ty in &items.types {
                 if !ty.is_test {
-                    index
-                        .types
-                        .entry(ty.name.clone())
-                        .or_insert_with(|| (file_idx, ty.clone()));
+                    index.types.insert(ty.name.clone());
                 }
             }
             for (alias, target) in &items.aliases {
@@ -169,7 +165,7 @@ impl WorkspaceIndex {
     pub fn resolve(&self, site: &CallSite) -> Vec<usize> {
         if let Some(q) = &site.qualifier {
             let q = self.resolve_alias(q);
-            if self.types.contains_key(q) {
+            if self.types.contains(q) {
                 return self
                     .typed
                     .get(&(q.to_string(), site.name.clone()))
@@ -211,22 +207,6 @@ impl WorkspaceIndex {
             Some(t) => format!("{}::{}::{}", self.crate_of(fn_idx), t, node.item.name),
             None => format!("{}::{}", self.crate_of(fn_idx), node.item.name),
         }
-    }
-
-    /// Transitive closure of callees starting from `roots` (inclusive).
-    pub fn reachable_from(&self, roots: &[usize]) -> BTreeSet<usize> {
-        let mut seen: BTreeSet<usize> = roots.iter().copied().collect();
-        let mut work: Vec<usize> = roots.to_vec();
-        while let Some(f) = work.pop() {
-            for (_, targets) in &self.fns[f].calls {
-                for &t in targets {
-                    if seen.insert(t) {
-                        work.push(t);
-                    }
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -330,19 +310,5 @@ mod tests {
             "pub fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn helper() { super::lib(); }\n}\n",
         )]);
         assert_eq!(index.fns.len(), 1, "only the non-test fn is indexed");
-    }
-
-    #[test]
-    fn reachability_is_transitive() {
-        let index = build(&[(
-            "core",
-            "a.rs",
-            "pub fn a() { b(); }\npub fn b() { c(); }\npub fn c() {}\npub fn d() {}\n",
-        )]);
-        let a = idx_of(&index, "a");
-        let d = idx_of(&index, "d");
-        let reach = index.reachable_from(&[a]);
-        assert_eq!(reach.len(), 3);
-        assert!(!reach.contains(&d));
     }
 }

@@ -14,15 +14,18 @@
 //! |------|--------------------|
 //! | `float-ordering` | NaN robustness: `total_cmp`, never `partial_cmp().unwrap()` or a NaN-swallowing `.unwrap_or(..)` fallback |
 //! | `nondet-taint` | cross-file determinism: no call path carries a nondeterminism source's value into `core`/`exec`/`eval`/`hwsim`/`ckpt` |
-//! | `fingerprint-completeness` | value visibility: every field of a fingerprinted struct is hashed (or pragma'd value-invisible) |
 //! | `float-cast-on-reward-path` | reward integrity: no silent `as f64`/`as f32` rounding in fns call-graph-reachable from the reward computation |
 //! | `unused-pragma` | escape-hatch hygiene: an `allow` pragma that suppresses nothing must be deleted |
 //!
-//! `float-ordering` is a token-pattern matcher. The three *semantic*
+//! `float-ordering` is a token-pattern matcher. The two *semantic*
 //! rules run over a workspace symbol index ([`parser`] items →
 //! [`graph::WorkspaceIndex`]) with a conservative name-resolved call
 //! graph — that is what lets `nondet-taint` catch a wall-clock read
 //! laundered through a helper crate, which no per-file check can see.
+//!
+//! Fingerprint completeness needs no rule here: every config
+//! fingerprint destructures the type it hashes without `..`, so rustc
+//! rejects a new field until it is hashed or bound as `_`.
 //!
 //! Run it with `cargo run -p h2o-lint`; it prints one line per finding
 //! and exits non-zero when any un-allowed finding exists, and ci.sh runs

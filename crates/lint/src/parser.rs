@@ -30,24 +30,11 @@ pub struct FnItem {
     pub is_test: bool,
 }
 
-/// One named field of a struct (or of an enum's struct-like variant).
-#[derive(Debug, Clone)]
-pub struct FieldItem {
-    pub name: String,
-    /// 1-based position of the field's name token.
-    pub line: u32,
-    pub col: u32,
-    /// Every identifier appearing in the field's type (for one-level
-    /// descent into workspace-defined field types).
-    pub type_idents: Vec<String>,
-}
-
-/// One `struct` or `enum` with its named fields (tuple/unit shapes have
-/// no named fields and contribute an empty list).
+/// One `struct` or `enum`: its name is what resolves a `Type::fn(…)`
+/// call to that type's methods.
 #[derive(Debug, Clone)]
 pub struct TypeItem {
     pub name: String,
-    pub fields: Vec<FieldItem>,
     pub is_test: bool,
 }
 
@@ -204,18 +191,17 @@ fn parse_type(
     test_ranges: &BTreeMap<usize, usize>,
     items: &mut FileItems,
 ) -> usize {
-    let is_enum = code[i].is_ident("enum");
     let Some(name_tok) = code.get(i + 1).filter(|t| t.is_ident_like()) else {
         return i + 1;
     };
-    let mut item = TypeItem {
+    items.types.push(TypeItem {
         name: name_tok.text.clone(),
-        fields: Vec::new(),
         is_test: in_test_range(test_ranges, i),
-    };
+    });
     let mut j = i + 2;
-    // Skip generics / bounds / where clause up to the defining `{`, `(`
-    // (tuple struct) or `;` (unit struct) at angle depth 0.
+    // Skip generics / bounds / where clause and the body: up to the
+    // defining `{…}`, `(…)` (tuple struct) or `;` (unit struct) at angle
+    // depth 0.
     let mut angle = 0i64;
     while j < end {
         let t = code[j];
@@ -225,18 +211,8 @@ fn parse_type(
             angle -= 1;
         } else if angle == 0 {
             if t.is_punct('{') {
-                match matching_close_within(code, j, end, '{', '}') {
-                    Some(close) => {
-                        if is_enum {
-                            parse_enum_variants(code, j + 1, close, &mut item);
-                        } else {
-                            parse_fields(code, j + 1, close, &mut item);
-                        }
-                        j = close + 1;
-                    }
-                    None => j = end,
-                }
-                break;
+                return matching_close_within(code, j, end, '{', '}')
+                    .map_or(end, |close| close + 1);
             }
             if t.is_punct('(') {
                 match matching_close_within(code, j, end, '(', ')') {
@@ -246,118 +222,12 @@ fn parse_type(
                 continue;
             }
             if t.is_punct(';') {
-                j += 1;
-                break;
+                return j + 1;
             }
         }
         j += 1;
     }
-    items.types.push(item);
     j
-}
-
-/// Parses the named fields between `{` and `}` of a struct body (or a
-/// struct-like enum variant).
-fn parse_fields(code: &[&Token], start: usize, end: usize, item: &mut TypeItem) {
-    let mut i = start;
-    while i < end {
-        let t = code[i];
-        if t.is_punct('#') && code.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            match matching_close_within(code, i + 1, end, '[', ']') {
-                Some(close) => i = close + 1,
-                None => return,
-            }
-            continue;
-        }
-        if t.is_ident("pub") {
-            // `pub` or `pub(crate)` / `pub(super)`.
-            if code.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                match matching_close_within(code, i + 1, end, '(', ')') {
-                    Some(close) => i = close + 1,
-                    None => return,
-                }
-            } else {
-                i += 1;
-            }
-            continue;
-        }
-        if t.is_ident_like() && code.get(i + 1).is_some_and(|n| n.is_punct(':')) {
-            let mut field = FieldItem {
-                name: t.text.clone(),
-                line: t.line,
-                col: t.col,
-                type_idents: Vec::new(),
-            };
-            // Type runs to the `,` at delimiter depth 0 or to `end`.
-            let mut j = i + 2;
-            let (mut angle, mut parens, mut brackets) = (0i64, 0i64, 0i64);
-            while j < end {
-                let ty = code[j];
-                if ty.is_punct('<') {
-                    angle += 1;
-                } else if ty.is_punct('>') && !prev_is_dash(code, j) {
-                    angle -= 1;
-                } else if ty.is_punct('(') {
-                    parens += 1;
-                } else if ty.is_punct(')') {
-                    parens -= 1;
-                } else if ty.is_punct('[') {
-                    brackets += 1;
-                } else if ty.is_punct(']') {
-                    brackets -= 1;
-                } else if ty.is_punct(',') && angle == 0 && parens == 0 && brackets == 0 {
-                    break;
-                } else if ty.is_ident_like() {
-                    field.type_idents.push(ty.text.clone());
-                }
-                j += 1;
-            }
-            item.fields.push(field);
-            i = j + 1;
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// Parses enum variants between `{` and `}`: struct-like variants
-/// contribute their named fields; tuple/unit/discriminant variants are
-/// skipped.
-fn parse_enum_variants(code: &[&Token], start: usize, end: usize, item: &mut TypeItem) {
-    let mut i = start;
-    while i < end {
-        let t = code[i];
-        if t.is_punct('#') && code.get(i + 1).is_some_and(|n| n.is_punct('[')) {
-            match matching_close_within(code, i + 1, end, '[', ']') {
-                Some(close) => i = close + 1,
-                None => return,
-            }
-            continue;
-        }
-        if t.is_ident_like() {
-            match code.get(i + 1) {
-                Some(n) if n.is_punct('{') => {
-                    match matching_close_within(code, i + 1, end, '{', '}') {
-                        Some(close) => {
-                            parse_fields(code, i + 2, close, item);
-                            i = close + 1;
-                        }
-                        None => return,
-                    }
-                    continue;
-                }
-                Some(n) if n.is_punct('(') => {
-                    match matching_close_within(code, i + 1, end, '(', ')') {
-                        Some(close) => i = close + 1,
-                        None => return,
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
 }
 
 /// Parses `type A = …::B;` into an `A → B` alias (B = the last
@@ -621,42 +491,6 @@ mod tests {
     fn generic_impl_resolves_the_base_type_not_its_arguments() {
         let items = parsed("impl<'a, T: Clone> Holder<'a, T> { fn get(&self) {} }\n");
         assert_eq!(items.fns[0].impl_type.as_deref(), Some("Holder"));
-    }
-
-    #[test]
-    fn struct_fields_and_types_are_recorded() {
-        let items = parsed(
-            "pub struct Config {\n    pub steps: usize,\n    pub lr: f64,\n    inner: Box<Nested>,\n}\n",
-        );
-        let t = &items.types[0];
-        assert_eq!(t.name, "Config");
-        let names: Vec<&str> = t.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["steps", "lr", "inner"]);
-        assert_eq!(t.fields[0].line, 2);
-        assert!(t.fields[2].type_idents.contains(&"Nested".to_string()));
-    }
-
-    #[test]
-    fn enum_struct_variants_contribute_named_fields() {
-        let items = parsed(
-            "pub enum Spec {\n    Simple,\n    Tuple(u32),\n    Cached { capacity: usize },\n}\n",
-        );
-        let t = &items.types[0];
-        assert_eq!(t.name, "Spec");
-        assert_eq!(t.fields.len(), 1);
-        assert_eq!(t.fields[0].name, "capacity");
-    }
-
-    #[test]
-    fn fn_pointer_field_types_do_not_derail_the_field_scan() {
-        let items =
-            parsed("struct S {\n    hook: Box<dyn Fn(&u32) -> bool + Send>,\n    after: u64,\n}\n");
-        let names: Vec<&str> = items.types[0]
-            .fields
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(names, vec!["hook", "after"]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The cross-file semantic rules: `nondet-taint`,
-//! `fingerprint-completeness` and `float-cast-on-reward-path`.
+//! The cross-file semantic rules: `nondet-taint` and
+//! `float-cast-on-reward-path`.
 //!
-//! All three walk the [`crate::graph::WorkspaceIndex`]; none of them can
+//! Both walk the [`crate::graph::WorkspaceIndex`]; none of them can
 //! be expressed per file, which is exactly why they exist (DESIGN.md,
 //! "static-analysis contract"). Pragmas participate the same way as
 //! for the token rule — `// h2o-lint: allow(<rule>) -- <reason>` on or above
@@ -53,9 +53,6 @@ const ITER_IDENTS: &[&str] = &[
     "retain",
 ];
 
-/// Method/assoc-fn names whose impl type feeds the scenario handshake.
-const FINGERPRINT_FNS: &[&str] = &["fingerprint", "value_fingerprint", "value_descriptor"];
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TaintKind {
     Wallclock,
@@ -74,8 +71,8 @@ struct Witness {
     chain: Vec<usize>,
 }
 
-/// Runs all three semantic rules, appending findings per file and
-/// marking the pragmas they consume.
+/// Runs both semantic rules, appending findings per file and marking the
+/// pragmas they consume.
 pub(crate) fn run(
     index: &WorkspaceIndex,
     code_per_file: &[Vec<&Token>],
@@ -83,7 +80,6 @@ pub(crate) fn run(
     findings: &mut [Vec<Finding>],
 ) {
     nondet_taint(index, code_per_file, pragmas, findings);
-    fingerprint_completeness(index, code_per_file, pragmas, findings);
     float_cast_on_reward_path(index, code_per_file, pragmas, findings);
 }
 
@@ -318,155 +314,6 @@ fn taint_sources(crate_name: &str, code: &[&Token], body: (usize, usize)) -> Vec
         });
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Rule: fingerprint-completeness
-// ---------------------------------------------------------------------------
-
-/// A fingerprint fn that merely returns a stored hash (`self.fingerprint`)
-/// computes nothing, so it constrains no fields: skip bodies at or below
-/// this many tokens.
-const ACCESSOR_BODY_TOKENS: usize = 4;
-
-fn fingerprint_completeness(
-    index: &WorkspaceIndex,
-    code_per_file: &[Vec<&Token>],
-    pragmas: &mut [Pragmas],
-    findings: &mut [Vec<Finding>],
-) {
-    // Group the fingerprint family by (alias-resolved) impl type.
-    let mut family: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (f, node) in index.fns.iter().enumerate() {
-        if !FINGERPRINT_FNS.contains(&node.item.name.as_str()) {
-            continue;
-        }
-        let Some(impl_type) = &node.item.impl_type else {
-            continue;
-        };
-        let Some((open, close)) = node.item.body else {
-            continue;
-        };
-        if close - open <= ACCESSOR_BODY_TOKENS + 1 {
-            continue;
-        }
-        let resolved = index.resolve_alias(impl_type).to_string();
-        family.entry(resolved).or_default().push(f);
-    }
-
-    let mut reported: BTreeSet<(String, String)> = BTreeSet::new();
-    for (type_name, fns) in &family {
-        let Some((type_file, ty)) = index.types.get(type_name) else {
-            continue; // external or tuple-only type: nothing checkable
-        };
-        // The hashed surface: every identifier mentioned by the family's
-        // bodies or by any workspace fn transitively called from them.
-        let mut surface: BTreeSet<String> = BTreeSet::new();
-        for &f in fns {
-            for g in index.reachable_from(&[f]) {
-                let node = &index.fns[g];
-                if let Some((open, close)) = node.item.body {
-                    for t in &code_per_file[node.file][open + 1..close] {
-                        if t.is_ident_like() {
-                            surface.insert(t.text.clone());
-                        }
-                    }
-                }
-            }
-        }
-        let mut fn_names: Vec<String> = fns
-            .iter()
-            .map(|&f| format!("`{}`", index.fns[f].item.name))
-            .collect();
-        fn_names.sort();
-        fn_names.dedup();
-        let family_desc = fn_names.join("/");
-
-        // Check the type itself, then descend one level into fields whose
-        // own type is a workspace struct mentioned by the surface.
-        check_fields(
-            index,
-            ty,
-            *type_file,
-            type_name,
-            None,
-            &surface,
-            &family_desc,
-            &mut reported,
-            pragmas,
-            findings,
-        );
-        for field in &ty.fields {
-            if !surface.contains(&field.name) {
-                continue; // the field itself is unhashed; already reported
-            }
-            for ty_ident in &field.type_idents {
-                let nested_name = index.resolve_alias(ty_ident);
-                if nested_name == type_name {
-                    continue;
-                }
-                if let Some((nested_file, nested)) = index.types.get(nested_name) {
-                    check_fields(
-                        index,
-                        nested,
-                        *nested_file,
-                        nested_name,
-                        Some((type_name.as_str(), field.name.as_str())),
-                        &surface,
-                        &family_desc,
-                        &mut reported,
-                        pragmas,
-                        findings,
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_fields(
-    index: &WorkspaceIndex,
-    ty: &crate::parser::TypeItem,
-    type_file: usize,
-    type_name: &str,
-    via: Option<(&str, &str)>,
-    surface: &BTreeSet<String>,
-    family_desc: &str,
-    reported: &mut BTreeSet<(String, String)>,
-    pragmas: &mut [Pragmas],
-    findings: &mut [Vec<Finding>],
-) {
-    for field in &ty.fields {
-        if surface.contains(&field.name) {
-            continue;
-        }
-        if !reported.insert((type_name.to_string(), field.name.clone())) {
-            continue;
-        }
-        if pragmas[type_file].allows(Rule::FingerprintCompleteness, field.line) {
-            continue;
-        }
-        let reach = match via {
-            Some((outer, outer_field)) => {
-                format!(" (feeds the handshake via `{outer}.{outer_field}`)")
-            }
-            None => String::new(),
-        };
-        findings[type_file].push(Finding {
-            rule: Rule::FingerprintCompleteness,
-            file: index.files[type_file].1.clone(),
-            line: field.line,
-            col: field.col,
-            message: format!(
-                "field `{}` of `{}`{} is never hashed by its fingerprint family \
-                 ({family_desc}): a value-affecting field missing from the handshake \
-                 lets two processes agree on a fingerprint while computing different \
-                 numbers — hash it, or justify that it is value-invisible with a pragma",
-                field.name, type_name, reach
-            ),
-        });
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ fn findings_in_workspace(files: &[SourceFile]) -> Vec<(Rule, String, u32)> {
         .collect()
 }
 
-// --------------------------------------------------------------- rule 9
+// ----------------------------------------------------------- nondet-taint
 
 /// The laundering chain the per-file rules cannot see: the source, the
 /// intermediate helper, and the contract-crate call site live in three
@@ -205,73 +205,7 @@ fn nondet_taint_flags_direct_sources_in_contract_crates() {
     );
 }
 
-// -------------------------------------------------------------- rule 10
-
-#[test]
-fn fingerprint_completeness_flags_the_unhashed_field() {
-    let src = r#"
-pub struct ScenarioSpec {
-    pub seed: u64,
-    pub shards: u64,
-}
-impl ScenarioSpec {
-    pub fn value_fingerprint(&self) -> u64 {
-        self.seed.wrapping_mul(0x100000001b3)
-    }
-}
-"#;
-    let got = findings_in_workspace(&[file("eval", "crates/eval/src/spec.rs", src)]);
-    assert_eq!(
-        got,
-        vec![(
-            Rule::FingerprintCompleteness,
-            "crates/eval/src/spec.rs".to_string(),
-            4
-        )],
-        "`shards` is never hashed; `seed` is"
-    );
-}
-
-#[test]
-fn fingerprint_completeness_sees_fields_hashed_via_helpers() {
-    // `shards` is hashed one call away — the surface is the transitive
-    // callee closure, not just the fingerprint body itself.
-    let src = r#"
-pub struct ScenarioSpec {
-    pub seed: u64,
-    pub shards: u64,
-}
-impl ScenarioSpec {
-    pub fn value_fingerprint(&self) -> u64 {
-        self.seed.wrapping_mul(31) ^ self.mix()
-    }
-    fn mix(&self) -> u64 {
-        self.shards.wrapping_mul(37)
-    }
-}
-"#;
-    assert!(findings_in_workspace(&[file("eval", "crates/eval/src/spec.rs", src)]).is_empty());
-}
-
-#[test]
-fn fingerprint_completeness_skips_stored_hash_accessors() {
-    // A fingerprint fn that just returns a stored hash computes nothing
-    // and constrains no fields.
-    let src = r#"
-pub struct Manifest {
-    pub cached: u64,
-    pub payload: u64,
-}
-impl Manifest {
-    pub fn fingerprint(&self) -> u64 {
-        self.cached
-    }
-}
-"#;
-    assert!(findings_in_workspace(&[file("ckpt", "crates/ckpt/src/store.rs", src)]).is_empty());
-}
-
-// -------------------------------------------------------------- rule 11
+// ---------------------------------------------- float-cast-on-reward-path
 
 /// Reward roots plus a same-crate helper, a cross-crate producer, an
 /// off-path fn, and a direct caller in another file.

@@ -2,9 +2,8 @@
 //! lint-clean. This is the test that turns the rules from a style
 //! suggestion into an enforced contract — reintroducing a
 //! `partial_cmp().unwrap()`, a cross-file nondeterminism laundering
-//! chain, an unhashed fingerprint field, a reward-path float cast or a
-//! stale pragma fails `cargo test`, not just the separate ci.sh lint
-//! stage.
+//! chain, a reward-path float cast or a stale pragma fails `cargo test`,
+//! not just the separate ci.sh lint stage.
 
 use h2o_lint::{lint_files, lint_workspace, Finding, Rule, SourceFile};
 use std::path::Path;

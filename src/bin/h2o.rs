@@ -96,6 +96,13 @@ fn write_stdout(args: fmt::Arguments) {
     }
 }
 
+/// Writes to standard error. `eprint!` panics when a write fails, as it
+/// does once stderr is a closed pipe; there is nowhere left to report that,
+/// so the failure is dropped and the exit code alone tells it.
+fn write_stderr(args: fmt::Arguments) {
+    let _ = io::stderr().lock().write_fmt(args);
+}
+
 /// `println!` through [`write_stdout`].
 macro_rules! say {
     ($($arg:tt)*) => {
@@ -130,6 +137,15 @@ fn parse_flag<T: std::str::FromStr>(
         .get(name)
         .map(|s| s.parse().map_err(|_| format!("bad --{name}")))
         .transpose()
+}
+
+/// The `--batch` of `simulate` and `dump`: 64 when absent, never 0 (an
+/// empty batch simulates no work, and its HLO would not parse back).
+fn batch_flag(flags: &BTreeMap<String, String>) -> Result<usize, String> {
+    match parse_flag(flags, "batch")?.unwrap_or(64) {
+        0 => Err("--batch must be at least 1".into()),
+        batch => Ok(batch),
+    }
 }
 
 fn hardware(flags: &BTreeMap<String, String>) -> Result<HardwareConfig, String> {
@@ -206,14 +222,14 @@ fn load_graph(flags: &BTreeMap<String, String>, batch: usize) -> Result<Graph, S
 }
 
 fn cmd_dump(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
+    let batch = batch_flag(flags)?;
     let graph = load_graph(flags, batch)?;
     write_stdout(format_args!("{}", h2o_nas::graph::text::to_text(&graph)));
     Ok(())
 }
 
 fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let batch: usize = parse_flag(flags, "batch")?.unwrap_or(64);
+    let batch = batch_flag(flags)?;
     let graph = load_graph(flags, batch)?;
     let hw = hardware(flags)?;
     let sim = Simulator::new(hw.clone());
@@ -285,7 +301,10 @@ fn cmd_sweep(flags: &BTreeMap<String, String>) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("1,4,16,64,256")
         .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad batch '{s}'")))
+        .map(|s| match s.trim().parse() {
+            Ok(0) | Err(_) => Err(format!("bad batch '{s}' (must be a positive integer)")),
+            Ok(batch) => Ok(batch),
+        })
         .collect::<Result<_, _>>()?;
     let load: f64 = parse_flag(flags, "load")?.unwrap_or(0.7);
     if !(0.0..1.0).contains(&load) {
@@ -551,8 +570,11 @@ fn cmd_search(flags: &BTreeMap<String, String>) -> Result<(), String> {
     // worker subprocesses; either an integer (auto-spawn that many local
     // Unix-socket workers) or a comma-separated address list.
     let nodes_spec = flags.get("nodes").cloned();
-    let node_timeout =
-        Duration::from_millis(parse_flag(flags, "node-timeout-ms")?.unwrap_or(30_000u64));
+    let node_timeout_ms: u64 = parse_flag(flags, "node-timeout-ms")?.unwrap_or(30_000);
+    if node_timeout_ms == 0 {
+        return Err("--node-timeout-ms must be at least 1".into());
+    }
+    let node_timeout = Duration::from_millis(node_timeout_ms);
     let pool_defaults = PoolOptions::default();
     let node_retries: usize =
         parse_flag(flags, "node-retries")?.unwrap_or(pool_defaults.max_node_retries);
@@ -812,17 +834,16 @@ fn run(cmd: &str, args: &[String]) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        eprint!("{USAGE}");
+        write_stderr(format_args!("{USAGE}"));
         return ExitCode::FAILURE;
     };
     if let Err(e) = run(cmd, rest) {
-        eprintln!("error: {e}\n");
-        eprint!("{USAGE}");
+        write_stderr(format_args!("error: {e}\n\n{USAGE}"));
         return ExitCode::FAILURE;
     }
     match STDOUT_FAILED.get() {
         Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
-            eprintln!("error: writing to stdout: {e}");
+            write_stderr(format_args!("error: writing to stdout: {e}\n"));
             ExitCode::FAILURE
         }
         _ => ExitCode::SUCCESS,

@@ -129,8 +129,16 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
             "--eval-backend",
             "sim",
         ],
+        [
+            &short_search[..],
+            &["--nodes", "1", "--node-timeout-ms", "0"],
+        ]
+        .concat(),
         vec!["sweep", "--model", "nope"],
         vec!["sweep", "--model", "dlrm", "--load", "1.5"],
+        vec!["sweep", "--model", "coatnet-0", "--batches", "0,1"],
+        vec!["simulate", "--model", "dlrm", "--batch", "0"],
+        vec!["dump", "--model", "dlrm", "--batch", "0"],
     ];
     cases.extend(
         hlo.iter()
@@ -194,7 +202,8 @@ fn node_worker_rejects_unknown_flags_before_it_binds() {
 
 /// `println!` panics when stdout fails. `h2o` stops printing quietly once
 /// the reader of its stdout has gone, and exits 1 with an error line when
-/// stdout fails otherwise.
+/// stdout fails otherwise. `eprintln!` panics the same way on stderr,
+/// where a failed error line is dropped and the exit code stays 1.
 #[test]
 fn a_failing_stdout_is_not_a_panic() {
     let (reader, writer) = std::io::pipe().expect("create a pipe");
@@ -210,6 +219,21 @@ fn a_failing_stdout_is_not_a_panic() {
         "closed pipe: exit {:?}\n{stderr}",
         out.status.code()
     );
+    for args in [
+        &["nope"][..],
+        &["simulate", "--model", "dlrm", "--batch", "x"],
+        &[],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_h2o"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("h2o binary runs")
+            .status;
+        assert_eq!(status.code(), Some(1), "closed stderr: h2o {args:?}");
+    }
     // Every write to /dev/full fails with "no space left on device".
     if cfg!(target_os = "linux") {
         let full = std::fs::OpenOptions::new()

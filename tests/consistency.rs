@@ -339,3 +339,45 @@ fn simulator_outputs_are_pinned() {
         h.0
     );
 }
+
+/// Pins the resume and handshake fingerprints. Checkpoints and `--nodes`
+/// workers are accepted by fingerprint, so a value that moves would stop
+/// every existing checkpoint from resuming and every older worker from
+/// joining.
+#[test]
+fn fingerprints_are_pinned() {
+    use h2o_nas::core::{OneShotConfig, SearchConfig};
+    use h2o_nas::eval::{BackendSpec, EvalScenario, ModelSpec};
+    let space = DlrmSpace::new(DlrmSpaceConfig::tiny());
+    assert_eq!(
+        SearchConfig::default().fingerprint(space.space()),
+        0x37f2_47cb_2199_c8e2
+    );
+    assert_eq!(
+        OneShotConfig::default().fingerprint(space.space()),
+        0x23e3_2817_cc78_171d
+    );
+    for (backend, fingerprint, value_fingerprint) in [
+        (BackendSpec::Simulator, 0xf1ff_4d27_2625_733c, 0),
+        (
+            BackendSpec::Cached { capacity: 4096 },
+            0xf1ff_4d27_2625_733c,
+            0,
+        ),
+        (
+            BackendSpec::ModelServed {
+                fallback_capacity: Some(4096),
+                model: ModelSpec::default(),
+            },
+            0xdf7a_32d3_0572_0dd1,
+            0xe468_eb95_7b6b_b618,
+        ),
+    ] {
+        let scenario = EvalScenario::new("dlrm", backend).expect("a dlrm scenario");
+        assert_eq!(
+            (scenario.fingerprint(), scenario.value_fingerprint()),
+            (fingerprint, value_fingerprint),
+            "{backend:?}"
+        );
+    }
+}

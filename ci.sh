@@ -27,16 +27,21 @@ done
 
 # HLO interchange smoke: a model dumped as textual HLO and simulated from
 # that file must print exactly what simulating the model directly prints,
-# for a training step and for serving.
+# for a training step and for serving. The HLO text records no batch, so
+# the --hlo side passes the batch the model was dumped at: the default 64,
+# and 8 for a second dlrm leg.
 echo "==> HLO round trip (h2o dump | h2o simulate --hlo)"
 hlodir=$(mktemp -d)
-for model in dlrm coatnet-0 efficientnet-x-b0; do
-  ./target/release/h2o dump --model "$model" > "$hlodir/$model.hlo"
+for leg in dlrm:64 coatnet-0:64 efficientnet-x-b0:64 dlrm:8; do
+  model=${leg%:*}
+  batch=${leg#*:}
+  ./target/release/h2o dump --model "$model" --batch "$batch" > "$hlodir/$model.hlo"
   for mode in training serving; do
     serving=()
     if [ "$mode" = serving ]; then serving=(--serving); fi
-    cmp <(./target/release/h2o simulate --model "$model" "${serving[@]}") \
-        <(./target/release/h2o simulate --hlo "$hlodir/$model.hlo" "${serving[@]}")
+    cmp <(./target/release/h2o simulate --model "$model" --batch "$batch" "${serving[@]}") \
+        <(./target/release/h2o simulate --hlo "$hlodir/$model.hlo" --batch "$batch" \
+            "${serving[@]}")
   done
 done
 rm -rf "$hlodir"
@@ -135,20 +140,24 @@ rm -rf "$chdir"
 # simulator. Both paths must actually run (served > 0, fallback > 0 in
 # the metrics export) and — because the frozen model makes every routing
 # decision deterministically — two identical runs must write
-# byte-identical telemetry.
+# byte-identical telemetry. A third run at --workers 1 checks the
+# row-split REINFORCE update, which dominates this backend's step,
+# against the single-threaded one in the optimized binary.
 echo "==> model-served smoke (--eval-backend model, served + fallback mix)"
 msdir=$(mktemp -d)
-for run in a b; do
-  ./target/release/h2o search --domain dlrm --steps 8 --shards 4 --workers 2 \
+for run in a:2 b:2 serial:1; do
+  ./target/release/h2o search --domain dlrm --steps 8 --shards 4 --workers "${run#*:}" \
       --eval-backend model --gate-threshold 0.4 --finetune-cadence 2 \
-      --csv "$msdir/$run" --metrics-out "$msdir/$run.prom" >/dev/null
+      --csv "$msdir/${run%:*}" --metrics-out "$msdir/${run%:*}.prom" >/dev/null
 done
 grep -q '^h2o_eval_served_total [1-9]' "$msdir/a.prom"
 grep -q '^h2o_eval_fallback_total [1-9]' "$msdir/a.prom"
 grep -q '^h2o_eval_finetune_rounds_total [1-9]' "$msdir/a.prom"
-cmp "$msdir/a_candidates.csv" "$msdir/b_candidates.csv"
-cmp <(cut -d, -f1-4 "$msdir/a_history.csv") \
-    <(cut -d, -f1-4 "$msdir/b_history.csv")
+for run in b serial; do
+  cmp "$msdir/a_candidates.csv" "$msdir/${run}_candidates.csv"
+  cmp <(cut -d, -f1-4 "$msdir/a_history.csv") \
+      <(cut -d, -f1-4 "$msdir/${run}_history.csv")
+done
 rm -rf "$msdir"
 
 # Exporter smoke: the global tracer keeps span events only when

@@ -106,7 +106,9 @@ impl std::error::Error for DriverError {}
 
 /// Phase labels of the `h2o_core_phase_seconds{phase=...}` histograms the
 /// driver records per step, in loop order; the `--metrics-out` export
-/// carries one series per phase.
+/// carries one series per phase. `policy_update` covers the REINFORCE
+/// update and the policy entropy, which the update computes in the same
+/// pass.
 pub const PHASES: [&str; 6] = [
     "collect",
     "reward",
@@ -136,7 +138,9 @@ pub struct ControllerConfig {
     pub baseline_momentum: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Evaluation worker threads. `0` means auto: the `H2O_WORKERS`
+    /// Worker threads of a stage's executor: they evaluate candidates,
+    /// and on [`ParallelStage`](crate::ParallelStage) they also split the
+    /// REINFORCE update by decision. `0` means auto: the `H2O_WORKERS`
     /// environment variable if set, else available parallelism. The
     /// search outcome is bit-identical for every worker count.
     pub workers: usize,
@@ -197,6 +201,14 @@ pub trait CandidateStage {
     /// default does nothing.
     fn after_policy_update(&mut self, _candidates: &[(ArchSample, EvalResult)], _rewards: &[f64]) {}
 
+    /// The executor the stage lends the driver for the REINFORCE update,
+    /// which splits the policy's decisions across its workers; `None`
+    /// (the default) runs the update on the calling thread. The outcome
+    /// is bit-identical either way.
+    fn executor(&self) -> Option<&h2o_exec::Executor> {
+        None
+    }
+
     /// Restores stage-owned state (super-network weights, stream
     /// positions) from a snapshot captured at `state.steps_done` completed
     /// steps. The driver has already validated the controller-level
@@ -219,7 +231,8 @@ pub trait CandidateStage {
 /// (2) combines each candidate's quality and performance signals through
 /// the [`RewardFn`], guarding non-finite rewards with
 /// [`NON_FINITE_REWARD_PENALTY`], (3) updates the reward-baseline EMA and
-/// applies one cross-shard REINFORCE update, (4) lets the stage react
+/// applies one cross-shard REINFORCE update, on the stage's executor if
+/// it lends one ([`CandidateStage::executor`]), (4) lets the stage react
 /// (weight training), and (5) records telemetry and consults the
 /// [`CheckpointSink`]. The final architecture is the per-decision argmax
 /// of the trained policy (§4.2).
@@ -396,6 +409,13 @@ impl<'a> SearchDriver<'a> {
         let phase_stage = phase_hist("stage_update");
         let phase_telemetry = phase_hist("telemetry");
         let step_seconds = h2o_obs::histogram("h2o_core_step_seconds");
+        let mean_reward_gauge = h2o_obs::gauge("h2o_core_mean_reward");
+        let best_reward_gauge = h2o_obs::gauge("h2o_core_best_reward");
+        let entropy_gauge = h2o_obs::gauge("h2o_core_entropy");
+        let baseline_gauge = h2o_obs::gauge("h2o_core_baseline");
+        // Runs the update for stages that lend no executor: one worker,
+        // so it starts no thread and the update runs inline.
+        let inline = h2o_exec::Executor::new(1);
 
         for step in start_step..config.steps {
             let step_span = h2o_obs::span(stage.step_span_name());
@@ -427,23 +447,24 @@ impl<'a> SearchDriver<'a> {
                 let mean = rewards.iter().sum::<f64>() / rewards.len() as f64;
                 let best = rewards.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let b = baseline.update(mean);
-                let batch: Vec<(ArchSample, f64)> = results
+                let batch: Vec<(&ArchSample, f64)> = results
                     .iter()
                     .zip(&rewards)
-                    .map(|((sample, _), &r)| (sample.clone(), r - b))
+                    .map(|((sample, _), &r)| (sample, r - b))
                     .collect();
                 (rewards, mean, best, b, batch)
             });
-            phase_policy.time(|| policy.reinforce_update(&batch, config.policy_lr));
+            let executor = stage.executor().unwrap_or(&inline);
+            let entropy = phase_policy
+                .time(|| policy.reinforce_update_on(&batch, config.policy_lr, executor));
             phase_stage.time(|| stage.after_policy_update(&results, &rewards));
 
-            let entropy = policy.mean_entropy();
             steps_total.inc();
             candidates_total.add(results.len() as u64);
-            h2o_obs::gauge("h2o_core_mean_reward").set(mean);
-            h2o_obs::gauge("h2o_core_best_reward").set(best);
-            h2o_obs::gauge("h2o_core_entropy").set(entropy);
-            h2o_obs::gauge("h2o_core_baseline").set(b);
+            mean_reward_gauge.set(mean);
+            best_reward_gauge.set(best);
+            entropy_gauge.set(entropy);
+            baseline_gauge.set(b);
             let step_time_secs = step_span.finish();
             step_seconds.record(step_time_secs);
             let step_time_ms = step_time_secs * 1e3;

@@ -151,15 +151,7 @@ impl Policy {
 
     /// Mean per-decision entropy in nats — a convergence diagnostic.
     pub fn mean_entropy(&self) -> f64 {
-        let total: f64 = self
-            .rows()
-            .map(|row| {
-                -self.probs[row]
-                    .iter()
-                    .map(|p| p * p.max(1e-300).ln())
-                    .sum::<f64>()
-            })
-            .sum();
+        let total: f64 = self.rows().map(|row| row_entropy(&self.probs[row])).sum();
         total / self.num_decisions().max(1) as f64
     }
 
@@ -174,19 +166,157 @@ impl Policy {
     ///
     /// Panics if shapes mismatch.
     pub fn reinforce_update(&mut self, batch: &[(ArchSample, f64)], lr: f64) {
-        for (sample, advantage) in batch {
-            assert_eq!(sample.len(), self.num_decisions(), "sample length mismatch");
-            for (w, &chosen) in self.offsets.windows(2).zip(sample) {
-                let logits = &mut self.logits[w[0]..w[1]];
-                let probs = &mut self.probs[w[0]..w[1]];
-                for (c, (logit, p)) in logits.iter_mut().zip(probs.iter()).enumerate() {
-                    let indicator = if c == chosen { 1.0 } else { 0.0 };
-                    *logit += lr * (advantage * (indicator - p));
+        self.check_shapes(batch);
+        let rows = 0..self.num_decisions();
+        update_rows(
+            batch,
+            lr,
+            &self.offsets,
+            rows,
+            &mut self.logits,
+            &mut self.probs,
+            None,
+        );
+    }
+
+    /// [`reinforce_update`](Self::reinforce_update) with the decisions
+    /// split into one contiguous block per worker of `executor`, balanced
+    /// by choice count; returns the updated policy's
+    /// [`mean_entropy`](Self::mean_entropy), computed in the same pass.
+    ///
+    /// A decision's update reads and writes only its own row, so each
+    /// block applies the whole batch to its rows, in batch order, and the
+    /// logits, probabilities and entropy are bit-identical to the serial
+    /// update's for every worker count. The per-row entropies are summed
+    /// in row order, as `mean_entropy` sums them. With one worker, or one
+    /// decision, the update runs on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes mismatch.
+    pub fn reinforce_update_on<S>(
+        &mut self,
+        batch: &[(S, f64)],
+        lr: f64,
+        executor: &h2o_exec::Executor,
+    ) -> f64
+    where
+        S: AsRef<[usize]> + Sync,
+    {
+        self.check_shapes(batch);
+        let mut entropy = vec![0.0; self.num_decisions()];
+        let offsets = &self.offsets[..];
+        let (mut logits, mut probs, mut rest) =
+            (&mut self.logits[..], &mut self.probs[..], &mut entropy[..]);
+        let jobs: Vec<_> = row_blocks(offsets, executor.workers())
+            .map(|rows| {
+                let width = offsets[rows.end] - offsets[rows.start];
+                let (block_logits, tail) = std::mem::take(&mut logits).split_at_mut(width);
+                logits = tail;
+                let (block_probs, tail) = std::mem::take(&mut probs).split_at_mut(width);
+                probs = tail;
+                let (block_entropy, tail) = std::mem::take(&mut rest).split_at_mut(rows.len());
+                rest = tail;
+                move || {
+                    update_rows(
+                        batch,
+                        lr,
+                        offsets,
+                        rows,
+                        block_logits,
+                        block_probs,
+                        Some(block_entropy),
+                    )
                 }
-                softmax_into(logits, probs);
-            }
+            })
+            .collect();
+        // A single block runs on the calling thread, outside the executor
+        // and its batch instruments.
+        if jobs.len() > 1 {
+            executor.execute(jobs);
+        } else {
+            jobs.into_iter().for_each(|job| job());
+        }
+        let total: f64 = entropy.into_iter().sum();
+        total / self.num_decisions().max(1) as f64
+    }
+
+    /// Asserts that every sample has one choice per decision.
+    fn check_shapes<S: AsRef<[usize]>>(&self, batch: &[(S, f64)]) {
+        for (sample, _) in batch {
+            assert_eq!(
+                sample.as_ref().len(),
+                self.num_decisions(),
+                "sample length mismatch"
+            );
         }
     }
+}
+
+/// The REINFORCE kernel over the decisions in `rows`, whose logits and
+/// probabilities start at `offsets[rows.start]` of `logits` and `probs`.
+/// Row by row, it applies every (sample, advantage) pair of `batch` in
+/// batch order, refreshing the row's softmax after each, and then writes
+/// the row's entropy into `entropy`, if given, at the row's index within
+/// `rows`. Rows never read each other, so any split of the rows writes
+/// the same bits.
+fn update_rows<S: AsRef<[usize]>>(
+    batch: &[(S, f64)],
+    lr: f64,
+    offsets: &[usize],
+    rows: Range<usize>,
+    logits: &mut [f64],
+    probs: &mut [f64],
+    mut entropy: Option<&mut [f64]>,
+) {
+    let base = offsets[rows.start];
+    for (i, d) in rows.enumerate() {
+        let row = offsets[d] - base..offsets[d + 1] - base;
+        let logits = &mut logits[row.clone()];
+        let probs = &mut probs[row];
+        for (sample, advantage) in batch {
+            let chosen = sample.as_ref()[d];
+            for (c, (logit, p)) in logits.iter_mut().zip(probs.iter()).enumerate() {
+                let indicator = if c == chosen { 1.0 } else { 0.0 };
+                *logit += lr * (advantage * (indicator - p));
+            }
+            softmax_into(logits, probs);
+        }
+        if let Some(entropy) = entropy.as_deref_mut() {
+            entropy[i] = row_entropy(probs);
+        }
+    }
+}
+
+/// Splits the decisions into at most `blocks` contiguous, non-empty ranges
+/// with about equal choice counts: a block ends once it has reached its
+/// share of the choices left.
+fn row_blocks(offsets: &[usize], blocks: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let rows = offsets.len() - 1;
+    let mut start = 0;
+    let mut left = blocks.clamp(1, rows.max(1));
+    std::iter::from_fn(move || {
+        if start == rows {
+            return None;
+        }
+        let total = offsets[rows] - offsets[start];
+        // The rows up to `end` hold at least 1/left of the choices left,
+        // and leave at least one row for every later block.
+        let mut end = start + 1;
+        while end < rows + 1 - left && (offsets[end] - offsets[start]) * left < total {
+            end += 1;
+        }
+        let block = start..end;
+        start = end;
+        left = left.saturating_sub(1).max(1);
+        Some(block)
+    })
+}
+
+/// The entropy of one decision's probabilities, in nats: its terms summed
+/// left to right.
+fn row_entropy(probs: &[f64]) -> f64 {
+    -probs.iter().map(|p| p * p.max(1e-300).ln()).sum::<f64>()
 }
 
 /// Writes the softmax of `logits` into `probs`: the max, `exp(l − max)`
@@ -365,6 +495,35 @@ mod tests {
     #[should_panic(expected = "momentum")]
     fn bad_momentum_panics() {
         RewardBaseline::new(1.5);
+    }
+
+    #[test]
+    fn row_blocks_split_every_decision_once_by_choice_count() {
+        let offsets = [0, 4, 5, 6, 14, 16, 20];
+        for blocks in 1..=8 {
+            let split: Vec<Range<usize>> = row_blocks(&offsets, blocks).collect();
+            assert_eq!(split.len(), blocks.min(6), "{blocks} blocks: {split:?}");
+            assert!(split.iter().all(|b| !b.is_empty()), "{split:?}");
+            let rows: Vec<usize> = split.iter().flat_map(Range::clone).collect();
+            assert_eq!(rows, (0..6).collect::<Vec<_>>());
+        }
+        // Two blocks: the first ends once it holds half of the 20 choices.
+        let halves: Vec<Range<usize>> = row_blocks(&offsets, 2).collect();
+        assert_eq!(halves, [0..4, 4..6]);
+    }
+
+    #[test]
+    fn split_update_matches_the_serial_one() {
+        let batch = [(vec![2, 0], 1.5), (vec![0, 3], -0.5), (vec![1, 1], 2.0)];
+        let mut serial = Policy::uniform(&space());
+        serial.reinforce_update(&batch, 0.3);
+        for workers in [1, 2, 3] {
+            let mut split = Policy::uniform(&space());
+            let executor = h2o_exec::Executor::new(workers);
+            let entropy = split.reinforce_update_on(&batch, 0.3, &executor);
+            assert_eq!(split, serial, "{workers} workers");
+            assert_eq!(entropy.to_bits(), serial.mean_entropy().to_bits());
+        }
     }
 
     #[test]

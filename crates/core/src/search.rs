@@ -129,7 +129,8 @@ impl SearchOutcome {
 
 /// The [`CandidateStage`] of the massively parallel search: one stateless
 /// (from the driver's point of view) evaluator per shard, fanned out on a
-/// work-stealing executor pool.
+/// work-stealing executor pool, which the stage also lends the driver for
+/// the REINFORCE update ([`CandidateStage::executor`]).
 ///
 /// Evaluator construction happens once per shard; evaluators persist
 /// across steps (so stateful evaluators amortise setup and can train
@@ -167,7 +168,7 @@ where
 {
     /// Builds the stage: one evaluator per shard from
     /// `make_evaluator(shard_index)`, plus the executor pool sized from
-    /// `config.workers`.
+    /// `config.workers` (at most one worker per shard).
     pub fn new<F>(mut make_evaluator: F, config: &SearchConfig) -> Self
     where
         F: FnMut(usize) -> E,
@@ -225,6 +226,10 @@ where
             })
             .collect();
         Ok(self.executor.execute(jobs))
+    }
+
+    fn executor(&self) -> Option<&h2o_exec::Executor> {
+        Some(&self.executor)
     }
 }
 

@@ -112,7 +112,9 @@ pub type NodeRespawner = Box<dyn FnMut(usize) -> Result<NodeAddr, String> + Send
 /// after it died (until a [`NodeRespawner`] revives it).
 pub struct DistributedPool {
     nodes: Vec<Option<NodeTransport>>,
-    /// Runs the per-node legs of a batch, one worker per node.
+    /// Runs the per-node legs of a batch, one worker per node. Its threads
+    /// park at once: a leg waits on its node's socket far longer than the
+    /// executor's spin budget.
     executor: Executor,
     fingerprint: u64,
     options: PoolOptions,
@@ -228,7 +230,7 @@ impl DistributedPool {
             gauge.set(1.0);
         }
         Ok(Self {
-            executor: Executor::new(nodes.len()),
+            executor: Executor::parking(nodes.len()),
             nodes,
             fingerprint,
             options,

@@ -1,16 +1,26 @@
-//! The executor's helper threads: spawned once, parked on a condvar
-//! between batches, joined on drop.
+//! The executor's helper threads: spawned once, joined on drop. Between
+//! batches a helper spins briefly on the batch epoch, then parks on a
+//! condvar; a pool built not to spin parks at once.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// A published batch with its lifetime erased: called once per worker
 /// taking part, with that worker's index.
 type Work = &'static (dyn Fn(usize) + Sync);
+
+/// How long a thread that waits on the other side of the hand-off spins
+/// before it parks: a helper waiting for the next batch, or the caller
+/// waiting for the helpers' reports. A batch published, or a report made,
+/// inside this window costs no futex sleep and wake. Timed with a
+/// stopwatch rather than by counting turns of the loop, whose cost varies
+/// about tenfold across CPUs.
+const SPIN_BUDGET_SECS: f64 = 25e-6;
 
 thread_local! {
     /// Set while this thread runs a share of a batch. A batch submitted
@@ -30,24 +40,35 @@ fn run_share(work: &(dyn Fn(usize) + Sync), me: usize) -> std::thread::Result<()
 
 #[derive(Default)]
 struct State {
-    /// Bumped each time a batch is published.
-    epoch: u64,
     /// The published batch and how many workers take part in it, the
     /// caller included; `None` between batches.
     batch: Option<(Work, usize)>,
-    /// Helpers taking part that have not reported back yet.
-    running: usize,
     /// The first panic any share of this batch reported.
     panic: Option<Box<dyn Any + Send>>,
-    shutdown: bool,
+    /// Helpers parked on `wake`.
+    parked: usize,
 }
 
-#[derive(Default)]
 struct Shared {
     state: Mutex<State>,
-    /// Wakes the helpers: a batch was published, or shutdown began.
+    /// Bumped each time a batch is published. Written only under the
+    /// `state` lock, so a read under the lock matches `state.batch`;
+    /// spinning helpers read it without the lock.
+    epoch: AtomicU64,
+    /// Helpers taking part in the current batch that have not reported
+    /// back yet.
+    running: AtomicUsize,
+    /// Set under the `state` lock when the executor drops.
+    shutdown: AtomicBool,
+    /// Set while the caller is parked on `done`.
+    caller_parked: AtomicBool,
+    /// Whether waiting threads spin before they park. The executor's
+    /// builder decides: a pool whose jobs block on I/O parks at once,
+    /// because its batches outlast the budget and a spin only burns CPU.
+    spin: bool,
+    /// Wakes parked helpers: a batch was published, or shutdown began.
     wake: Condvar,
-    /// Wakes the caller: the last running helper reported back.
+    /// Wakes the parked caller: the last running helper reported back.
     done: Condvar,
 }
 
@@ -56,37 +77,89 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Spins until `ready()` holds or the spin budget runs out, and
+    /// returns whether it holds. Without `spin` it only checks once.
+    ///
+    /// Each turn yields the CPU rather than pausing in place. With a CPU of
+    /// its own the yield returns at once; but when the scheduler has put
+    /// the thread this one waits for on the same CPU, a spinner that only
+    /// paused would hold that CPU for the whole budget, twice per batch.
+    fn spin_until(&self, ready: impl Fn() -> bool) -> bool {
+        let watch = self.spin.then(h2o_obs::Stopwatch::start);
+        loop {
+            if ready() {
+                return true;
+            }
+            match watch {
+                Some(watch) if watch.elapsed_secs() < SPIN_BUDGET_SECS => std::thread::yield_now(),
+                _ => return false,
+            }
+        }
+    }
+
     /// Helper `me`'s life: run its share of every batch it takes part in,
     /// report back, and return on shutdown.
     fn serve(&self, me: usize) {
         let mut seen = 0;
         loop {
-            let outcome = {
-                let state = self
-                    .wake
-                    .wait_while(self.lock(), |s| !s.shutdown && s.epoch == seen)
-                    .unwrap_or_else(PoisonError::into_inner);
-                if state.shutdown {
+            let news = || {
+                self.epoch.load(Ordering::Acquire) != seen || self.shutdown.load(Ordering::Acquire)
+            };
+            let batch = {
+                let state = if self.spin_until(news) {
+                    self.lock()
+                } else {
+                    let mut state = self.lock();
+                    state.parked += 1;
+                    let mut state = self
+                        .wake
+                        .wait_while(state, |_| !news())
+                        .unwrap_or_else(PoisonError::into_inner);
+                    state.parked -= 1;
+                    state
+                };
+                // Both are written only under the lock held here.
+                if self.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                seen = state.epoch;
+                seen = self.epoch.load(Ordering::Relaxed);
                 // A batch with fewer workers than helpers leaves the
                 // highest-numbered helpers out; they were not counted.
-                let Some((work, _)) = state.batch.filter(|&(_, workers)| me < workers) else {
-                    continue;
-                };
-                drop(state);
-                run_share(work, me)
+                state.batch.filter(|&(_, workers)| me < workers)
             };
-            let mut state = self.lock();
-            if let Err(payload) = outcome {
-                state.panic.get_or_insert(payload);
+            let Some((work, _)) = batch else {
+                continue;
+            };
+            if let Err(payload) = run_share(work, me) {
+                self.lock().panic.get_or_insert(payload);
             }
-            state.running -= 1;
-            if state.running == 0 {
+            // The last helper to report wakes the caller only if it has
+            // parked. Both sides' flag and count accesses are SeqCst: a
+            // caller that still saw this helper running had set
+            // `caller_parked` first, and holds the lock until it waits.
+            if self.running.fetch_sub(1, Ordering::SeqCst) == 1
+                && self.caller_parked.load(Ordering::SeqCst)
+            {
+                drop(self.lock());
                 self.done.notify_one();
             }
         }
+    }
+
+    /// Returns once every helper taking part in the batch reported back:
+    /// the caller spins on the count, then parks on `done`.
+    fn await_helpers(&self) {
+        if self.spin_until(|| self.running.load(Ordering::Acquire) == 0) {
+            return;
+        }
+        let state = self.lock();
+        self.caller_parked.store(true, Ordering::SeqCst);
+        let state = self
+            .done
+            .wait_while(state, |_| self.running.load(Ordering::SeqCst) != 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        self.caller_parked.store(false, Ordering::Relaxed);
+        drop(state);
     }
 }
 
@@ -109,9 +182,19 @@ impl Helpers {
     /// Spawns one helper per worker index in `1..workers`, stopping at the
     /// first thread that fails to spawn: the other workers' steal loops
     /// drain the deques of missing helpers, so a failed spawn costs
-    /// parallelism, nothing else.
-    pub(crate) fn spawn(workers: usize) -> Self {
-        let shared = Arc::new(Shared::default());
+    /// parallelism, nothing else. With `spin`, waiting threads spin before
+    /// they park; without it they park at once.
+    pub(crate) fn spawn(workers: usize, spin: bool) -> Self {
+        let shared = Arc::new(Shared {
+            state: Mutex::default(),
+            epoch: AtomicU64::new(0),
+            running: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            caller_parked: AtomicBool::new(false),
+            spin,
+            wake: Condvar::new(),
+            done: Condvar::new(),
+        });
         let threads = (1..workers)
             .map_while(|me| {
                 let shared = Arc::clone(&shared);
@@ -139,41 +222,50 @@ impl Helpers {
     #[allow(unsafe_code)]
     pub(crate) fn run_batch(&self, workers: usize, work: &(dyn Fn(usize) + Sync)) {
         let turn = self.turn.lock().unwrap_or_else(PoisonError::into_inner);
+        let shared = &*self.shared;
         let taking_part = self.threads.len().min(workers.saturating_sub(1));
         // SAFETY: `erased` is `work` with its lifetime erased, and it is
-        // only called while `work` is still borrowed. Helpers call it only
-        // between reading it from `state` for this epoch and decrementing
-        // `running`. This function neither returns nor unwinds until
-        // `running` is back at zero and `state.batch` is cleared: its own
-        // share runs under `catch_unwind`, a payload it does not keep is
-        // dropped only after that wait, and nothing else before the wait
-        // can panic (lock poisoning is ignored, not unwrapped).
+        // only called while `work` is still borrowed. A helper calls it
+        // only between reading the epoch bumped below, with `state.batch`
+        // under the lock, and its decrement of `running`; a helper that
+        // does not take part never calls it. This function neither
+        // returns nor unwinds until it has read `running` back at zero,
+        // which synchronizes with every helper's decrement, and has
+        // cleared `state.batch`: its own share runs under `catch_unwind`,
+        // a payload it does not keep is dropped only after that wait, and
+        // nothing else before the wait can panic (lock poisoning is
+        // ignored, not unwrapped).
         let erased = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Work>(work) };
-        {
-            let mut state = self.shared.lock();
-            state.epoch += 1;
+        let any_parked = {
+            let mut state = shared.lock();
             state.batch = Some((erased, workers));
-            state.running = taking_part;
-        }
-        self.shared.wake.notify_all();
-        let own = run_share(work, 0);
-        let mut state = self.shared.lock();
-        // The first share to report a panic wins, the caller's included.
-        let late = match own {
-            Err(payload) if state.panic.is_none() => {
-                state.panic = Some(payload);
-                None
-            }
-            own => own.err(),
+            // Published by the epoch's release, which a spinning helper
+            // acquires before it takes the lock and reads the batch.
+            shared.running.store(taking_part, Ordering::Relaxed);
+            shared.epoch.fetch_add(1, Ordering::Release);
+            state.parked > 0
         };
-        let mut state = self
-            .shared
-            .done
-            .wait_while(state, |s| s.running > 0)
-            .unwrap_or_else(PoisonError::into_inner);
-        state.batch = None;
-        let first = state.panic.take();
-        drop(state);
+        // A helper still spinning sees the new epoch by itself.
+        if any_parked {
+            shared.wake.notify_all();
+        }
+        // The first share to report a panic wins, the caller's included.
+        let late = run_share(work, 0).err().and_then(|payload| {
+            let mut state = shared.lock();
+            match state.panic {
+                None => {
+                    state.panic = Some(payload);
+                    None
+                }
+                Some(_) => Some(payload),
+            }
+        });
+        shared.await_helpers();
+        let first = {
+            let mut state = shared.lock();
+            state.batch = None;
+            state.panic.take()
+        };
         drop(turn);
         drop(late);
         if let Some(payload) = first {
@@ -184,7 +276,10 @@ impl Helpers {
 
 impl Drop for Helpers {
     fn drop(&mut self) {
-        self.shared.lock().shutdown = true;
+        {
+            let _state = self.shared.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.wake.notify_all();
         for thread in self.threads.drain(..) {
             // Every share runs under `catch_unwind`, so a helper cannot
@@ -205,7 +300,7 @@ mod tests {
     )]
     fn the_first_reported_panic_wins() {
         use std::time::{Duration, Instant};
-        let helpers = Helpers::spawn(2);
+        let helpers = Helpers::spawn(2, true);
         // Worker `first` panics at once; the other waits until that panic
         // is recorded (or a deadline passes, so a regression fails rather
         // than hangs), then panics too.

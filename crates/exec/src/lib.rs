@@ -7,10 +7,10 @@
 //!
 //! * [`Executor`] — a persistent **work-stealing** executor for borrowing
 //!   jobs (evaluators live on the caller's stack). Its helper threads are
-//!   spawned once, when the executor is built, and park between batches;
-//!   the calling thread works as worker 0. Jobs are pre-sharded
-//!   round-robin across per-worker deques; an idle worker steals from the
-//!   back of its neighbours' deques.
+//!   spawned once, when the executor is built, and between batches spin
+//!   briefly and then park; the calling thread works as worker 0. Jobs
+//!   are pre-sharded round-robin across per-worker deques; an idle worker
+//!   steals from the back of its neighbours' deques.
 //! * [`DistributedPool`] — the **process-per-node** mode: byte jobs fan
 //!   out over Unix-socket or TCP [`NodeTransport`]s carrying
 //!   length-prefixed, checksummed [`frame`]s, with the same
@@ -92,12 +92,13 @@ pub fn resolve_workers(requested: usize, max_useful: usize) -> usize {
 
 /// A persistent work-stealing executor over borrowing jobs.
 ///
-/// [`Executor::new`] spawns `workers − 1` helper threads once; they park
-/// between batches and are joined when the executor drops. During
-/// [`execute`](Executor::execute) the calling thread works as worker 0
-/// beside them. Concurrent `execute` calls on one shared executor take
-/// turns, and a batch submitted from inside a running job runs inline on
-/// the submitting thread.
+/// [`Executor::new`] spawns `workers − 1` helper threads once; between
+/// batches they spin for about 25 µs and then park (an executor built with
+/// [`Executor::parking`] parks at once), and they are joined when the
+/// executor drops. During [`execute`](Executor::execute) the calling
+/// thread works as worker 0 beside them. Concurrent `execute` calls on one
+/// shared executor take turns, and a batch submitted from inside a running
+/// job runs inline on the submitting thread.
 ///
 /// # Examples
 ///
@@ -113,6 +114,9 @@ pub struct Executor {
     workers: usize,
     /// `None` for one worker.
     helpers: Option<helpers::Helpers>,
+    /// Worker `w`'s `h2o_exec_worker_jobs_total{worker="w"}` counter name,
+    /// formatted once; the counters are still looked up per batch.
+    worker_jobs: Vec<String>,
 }
 
 impl Executor {
@@ -123,10 +127,29 @@ impl Executor {
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
+        Self::spawn(workers, true)
+    }
+
+    /// Creates an executor whose waiting threads park at once instead of
+    /// spinning first: for jobs that block on I/O, whose batches outlast
+    /// the spin budget, so a spin would only burn CPU that other
+    /// processes could use. [`DistributedPool`] runs its node legs on one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    pub fn parking(workers: usize) -> Self {
+        Self::spawn(workers, false)
+    }
+
+    fn spawn(workers: usize, spin: bool) -> Self {
         assert!(workers > 0, "need at least one worker");
         Self {
             workers,
-            helpers: (workers > 1).then(|| helpers::Helpers::spawn(workers)),
+            helpers: (workers > 1).then(|| helpers::Helpers::spawn(workers, spin)),
+            worker_jobs: (0..workers)
+                .map(|w| format!("h2o_exec_worker_jobs_total{{worker=\"{w}\"}}"))
+                .collect(),
         }
     }
 
@@ -179,8 +202,9 @@ impl Executor {
         // worker spent inside the steal loop without holding a job).
         // Readings come from h2o-obs stopwatches and feed instruments
         // only, so they cannot perturb the submission-order reduction.
-        let worker_jobs: Vec<h2o_obs::Counter> = (0..workers)
-            .map(|w| h2o_obs::counter(&format!("h2o_exec_worker_jobs_total{{worker=\"{w}\"}}")))
+        let worker_jobs: Vec<h2o_obs::Counter> = self.worker_jobs[..workers]
+            .iter()
+            .map(|name| h2o_obs::counter(name))
             .collect();
         let busy_seconds = h2o_obs::histogram("h2o_exec_worker_busy_seconds");
         let idle_seconds = h2o_obs::histogram("h2o_exec_worker_idle_seconds");

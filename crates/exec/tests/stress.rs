@@ -3,11 +3,14 @@
 //! producers must lose nothing and duplicate nothing, the helper threads
 //! must persist across batches and shut down cleanly, and borrowing,
 //! panicking and nested jobs must keep their scoped-thread semantics.
+//! The spin/park tests drive both sides of the hand-off: batches
+//! published while the helper still spins, and after it has parked.
 
 use h2o_exec::Executor;
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -203,4 +206,149 @@ fn mixed_cost_jobs_still_reduce_in_order() {
         i
     });
     assert_eq!(out, (0..256).collect::<Vec<_>>());
+}
+
+/// How long a spin/park test may take before it counts as hung.
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Well past the executor's spin budget of about 25 µs, so a helper idle
+/// this long has parked.
+const PAUSE: Duration = Duration::from_millis(2);
+
+/// Runs `body` on a thread of its own and fails if it has not finished by
+/// [`DEADLINE`], so a lost wake fails the test instead of hanging it. A
+/// panic in `body` is re-raised.
+fn within_deadline(body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(DEADLINE) {
+        Err(RecvTimeoutError::Timeout) => panic!("not done within {DEADLINE:?}: a wake was lost"),
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(payload) = runner.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+    }
+}
+
+/// Runs one batch of two jobs that meet at a barrier, so the helper must
+/// run one of them, and returns the thread each job ran on.
+fn meeting_batch(exec: &Executor) -> Vec<ThreadId> {
+    let meet = Barrier::new(2);
+    exec.map(vec![(); 2], |_, ()| {
+        meet.wait();
+        std::thread::current().id()
+    })
+}
+
+#[test]
+fn back_to_back_batches_inside_the_spin_window() {
+    within_deadline(|| {
+        let exec = Executor::new(2);
+        let caller = std::thread::current().id();
+        for round in 0..2_000u64 {
+            // The helper reports and spins; the next batch is published
+            // while it does.
+            let threads = meeting_batch(&exec);
+            assert!(threads.contains(&caller) && threads[0] != threads[1]);
+            let got = exec.map((0..8u64).collect(), |_, x| x ^ round);
+            assert_eq!(got, (0..8u64).map(|x| x ^ round).collect::<Vec<_>>());
+        }
+    });
+}
+
+#[test]
+fn batches_after_a_pause_take_the_parked_path() {
+    within_deadline(|| {
+        let exec = Executor::new(2);
+        for _ in 0..50 {
+            // The helper has parked: publishing must wake it, or the
+            // barrier never opens.
+            std::thread::sleep(PAUSE);
+            meeting_batch(&exec);
+            // The caller's share ends at once while the helper's job runs
+            // past the budget, so the caller parks and the helper's report
+            // must wake it.
+            let meet = Barrier::new(2);
+            let out = exec.map(vec![0u64, 1], |_, x| {
+                meet.wait();
+                if std::thread::current().name() == Some("h2o-exec-1") {
+                    std::thread::sleep(PAUSE);
+                }
+                x * 2
+            });
+            assert_eq!(out, vec![0, 2]);
+        }
+    });
+}
+
+#[test]
+fn a_parking_executor_wakes_its_helper_for_every_batch() {
+    within_deadline(|| {
+        // Its helper parks as soon as it has reported, so every publish
+        // must wake it, or the barrier never opens.
+        let exec = Executor::parking(2);
+        for round in 0..500u64 {
+            meeting_batch(&exec);
+            let got = exec.map((0..8u64).collect(), |_, x| x ^ round);
+            assert_eq!(got, (0..8u64).map(|x| x ^ round).collect::<Vec<_>>());
+        }
+    });
+}
+
+#[test]
+fn dropping_an_executor_while_its_helpers_spin_joins_them() {
+    within_deadline(|| {
+        for _ in 0..200 {
+            let exec = Executor::new(2);
+            meeting_batch(&exec);
+            // The helper has just reported and spins on the next epoch:
+            // it must see shutdown there and exit, or this join hangs.
+            drop(exec);
+        }
+        // A helper that never ran a batch is still in its first spin.
+        for _ in 0..200 {
+            drop(Executor::new(2));
+        }
+    });
+}
+
+#[test]
+fn a_job_panic_on_a_spinning_helper_reaches_the_caller() {
+    within_deadline(|| {
+        let exec = Executor::new(2);
+        let caller = std::thread::current().id();
+        for _ in 0..20 {
+            meeting_batch(&exec);
+            // Published while the helper spins. The caller's job waits at
+            // the barrier, so it cannot steal job 1: the helper runs it.
+            let meet = Barrier::new(2);
+            let ran_on = Mutex::new(None);
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                exec.map(vec![0usize, 1], |_, i| {
+                    meet.wait();
+                    if i == 1 {
+                        *ran_on.lock().unwrap() = Some(std::thread::current().id());
+                        panic!("job {i} failed");
+                    }
+                })
+            }));
+            let payload = outcome.expect_err("the helper's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("job 1 failed")
+            );
+            let helper = ran_on.into_inner().unwrap().expect("job 1 ran");
+            assert_ne!(helper, caller, "job 1 ran on the helper");
+        }
+        // The executor survives and still uses its helper.
+        assert_eq!(
+            exec.map((0..16u64).collect(), |_, x| x + 1),
+            (1..17).collect::<Vec<_>>()
+        );
+        meeting_batch(&exec);
+    });
 }

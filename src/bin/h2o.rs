@@ -40,7 +40,7 @@ h2o — Hyperscale Hardware Optimized NAS (ASPLOS'23 reproduction)
 USAGE:
   h2o spaces
   h2o simulate --model <NAME> [--hw <tpuv3|tpuv4|tpuv4i|v100|a100|h100>] [--batch N] [--serving]
-  h2o simulate --hlo <FILE>   [--hw ...] [--serving]      simulate a textual HLO graph
+  h2o simulate --hlo <FILE> --batch N [--hw ...] [--serving]  simulate a textual HLO graph
   h2o dump --model <NAME> [--batch N]                     print a model as textual HLO
   h2o roofline [--hw <tpuv3|tpuv4|tpuv4i|v100|a100|h100>]
   h2o sweep --model <NAME> [--hw ...] [--batches 1,8,64,256] [--load 0.7]
@@ -231,6 +231,11 @@ fn cmd_dump(flags: &BTreeMap<String, String>) -> Result<(), String> {
 fn cmd_simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let batch = batch_flag(flags)?;
     let graph = load_graph(flags, batch)?;
+    // The HLO text records no batch size, and the throughput line divides
+    // by it, so a graph read from a file needs the one it was dumped at.
+    if flags.contains_key("hlo") && !flags.contains_key("batch") {
+        return Err("--hlo needs --batch: the HLO text does not record the batch size".into());
+    }
     let hw = hardware(flags)?;
     let sim = Simulator::new(hw.clone());
     let serving = flags.contains_key("serving");

@@ -71,6 +71,9 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         ("zero_all_to_all", "all_to_all(bytes_per_chip=0)"),
     ]
     .map(|(name, node)| hlo_file(&root, name, node));
+    // A well-formed graph, which `simulate --hlo` still rejects without
+    // the `--batch` it was dumped at.
+    let valid_hlo = hlo_file(&root, "valid", "reshape(elems=4)");
     // A checkpoint at step 2 of 3, for a resume whose --steps lies before it.
     let done_ckpt = root.join("done").to_str().expect("utf-8 path").to_string();
     let status = Command::new(env!("CARGO_BIN_EXE_h2o"))
@@ -139,6 +142,7 @@ fn bad_input_exits_1_with_an_error_and_no_panic() {
         vec!["sweep", "--model", "coatnet-0", "--batches", "0,1"],
         vec!["simulate", "--model", "dlrm", "--batch", "0"],
         vec!["dump", "--model", "dlrm", "--batch", "0"],
+        vec!["simulate", "--hlo", &valid_hlo],
     ];
     cases.extend(
         hlo.iter()

@@ -2,6 +2,7 @@
 
 use h2o_nas::core::pareto::{pareto_front, ParetoPoint};
 use h2o_nas::core::{PerfObjective, Policy, RewardFn, RewardKind};
+use h2o_nas::exec::Executor;
 use h2o_nas::graph::{DType, Graph, OpKind};
 use h2o_nas::hwsim::{roofline::time_op, HardwareConfig};
 use h2o_nas::space::{CnnSpace, CnnSpaceConfig, Decision, DlrmSpace, DlrmSpaceConfig, SearchSpace};
@@ -130,7 +131,10 @@ proptest! {
     /// The cached softmax table changes no bit of the search: after every
     /// REINFORCE step the logits, probabilities, entropy and samples equal
     /// the per-call softmax reference, from a uniform or a random start,
-    /// with 1-choice decisions and large advantages included. A checkpoint
+    /// with 1-choice decisions and large advantages included. The same
+    /// holds for the update split by decision across 1, 2 and 4 executor
+    /// workers, spaces with fewer decisions than workers included, and the
+    /// entropy it returns has the bits of `mean_entropy`. A checkpoint
     /// round trip through `from_logits` rebuilds the same policy.
     #[test]
     fn policy_table_matches_fresh_softmax_bitwise(
@@ -159,6 +163,8 @@ proptest! {
         };
         let mut reference = ReferencePolicy { logits: start };
         prop_assert_eq!(bitwise_mismatch(&policy, &reference, seed), None);
+        let executors = [1, 2, 4].map(Executor::new);
+        let mut split = [policy.clone(), policy.clone(), policy.clone()];
         for (step, advantages) in steps.iter().enumerate() {
             let batch: Vec<(Vec<usize>, f64)> =
                 advantages.iter().map(|&adv| (policy.sample(&mut rng), adv)).collect();
@@ -166,6 +172,18 @@ proptest! {
             reference.reinforce_update(&batch, lr);
             let draw_seed = seed ^ ((step as u64 + 1) << 32);
             prop_assert_eq!(bitwise_mismatch(&policy, &reference, draw_seed), None);
+            for (split, executor) in split.iter_mut().zip(&executors) {
+                let entropy = split.reinforce_update_on(&batch, lr, executor);
+                let workers = executor.workers();
+                prop_assert_eq!(
+                    (workers, bitwise_mismatch(split, &reference, draw_seed)),
+                    (workers, None)
+                );
+                prop_assert_eq!(
+                    (workers, entropy.to_bits()),
+                    (workers, split.mean_entropy().to_bits())
+                );
+            }
         }
         let restored = Policy::from_logits(policy.logits().map(<[f64]>::to_vec).collect());
         prop_assert_eq!(&restored, &policy);

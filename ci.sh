@@ -160,6 +160,27 @@ for run in b serial; do
 done
 rm -rf "$msdir"
 
+# One-shot smoke: 150 steps of 8 shards are 1,200 Adam steps, enough for
+# the first moments of weights that stop getting gradient to decay into
+# the subnormals, so the optimized binary runs Adam's absorbed path and
+# the step's fanned-out quality forwards. --workers 1 and 2 must write the
+# same telemetry (history modulo the wall-clock column). Each run prints
+# its wall time and mean step time.
+echo "==> one-shot smoke (dlrm-oneshot, 150 steps, --workers 1 and 2)"
+osdir=$(mktemp -d)
+for w in 1 2; do
+  run_start=$(date +%s%N)
+  ./target/release/h2o search --domain dlrm-oneshot --steps 150 --shards 8 --workers "$w" \
+      --csv "$osdir/w$w" >/dev/null
+  run_ms=$(( ($(date +%s%N) - run_start) / 1000000 ))
+  step_ms=$(awk -F, 'NR > 1 { s += $5; n++ } END { printf "%.2f", s / n }' "$osdir/w${w}_history.csv")
+  echo "    --workers $w: ${run_ms} ms wall, ${step_ms} ms mean step"
+done
+cmp "$osdir/w1_candidates.csv" "$osdir/w2_candidates.csv"
+cmp <(cut -d, -f1-4 "$osdir/w1_history.csv") \
+    <(cut -d, -f1-4 "$osdir/w2_history.csv")
+rm -rf "$osdir"
+
 # Exporter smoke: the global tracer keeps span events only when
 # --trace-out asks for them, so a traced run's trace must hold the step
 # and shard spans, and --metrics-out, written after the CSVs, must hold

@@ -9,8 +9,8 @@
 //!
 //! * [`ParallelStage`](crate::ParallelStage) — executor-fanned stateless
 //!   evaluation;
-//! * [`UnifiedStage`](crate::UnifiedStage) — serial supernet quality +
-//!   executor-fanned performance over any
+//! * [`UnifiedStage`](crate::UnifiedStage) — supernet quality and
+//!   performance fanned out together over any
 //!   [`OneShotSupernet`](crate::OneShotSupernet);
 //! * [`TunasStage`](crate::TunasStage) — the alternating train/valid
 //!   two-stream baseline;

@@ -186,8 +186,9 @@ where
         for _ in 0..config.shards {
             let batch = self.valid_stream.next_batch(config.batch_size);
             let sample = policy.sample(&mut self.rng);
-            self.supernet.apply_sample(&sample);
-            let (logloss, _) = h2o_obs::time("supernet_forward", || self.supernet.evaluate(&batch));
+            let logloss = h2o_obs::time("supernet_forward", || {
+                self.supernet.logloss_of(&sample, &batch)
+            });
             let quality = -config.quality_scale * logloss as f64;
             let perf_values = (self.perf_of)(&sample);
             candidates.push((

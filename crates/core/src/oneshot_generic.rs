@@ -38,6 +38,16 @@ pub trait OneShotSupernet {
     /// (higher is better; e.g. −logloss or −cross-entropy).
     fn quality(&mut self, batch: &Self::Batch) -> f64;
 
+    /// `Q(α)` of `sample` on `batch` computed from `&self`, so that
+    /// [`UnifiedStage`] can score a step's shards concurrently: `Some(q)`
+    /// must equal [`apply_sample`](OneShotSupernet::apply_sample)`(sample)`
+    /// followed by [`quality`](OneShotSupernet::quality)`(batch)` bit for
+    /// bit. The default, `None`, keeps a super-network without such a
+    /// forward on those two calls, made one shard after another.
+    fn quality_of(&self, _sample: &ArchSample, _batch: &Self::Batch) -> Option<f64> {
+        None
+    }
+
     /// One shared-weight training step of the active candidate.
     fn train_step_on(&mut self, batch: &Self::Batch);
 
@@ -70,6 +80,10 @@ impl OneShotSupernet for DlrmSupernet {
         -(logloss as f64)
     }
 
+    fn quality_of(&self, sample: &ArchSample, batch: &Self::Batch) -> Option<f64> {
+        Some(-(self.logloss_of(sample, batch) as f64))
+    }
+
     fn train_step_on(&mut self, batch: &Self::Batch) {
         self.train_step(batch);
     }
@@ -99,6 +113,10 @@ impl OneShotSupernet for VisionSupernet {
         -(ce as f64)
     }
 
+    fn quality_of(&self, sample: &ArchSample, batch: &Self::Batch) -> Option<f64> {
+        Some(-(self.cross_entropy_of(sample, &batch.features, &batch.labels) as f64))
+    }
+
     fn train_step_on(&mut self, batch: &Self::Batch) {
         self.train_step(&batch.features, &batch.labels);
     }
@@ -113,9 +131,16 @@ impl OneShotSupernet for VisionSupernet {
 }
 
 /// The [`CandidateStage`] of the unified one-shot search (Fig. 2 right):
-/// serial supernet quality on fresh batches, executor-fanned performance
-/// evaluation, and shared-weight training on the very batches the policy
-/// just learned from.
+/// supernet quality on fresh batches and performance evaluation, fanned
+/// out together over the executor, then shared-weight training on the very
+/// batches the policy just learned from.
+///
+/// Each step draws every shard's batch and sample first, in shard order,
+/// then scores all shards in one executor batch: each job computes its
+/// shard's [`OneShotSupernet::quality_of`] and `perf_of`, and results come
+/// back in submission order, so the worker count never changes the
+/// outcome. A super-network whose `quality_of` is `None` is scored after
+/// the batch, shard by shard, through `apply_sample` and `quality`.
 ///
 /// Per step the stage samples from a *per-step* RNG seeded by
 /// [`shard_seed`]`(seed, step, u64::MAX)` — the `u64::MAX` tag keeps the
@@ -161,7 +186,8 @@ where
 
 impl<'a, S, Src, P> UnifiedStage<'a, S, Src, P>
 where
-    S: OneShotSupernet,
+    S: OneShotSupernet + Sync,
+    S::Batch: Sync,
     Src: TrafficSource<Batch = S::Batch>,
     P: Fn(&ArchSample) -> Vec<f64> + Sync,
 {
@@ -187,7 +213,8 @@ where
 
 impl<'a, S, Src, P> CandidateStage for UnifiedStage<'a, S, Src, P>
 where
-    S: OneShotSupernet,
+    S: OneShotSupernet + Sync,
+    S::Batch: Sync,
     Src: TrafficSource<Batch = S::Batch>,
     P: Fn(&ArchSample) -> Vec<f64> + Sync,
 {
@@ -202,17 +229,35 @@ where
     ) -> Result<Vec<(ArchSample, EvalResult)>, String> {
         let config = &self.config;
         let mut rng = StdRng::seed_from_u64(shard_seed(config.seed, step as u64, u64::MAX));
-        // Quality stage stays serial: it trains/masks the single shared
-        // supernet and consumes pipeline batches in order.
-        let mut quality_data = Vec::with_capacity(config.shards);
+        // Batches and samples are drawn in shard order: the pipeline order
+        // and the sample stream do not depend on the scoring below.
+        let mut shards = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
             let batch = h2o_obs::time("pipeline_next_batch", || {
                 self.pipeline.next_batch(config.batch_size)
             });
             let sample = h2o_obs::time("policy_sample", || policy.sample(&mut rng));
-            self.supernet.apply_sample(&sample);
-            let raw_quality =
-                h2o_obs::time("supernet_forward", || self.supernet.quality(&batch.data));
+            shards.push((batch, sample));
+        }
+        // One executor batch scores every shard: the weights do not change
+        // during `collect`, `quality_of` reads them through `&self`, and
+        // `perf_of` is pure per sample.
+        let supernet = &*self.supernet;
+        let perf_of = &self.perf_of;
+        let jobs: Vec<_> = shards.iter().collect();
+        let scores = self.executor.map(jobs, |_, (batch, sample)| {
+            let quality = h2o_obs::time("supernet_forward", || {
+                supernet.quality_of(sample, &batch.data)
+            });
+            (quality, h2o_obs::time("reward_eval", || perf_of(sample)))
+        });
+        self.step_batches.clear();
+        let mut candidates = Vec::with_capacity(config.shards);
+        for ((batch, sample), (quality, perf_values)) in shards.into_iter().zip(scores) {
+            let raw_quality = quality.unwrap_or_else(|| {
+                self.supernet.apply_sample(&sample);
+                h2o_obs::time("supernet_forward", || self.supernet.quality(&batch.data))
+            });
             // A diverged candidate (non-finite loss) gets a hard penalty
             // instead of poisoning the policy update with NaN.
             let quality = if raw_quality.is_finite() {
@@ -222,36 +267,21 @@ where
             };
             #[expect(
                 clippy::expect_used,
-                reason = "seq came from next_batch() two lines up; a stale-sequence error here means pipeline-internal corruption, not bad input"
+                reason = "seq came from next_batch() in this call; a stale-sequence error here means pipeline-internal corruption, not bad input"
             )]
             self.pipeline
                 .mark_policy_use(batch.seq)
                 .expect("fresh batch");
-            quality_data.push((batch, sample, quality));
+            self.step_batches.push(batch);
+            candidates.push((
+                sample,
+                EvalResult {
+                    quality,
+                    perf_values,
+                },
+            ));
         }
-        // Performance stage fans out over the executor: `perf_of` is pure
-        // per sample, and results come back in submission order, so the
-        // worker count never changes the outcome.
-        let samples: Vec<&ArchSample> = quality_data.iter().map(|(_, s, _)| s).collect();
-        let perf_of = &self.perf_of;
-        let perf_values = self.executor.map(samples, |_, sample| {
-            h2o_obs::time("reward_eval", || perf_of(sample))
-        });
-        self.step_batches.clear();
-        Ok(quality_data
-            .into_iter()
-            .zip(perf_values)
-            .map(|((batch, sample, quality), perf_values)| {
-                self.step_batches.push(batch);
-                (
-                    sample,
-                    EvalResult {
-                        quality,
-                        perf_values,
-                    },
-                )
-            })
-            .collect())
+        Ok(candidates)
     }
 
     fn after_policy_update(&mut self, candidates: &[(ArchSample, EvalResult)], _rewards: &[f64]) {
@@ -318,7 +348,8 @@ mod tests {
         cfg: &OneShotConfig,
     ) -> Result<SearchOutcome, DriverError>
     where
-        S: OneShotSupernet,
+        S: OneShotSupernet + Sync,
+        S::Batch: Sync,
         Src: TrafficSource<Batch = S::Batch>,
     {
         let space = supernet.search_space().clone();

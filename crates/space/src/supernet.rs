@@ -15,7 +15,9 @@
 //! [`DlrmSupernet::apply_sample`] masks the network down to one candidate;
 //! [`DlrmSupernet::train_step`] then trains exactly that sub-network's
 //! weights, and [`DlrmSupernet::evaluate`] produces the quality signal
-//! `Q(α)` the RL controller consumes.
+//! `Q(α)` the RL controller consumes. [`DlrmSupernet::logloss_of`] scores a
+//! candidate without masking anything, so several threads can score
+//! candidates over the same weights at once.
 
 use crate::decision::ArchSample;
 use crate::dlrm::{choices, DlrmSpace, DlrmSpaceConfig, DECISIONS_PER_GROUP, DECISIONS_PER_TABLE};
@@ -24,6 +26,7 @@ use h2o_tensor::{
     SharedEmbeddingBank, StateError, StateReader, StateWriter,
 };
 use rand::Rng;
+use std::iter;
 
 /// One mini-batch of recommendation traffic.
 #[derive(Debug, Clone)]
@@ -68,15 +71,30 @@ impl SuperLayer {
         }
     }
 
+    /// The low-rank path's rank for a low-rank fraction below 1.
+    fn rank(&self, low_rank: f64) -> usize {
+        let max_rank = self.low.max_rank();
+        ((max_rank as f64 * low_rank).round() as usize).clamp(1, max_rank)
+    }
+
     fn set_active(&mut self, active_in: usize, active_out: usize, low_rank: f64) {
         if low_rank < 1.0 {
-            let max_rank = self.low.max_rank();
-            let rank = ((max_rank as f64 * low_rank).round() as usize).clamp(1, max_rank);
-            self.low.set_active(active_in, active_out, rank);
+            self.low
+                .set_active(active_in, active_out, self.rank(low_rank));
             self.used_low = true;
         } else {
             self.full.set_active(active_in, active_out);
             self.used_low = false;
+        }
+    }
+
+    /// The forward pass `set_active(active_in, active_out, low_rank)` sets
+    /// up, reading the layer without changing it.
+    fn infer(&self, x: &Matrix, shape: (usize, usize), low_rank: f64) -> Matrix {
+        if low_rank < 1.0 {
+            self.low.infer(x, shape, self.rank(low_rank))
+        } else {
+            self.full.infer(x, shape, self.full.activation())
         }
     }
 
@@ -100,17 +118,6 @@ impl SuperLayer {
         self.full.zero_grad();
         self.low.zero_grad();
     }
-
-    fn step(&mut self, opt: &mut Optimizer, slot: &mut usize) {
-        for (params, grads) in self.full.params_grads_mut() {
-            opt.step(*slot, params, grads);
-            *slot += 1;
-        }
-        for (params, grads) in self.low.params_grads_mut() {
-            opt.step(*slot, params, grads);
-            *slot += 1;
-        }
-    }
 }
 
 /// A tower group: up to `max_depth` shared layers; a candidate activates a
@@ -121,8 +128,59 @@ struct SuperGroup {
     max_width: usize,
     bottom: bool,
     active_depth: usize,
-    active_width: usize,
-    active_rank: f64,
+}
+
+/// One group of a candidate: the prefix of layers it activates and their
+/// widths.
+#[derive(Debug, Clone, Copy)]
+struct GroupShape {
+    /// Active input width of the group's first layer.
+    input: usize,
+    depth: usize,
+    width: usize,
+    /// Low-rank fraction; below 1 the layers take their low-rank path.
+    low_rank: f64,
+}
+
+impl GroupShape {
+    /// Active input width of layer `d`.
+    fn layer_in(&self, d: usize) -> usize {
+        if d == 0 {
+            self.input
+        } else {
+            self.width
+        }
+    }
+}
+
+/// The sub-network of one sample: what [`DlrmSupernet::apply_sample`]
+/// writes into the layers, as a value.
+#[derive(Debug, Clone)]
+struct ActiveShape {
+    /// Per table: the vocabulary choice and the active embedding width.
+    tables: Vec<(usize, usize)>,
+    /// Per group, in `DlrmSupernet::groups` order.
+    groups: Vec<GroupShape>,
+    /// Active input width of the head.
+    head_in: usize,
+}
+
+/// Every Adam-trained buffer with its gradient, in optimizer slot order:
+/// each super-layer's full path then its low-rank path, group by group,
+/// then the head.
+fn dense_buffers<'a>(
+    groups: &'a mut [SuperGroup],
+    head: &'a mut MaskedDense,
+) -> impl Iterator<Item = (&'a mut [f32], &'a [f32])> {
+    groups
+        .iter_mut()
+        .flat_map(|group| group.layers.iter_mut())
+        .flat_map(|layer| {
+            let [w, b] = layer.full.params_grads_mut();
+            let [u, v, low_b] = layer.low.params_grads_mut();
+            [w, b, u, v, low_b]
+        })
+        .chain(head.params_grads_mut())
 }
 
 /// The weight-sharing DLRM super-network.
@@ -214,8 +272,6 @@ impl DlrmSupernet {
                 max_width,
                 bottom: true,
                 active_depth: g.depth,
-                active_width: g.width,
-                active_rank: 1.0,
             });
             prev_max = max_width;
             bottom_max_width = max_width;
@@ -237,8 +293,6 @@ impl DlrmSupernet {
                 max_width,
                 bottom: false,
                 active_depth: g.depth,
-                active_width: g.width,
-                active_rank: 1.0,
             });
             prev_max = max_width;
         }
@@ -269,72 +323,100 @@ impl DlrmSupernet {
     ///
     /// Panics if the sample is invalid for the space.
     pub fn apply_sample(&mut self, sample: &ArchSample) {
-        let arch = self.space.decode(sample);
-        let config = self.space.config().clone();
-        for (i, table) in arch.tables.iter().enumerate() {
-            let vocab_choice = sample[i * DECISIONS_PER_TABLE + 1];
-            self.banks[i].set_active(vocab_choice, table.width.min(self.emb_slot_widths[i]));
-            self.emb_active_widths[i] = table.width.min(self.emb_slot_widths[i]);
+        let shape = self.active_shape(sample);
+        let tables = self.banks.iter_mut().zip(&mut self.emb_active_widths);
+        for ((bank, active), &(vocab_choice, width)) in tables.zip(&shape.tables) {
+            bank.set_active(vocab_choice, width);
+            *active = width;
         }
-        let offset = config.tables.len() * DECISIONS_PER_TABLE;
-        let mut prev_active = config.dense_features;
-        let mut group_idx = 0;
-        // Bottom groups chain from the dense features.
-        for (i, base) in config.mlp_groups.iter().enumerate() {
-            if !base.bottom {
-                continue;
+        for (group, gs) in self.groups.iter_mut().zip(&shape.groups) {
+            for (d, layer) in group.layers.iter_mut().enumerate().take(gs.depth) {
+                layer.set_active(gs.layer_in(d), gs.width, gs.low_rank);
             }
-            let s = &sample[offset + i * DECISIONS_PER_GROUP..];
-            let group = &mut self.groups[group_idx];
-            let depth = ((base.depth as i32 + choices::DEPTH_DELTAS[s[0]]).max(1) as usize)
-                .min(group.layers.len());
-            let width = ((base.width as i32
-                + choices::MLP_WIDTH_DELTAS[s[1]] * config.mlp_width_increment as i32)
-                .max(8) as usize)
-                .min(group.max_width);
-            let rank = choices::low_rank(s[2]);
-            for (d, layer) in group.layers.iter_mut().enumerate().take(depth) {
-                let a_in = if d == 0 { prev_active } else { width };
-                layer.set_active(a_in, width, rank);
-            }
-            group.active_depth = depth;
-            group.active_width = width;
-            group.active_rank = rank;
-            prev_active = width;
-            group_idx += 1;
+            group.active_depth = gs.depth;
         }
-        // Top groups chain from the fixed-layout concat.
-        let concat_max = self.bottom_max_width + self.emb_slot_widths.iter().sum::<usize>();
-        let mut prev_active = concat_max;
-        for (i, base) in config.mlp_groups.iter().enumerate() {
-            if base.bottom {
-                continue;
-            }
-            let s = &sample[offset + i * DECISIONS_PER_GROUP..];
-            let group = &mut self.groups[group_idx];
-            let depth = ((base.depth as i32 + choices::DEPTH_DELTAS[s[0]]).max(1) as usize)
-                .min(group.layers.len());
-            let width = ((base.width as i32
-                + choices::MLP_WIDTH_DELTAS[s[1]] * config.mlp_width_increment as i32)
-                .max(8) as usize)
-                .min(group.max_width);
-            let rank = choices::low_rank(s[2]);
-            for (d, layer) in group.layers.iter_mut().enumerate().take(depth) {
-                let a_in = if d == 0 { prev_active } else { width };
-                layer.set_active(a_in, width, rank);
-            }
-            group.active_depth = depth;
-            group.active_width = width;
-            group.active_rank = rank;
-            prev_active = width;
-            group_idx += 1;
-        }
-        self.head.set_active(prev_active, 1);
+        self.head.set_active(shape.head_in, 1);
         self.sample_applied = true;
     }
 
+    /// The candidate `sample` selects, as a value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is invalid for the space.
+    fn active_shape(&self, sample: &ArchSample) -> ActiveShape {
+        let arch = self.space.decode(sample);
+        let config = self.space.config();
+        let tables = arch
+            .tables
+            .iter()
+            .zip(&self.emb_slot_widths)
+            .enumerate()
+            .map(|(i, (table, &slot))| (sample[i * DECISIONS_PER_TABLE + 1], table.width.min(slot)))
+            .collect();
+        let offset = config.tables.len() * DECISIONS_PER_TABLE;
+        let mut groups: Vec<GroupShape> = Vec::with_capacity(self.groups.len());
+        // Bottom groups chain from the dense features, top groups from the
+        // fixed-layout concat; `self.groups` holds them in that order.
+        let mut head_in = 0;
+        for (bottom, input) in [(true, config.dense_features), (false, self.concat_width())] {
+            let mut prev_active = input;
+            for (i, base) in config.mlp_groups.iter().enumerate() {
+                if base.bottom != bottom {
+                    continue;
+                }
+                let s = &sample[offset + i * DECISIONS_PER_GROUP..];
+                let group = &self.groups[groups.len()];
+                let depth = ((base.depth as i32 + choices::DEPTH_DELTAS[s[0]]).max(1) as usize)
+                    .min(group.layers.len());
+                let width = ((base.width as i32
+                    + choices::MLP_WIDTH_DELTAS[s[1]] * config.mlp_width_increment as i32)
+                    .max(8) as usize)
+                    .min(group.max_width);
+                groups.push(GroupShape {
+                    input: prev_active,
+                    depth,
+                    width,
+                    low_rank: choices::low_rank(s[2]),
+                });
+                prev_active = width;
+            }
+            head_in = prev_active;
+        }
+        ActiveShape {
+            tables,
+            groups,
+            head_in,
+        }
+    }
+
+    /// Width of the top tower's input: the bottom slot plus one slot per
+    /// table at its maximum width.
+    fn concat_width(&self) -> usize {
+        self.bottom_max_width + self.emb_slot_widths.iter().sum::<usize>()
+    }
+
+    /// The top tower's input for `n` examples: the bottom tower's output,
+    /// then each table's embeddings in its fixed slot. Masked widths stay
+    /// zero, so the top tower's weight layout is stable across candidates
+    /// (the fine-grained sharing contract of Fig. 3).
+    fn concat(&self, n: usize, bottom: &Matrix, embs: impl Iterator<Item = Matrix>) -> Matrix {
+        let mut concat = Matrix::zeros(n, self.concat_width());
+        for r in 0..n {
+            concat.row_mut(r)[..bottom.cols()].copy_from_slice(bottom.row(r));
+        }
+        let mut offset = self.bottom_max_width;
+        for (emb, slot) in embs.zip(&self.emb_slot_widths) {
+            for r in 0..n {
+                concat.row_mut(r)[offset..offset + emb.cols()].copy_from_slice(emb.row(r));
+            }
+            offset += slot;
+        }
+        concat
+    }
+
     /// Forward pass through the active sub-network; returns click logits
-    /// `(batch, 1)` plus the cached tower outputs needed by backward.
+    /// `(batch, 1)` and caches what backward needs in the layers.
     ///
     /// # Panics
     ///
@@ -346,39 +428,58 @@ impl DlrmSupernet {
             self.banks.len(),
             "one id list per table"
         );
-        let n = batch.len();
-        // Bottom tower.
         let mut bottom = batch.dense.clone();
         for group in self.groups.iter_mut().filter(|g| g.bottom) {
             for layer in group.layers.iter_mut().take(group.active_depth) {
                 bottom = layer.forward(&bottom);
             }
         }
-        // Fixed-layout concat: bottom slot, then one slot per table. Masked
-        // widths stay zero, so the top tower's weight layout is stable
-        // across candidates (the fine-grained sharing contract of Fig. 3).
-        let concat_max = self.bottom_max_width + self.emb_slot_widths.iter().sum::<usize>();
-        let mut concat = Matrix::zeros(n, concat_max);
-        for r in 0..n {
-            concat.row_mut(r)[..bottom.cols()].copy_from_slice(bottom.row(r));
-        }
-        let mut offset = self.bottom_max_width;
-        for (t, bank) in self.banks.iter_mut().enumerate() {
-            let emb = bank.lookup_bag(&batch.sparse[t]);
-            for r in 0..n {
-                concat.row_mut(r)[offset..offset + emb.cols()].copy_from_slice(emb.row(r));
-            }
-            offset += self.emb_slot_widths[t];
-        }
+        let embs = iter::zip(&self.banks, &batch.sparse).map(|(bank, ids)| bank.lookup_bag(ids));
+        let mut top = self.concat(batch.len(), &bottom, embs);
         self.cached_bottom_cols = bottom.cols();
-        // Top tower.
-        let mut top = concat;
         for group in self.groups.iter_mut().filter(|g| !g.bottom) {
             for layer in group.layers.iter_mut().take(group.active_depth) {
                 top = layer.forward(&top);
             }
         }
         self.head.forward(&top)
+    }
+
+    /// [`DlrmSupernet::forward`] for the candidate `shape`, reading the
+    /// network without changing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch shape is inconsistent.
+    fn infer(&self, shape: &ActiveShape, batch: &DlrmBatch) -> Matrix {
+        assert_eq!(
+            batch.sparse.len(),
+            self.banks.len(),
+            "one id list per table"
+        );
+        let towers = self.groups.iter().take_while(|g| g.bottom).count();
+        let (bottom_groups, top_groups) = self.groups.split_at(towers);
+        let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
+        let mut bottom = None;
+        for (group, gs) in bottom_groups.iter().zip(bottom_shapes) {
+            for (d, layer) in group.layers.iter().enumerate().take(gs.depth) {
+                let x = bottom.as_ref().unwrap_or(&batch.dense);
+                bottom = Some(layer.infer(x, (gs.layer_in(d), gs.width), gs.low_rank));
+            }
+        }
+        let bottom = bottom.as_ref().unwrap_or(&batch.dense);
+        let embs =
+            self.banks.iter().zip(&shape.tables).zip(&batch.sparse).map(
+                |((bank, &(vocab_choice, width)), ids)| bank.infer_bag(vocab_choice, width, ids),
+            );
+        let mut top = self.concat(batch.len(), bottom, embs);
+        for (group, gs) in top_groups.iter().zip(top_shapes) {
+            for (d, layer) in group.layers.iter().enumerate().take(gs.depth) {
+                top = layer.infer(&top, (gs.layer_in(d), gs.width), gs.low_rank);
+            }
+        }
+        self.head
+            .infer(&top, (shape.head_in, 1), self.head.activation())
     }
 
     /// One unified training step on the active sub-network: forward, BCE
@@ -412,7 +513,7 @@ impl DlrmSupernet {
                     .row_mut(r)
                     .copy_from_slice(&g.row(r)[offset..offset + w]);
             }
-            bank.backward(&emb_grad);
+            bank.backward(&emb_grad, &batch.sparse[t]);
             offset += self.emb_slot_widths[t];
         }
         let mut g = bottom_grad;
@@ -424,15 +525,8 @@ impl DlrmSupernet {
         // Updates: Adam on dense paths, sparse SGD on the touched embedding
         // rows (as production DLRM trainers do).
         self.optimizer.begin_step();
-        let mut slot = 0usize;
-        for group in &mut self.groups {
-            for layer in &mut group.layers {
-                layer.step(&mut self.optimizer, &mut slot);
-            }
-        }
-        for (params, grads) in self.head.params_grads_mut() {
+        for (slot, (params, grads)) in dense_buffers(&mut self.groups, &mut self.head).enumerate() {
             self.optimizer.step(slot, params, grads);
-            slot += 1;
         }
         for group in &mut self.groups {
             for layer in &mut group.layers {
@@ -455,6 +549,21 @@ impl DlrmSupernet {
         let scores: Vec<f32> = (0..logits.rows()).map(|r| logits.get(r, 0)).collect();
         let auc = loss::auc(&scores, &batch.labels);
         (logloss, auc)
+    }
+
+    /// The mean logloss of the candidate `sample` on `batch`: the bits of
+    /// [`DlrmSupernet::apply_sample`] followed by
+    /// [`DlrmSupernet::evaluate`]'s first value, from `&self`. It masks
+    /// nothing and caches nothing, so concurrent calls may share the
+    /// network, and it skips the AUC's sort and the loss gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is invalid for the space or the batch shape is
+    /// inconsistent.
+    pub fn logloss_of(&self, sample: &ArchSample, batch: &DlrmBatch) -> f32 {
+        let logits = self.infer(&self.active_shape(sample), batch);
+        loss::bce_with_logits_loss(&logits, &batch.labels)
     }
 
     /// Serialises every shared trainable buffer — embedding banks, both
@@ -486,8 +595,9 @@ impl DlrmSupernet {
     /// # Errors
     ///
     /// Fails (leaving the network partially overwritten — rebuild it before
-    /// retrying) if the blob was produced by a differently-shaped network
-    /// or is truncated.
+    /// retrying) if the blob was produced by a differently-shaped network,
+    /// holds optimizer moments that do not fit its buffers, or is
+    /// truncated.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
         for bank in &mut self.banks {
@@ -501,6 +611,10 @@ impl DlrmSupernet {
         }
         self.head.read_state(&mut r)?;
         self.optimizer.read_state(&mut r)?;
+        let lens: Vec<usize> = dense_buffers(&mut self.groups, &mut self.head)
+            .map(|(params, _)| params.len())
+            .collect();
+        self.optimizer.check_slots(&lens)?;
         r.finish()
     }
 }
@@ -508,6 +622,7 @@ impl DlrmSupernet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -541,6 +656,99 @@ mod tests {
             sparse,
             labels,
         }
+    }
+
+    /// A batch whose examples carry zero to three ids per table, some past
+    /// the vocabulary (hashed back in).
+    fn bag_batch(net: &DlrmSupernet, n: usize, rng: &mut StdRng) -> DlrmBatch {
+        let mut batch = make_batch(net, n, rng);
+        for (ids, t) in batch.sparse.iter_mut().zip(&net.space().config().tables) {
+            for bag in ids.iter_mut() {
+                *bag = (0..rng.gen_range(0..4))
+                    .map(|_| rng.gen_range(0..2 * t.vocab))
+                    .collect();
+            }
+        }
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The pure quality of a random candidate equals `apply_sample`
+        /// then `evaluate().0` bit for bit, on random batches, whatever
+        /// candidate the network was last masked to and after training
+        /// steps have moved the weights; and it leaves the network as it
+        /// was.
+        fn logloss_of_matches_apply_sample_then_evaluate(seed in 0u64..u64::MAX) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r);
+            let space = net.space().space().clone();
+            for _ in 0..r.gen_range(0..4) {
+                net.apply_sample(&space.sample_uniform(&mut r));
+                let batch = bag_batch(&net, r.gen_range(1..24), &mut r);
+                net.train_step(&batch);
+            }
+            for _ in 0..4 {
+                let sample = space.sample_uniform(&mut r);
+                let batch = bag_batch(&net, r.gen_range(1..24), &mut r);
+                let state = net.save_state();
+                let pure = net.logloss_of(&sample, &batch);
+                prop_assert!(net.save_state() == state, "logloss_of changed the network");
+                net.apply_sample(&sample);
+                let (want, _) = net.evaluate(&batch);
+                prop_assert_eq!(pure.to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn load_state_rejects_moments_that_do_not_fit_the_buffers() {
+        let mut r = rng();
+        let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r);
+        let sample = net.space().baseline();
+        net.apply_sample(&sample);
+        net.train_step(&make_batch(&net, 8, &mut r));
+        let lens: Vec<usize> = dense_buffers(&mut net.groups, &mut net.head)
+            .map(|(params, _)| params.len())
+            .collect();
+        // The real weights, then an optimizer section of the given slots.
+        let untrained = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r).save_state();
+        let weights = &untrained[..untrained.len() - 16];
+        let blob = |slots: &[usize]| {
+            let mut w = StateWriter::new();
+            w.put_u64(1);
+            w.put_u64(slots.len() as u64);
+            for &len in slots {
+                w.put_f32_slice(&vec![0.0; len]);
+                w.put_f32_slice(&vec![0.0; len]);
+            }
+            [weights, &w.into_bytes()].concat()
+        };
+        let mut fresh = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r);
+        assert_eq!(
+            fresh.load_state(&blob(&[2])),
+            Err(StateError::LengthMismatch {
+                expected: lens.len(),
+                found: 1
+            })
+        );
+        let mut short_first = lens.clone();
+        short_first[0] = 2;
+        assert_eq!(
+            fresh.load_state(&blob(&short_first)),
+            Err(StateError::LengthMismatch {
+                expected: lens[0],
+                found: 2
+            })
+        );
+        // Slots that fit load, and the network trains on them.
+        fresh.load_state(&blob(&lens)).expect("fitting slots load");
+        fresh
+            .load_state(&blob(&[]))
+            .expect("an untrained optimizer loads");
+        fresh.apply_sample(&sample);
+        fresh.train_step(&make_batch(&fresh, 8, &mut r));
     }
 
     #[test]

@@ -189,19 +189,37 @@ impl VisionSupernet {
     ///
     /// Panics if the sample is invalid.
     pub fn apply_sample(&mut self, sample: &ArchSample) {
+        let shape = self.active_shape(sample);
+        for ((layers, active_depth), gs) in self
+            .groups
+            .iter_mut()
+            .zip(&mut self.active_depths)
+            .zip(&shape.groups)
+        {
+            for (d, layer) in layers.iter_mut().enumerate().take(gs.depth) {
+                layer.set_active(gs.layer_in(d), gs.width);
+                layer.set_activation(gs.activation);
+            }
+            *active_depth = gs.depth;
+        }
+        self.head.set_active(shape.head_in, self.config.classes);
+        self.sample_applied = true;
+    }
+
+    /// The candidate `sample` selects, as a value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is invalid.
+    fn active_shape(&self, sample: &ArchSample) -> VisionShape {
         #[expect(
             clippy::expect_used,
             reason = "documented `# Panics` contract; samples come from this space"
         )]
         self.space.validate(sample).expect("invalid sample");
         let mut prev_active = self.config.input_features;
-        for (i, (base, layers)) in self
-            .config
-            .groups
-            .iter()
-            .zip(self.groups.iter_mut())
-            .enumerate()
-        {
+        let mut groups = Vec::with_capacity(self.groups.len());
+        for (i, (base, layers)) in self.config.groups.iter().zip(&self.groups).enumerate() {
             let s = &sample[i * DECISIONS_PER_VISION_GROUP..];
             let depth = ((base.depth as i32 + choices::DEPTH_DELTAS[s[0]]).max(1) as usize)
                 .min(layers.len());
@@ -209,17 +227,18 @@ impl VisionSupernet {
                 + choices::WIDTH_DELTAS[s[1]] * self.config.width_increment as i32)
                 .max(8) as usize)
                 .min(layers[0].max_out());
-            let act = choices::ACTIVATIONS[s[2]];
-            for (d, layer) in layers.iter_mut().enumerate().take(depth) {
-                let a_in = if d == 0 { prev_active } else { width };
-                layer.set_active(a_in, width);
-                layer.set_activation(act);
-            }
-            self.active_depths[i] = depth;
+            groups.push(VisionGroupShape {
+                input: prev_active,
+                depth,
+                width,
+                activation: choices::ACTIVATIONS[s[2]],
+            });
             prev_active = width;
         }
-        self.head.set_active(prev_active, self.config.classes);
-        self.sample_applied = true;
+        VisionShape {
+            groups,
+            head_in: prev_active,
+        }
     }
 
     fn forward(&mut self, features: &Matrix) -> Matrix {
@@ -233,6 +252,21 @@ impl VisionSupernet {
         self.head.forward(&x)
     }
 
+    /// [`VisionSupernet::forward`] for the candidate `shape`, reading the
+    /// network without changing it.
+    fn infer(&self, shape: &VisionShape, features: &Matrix) -> Matrix {
+        let mut x = None;
+        for (layers, gs) in self.groups.iter().zip(&shape.groups) {
+            for (d, layer) in layers.iter().enumerate().take(gs.depth) {
+                let input = x.as_ref().unwrap_or(features);
+                x = Some(layer.infer(input, (gs.layer_in(d), gs.width), gs.activation));
+            }
+        }
+        let x = x.as_ref().unwrap_or(features);
+        let head_shape = (shape.head_in, self.config.classes);
+        self.head.infer(x, head_shape, self.head.activation())
+    }
+
     /// One training step (softmax cross-entropy); returns the loss.
     pub fn train_step(&mut self, features: &Matrix, labels: &[usize]) -> f32 {
         let logits = self.forward(features);
@@ -244,18 +278,8 @@ impl VisionSupernet {
             }
         }
         self.optimizer.begin_step();
-        let mut slot = 0;
-        for layers in &mut self.groups {
-            for layer in layers.iter_mut() {
-                for (params, grads) in layer.params_grads_mut() {
-                    self.optimizer.step(slot, params, grads);
-                    slot += 1;
-                }
-            }
-        }
-        for (params, grads) in self.head.params_grads_mut() {
+        for (slot, (params, grads)) in dense_buffers(&mut self.groups, &mut self.head).enumerate() {
             self.optimizer.step(slot, params, grads);
-            slot += 1;
         }
         for layers in &mut self.groups {
             for layer in layers.iter_mut() {
@@ -286,6 +310,25 @@ impl VisionSupernet {
         (ce, correct as f64 / labels.len().max(1) as f64)
     }
 
+    /// The mean cross-entropy of the candidate `sample` on a batch: the
+    /// bits of [`VisionSupernet::apply_sample`] followed by
+    /// [`VisionSupernet::evaluate`]'s first value, from `&self`. It masks
+    /// nothing and caches nothing, so concurrent calls may share the
+    /// network, and it builds no loss gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is invalid or the batch shape is inconsistent.
+    pub fn cross_entropy_of(
+        &self,
+        sample: &ArchSample,
+        features: &Matrix,
+        labels: &[usize],
+    ) -> f32 {
+        let logits = self.infer(&self.active_shape(sample), features);
+        loss::softmax_cross_entropy_loss(&logits, labels)
+    }
+
     /// Serialises every shared trainable buffer (all group layers, the
     /// head, and the optimizer moments) into a bit-exact blob for
     /// checkpointing. Masks and activations are transient — the next
@@ -308,8 +351,9 @@ impl VisionSupernet {
     /// # Errors
     ///
     /// Fails (leaving the network partially overwritten — rebuild it before
-    /// retrying) if the blob was produced by a differently-shaped network
-    /// or is truncated.
+    /// retrying) if the blob was produced by a differently-shaped network,
+    /// holds optimizer moments that do not fit its buffers, or is
+    /// truncated.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), StateError> {
         let mut r = StateReader::new(bytes);
         for layers in &mut self.groups {
@@ -319,19 +363,140 @@ impl VisionSupernet {
         }
         self.head.read_state(&mut r)?;
         self.optimizer.read_state(&mut r)?;
+        let lens: Vec<usize> = dense_buffers(&mut self.groups, &mut self.head)
+            .map(|(params, _)| params.len())
+            .collect();
+        self.optimizer.check_slots(&lens)?;
         r.finish()
     }
+}
+
+/// One group of a candidate: the prefix of layers it activates, their
+/// width and activation.
+#[derive(Debug, Clone, Copy)]
+struct VisionGroupShape {
+    /// Active input width of the group's first layer.
+    input: usize,
+    depth: usize,
+    width: usize,
+    activation: Activation,
+}
+
+impl VisionGroupShape {
+    /// Active input width of layer `d`.
+    fn layer_in(&self, d: usize) -> usize {
+        if d == 0 {
+            self.input
+        } else {
+            self.width
+        }
+    }
+}
+
+/// The sub-network of one sample: what [`VisionSupernet::apply_sample`]
+/// writes into the layers, as a value.
+#[derive(Debug, Clone)]
+struct VisionShape {
+    groups: Vec<VisionGroupShape>,
+    /// Active input width of the head.
+    head_in: usize,
+}
+
+/// Every Adam-trained buffer with its gradient, in optimizer slot order:
+/// each layer's weights then bias, group by group, then the head.
+fn dense_buffers<'a>(
+    groups: &'a mut [Vec<MaskedDense>],
+    head: &'a mut MaskedDense,
+) -> impl Iterator<Item = (&'a mut [f32], &'a [f32])> {
+    groups
+        .iter_mut()
+        .flatten()
+        .flat_map(MaskedDense::params_grads_mut)
+        .chain(head.params_grads_mut())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use h2o_data::{TrafficSource, VisionTraffic};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The pure quality of a random candidate equals `apply_sample`
+        /// then `evaluate().0` bit for bit, on random batches, whatever
+        /// candidate the network was last masked to and after training
+        /// steps have moved the weights; and it leaves the network as it
+        /// was.
+        fn cross_entropy_of_matches_apply_sample_then_evaluate(seed in 0u64..u64::MAX) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut net = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut r);
+            let space = net.space().clone();
+            let mut traffic = VisionTraffic::new(4, 16, 0.2, seed);
+            for _ in 0..r.gen_range(0..4) {
+                net.apply_sample(&space.sample_uniform(&mut r));
+                let b = traffic.next_batch(r.gen_range(1..24));
+                net.train_step(&b.features, &b.labels);
+            }
+            for _ in 0..4 {
+                let sample = space.sample_uniform(&mut r);
+                let b = traffic.next_batch(r.gen_range(1..24));
+                let state = net.save_state();
+                let pure = net.cross_entropy_of(&sample, &b.features, &b.labels);
+                prop_assert!(net.save_state() == state, "cross_entropy_of changed the network");
+                net.apply_sample(&sample);
+                let (want, _) = net.evaluate(&b.features, &b.labels);
+                prop_assert_eq!(pure.to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn load_state_rejects_moments_that_do_not_fit_the_buffers() {
+        let mut net = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng());
+        let lens: Vec<usize> = dense_buffers(&mut net.groups, &mut net.head)
+            .map(|(params, _)| params.len())
+            .collect();
+        // The real weights, then an optimizer section of the given slots.
+        let untrained = net.save_state();
+        let weights = &untrained[..untrained.len() - 16];
+        let blob = |slots: &[usize]| {
+            let mut w = StateWriter::new();
+            w.put_u64(1);
+            w.put_u64(slots.len() as u64);
+            for &len in slots {
+                w.put_f32_slice(&vec![0.0; len]);
+                w.put_f32_slice(&vec![0.0; len]);
+            }
+            [weights, &w.into_bytes()].concat()
+        };
+        assert_eq!(
+            net.load_state(&blob(&[2])),
+            Err(StateError::LengthMismatch {
+                expected: lens.len(),
+                found: 1
+            })
+        );
+        let mut long_last = lens.clone();
+        *long_last.last_mut().expect("a head bias") += 1;
+        assert_eq!(
+            net.load_state(&blob(&long_last)),
+            Err(StateError::LengthMismatch {
+                expected: lens[lens.len() - 1],
+                found: lens[lens.len() - 1] + 1
+            })
+        );
+        net.load_state(&blob(&lens)).expect("fitting slots load");
+        net.apply_sample(&vec![1, 4, 0, 1, 4, 0]);
+        let b = VisionTraffic::new(4, 16, 0.2, 5).next_batch(8);
+        net.train_step(&b.features, &b.labels);
     }
 
     #[test]

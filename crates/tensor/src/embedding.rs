@@ -32,7 +32,6 @@ pub struct EmbeddingTable {
     weights: Matrix,
     active_width: usize,
     grad_rows: BTreeMap<usize, Vec<f32>>,
-    cached_batch: Option<Vec<Vec<usize>>>,
 }
 
 impl EmbeddingTable {
@@ -52,7 +51,6 @@ impl EmbeddingTable {
             weights,
             active_width: max_width,
             grad_rows: BTreeMap::new(),
-            cached_batch: None,
         }
     }
 
@@ -86,13 +84,25 @@ impl EmbeddingTable {
     }
 
     /// Sum-pools the embeddings of each example's indices ("bag" lookup, as
-    /// in DLRM sparse features). Returns a `(batch, active_width)` matrix and
-    /// caches the batch for [`EmbeddingTable::backward`].
+    /// in DLRM sparse features). Returns a `(batch, active_width)` matrix.
     ///
     /// Out-of-vocabulary indices are mapped to row `index % vocab`, the usual
     /// hashing-trick behaviour of production DLRM pipelines.
-    pub fn lookup_bag(&mut self, batch: &[Vec<usize>]) -> Matrix {
-        let width = self.active_width;
+    pub fn lookup_bag(&self, batch: &[Vec<usize>]) -> Matrix {
+        self.infer_bag(batch, self.active_width)
+    }
+
+    /// [`EmbeddingTable::lookup_bag`] at an explicit width, so a caller can
+    /// look up a candidate's embeddings without masking the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero or exceeds the allocated width.
+    pub fn infer_bag(&self, batch: &[Vec<usize>], width: usize) -> Matrix {
+        assert!(
+            width >= 1 && width <= self.weights.cols(),
+            "width {width} out of range"
+        );
         let mut out = Matrix::zeros(batch.len().max(1), width);
         for (i, indices) in batch.iter().enumerate() {
             let row = out.row_mut(i);
@@ -103,25 +113,16 @@ impl EmbeddingTable {
                 }
             }
         }
-        self.cached_batch = Some(batch.to_vec());
         out
     }
 
-    /// Accumulates sparse gradients for the rows touched by the last lookup.
+    /// Accumulates sparse gradients for the rows that `batch`, the ids of
+    /// the preceding [`EmbeddingTable::lookup_bag`], touched.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`EmbeddingTable::lookup_bag`] or if
-    /// `grad_out` has the wrong shape.
-    pub fn backward(&mut self, grad_out: &Matrix) {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let batch = self
-            .cached_batch
-            .as_ref()
-            .expect("backward before lookup_bag");
+    /// Panics if `grad_out` does not have the lookup's shape.
+    pub fn backward(&mut self, grad_out: &Matrix, batch: &[Vec<usize>]) {
         assert_eq!(grad_out.rows(), batch.len().max(1), "grad rows mismatch");
         assert_eq!(grad_out.cols(), self.active_width, "grad cols mismatch");
         for (i, indices) in batch.iter().enumerate() {
@@ -245,13 +246,29 @@ impl SharedEmbeddingBank {
     }
 
     /// Bag lookup through the active table.
-    pub fn lookup_bag(&mut self, batch: &[Vec<usize>]) -> Matrix {
+    pub fn lookup_bag(&self, batch: &[Vec<usize>]) -> Matrix {
         self.tables[self.active_table].lookup_bag(batch)
     }
 
-    /// Backward through the active table.
-    pub fn backward(&mut self, grad_out: &Matrix) {
-        self.tables[self.active_table].backward(grad_out);
+    /// Bag lookup through the table of `vocab_choice` at `width`, without
+    /// selecting it: what [`SharedEmbeddingBank::set_active`] followed by
+    /// [`SharedEmbeddingBank::lookup_bag`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vocab_choice` is out of range or `width` invalid.
+    pub fn infer_bag(&self, vocab_choice: usize, width: usize, batch: &[Vec<usize>]) -> Matrix {
+        assert!(
+            vocab_choice < self.tables.len(),
+            "vocab choice out of range"
+        );
+        self.tables[vocab_choice].infer_bag(batch, width)
+    }
+
+    /// Backward through the active table, for the ids of the preceding
+    /// lookup.
+    pub fn backward(&mut self, grad_out: &Matrix, batch: &[Vec<usize>]) {
+        self.tables[self.active_table].backward(grad_out, batch);
     }
 
     /// Sparse SGD on the active table.
@@ -291,7 +308,7 @@ mod tests {
 
     #[test]
     fn lookup_bag_sums_rows() {
-        let mut t = EmbeddingTable::new(10, 4, &mut rng());
+        let t = EmbeddingTable::new(10, 4, &mut rng());
         let out = t.lookup_bag(&[vec![2, 2]]);
         let expected: Vec<f32> = t.weights.row(2).iter().map(|w| 2.0 * w).collect();
         for (o, e) in out.row(0).iter().zip(&expected) {
@@ -310,7 +327,7 @@ mod tests {
 
     #[test]
     fn oov_indices_hash_into_vocab() {
-        let mut t = EmbeddingTable::new(4, 2, &mut rng());
+        let t = EmbeddingTable::new(4, 2, &mut rng());
         let a = t.lookup_bag(&[vec![1]]);
         let b = t.lookup_bag(&[vec![5]]); // 5 % 4 == 1
         assert_eq!(a, b);
@@ -319,8 +336,9 @@ mod tests {
     #[test]
     fn backward_accumulates_only_touched_rows() {
         let mut t = EmbeddingTable::new(10, 4, &mut rng());
-        let out = t.lookup_bag(&[vec![3], vec![7]]);
-        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0));
+        let ids = [vec![3], vec![7]];
+        let out = t.lookup_bag(&ids);
+        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &ids);
         assert_eq!(t.pending_grad_rows(), 2);
     }
 
@@ -329,7 +347,7 @@ mod tests {
         let mut t = EmbeddingTable::new(5, 2, &mut rng());
         let before = t.weights.row(1).to_vec();
         let out = t.lookup_bag(&[vec![1]]);
-        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0));
+        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &[vec![1]]);
         t.apply_sparse_sgd(0.1);
         let after = t.weights.row(1);
         for (b, a) in before.iter().zip(after) {
@@ -353,7 +371,7 @@ mod tests {
         let mut bank = SharedEmbeddingBank::new(&[4, 8], 4, &mut rng());
         bank.set_active(0, 4);
         let out = bank.lookup_bag(&[vec![1]]);
-        bank.backward(&Matrix::full(out.rows(), out.cols(), 1.0));
+        bank.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &[vec![1]]);
         bank.apply_sparse_sgd(0.5);
         // Switching to the other vocabulary size must see untouched weights.
         bank.set_active(1, 4);

@@ -216,6 +216,11 @@ impl MaskedDense {
         self.activation = activation;
     }
 
+    /// The layer's activation function.
+    pub fn activation(&self) -> Activation {
+        self.activation
+    }
+
     /// Copies the active sub-matrix into a standalone [`Dense`] layer — used
     /// to materialise the final architecture after a search.
     pub fn extract_dense(&self, rng: &mut impl Rng) -> Dense {
@@ -240,8 +245,33 @@ impl MaskedDense {
     ///
     /// Panics if `x.cols() != active_in`.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.active_in, "input width must equal active_in");
-        let mut pre = Matrix::zeros(x.rows(), self.active_out);
+        let pre = self.pre_activation(x, (self.active_in, self.active_out));
+        let out = self.activation.apply_matrix(&pre);
+        self.cached_input = Some(x.clone());
+        self.cached_pre = Some(pre);
+        out
+    }
+
+    /// [`MaskedDense::forward`] for an explicit `(active_in, active_out)`
+    /// sub-matrix and activation, reading the layer without changing it:
+    /// the same arithmetic, minus what backward needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is zero or exceeds the allocated maximum, or if
+    /// `x.cols() != active_in`.
+    pub fn infer(&self, x: &Matrix, shape: (usize, usize), activation: Activation) -> Matrix {
+        activation.apply_matrix(&self.pre_activation(x, shape))
+    }
+
+    /// `x · W[..active_in, ..active_out] + b[..active_out]`.
+    fn pre_activation(&self, x: &Matrix, (active_in, active_out): (usize, usize)) -> Matrix {
+        assert!(
+            (1..=self.w.rows()).contains(&active_in) && (1..=self.w.cols()).contains(&active_out),
+            "active shape ({active_in}, {active_out}) out of range"
+        );
+        assert_eq!(x.cols(), active_in, "input width must equal active_in");
+        let mut pre = Matrix::zeros(x.rows(), active_out);
         for i in 0..x.rows() {
             let x_row = x.row(i);
             let out_row = pre.row_mut(i);
@@ -249,17 +279,13 @@ impl MaskedDense {
                 if a == 0.0 {
                     continue;
                 }
-                let w_row = &self.w.row(k)[..self.active_out];
+                let w_row = &self.w.row(k)[..active_out];
                 for (o, &wv) in out_row.iter_mut().zip(w_row) {
                     *o += a * wv;
                 }
             }
         }
-        let pre = pre.add_row_broadcast(&self.b[..self.active_out]);
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_input = Some(x.clone());
-        self.cached_pre = Some(pre);
-        out
+        pre.add_row_broadcast(&self.b[..active_out])
     }
 
     /// Backward pass over the active sub-matrix. Gradients outside the active
@@ -453,8 +479,43 @@ impl LowRankDense {
     ///
     /// Panics if `x.cols() != active_in`.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.active_in, "input width must equal active_in");
-        let r = self.active_rank;
+        let shape = (self.active_in, self.active_out);
+        let (hidden, pre) = self.hidden_and_pre(x, shape, self.active_rank);
+        let out = self.activation.apply_matrix(&pre);
+        self.cached_input = Some(x.clone());
+        self.cached_hidden = Some(hidden);
+        self.cached_pre = Some(pre);
+        out
+    }
+
+    /// [`LowRankDense::forward`] for an explicit `(active_in, active_out)`
+    /// shape and rank, reading the layer without changing it: the same
+    /// arithmetic, minus what backward needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension or the rank is zero or exceeds its allocated
+    /// maximum, or if `x.cols() != active_in`.
+    pub fn infer(&self, x: &Matrix, shape: (usize, usize), rank: usize) -> Matrix {
+        let (_, pre) = self.hidden_and_pre(x, shape, rank);
+        self.activation.apply_matrix(&pre)
+    }
+
+    /// `hidden = x · U[..active_in, ..r]` and
+    /// `pre = hidden · V[..r, ..active_out] + b[..active_out]`.
+    fn hidden_and_pre(
+        &self,
+        x: &Matrix,
+        (active_in, active_out): (usize, usize),
+        r: usize,
+    ) -> (Matrix, Matrix) {
+        assert!(
+            (1..=self.u.rows()).contains(&active_in)
+                && (1..=self.v.cols()).contains(&active_out)
+                && (1..=self.u.cols()).contains(&r),
+            "active shape ({active_in}, {active_out}) at rank {r} out of range"
+        );
+        assert_eq!(x.cols(), active_in, "input width must equal active_in");
         // hidden = x · U[:active_in, :r]
         let mut hidden = Matrix::zeros(x.rows(), r);
         for i in 0..x.rows() {
@@ -471,23 +532,19 @@ impl LowRankDense {
             }
         }
         // pre = hidden · V[:r, :active_out]
-        let mut pre = Matrix::zeros(x.rows(), self.active_out);
+        let mut pre = Matrix::zeros(x.rows(), active_out);
         for i in 0..x.rows() {
             let h_row = hidden.row(i);
             let p_row = pre.row_mut(i);
             for (k, &h) in h_row.iter().enumerate() {
-                let v_row = &self.v.row(k)[..self.active_out];
+                let v_row = &self.v.row(k)[..active_out];
                 for (p, &vv) in p_row.iter_mut().zip(v_row) {
                     *p += h * vv;
                 }
             }
         }
-        let pre = pre.add_row_broadcast(&self.b[..self.active_out]);
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_input = Some(x.clone());
-        self.cached_hidden = Some(hidden);
-        self.cached_pre = Some(pre);
-        out
+        let pre = pre.add_row_broadcast(&self.b[..active_out]);
+        (hidden, pre)
     }
 
     /// Backward pass; accumulates gradients for the active rank only.

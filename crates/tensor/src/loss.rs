@@ -42,18 +42,31 @@ pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
 ///
 /// Panics if `logits.cols() != 1` or the label count mismatches.
 pub fn bce_with_logits(logits: &Matrix, labels: &[f32]) -> (f32, Matrix) {
-    assert_eq!(logits.cols(), 1, "bce expects a single logit column");
-    assert_eq!(logits.rows(), labels.len(), "label count mismatch");
+    let loss = bce_with_logits_loss(logits, labels);
     let n = labels.len() as f32;
     let mut grad = Matrix::zeros(logits.rows(), 1);
+    for (i, &y) in labels.iter().enumerate() {
+        let p = 1.0 / (1.0 + (-logits.get(i, 0)).exp());
+        grad.set(i, 0, (p - y) / n);
+    }
+    (loss, grad)
+}
+
+/// The mean loss of [`bce_with_logits`] alone, bit for bit, without
+/// building the gradient.
+///
+/// # Panics
+///
+/// Panics if `logits.cols() != 1` or the label count mismatches.
+pub fn bce_with_logits_loss(logits: &Matrix, labels: &[f32]) -> f32 {
+    assert_eq!(logits.cols(), 1, "bce expects a single logit column");
+    assert_eq!(logits.rows(), labels.len(), "label count mismatch");
     let mut total = 0.0f32;
     for (i, &y) in labels.iter().enumerate() {
         let z = logits.get(i, 0);
         total += z.max(0.0) - z * y + (1.0 + (-z.abs()).exp()).ln();
-        let p = 1.0 / (1.0 + (-z).exp());
-        grad.set(i, 0, (p - y) / n);
     }
-    (total / n, grad)
+    total / labels.len() as f32
 }
 
 /// Softmax cross-entropy over class logits.
@@ -67,19 +80,12 @@ pub fn bce_with_logits(logits: &Matrix, labels: &[f32]) -> (f32, Matrix) {
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix) {
     assert_eq!(logits.rows(), labels.len(), "label count mismatch");
     let n = labels.len() as f32;
-    let classes = logits.cols();
-    let mut grad = Matrix::zeros(logits.rows(), classes);
+    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let mut exps = Vec::with_capacity(logits.cols());
     let mut total = 0.0f32;
     for (i, &label) in labels.iter().enumerate() {
-        assert!(
-            label < classes,
-            "label {label} out of range for {classes} classes"
-        );
-        let row = logits.row(i);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&z| (z - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        total += -(exps[label] / sum).ln();
+        let (sum, loss) = softmax_row(logits.row(i), label, &mut exps);
+        total += loss;
         let g_row = grad.row_mut(i);
         for (c, g) in g_row.iter_mut().enumerate() {
             let p = exps[c] / sum;
@@ -87,6 +93,41 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize]) -> (f32, Matrix)
         }
     }
     (total / n, grad)
+}
+
+/// The mean loss of [`softmax_cross_entropy`] alone, bit for bit, without
+/// building the gradient.
+///
+/// # Panics
+///
+/// Panics if the label count mismatches or a label is out of range.
+pub fn softmax_cross_entropy_loss(logits: &Matrix, labels: &[usize]) -> f32 {
+    assert_eq!(logits.rows(), labels.len(), "label count mismatch");
+    let mut exps = Vec::with_capacity(logits.cols());
+    let mut total = 0.0f32;
+    for (i, &label) in labels.iter().enumerate() {
+        total += softmax_row(logits.row(i), label, &mut exps).1;
+    }
+    total / labels.len() as f32
+}
+
+/// One row of softmax cross-entropy: fills `exps` with `e^(z − max)` and
+/// returns their sum and the row's loss `−ln(exps[label] / sum)`.
+///
+/// # Panics
+///
+/// Panics if `label` is out of range.
+fn softmax_row(row: &[f32], label: usize, exps: &mut Vec<f32>) -> (f32, f32) {
+    let classes = row.len();
+    assert!(
+        label < classes,
+        "label {label} out of range for {classes} classes"
+    );
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    exps.clear();
+    exps.extend(row.iter().map(|&z| (z - max).exp()));
+    let sum: f32 = exps.iter().sum();
+    (sum, -(exps[label] / sum).ln())
 }
 
 /// Binary-classification AUC (area under the ROC curve) — the DLRM quality

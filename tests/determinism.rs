@@ -412,6 +412,54 @@ fn oneshot_resume_restores_supernet_weights_bit_exactly() {
 }
 
 #[test]
+fn oneshot_search_is_identical_at_every_worker_count() {
+    // The unified stage scores a step's shards (supernet quality and perf)
+    // in one executor batch; submission-order reduction must make 1, 2 and
+    // 4 workers write the same telemetry.
+    use h2o_nas::core::{OneShotConfig, UnifiedStage};
+    use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
+    use h2o_nas::space::{DlrmSpaceConfig, DlrmSupernet};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let run = |workers: usize| {
+        let mut supernet =
+            DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut StdRng::seed_from_u64(3));
+        let pipeline = InMemoryPipeline::new(CtrTraffic::new(CtrTrafficConfig::tiny(), 1));
+        let space = supernet.space().clone();
+        let baseline_size = space.decode(&space.baseline()).model_size_bytes();
+        let reward = RewardFn::new(
+            RewardKind::Relu,
+            vec![PerfObjective::new("size", 0.8 * baseline_size, -2.0)],
+        );
+        let perf_space = space.clone();
+        let perf = move |sample: &ArchSample| vec![perf_space.decode(sample).model_size_bytes()];
+        let cfg = OneShotConfig {
+            steps: 12,
+            shards: 8,
+            batch_size: 16,
+            workers,
+            ..Default::default()
+        };
+        let outcome = SearchDriver::new(space.space(), &reward, cfg.controller())
+            .run(
+                &mut UnifiedStage::new(&mut supernet, &pipeline, perf, &cfg),
+                None,
+                None,
+            )
+            .expect("sinkless run");
+        (normalized_csvs(outcome), supernet.save_state())
+    };
+    let serial = run(1);
+    for workers in [2, 4] {
+        assert!(
+            run(workers) == serial,
+            "{workers} workers diverged from 1 worker"
+        );
+    }
+}
+
+#[test]
 fn cli_binary_resumes_byte_identically() {
     // End-to-end kill-and-resume through the `h2o` binary: full run vs
     // (truncated run + --resume), and vs (truncated run + a fresh shorter

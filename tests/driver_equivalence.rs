@@ -173,7 +173,7 @@ fn parallel_resume_from_midpoint_matches_pre_refactor_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Flavor 2: serial supernet quality + executor-fanned perf
+// Flavor 2: supernet quality and perf fanned out in one executor batch
 // (`UnifiedStage` over the DLRM super-network).
 // ---------------------------------------------------------------------------
 

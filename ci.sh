@@ -68,10 +68,15 @@ cargo test -q --release -p h2o-exec
 # The supernet weight step's kernels (Adam, the transposed-block backward
 # product) are vectorised only from opt-level 2 (the release profile), so
 # the debug legs above, at opt-level 1, never run the loops the benchmark
-# times. Re-run h2o-tensor's bit-exact
-# reference properties and the one-shot/TuNAS goldens in release mode.
+# times. Re-run h2o-tensor's bit-exact reference properties, the
+# supernets' properties (h2o-space), the pinned digests (consistency,
+# supernet state included) and the one-shot/TuNAS goldens in release mode.
 echo "==> cargo test -q --release -p h2o-tensor"
 cargo test -q --release -p h2o-tensor
+echo "==> cargo test -q --release -p h2o-space"
+cargo test -q --release -p h2o-space
+echo "==> cargo test -q --release --test consistency"
+cargo test -q --release --test consistency
 echo "==> cargo test -q --release --test driver_equivalence"
 cargo test -q --release --test driver_equivalence
 

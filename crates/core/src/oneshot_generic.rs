@@ -3,7 +3,7 @@
 //! [`SearchDriver`] engine.
 //!
 //! §4.2's algorithm does not care what the super-network computes — it
-//! needs (a) a categorical space, (b) candidate masking, (c) a quality
+//! needs (a) a categorical space, (b) candidate selection, (c) a quality
 //! signal from a fresh batch and (d) a shared-weight training step.
 //! [`OneShotSupernet`] captures exactly that contract, and
 //! [`UnifiedStage`] runs Fig. 2's right-hand side over it. The DLRM
@@ -31,10 +31,11 @@ pub trait OneShotSupernet {
     /// The categorical search space this super-network covers.
     fn search_space(&self) -> &SearchSpace;
 
-    /// Masks the network down to one candidate.
+    /// Records the candidate that [`quality`](OneShotSupernet::quality)
+    /// and [`train_step_on`](OneShotSupernet::train_step_on) run.
     fn apply_sample(&mut self, sample: &ArchSample);
 
-    /// Quality signal `Q(α)` of the *active* candidate on a batch
+    /// Quality signal `Q(α)` of the recorded candidate on a batch
     /// (higher is better; e.g. −logloss or −cross-entropy).
     fn quality(&mut self, batch: &Self::Batch) -> f64;
 
@@ -48,7 +49,7 @@ pub trait OneShotSupernet {
         None
     }
 
-    /// One shared-weight training step of the active candidate.
+    /// One shared-weight training step of the recorded candidate.
     fn train_step_on(&mut self, batch: &Self::Batch);
 
     /// Serialises the shared trainable state (weights + optimizer moments)
@@ -371,16 +372,9 @@ mod tests {
             RewardKind::Relu,
             vec![PerfObjective::new("params", budget, -2.0)],
         );
-        // Decode param counts analytically via a probe network. The probe
-        // mutates on each call, so it lives behind a Mutex to satisfy the
-        // executor's `Fn + Sync` bound.
-        let probe =
-            std::sync::Mutex::new(VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng));
-        let perf = move |sample: &ArchSample| {
-            let mut probe = probe.lock().expect("probe poisoned");
-            probe.apply_sample(sample);
-            vec![probe.active_param_count() as f64]
-        };
+        // Param counts come from the shape a probe network decodes.
+        let probe = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng);
+        let perf = move |sample: &ArchSample| vec![probe.param_count_of(sample) as f64];
         let cfg = OneShotConfig {
             steps: 60,
             shards: 4,
@@ -401,13 +395,8 @@ mod tests {
         let (_, acc) = net.evaluate(&eval.features, &eval.labels);
         assert!(acc > 0.6, "accuracy {acc}");
         // And respects the parameter budget (within ReLU slack).
-        let mut probe = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng);
-        probe.apply_sample(&outcome.best);
-        assert!(
-            (probe.active_param_count() as f64) < budget * 1.4,
-            "params {}",
-            probe.active_param_count()
-        );
+        let params = net.param_count_of(&outcome.best);
+        assert!((params as f64) < budget * 1.4, "params {params}");
     }
 
     #[test]

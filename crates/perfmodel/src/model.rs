@@ -266,9 +266,9 @@ impl PerfModel {
                         t.set(r, 0, self.to_z(Head::Training, ys[i].training));
                         t.set(r, 1, self.to_z(Head::Serving, ys[i].serving));
                     }
-                    let pred = self.net.forward(&x);
-                    let (l, grad) = h2o_tensor::loss::mse(&pred, &t);
-                    self.net.backward_and_step(&grad.scale(lr_scale));
+                    let tape = self.net.forward(&x);
+                    let (l, grad) = h2o_tensor::loss::mse(tape.output(), &t);
+                    self.net.backward_and_step(&x, &tape, &grad.scale(lr_scale));
                     epoch_loss += l;
                     batches += 1;
                 }

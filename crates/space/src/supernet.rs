@@ -12,17 +12,20 @@
 //! * fine-grained **low-rank** factor sharing (④: shared `U·V` factors,
 //!   searchable rank).
 //!
-//! [`DlrmSupernet::apply_sample`] masks the network down to one candidate;
-//! [`DlrmSupernet::train_step`] then trains exactly that sub-network's
-//! weights, and [`DlrmSupernet::evaluate`] produces the quality signal
-//! `Q(α)` the RL controller consumes. [`DlrmSupernet::logloss_of`] scores a
-//! candidate without masking anything, so several threads can score
-//! candidates over the same weights at once.
+//! A candidate is an argument, not a state of the layers: one forward
+//! takes the shape a sample selects and returns the network's tape.
+//! [`DlrmSupernet::apply_sample`] records a candidate's shape;
+//! [`DlrmSupernet::train_step`] runs that forward and backpropagates
+//! through its tape, training exactly that sub-network's weights, and
+//! [`DlrmSupernet::evaluate`] produces the quality signal `Q(α)` the RL
+//! controller consumes. [`DlrmSupernet::logloss_of`] scores any sample
+//! from `&self`, so several threads can score candidates over the same
+//! weights at once.
 
 use crate::decision::ArchSample;
 use crate::dlrm::{choices, DlrmSpace, DlrmSpaceConfig, DECISIONS_PER_GROUP, DECISIONS_PER_TABLE};
 use h2o_tensor::{
-    loss, Activation, LowRankDense, MaskedDense, Matrix, OptimConfig, Optimizer,
+    loss, Activation, LowRankDense, LowRankTape, MaskedDense, Matrix, OptimConfig, Optimizer,
     SharedEmbeddingBank, StateError, StateReader, StateWriter,
 };
 use rand::Rng;
@@ -57,17 +60,23 @@ impl DlrmBatch {
 struct SuperLayer {
     full: MaskedDense,
     low: LowRankDense,
-    /// Which path the last forward used (needed by backward).
-    used_low: bool,
+}
+
+/// The tape of the path a super-layer's forward took.
+#[derive(Debug)]
+enum PathTape {
+    /// The full-rank path's pre-activation.
+    Full(Matrix),
+    /// The low-rank path's tape.
+    Low(LowRankTape),
 }
 
 impl SuperLayer {
     fn new(max_in: usize, max_out: usize, rng: &mut impl Rng) -> Self {
         let max_rank = (max_in.min(max_out)).max(1);
         Self {
-            full: MaskedDense::new(max_in, max_out, Activation::Relu, rng),
+            full: MaskedDense::new(max_in, max_out, rng),
             low: LowRankDense::new(max_in, max_out, max_rank, Activation::Relu, rng),
-            used_low: false,
         }
     }
 
@@ -77,40 +86,31 @@ impl SuperLayer {
         ((max_rank as f64 * low_rank).round() as usize).clamp(1, max_rank)
     }
 
-    fn set_active(&mut self, active_in: usize, active_out: usize, low_rank: f64) {
+    /// Forward through the `(in, out)` widths of the low-rank path for a
+    /// low-rank fraction below 1, else of the full path.
+    fn forward(&self, x: &Matrix, widths: (usize, usize), low_rank: f64) -> (Matrix, PathTape) {
         if low_rank < 1.0 {
-            self.low
-                .set_active(active_in, active_out, self.rank(low_rank));
-            self.used_low = true;
+            let (out, tape) = self.low.forward(x, widths, self.rank(low_rank));
+            (out, PathTape::Low(tape))
         } else {
-            self.full.set_active(active_in, active_out);
-            self.used_low = false;
+            let (out, pre) = self.full.forward(x, widths, Activation::Relu);
+            (out, PathTape::Full(pre))
         }
     }
 
-    /// The forward pass `set_active(active_in, active_out, low_rank)` sets
-    /// up, reading the layer without changing it.
-    fn infer(&self, x: &Matrix, shape: (usize, usize), low_rank: f64) -> Matrix {
-        if low_rank < 1.0 {
-            self.low.infer(x, shape, self.rank(low_rank))
-        } else {
-            self.full.infer(x, shape, self.full.activation())
-        }
-    }
-
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        if self.used_low {
-            self.low.forward(x)
-        } else {
-            self.full.forward(x)
-        }
-    }
-
-    fn backward(&mut self, grad: &Matrix) -> Matrix {
-        if self.used_low {
-            self.low.backward(grad)
-        } else {
-            self.full.backward(grad)
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        tape: &PathTape,
+        grad: &Matrix,
+        widths: (usize, usize),
+        low_rank: f64,
+    ) -> Matrix {
+        match tape {
+            PathTape::Low(tape) => self
+                .low
+                .backward(x, tape, grad, widths, self.rank(low_rank)),
+            PathTape::Full(pre) => self.full.backward(x, pre, grad, widths, Activation::Relu),
         }
     }
 
@@ -127,7 +127,6 @@ struct SuperGroup {
     layers: Vec<SuperLayer>,
     max_width: usize,
     bottom: bool,
-    active_depth: usize,
 }
 
 /// One group of a candidate: the prefix of layers it activates and their
@@ -143,19 +142,15 @@ struct GroupShape {
 }
 
 impl GroupShape {
-    /// Active input width of layer `d`.
-    fn layer_in(&self, d: usize) -> usize {
-        if d == 0 {
-            self.input
-        } else {
-            self.width
-        }
+    /// Active `(in, out)` widths of layer `d`.
+    fn widths(&self, d: usize) -> (usize, usize) {
+        (if d == 0 { self.input } else { self.width }, self.width)
     }
 }
 
-/// The sub-network of one sample: what [`DlrmSupernet::apply_sample`]
-/// writes into the layers, as a value.
-#[derive(Debug, Clone)]
+/// The sub-network of one sample. The default, empty shape stands for no
+/// candidate, and [`DlrmSupernet::forward`] rejects it.
+#[derive(Debug, Clone, Default)]
 struct ActiveShape {
     /// Per table: the vocabulary choice and the active embedding width.
     tables: Vec<(usize, usize)>,
@@ -163,6 +158,58 @@ struct ActiveShape {
     groups: Vec<GroupShape>,
     /// Active input width of the head.
     head_in: usize,
+}
+
+/// Each layer's output and path tape, in forward order.
+type TowerTape = Vec<(Matrix, PathTape)>;
+
+/// What one forward over a candidate keeps for its backward pass.
+#[derive(Debug)]
+struct Tape {
+    bottom: TowerTape,
+    /// The top tower's input.
+    concat: Matrix,
+    top: TowerTape,
+    /// Click logits `(batch, 1)`.
+    logits: Matrix,
+    head_pre: Matrix,
+}
+
+/// The output of a tower that ran over `input`.
+fn tower_out<'a>(tape: &'a TowerTape, input: &'a Matrix) -> &'a Matrix {
+    tape.last().map_or(input, |(out, _)| out)
+}
+
+/// Runs the active layers of `groups` over `input`.
+fn tower_forward(groups: &[SuperGroup], shapes: &[GroupShape], input: &Matrix) -> TowerTape {
+    let mut tape = TowerTape::new();
+    for (group, gs) in groups.iter().zip(shapes) {
+        for (d, layer) in group.layers.iter().enumerate().take(gs.depth) {
+            let pass = layer.forward(tower_out(&tape, input), gs.widths(d), gs.low_rank);
+            tape.push(pass);
+        }
+    }
+    tape
+}
+
+/// Backpropagates `grad` through the layers [`tower_forward`] ran over
+/// `input`; returns the gradient w.r.t. `input`.
+fn tower_backward(
+    groups: &mut [SuperGroup],
+    shapes: &[GroupShape],
+    input: &Matrix,
+    tape: &TowerTape,
+    mut grad: Matrix,
+) -> Matrix {
+    let mut i = tape.len();
+    for (group, gs) in groups.iter_mut().zip(shapes).rev() {
+        for (d, layer) in group.layers.iter_mut().enumerate().take(gs.depth).rev() {
+            i -= 1;
+            let x = i.checked_sub(1).map_or(input, |j| &tape[j].0);
+            grad = layer.backward(x, &tape[i].1, &grad, gs.widths(d), gs.low_rank);
+        }
+    }
+    grad
 }
 
 /// Every Adam-trained buffer with its gradient, in optimizer slot order:
@@ -205,12 +252,9 @@ pub struct DlrmSupernet {
     embedding_lr: f32,
     /// Maximum embedding width per table (concat slot sizes).
     emb_slot_widths: Vec<usize>,
-    /// Active embedding width per table.
-    emb_active_widths: Vec<usize>,
     bottom_max_width: usize,
-    sample_applied: bool,
-    /// Active bottom-tower output width from the last forward pass.
-    cached_bottom_cols: usize,
+    /// The candidate the last [`DlrmSupernet::apply_sample`] recorded.
+    candidate: ActiveShape,
 }
 
 impl DlrmSupernet {
@@ -228,7 +272,7 @@ impl DlrmSupernet {
             reason = "static choice tables are non-empty consts"
         )]
         let max_emb_delta = *choices::EMB_WIDTH_DELTAS.last().unwrap();
-        let banks: Vec<SharedEmbeddingBank> = config
+        let (banks, emb_slot_widths): (Vec<SharedEmbeddingBank>, Vec<usize>) = config
             .tables
             .iter()
             .map(|t| {
@@ -238,10 +282,9 @@ impl DlrmSupernet {
                     .iter()
                     .map(|s| ((t.vocab as f64 * s).round() as usize).max(1))
                     .collect();
-                SharedEmbeddingBank::new(&vocabs, max_width, rng)
+                (SharedEmbeddingBank::new(&vocabs, max_width, rng), max_width)
             })
-            .collect();
-        let emb_slot_widths: Vec<usize> = banks.iter().map(|b| b.active().max_width()).collect();
+            .unzip();
         #[expect(
             clippy::unwrap_used,
             reason = "static choice tables are non-empty consts"
@@ -271,7 +314,6 @@ impl DlrmSupernet {
                 layers,
                 max_width,
                 bottom: true,
-                active_depth: g.depth,
             });
             prev_max = max_width;
             bottom_max_width = max_width;
@@ -292,11 +334,10 @@ impl DlrmSupernet {
                 layers,
                 max_width,
                 bottom: false,
-                active_depth: g.depth,
             });
             prev_max = max_width;
         }
-        let head = MaskedDense::new(prev_max, 1, Activation::Identity, rng);
+        let head = MaskedDense::new(prev_max, 1, rng);
         Self {
             space,
             banks,
@@ -305,10 +346,8 @@ impl DlrmSupernet {
             optimizer: Optimizer::new(OptimConfig::adam(1e-3)),
             embedding_lr,
             emb_slot_widths,
-            emb_active_widths: config.tables.iter().map(|t| t.width).collect(),
             bottom_max_width,
-            sample_applied: false,
-            cached_bottom_cols: 0,
+            candidate: ActiveShape::default(),
         }
     }
 
@@ -317,26 +356,15 @@ impl DlrmSupernet {
         &self.space
     }
 
-    /// Masks the super-network down to the candidate described by `sample`.
+    /// Records the candidate described by `sample`: the sub-network the
+    /// next [`DlrmSupernet::train_step`] trains and
+    /// [`DlrmSupernet::evaluate`] scores. The layers stay as they are.
     ///
     /// # Panics
     ///
     /// Panics if the sample is invalid for the space.
     pub fn apply_sample(&mut self, sample: &ArchSample) {
-        let shape = self.active_shape(sample);
-        let tables = self.banks.iter_mut().zip(&mut self.emb_active_widths);
-        for ((bank, active), &(vocab_choice, width)) in tables.zip(&shape.tables) {
-            bank.set_active(vocab_choice, width);
-            *active = width;
-        }
-        for (group, gs) in self.groups.iter_mut().zip(&shape.groups) {
-            for (d, layer) in group.layers.iter_mut().enumerate().take(gs.depth) {
-                layer.set_active(gs.layer_in(d), gs.width, gs.low_rank);
-            }
-            group.active_depth = gs.depth;
-        }
-        self.head.set_active(shape.head_in, 1);
-        self.sample_applied = true;
+        self.candidate = self.active_shape(sample);
     }
 
     /// The candidate `sample` selects, as a value.
@@ -396,6 +424,11 @@ impl DlrmSupernet {
         self.bottom_max_width + self.emb_slot_widths.iter().sum::<usize>()
     }
 
+    /// How many of `groups`, the first ones, form the bottom tower.
+    fn bottom_groups(&self) -> usize {
+        self.groups.iter().take_while(|g| g.bottom).count()
+    }
+
     /// The top tower's input for `n` examples: the bottom tower's output,
     /// then each table's embeddings in its fixed slot. Masked widths stay
     /// zero, so the top tower's weight layout is stable across candidates
@@ -415,89 +448,73 @@ impl DlrmSupernet {
         concat
     }
 
-    /// Forward pass through the active sub-network; returns click logits
-    /// `(batch, 1)` and caches what backward needs in the layers.
+    /// The forward pass of the candidate `shape` on `batch`, reading the
+    /// network without changing it; returns the tape, which holds the
+    /// click logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the empty shape (no sample applied) or if the batch shape
+    /// is inconsistent.
+    fn forward(&self, shape: &ActiveShape, batch: &DlrmBatch) -> Tape {
+        assert_eq!(
+            shape.groups.len(),
+            self.groups.len(),
+            "apply_sample before forward"
+        );
+        assert_eq!(
+            batch.sparse.len(),
+            self.banks.len(),
+            "one id list per table"
+        );
+        let towers = self.bottom_groups();
+        let (bottom_groups, top_groups) = self.groups.split_at(towers);
+        let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
+        let bottom = tower_forward(bottom_groups, bottom_shapes, &batch.dense);
+        let embs = iter::zip(&self.banks, &shape.tables)
+            .zip(&batch.sparse)
+            .map(|((bank, &(vocab_choice, width)), ids)| bank.lookup_bag(ids, vocab_choice, width));
+        let concat = self.concat(batch.len(), tower_out(&bottom, &batch.dense), embs);
+        let top = tower_forward(top_groups, top_shapes, &concat);
+        let (logits, head_pre) = self.head.forward(
+            tower_out(&top, &concat),
+            (shape.head_in, 1),
+            Activation::Identity,
+        );
+        Tape {
+            bottom,
+            concat,
+            top,
+            logits,
+            head_pre,
+        }
+    }
+
+    /// One unified training step on the candidate
+    /// [`DlrmSupernet::apply_sample`] recorded: forward, BCE loss, backward
+    /// through its tape into the MLPs and embeddings, optimizer update.
+    /// Returns the loss before the update.
     ///
     /// # Panics
     ///
     /// Panics if no sample was applied or the batch shape is inconsistent.
-    fn forward(&mut self, batch: &DlrmBatch) -> Matrix {
-        assert!(self.sample_applied, "apply_sample before forward");
-        assert_eq!(
-            batch.sparse.len(),
-            self.banks.len(),
-            "one id list per table"
-        );
-        let mut bottom = batch.dense.clone();
-        for group in self.groups.iter_mut().filter(|g| g.bottom) {
-            for layer in group.layers.iter_mut().take(group.active_depth) {
-                bottom = layer.forward(&bottom);
-            }
-        }
-        let embs = iter::zip(&self.banks, &batch.sparse).map(|(bank, ids)| bank.lookup_bag(ids));
-        let mut top = self.concat(batch.len(), &bottom, embs);
-        self.cached_bottom_cols = bottom.cols();
-        for group in self.groups.iter_mut().filter(|g| !g.bottom) {
-            for layer in group.layers.iter_mut().take(group.active_depth) {
-                top = layer.forward(&top);
-            }
-        }
-        self.head.forward(&top)
-    }
-
-    /// [`DlrmSupernet::forward`] for the candidate `shape`, reading the
-    /// network without changing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch shape is inconsistent.
-    fn infer(&self, shape: &ActiveShape, batch: &DlrmBatch) -> Matrix {
-        assert_eq!(
-            batch.sparse.len(),
-            self.banks.len(),
-            "one id list per table"
-        );
-        let towers = self.groups.iter().take_while(|g| g.bottom).count();
-        let (bottom_groups, top_groups) = self.groups.split_at(towers);
-        let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
-        let mut bottom = None;
-        for (group, gs) in bottom_groups.iter().zip(bottom_shapes) {
-            for (d, layer) in group.layers.iter().enumerate().take(gs.depth) {
-                let x = bottom.as_ref().unwrap_or(&batch.dense);
-                bottom = Some(layer.infer(x, (gs.layer_in(d), gs.width), gs.low_rank));
-            }
-        }
-        let bottom = bottom.as_ref().unwrap_or(&batch.dense);
-        let embs =
-            self.banks.iter().zip(&shape.tables).zip(&batch.sparse).map(
-                |((bank, &(vocab_choice, width)), ids)| bank.infer_bag(vocab_choice, width, ids),
-            );
-        let mut top = self.concat(batch.len(), bottom, embs);
-        for (group, gs) in top_groups.iter().zip(top_shapes) {
-            for (d, layer) in group.layers.iter().enumerate().take(gs.depth) {
-                top = layer.infer(&top, (gs.layer_in(d), gs.width), gs.low_rank);
-            }
-        }
-        self.head
-            .infer(&top, (shape.head_in, 1), self.head.activation())
-    }
-
-    /// One unified training step on the active sub-network: forward, BCE
-    /// loss, backward through MLPs and embeddings, optimizer update.
-    /// Returns the loss before the update.
     pub fn train_step(&mut self, batch: &DlrmBatch) -> f32 {
-        let logits = self.forward(batch);
-        let (loss_value, grad) = loss::bce_with_logits(&logits, &batch.labels);
+        let shape = &self.candidate;
+        let tape = self.forward(shape, batch);
+        let (loss_value, grad) = loss::bce_with_logits(&tape.logits, &batch.labels);
         // Backward.
-        let mut g = self.head.backward(&grad);
-        for group in self.groups.iter_mut().filter(|g| !g.bottom).rev() {
-            for layer in group.layers.iter_mut().take(group.active_depth).rev() {
-                g = layer.backward(&g);
-            }
-        }
+        let top_out = tower_out(&tape.top, &tape.concat);
+        let head = (shape.head_in, 1);
+        let g = self
+            .head
+            .backward(top_out, &tape.head_pre, &grad, head, Activation::Identity);
+        let towers = self.bottom_groups();
+        let (bottom_groups, top_groups) = self.groups.split_at_mut(towers);
+        let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
+        let g = tower_backward(top_groups, top_shapes, &tape.concat, &tape.top, g);
         // Split the concat gradient back into bottom and embedding slots.
         let n = batch.len();
-        let bottom_cols = self.cached_bottom_cols;
+        let bottom_cols = tower_out(&tape.bottom, &batch.dense).cols();
         let mut bottom_grad = Matrix::zeros(n, bottom_cols.max(1));
         for r in 0..n {
             bottom_grad
@@ -505,23 +522,24 @@ impl DlrmSupernet {
                 .copy_from_slice(&g.row(r)[..bottom_cols]);
         }
         let mut offset = self.bottom_max_width;
-        for (t, bank) in self.banks.iter_mut().enumerate() {
-            let w = self.emb_active_widths[t];
+        let tables = iter::zip(&mut self.banks, &shape.tables).zip(&batch.sparse);
+        for (((bank, &(vocab_choice, w)), ids), slot) in tables.zip(&self.emb_slot_widths) {
             let mut emb_grad = Matrix::zeros(n, w.max(1));
             for r in 0..n {
                 emb_grad
                     .row_mut(r)
                     .copy_from_slice(&g.row(r)[offset..offset + w]);
             }
-            bank.backward(&emb_grad, &batch.sparse[t]);
-            offset += self.emb_slot_widths[t];
+            bank.backward(&emb_grad, ids, vocab_choice, w);
+            offset += slot;
         }
-        let mut g = bottom_grad;
-        for group in self.groups.iter_mut().filter(|g| g.bottom).rev() {
-            for layer in group.layers.iter_mut().take(group.active_depth).rev() {
-                g = layer.backward(&g);
-            }
-        }
+        tower_backward(
+            bottom_groups,
+            bottom_shapes,
+            &batch.dense,
+            &tape.bottom,
+            bottom_grad,
+        );
         // Updates: Adam on dense paths, sparse SGD on the touched embedding
         // rows (as production DLRM trainers do).
         self.optimizer.begin_step();
@@ -541,10 +559,15 @@ impl DlrmSupernet {
         loss_value
     }
 
-    /// Evaluates the active sub-network: returns `(logloss, auc)` — the
-    /// quality signal `Q(α)` (higher AUC = better quality).
-    pub fn evaluate(&mut self, batch: &DlrmBatch) -> (f32, f64) {
-        let logits = self.forward(batch);
+    /// Evaluates the candidate [`DlrmSupernet::apply_sample`] recorded:
+    /// returns `(logloss, auc)` — the quality signal `Q(α)` (higher AUC =
+    /// better quality).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sample was applied or the batch shape is inconsistent.
+    pub fn evaluate(&self, batch: &DlrmBatch) -> (f32, f64) {
+        let logits = self.forward(&self.candidate, batch).logits;
         let (logloss, _) = loss::bce_with_logits(&logits, &batch.labels);
         let scores: Vec<f32> = (0..logits.rows()).map(|r| logits.get(r, 0)).collect();
         let auc = loss::auc(&scores, &batch.labels);
@@ -553,16 +576,16 @@ impl DlrmSupernet {
 
     /// The mean logloss of the candidate `sample` on `batch`: the bits of
     /// [`DlrmSupernet::apply_sample`] followed by
-    /// [`DlrmSupernet::evaluate`]'s first value, from `&self`. It masks
-    /// nothing and caches nothing, so concurrent calls may share the
-    /// network, and it skips the AUC's sort and the loss gradient.
+    /// [`DlrmSupernet::evaluate`]'s first value, from `&self`, so
+    /// concurrent calls may share the network. It skips the AUC's sort and
+    /// the loss gradient.
     ///
     /// # Panics
     ///
     /// Panics if the sample is invalid for the space or the batch shape is
     /// inconsistent.
     pub fn logloss_of(&self, sample: &ArchSample, batch: &DlrmBatch) -> f32 {
-        let logits = self.infer(&self.active_shape(sample), batch);
+        let logits = self.forward(&self.active_shape(sample), batch).logits;
         loss::bce_with_logits_loss(&logits, &batch.labels)
     }
 
@@ -570,9 +593,8 @@ impl DlrmSupernet {
     /// paths of every super-layer, the head, and the optimizer moments —
     /// into a bit-exact blob for checkpointing. Taken at a step boundary
     /// (after [`DlrmSupernet::train_step`] returns), all gradients are zero
-    /// and all masks are reapplied by the next
-    /// [`DlrmSupernet::apply_sample`], so weights + optimizer state are the
-    /// complete resumable state.
+    /// and the next [`DlrmSupernet::apply_sample`] records the candidate
+    /// anew, so weights + optimizer state are the complete resumable state.
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         for bank in &self.banks {
@@ -677,7 +699,7 @@ mod tests {
 
         /// The pure quality of a random candidate equals `apply_sample`
         /// then `evaluate().0` bit for bit, on random batches, whatever
-        /// candidate the network was last masked to and after training
+        /// candidate the network last recorded and after training
         /// steps have moved the weights; and it leaves the network as it
         /// was.
         fn logloss_of_matches_apply_sample_then_evaluate(seed in 0u64..u64::MAX) {

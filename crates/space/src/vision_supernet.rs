@@ -6,7 +6,10 @@
 //! upper-left sub-matrix) generalises to a second domain — a classifier
 //! tower over feature vectors, with **searchable width, depth and
 //! activation** per group. It trains for real on `h2o_data::VisionTraffic`
-//! and powers the cross-domain one-shot tests.
+//! and powers the cross-domain one-shot tests. As in the DLRM
+//! super-network, a candidate is an argument: one forward takes the shape a
+//! sample selects and returns the tape the training step backpropagates
+//! through, and [`VisionSupernet::apply_sample`] only records that shape.
 
 use crate::decision::{ArchSample, Decision, SearchSpace};
 use h2o_tensor::{
@@ -97,8 +100,8 @@ pub struct VisionSupernet {
     groups: Vec<Vec<MaskedDense>>,
     head: MaskedDense,
     optimizer: Optimizer,
-    active_depths: Vec<usize>,
-    sample_applied: bool,
+    /// The candidate the last [`VisionSupernet::apply_sample`] recorded.
+    candidate: VisionShape,
 }
 
 impl VisionSupernet {
@@ -138,13 +141,12 @@ impl VisionSupernet {
             let mut layers = Vec::with_capacity(depth);
             for d in 0..depth {
                 let max_in = if d == 0 { prev_max } else { width };
-                layers.push(MaskedDense::new(max_in, width, Activation::Relu, rng));
+                layers.push(MaskedDense::new(max_in, width, rng));
             }
             groups.push(layers);
             prev_max = width;
         }
-        let head = MaskedDense::new(prev_max, config.classes, Activation::Identity, rng);
-        let active_depths = config.groups.iter().map(|g| g.depth).collect();
+        let head = MaskedDense::new(prev_max, config.classes, rng);
         // Deep Squared-ReLU towers can explode; clip gradients so every
         // candidate trains stably over the shared weights.
         let mut optimizer = Optimizer::new(OptimConfig::adam(2e-3));
@@ -155,8 +157,7 @@ impl VisionSupernet {
             groups,
             head,
             optimizer,
-            active_depths,
-            sample_applied: false,
+            candidate: VisionShape::default(),
         }
     }
 
@@ -170,40 +171,31 @@ impl VisionSupernet {
         &self.config
     }
 
-    /// Active trainable parameter count of the current candidate.
-    pub fn active_param_count(&self) -> usize {
-        let mut total = 0;
-        for (layers, &depth) in self.groups.iter().zip(&self.active_depths) {
-            for layer in layers.iter().take(depth) {
-                let (a_in, a_out) = layer.active_shape();
-                total += a_in * a_out + a_out;
-            }
-        }
-        let (h_in, h_out) = self.head.active_shape();
-        total + h_in * h_out + h_out
+    /// Trainable parameter count of the candidate `sample`: its layers'
+    /// active sub-matrices and biases, and the head's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sample is invalid.
+    pub fn param_count_of(&self, sample: &ArchSample) -> usize {
+        let shape = self.active_shape(sample);
+        let layers = shape
+            .groups
+            .iter()
+            .flat_map(|gs| (0..gs.depth).map(|d| gs.widths(d)));
+        let head = (shape.head_in, self.config.classes);
+        layers.chain([head]).map(|(i, o)| i * o + o).sum()
     }
 
-    /// Masks the network down to the candidate described by `sample`.
+    /// Records the candidate described by `sample`: the sub-network the
+    /// next [`VisionSupernet::train_step`] trains and
+    /// [`VisionSupernet::evaluate`] scores. The layers stay as they are.
     ///
     /// # Panics
     ///
     /// Panics if the sample is invalid.
     pub fn apply_sample(&mut self, sample: &ArchSample) {
-        let shape = self.active_shape(sample);
-        for ((layers, active_depth), gs) in self
-            .groups
-            .iter_mut()
-            .zip(&mut self.active_depths)
-            .zip(&shape.groups)
-        {
-            for (d, layer) in layers.iter_mut().enumerate().take(gs.depth) {
-                layer.set_active(gs.layer_in(d), gs.width);
-                layer.set_activation(gs.activation);
-            }
-            *active_depth = gs.depth;
-        }
-        self.head.set_active(shape.head_in, self.config.classes);
-        self.sample_applied = true;
+        self.candidate = self.active_shape(sample);
     }
 
     /// The candidate `sample` selects, as a value.
@@ -241,40 +233,59 @@ impl VisionSupernet {
         }
     }
 
-    fn forward(&mut self, features: &Matrix) -> Matrix {
-        assert!(self.sample_applied, "apply_sample before forward");
-        let mut x = features.clone();
-        for (layers, &depth) in self.groups.iter_mut().zip(&self.active_depths) {
-            for layer in layers.iter_mut().take(depth) {
-                x = layer.forward(&x);
+    /// The forward pass of the candidate `shape` on `features`, reading
+    /// the network without changing it; returns the tape, which holds the
+    /// logits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the empty shape (no sample applied) or if the batch shape
+    /// is inconsistent.
+    fn forward(&self, shape: &VisionShape, features: &Matrix) -> VisionTape {
+        assert_eq!(
+            shape.groups.len(),
+            self.groups.len(),
+            "apply_sample before forward"
+        );
+        let mut layers: Vec<(Matrix, Matrix)> = Vec::new();
+        for (group, gs) in self.groups.iter().zip(&shape.groups) {
+            for (d, layer) in group.iter().enumerate().take(gs.depth) {
+                let x = layers.last().map_or(features, |(out, _)| out);
+                let pass = layer.forward(x, gs.widths(d), gs.activation);
+                layers.push(pass);
             }
         }
-        self.head.forward(&x)
-    }
-
-    /// [`VisionSupernet::forward`] for the candidate `shape`, reading the
-    /// network without changing it.
-    fn infer(&self, shape: &VisionShape, features: &Matrix) -> Matrix {
-        let mut x = None;
-        for (layers, gs) in self.groups.iter().zip(&shape.groups) {
-            for (d, layer) in layers.iter().enumerate().take(gs.depth) {
-                let input = x.as_ref().unwrap_or(features);
-                x = Some(layer.infer(input, (gs.layer_in(d), gs.width), gs.activation));
-            }
+        let x = layers.last().map_or(features, |(out, _)| out);
+        let head = (shape.head_in, self.config.classes);
+        let (logits, head_pre) = self.head.forward(x, head, Activation::Identity);
+        VisionTape {
+            layers,
+            logits,
+            head_pre,
         }
-        let x = x.as_ref().unwrap_or(features);
-        let head_shape = (shape.head_in, self.config.classes);
-        self.head.infer(x, head_shape, self.head.activation())
     }
 
-    /// One training step (softmax cross-entropy); returns the loss.
+    /// One training step (softmax cross-entropy) on the candidate
+    /// [`VisionSupernet::apply_sample`] recorded; returns the loss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sample was applied or the batch shape is inconsistent.
     pub fn train_step(&mut self, features: &Matrix, labels: &[usize]) -> f32 {
-        let logits = self.forward(features);
-        let (l, grad) = loss::softmax_cross_entropy(&logits, labels);
-        let mut g = self.head.backward(&grad);
-        for (layers, &depth) in self.groups.iter_mut().zip(&self.active_depths).rev() {
-            for layer in layers.iter_mut().take(depth).rev() {
-                g = layer.backward(&g);
+        let shape = &self.candidate;
+        let tape = self.forward(shape, features);
+        let (l, grad) = loss::softmax_cross_entropy(&tape.logits, labels);
+        let x = tape.layers.last().map_or(features, |(out, _)| out);
+        let head = (shape.head_in, self.config.classes);
+        let mut g = self
+            .head
+            .backward(x, &tape.head_pre, &grad, head, Activation::Identity);
+        let mut i = tape.layers.len();
+        for (group, gs) in self.groups.iter_mut().zip(&shape.groups).rev() {
+            for (d, layer) in group.iter_mut().enumerate().take(gs.depth).rev() {
+                i -= 1;
+                let x = i.checked_sub(1).map_or(features, |j| &tape.layers[j].0);
+                g = layer.backward(x, &tape.layers[i].1, &g, gs.widths(d), gs.activation);
             }
         }
         self.optimizer.begin_step();
@@ -290,9 +301,14 @@ impl VisionSupernet {
         l
     }
 
-    /// Evaluates the active candidate; returns `(cross_entropy, accuracy)`.
-    pub fn evaluate(&mut self, features: &Matrix, labels: &[usize]) -> (f32, f64) {
-        let logits = self.forward(features);
+    /// Evaluates the candidate [`VisionSupernet::apply_sample`] recorded;
+    /// returns `(cross_entropy, accuracy)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sample was applied or the batch shape is inconsistent.
+    pub fn evaluate(&self, features: &Matrix, labels: &[usize]) -> (f32, f64) {
+        let logits = self.forward(&self.candidate, features).logits;
         let (ce, _) = loss::softmax_cross_entropy(&logits, labels);
         let mut correct = 0usize;
         for (i, &label) in labels.iter().enumerate() {
@@ -312,9 +328,8 @@ impl VisionSupernet {
 
     /// The mean cross-entropy of the candidate `sample` on a batch: the
     /// bits of [`VisionSupernet::apply_sample`] followed by
-    /// [`VisionSupernet::evaluate`]'s first value, from `&self`. It masks
-    /// nothing and caches nothing, so concurrent calls may share the
-    /// network, and it builds no loss gradient.
+    /// [`VisionSupernet::evaluate`]'s first value, from `&self`, so
+    /// concurrent calls may share the network. It builds no loss gradient.
     ///
     /// # Panics
     ///
@@ -325,14 +340,14 @@ impl VisionSupernet {
         features: &Matrix,
         labels: &[usize],
     ) -> f32 {
-        let logits = self.infer(&self.active_shape(sample), features);
+        let logits = self.forward(&self.active_shape(sample), features).logits;
         loss::softmax_cross_entropy_loss(&logits, labels)
     }
 
     /// Serialises every shared trainable buffer (all group layers, the
     /// head, and the optimizer moments) into a bit-exact blob for
-    /// checkpointing. Masks and activations are transient — the next
-    /// [`VisionSupernet::apply_sample`] restores them.
+    /// checkpointing. The recorded candidate is not written: the next
+    /// [`VisionSupernet::apply_sample`] records one.
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
         for layers in &self.groups {
@@ -383,23 +398,28 @@ struct VisionGroupShape {
 }
 
 impl VisionGroupShape {
-    /// Active input width of layer `d`.
-    fn layer_in(&self, d: usize) -> usize {
-        if d == 0 {
-            self.input
-        } else {
-            self.width
-        }
+    /// Active `(in, out)` widths of layer `d`.
+    fn widths(&self, d: usize) -> (usize, usize) {
+        (if d == 0 { self.input } else { self.width }, self.width)
     }
 }
 
-/// The sub-network of one sample: what [`VisionSupernet::apply_sample`]
-/// writes into the layers, as a value.
-#[derive(Debug, Clone)]
+/// The sub-network of one sample. The default, empty shape stands for no
+/// candidate, and [`VisionSupernet::forward`] rejects it.
+#[derive(Debug, Clone, Default)]
 struct VisionShape {
     groups: Vec<VisionGroupShape>,
     /// Active input width of the head.
     head_in: usize,
+}
+
+/// What one forward over a candidate keeps for its backward pass: each
+/// active layer's output and pre-activation, in order, then the head's.
+#[derive(Debug)]
+struct VisionTape {
+    layers: Vec<(Matrix, Matrix)>,
+    logits: Matrix,
+    head_pre: Matrix,
 }
 
 /// Every Adam-trained buffer with its gradient, in optimizer slot order:
@@ -432,7 +452,7 @@ mod tests {
 
         /// The pure quality of a random candidate equals `apply_sample`
         /// then `evaluate().0` bit for bit, on random batches, whatever
-        /// candidate the network was last masked to and after training
+        /// candidate the network last recorded and after training
         /// steps have moved the weights; and it leaves the network as it
         /// was.
         fn cross_entropy_of_matches_apply_sample_then_evaluate(seed in 0u64..u64::MAX) {
@@ -520,13 +540,14 @@ mod tests {
     }
 
     #[test]
-    fn width_changes_active_param_count() {
-        let mut net = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng());
-        net.apply_sample(&vec![1, 0, 0, 1, 0, 0]); // -3 width steps
-        let small = net.active_param_count();
-        net.apply_sample(&vec![1, 5, 0, 1, 5, 0]); // +3 width steps
-        let big = net.active_param_count();
+    fn width_changes_param_count_of() {
+        let net = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng());
+        let small = net.param_count_of(&vec![1, 0, 0, 1, 0, 0]); // -3 width steps
+        let big = net.param_count_of(&vec![1, 5, 0, 1, 5, 0]); // +3 width steps
         assert!(big > small, "{big} vs {small}");
+        // Neutral depth, widths 16 and 8 after -2 steps: 16·16 + 16·8 + 8·4
+        // weights plus 16 + 8 + 4 biases.
+        assert_eq!(net.param_count_of(&vec![1, 1, 0, 1, 1, 0]), 444);
     }
 
     #[test]

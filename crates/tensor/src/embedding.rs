@@ -7,6 +7,10 @@
 //! * **Vocabulary sharing (coarse-grained, ② in Fig. 3):** each vocabulary
 //!   size is a *separate* table to avoid harmful interference between
 //!   candidates — see [`SharedEmbeddingBank`].
+//!
+//! Like the dense layers, a table holds no candidate: its one lookup takes
+//! the candidate's width (and, for a bank, vocabulary choice) as
+//! arguments, and `backward` takes the same ids and shape.
 
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::Matrix;
@@ -22,15 +26,13 @@ use std::collections::BTreeMap;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut table = EmbeddingTable::new(100, 16, &mut rng);
-/// table.set_active_width(8);
-/// let out = table.lookup_bag(&[vec![1, 5], vec![7]]);
+/// let table = EmbeddingTable::new(100, 16, &mut rng);
+/// let out = table.lookup_bag(&[vec![1, 5], vec![7]], 8);
 /// assert_eq!(out.shape(), (2, 8));
 /// ```
 #[derive(Debug, Clone)]
 pub struct EmbeddingTable {
     weights: Matrix,
-    active_width: usize,
     grad_rows: BTreeMap<usize, Vec<f32>>,
 }
 
@@ -49,7 +51,6 @@ impl EmbeddingTable {
         let weights = Matrix::from_fn(vocab, max_width, |_, _| rng.gen_range(-scale..scale));
         Self {
             weights,
-            active_width: max_width,
             grad_rows: BTreeMap::new(),
         }
     }
@@ -64,41 +65,17 @@ impl EmbeddingTable {
         self.weights.cols()
     }
 
-    /// Currently active width.
-    pub fn active_width(&self) -> usize {
-        self.active_width
-    }
-
-    /// Masks the table to the first `width` embedding dimensions
-    /// (fine-grained weight sharing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or exceeds the allocated width.
-    pub fn set_active_width(&mut self, width: usize) {
-        assert!(
-            width >= 1 && width <= self.weights.cols(),
-            "width {width} out of range"
-        );
-        self.active_width = width;
-    }
-
-    /// Sum-pools the embeddings of each example's indices ("bag" lookup, as
-    /// in DLRM sparse features). Returns a `(batch, active_width)` matrix.
+    /// Sum-pools the first `width` dimensions of each example's embeddings
+    /// ("bag" lookup, as in DLRM sparse features). Returns a
+    /// `(batch, width)` matrix.
     ///
     /// Out-of-vocabulary indices are mapped to row `index % vocab`, the usual
     /// hashing-trick behaviour of production DLRM pipelines.
-    pub fn lookup_bag(&self, batch: &[Vec<usize>]) -> Matrix {
-        self.infer_bag(batch, self.active_width)
-    }
-
-    /// [`EmbeddingTable::lookup_bag`] at an explicit width, so a caller can
-    /// look up a candidate's embeddings without masking the table.
     ///
     /// # Panics
     ///
     /// Panics if `width` is zero or exceeds the allocated width.
-    pub fn infer_bag(&self, batch: &[Vec<usize>], width: usize) -> Matrix {
+    pub fn lookup_bag(&self, batch: &[Vec<usize>], width: usize) -> Matrix {
         assert!(
             width >= 1 && width <= self.weights.cols(),
             "width {width} out of range"
@@ -116,15 +93,15 @@ impl EmbeddingTable {
         out
     }
 
-    /// Accumulates sparse gradients for the rows that `batch`, the ids of
-    /// the preceding [`EmbeddingTable::lookup_bag`], touched.
+    /// Accumulates sparse gradients for the rows that `batch`, the ids of a
+    /// [`EmbeddingTable::lookup_bag`] at `width`, touched.
     ///
     /// # Panics
     ///
     /// Panics if `grad_out` does not have the lookup's shape.
-    pub fn backward(&mut self, grad_out: &Matrix, batch: &[Vec<usize>]) {
+    pub fn backward(&mut self, grad_out: &Matrix, batch: &[Vec<usize>], width: usize) {
         assert_eq!(grad_out.rows(), batch.len().max(1), "grad rows mismatch");
-        assert_eq!(grad_out.cols(), self.active_width, "grad cols mismatch");
+        assert_eq!(grad_out.cols(), width, "grad cols mismatch");
         for (i, indices) in batch.iter().enumerate() {
             let g_row = grad_out.row(i);
             for &idx in indices {
@@ -133,7 +110,7 @@ impl EmbeddingTable {
                     .grad_rows
                     .entry(idx)
                     .or_insert_with(|| vec![0.0; self.weights.cols()]);
-                for (g, &d) in entry[..self.active_width].iter_mut().zip(g_row) {
+                for (g, &d) in entry[..width].iter_mut().zip(g_row) {
                     *g += d;
                 }
             }
@@ -159,15 +136,10 @@ impl EmbeddingTable {
         self.grad_rows.len()
     }
 
-    /// Parameter count at the active width.
-    pub fn active_param_count(&self) -> usize {
-        self.weights.rows() * self.active_width
-    }
-
     /// Serialises the full embedding matrix for checkpointing. Pending
-    /// sparse gradients and the active width are transient per-step state
-    /// and are not written (checkpoints are taken at step boundaries, where
-    /// gradients have been applied and cleared).
+    /// sparse gradients are transient per-step state and are not written
+    /// (checkpoints are taken at step boundaries, where gradients have been
+    /// applied and cleared).
     pub fn write_state(&self, w: &mut StateWriter) {
         w.put_f32_slice(self.weights.as_slice());
     }
@@ -191,8 +163,6 @@ impl EmbeddingTable {
 #[derive(Debug, Clone)]
 pub struct SharedEmbeddingBank {
     tables: Vec<EmbeddingTable>,
-    vocab_sizes: Vec<usize>,
-    active_table: usize,
 }
 
 impl SharedEmbeddingBank {
@@ -214,66 +184,39 @@ impl SharedEmbeddingBank {
                 EmbeddingTable::new(v, max_width, rng)
             })
             .collect();
-        Self {
-            tables,
-            vocab_sizes: vocab_sizes.to_vec(),
-            active_table: 0,
-        }
+        Self { tables }
     }
 
-    /// The vocabulary-size candidates.
-    pub fn vocab_sizes(&self) -> &[usize] {
-        &self.vocab_sizes
-    }
-
-    /// Selects the active `(vocab_choice, width)` for a sampled candidate.
+    /// Bag lookup through the table of `vocab_choice` at `width`.
     ///
     /// # Panics
     ///
     /// Panics if `vocab_choice` is out of range or `width` invalid.
-    pub fn set_active(&mut self, vocab_choice: usize, width: usize) {
+    pub fn lookup_bag(&self, batch: &[Vec<usize>], vocab_choice: usize, width: usize) -> Matrix {
         assert!(
             vocab_choice < self.tables.len(),
             "vocab choice out of range"
         );
-        self.active_table = vocab_choice;
-        self.tables[vocab_choice].set_active_width(width);
+        self.tables[vocab_choice].lookup_bag(batch, width)
     }
 
-    /// The currently selected table.
-    pub fn active(&self) -> &EmbeddingTable {
-        &self.tables[self.active_table]
+    /// Backward through the table of `vocab_choice`, for the ids and shape
+    /// of a [`SharedEmbeddingBank::lookup_bag`].
+    pub fn backward(
+        &mut self,
+        grad_out: &Matrix,
+        batch: &[Vec<usize>],
+        vocab_choice: usize,
+        width: usize,
+    ) {
+        self.tables[vocab_choice].backward(grad_out, batch, width);
     }
 
-    /// Bag lookup through the active table.
-    pub fn lookup_bag(&self, batch: &[Vec<usize>]) -> Matrix {
-        self.tables[self.active_table].lookup_bag(batch)
-    }
-
-    /// Bag lookup through the table of `vocab_choice` at `width`, without
-    /// selecting it: what [`SharedEmbeddingBank::set_active`] followed by
-    /// [`SharedEmbeddingBank::lookup_bag`] returns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vocab_choice` is out of range or `width` invalid.
-    pub fn infer_bag(&self, vocab_choice: usize, width: usize, batch: &[Vec<usize>]) -> Matrix {
-        assert!(
-            vocab_choice < self.tables.len(),
-            "vocab choice out of range"
-        );
-        self.tables[vocab_choice].infer_bag(batch, width)
-    }
-
-    /// Backward through the active table, for the ids of the preceding
-    /// lookup.
-    pub fn backward(&mut self, grad_out: &Matrix, batch: &[Vec<usize>]) {
-        self.tables[self.active_table].backward(grad_out, batch);
-    }
-
-    /// Sparse SGD on the active table.
+    /// Sparse SGD on the rows that backward touched since the last call.
     pub fn apply_sparse_sgd(&mut self, lr: f32) {
-        self.tables[self.active_table].apply_sparse_sgd(lr);
+        for table in &mut self.tables {
+            table.apply_sparse_sgd(lr);
+        }
     }
 
     /// Serialises every table in the bank, in vocabulary order.
@@ -309,7 +252,7 @@ mod tests {
     #[test]
     fn lookup_bag_sums_rows() {
         let t = EmbeddingTable::new(10, 4, &mut rng());
-        let out = t.lookup_bag(&[vec![2, 2]]);
+        let out = t.lookup_bag(&[vec![2, 2]], 4);
         let expected: Vec<f32> = t.weights.row(2).iter().map(|w| 2.0 * w).collect();
         for (o, e) in out.row(0).iter().zip(&expected) {
             assert!((o - e).abs() < 1e-6);
@@ -318,9 +261,8 @@ mod tests {
 
     #[test]
     fn masked_width_truncates_output() {
-        let mut t = EmbeddingTable::new(10, 8, &mut rng());
-        t.set_active_width(3);
-        let out = t.lookup_bag(&[vec![0]]);
+        let t = EmbeddingTable::new(10, 8, &mut rng());
+        let out = t.lookup_bag(&[vec![0]], 3);
         assert_eq!(out.shape(), (1, 3));
         assert_eq!(out.row(0), &t.weights.row(0)[..3]);
     }
@@ -328,8 +270,8 @@ mod tests {
     #[test]
     fn oov_indices_hash_into_vocab() {
         let t = EmbeddingTable::new(4, 2, &mut rng());
-        let a = t.lookup_bag(&[vec![1]]);
-        let b = t.lookup_bag(&[vec![5]]); // 5 % 4 == 1
+        let a = t.lookup_bag(&[vec![1]], 2);
+        let b = t.lookup_bag(&[vec![5]], 2); // 5 % 4 == 1
         assert_eq!(a, b);
     }
 
@@ -337,8 +279,8 @@ mod tests {
     fn backward_accumulates_only_touched_rows() {
         let mut t = EmbeddingTable::new(10, 4, &mut rng());
         let ids = [vec![3], vec![7]];
-        let out = t.lookup_bag(&ids);
-        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &ids);
+        let out = t.lookup_bag(&ids, 4);
+        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &ids, 4);
         assert_eq!(t.pending_grad_rows(), 2);
     }
 
@@ -346,8 +288,8 @@ mod tests {
     fn sparse_sgd_moves_weights_against_gradient() {
         let mut t = EmbeddingTable::new(5, 2, &mut rng());
         let before = t.weights.row(1).to_vec();
-        let out = t.lookup_bag(&[vec![1]]);
-        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &[vec![1]]);
+        let out = t.lookup_bag(&[vec![1]], 2);
+        t.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &[vec![1]], 2);
         t.apply_sparse_sgd(0.1);
         let after = t.weights.row(1);
         for (b, a) in before.iter().zip(after) {
@@ -358,37 +300,29 @@ mod tests {
 
     #[test]
     fn widths_share_leading_dimensions() {
-        let mut t = EmbeddingTable::new(6, 8, &mut rng());
-        t.set_active_width(8);
-        let wide = t.lookup_bag(&[vec![2]]);
-        t.set_active_width(4);
-        let narrow = t.lookup_bag(&[vec![2]]);
+        let t = EmbeddingTable::new(6, 8, &mut rng());
+        let wide = t.lookup_bag(&[vec![2]], 8);
+        let narrow = t.lookup_bag(&[vec![2]], 4);
         assert_eq!(&wide.row(0)[..4], narrow.row(0));
     }
 
     #[test]
     fn bank_isolates_vocab_candidates() {
         let mut bank = SharedEmbeddingBank::new(&[4, 8], 4, &mut rng());
-        bank.set_active(0, 4);
-        let out = bank.lookup_bag(&[vec![1]]);
-        bank.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &[vec![1]]);
+        let untouched = bank.tables[1].weights.clone();
+        let out = bank.lookup_bag(&[vec![1]], 0, 4);
+        bank.backward(&Matrix::full(out.rows(), out.cols(), 1.0), &[vec![1]], 0, 4);
+        assert_eq!(bank.tables[0].pending_grad_rows(), 1);
+        // The other vocabulary size gets no gradient and keeps its weights.
+        assert_eq!(bank.tables[1].pending_grad_rows(), 0);
         bank.apply_sparse_sgd(0.5);
-        // Switching to the other vocabulary size must see untouched weights.
-        bank.set_active(1, 4);
-        assert_eq!(bank.active().pending_grad_rows(), 0);
+        assert_eq!(bank.tables[1].weights, untouched);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_zero_width() {
-        let mut t = EmbeddingTable::new(4, 4, &mut rng());
-        t.set_active_width(0);
-    }
-
-    #[test]
-    fn active_param_count_tracks_width() {
-        let mut t = EmbeddingTable::new(100, 16, &mut rng());
-        t.set_active_width(8);
-        assert_eq!(t.active_param_count(), 800);
+        let t = EmbeddingTable::new(4, 4, &mut rng());
+        t.lookup_bag(&[vec![0]], 0);
     }
 }

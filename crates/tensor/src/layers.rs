@@ -10,6 +10,13 @@
 //! * [`LowRankDense`] — a `U·V` factorised layer whose active rank is
 //!   searchable; ranks share the leading columns/rows of `U`/`V`
 //!   (fine-grained sharing for low-rank candidates, ④ in Fig. 3).
+//!
+//! A layer holds its weights and their gradients, nothing about a
+//! candidate. Its one forward pass reads it through `&self`, takes the
+//! candidate's active shape as arguments, and returns the output with a
+//! *tape*: the pre-activation, plus `x·U` for the low-rank layer. The
+//! caller keeps the layer's input, so `backward` takes that input, the
+//! tape and the same shape. Any number of forwards may share a layer.
 
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::{Activation, Matrix};
@@ -29,8 +36,10 @@ use rand::Rng;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
 /// let x = Matrix::zeros(4, 3);
-/// let y = layer.forward(&x);
+/// let (y, pre) = layer.forward(&x);
 /// assert_eq!(y.shape(), (4, 2));
+/// let grad_x = layer.backward(&x, &pre, &Matrix::full(4, 2, 1.0));
+/// assert_eq!(grad_x.shape(), (4, 3));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -39,8 +48,6 @@ pub struct Dense {
     activation: Activation,
     grad_w: Matrix,
     grad_b: Vec<f32>,
-    cached_input: Option<Matrix>,
-    cached_pre: Option<Matrix>,
 }
 
 impl Dense {
@@ -52,8 +59,6 @@ impl Dense {
             activation,
             grad_w: Matrix::zeros(n_in, n_out),
             grad_b: vec![0.0; n_out],
-            cached_input: None,
-            cached_pre: None,
         }
     }
 
@@ -82,38 +87,17 @@ impl Dense {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
-    /// Forward pass; caches activations for the next [`Dense::backward`].
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
+    /// Forward pass: the output `act(x·W + b)`, and the pre-activation
+    /// `x·W + b` that [`Dense::backward`] takes.
+    pub fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
         let pre = x.matmul(&self.w).add_row_broadcast(&self.b);
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_input = Some(x.clone());
-        self.cached_pre = Some(pre);
-        out
+        (self.activation.apply_matrix(&pre), pre)
     }
 
-    /// Forward pass without caching (inference only).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let pre = x.matmul(&self.w).add_row_broadcast(&self.b);
-        self.activation.apply_matrix(&pre)
-    }
-
-    /// Backward pass. Accumulates parameter gradients and returns the
+    /// Backward pass for the input `x` and pre-activation `pre` of a
+    /// [`Dense::forward`]. Accumulates parameter gradients and returns the
     /// gradient w.r.t. the layer input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Dense::forward`].
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let pre = self.cached_pre.as_ref().expect("backward before forward");
+    pub fn backward(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) -> Matrix {
         let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
         self.grad_w.add_scaled_assign(&x.matmul_tn(&d_pre), 1.0);
         for (g, s) in self.grad_b.iter_mut().zip(d_pre.col_sums()) {
@@ -141,37 +125,26 @@ impl Dense {
 /// A fine-grained weight-sharing dense layer.
 ///
 /// One weight matrix is allocated at the maximum searchable size
-/// `(max_in, max_out)`; a candidate with a smaller layer width re-uses the
-/// upper-left `(active_in, active_out)` sub-matrix and masks the rest — the
-/// MLP weight-sharing scheme of the H2O-NAS DLRM super-network (③ in
-/// Fig. 3 of the paper).
+/// `(max_in, max_out)`; a candidate with a smaller layer width uses the
+/// upper-left `(active_in, active_out)` sub-matrix, and the activation is a
+/// candidate's choice too — the MLP weight-sharing scheme of the H2O-NAS
+/// DLRM super-network (③ in Fig. 3 of the paper).
 #[derive(Debug, Clone)]
 pub struct MaskedDense {
     w: Matrix,
     b: Vec<f32>,
-    activation: Activation,
     grad_w: Matrix,
     grad_b: Vec<f32>,
-    active_in: usize,
-    active_out: usize,
-    cached_input: Option<Matrix>,
-    cached_pre: Option<Matrix>,
 }
 
 impl MaskedDense {
-    /// Creates a layer sized for the largest candidate; initially the full
-    /// matrix is active.
-    pub fn new(max_in: usize, max_out: usize, activation: Activation, rng: &mut impl Rng) -> Self {
+    /// Creates a layer sized for the largest candidate.
+    pub fn new(max_in: usize, max_out: usize, rng: &mut impl Rng) -> Self {
         Self {
             w: Matrix::xavier(max_in, max_out, rng),
             b: vec![0.0; max_out],
-            activation,
             grad_w: Matrix::zeros(max_in, max_out),
             grad_b: vec![0.0; max_out],
-            active_in: max_in,
-            active_out: max_out,
-            cached_input: None,
-            cached_pre: None,
         }
     }
 
@@ -185,87 +158,41 @@ impl MaskedDense {
         self.w.cols()
     }
 
-    /// Currently active `(in, out)` sub-matrix shape.
-    pub fn active_shape(&self) -> (usize, usize) {
-        (self.active_in, self.active_out)
-    }
-
-    /// Selects the active sub-matrix for the sampled candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested shape exceeds the allocated maximum or is zero.
-    pub fn set_active(&mut self, active_in: usize, active_out: usize) {
-        assert!(
-            active_in >= 1 && active_in <= self.w.rows(),
-            "active_in {active_in} out of range 1..={}",
-            self.w.rows()
-        );
-        assert!(
-            active_out >= 1 && active_out <= self.w.cols(),
-            "active_out {active_out} out of range 1..={}",
-            self.w.cols()
-        );
-        self.active_in = active_in;
-        self.active_out = active_out;
-    }
-
-    /// Replaces the activation function — lets a super-network make the
-    /// activation itself a searchable decision over shared weights.
-    pub fn set_activation(&mut self, activation: Activation) {
-        self.activation = activation;
-    }
-
-    /// The layer's activation function.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
-    /// Copies the active sub-matrix into a standalone [`Dense`] layer — used
-    /// to materialise the final architecture after a search.
-    pub fn extract_dense(&self, rng: &mut impl Rng) -> Dense {
-        let mut d = Dense::new(self.active_in, self.active_out, self.activation, rng);
-        let mut w = Matrix::zeros(self.active_in, self.active_out);
-        for r in 0..self.active_in {
-            w.row_mut(r)
-                .copy_from_slice(&self.w.row(r)[..self.active_out]);
+    /// Copies the `(active_in, active_out)` sub-matrix into a standalone
+    /// [`Dense`] layer with `activation` — used to materialise the final
+    /// architecture after a search.
+    pub fn extract_dense(
+        &self,
+        (active_in, active_out): (usize, usize),
+        activation: Activation,
+        rng: &mut impl Rng,
+    ) -> Dense {
+        let mut d = Dense::new(active_in, active_out, activation, rng);
+        let mut w = Matrix::zeros(active_in, active_out);
+        for r in 0..active_in {
+            w.row_mut(r).copy_from_slice(&self.w.row(r)[..active_out]);
         }
         // Overwrite the randomly initialised weights with the shared ones.
         d.w = w;
-        d.b = self.b[..self.active_out].to_vec();
+        d.b = self.b[..active_out].to_vec();
         d
     }
 
-    /// Forward pass over the active sub-matrix.
-    ///
-    /// The input must have `active_in` columns (padding/truncation is the
-    /// caller's responsibility, matching the super-network contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != active_in`.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let pre = self.pre_activation(x, (self.active_in, self.active_out));
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_input = Some(x.clone());
-        self.cached_pre = Some(pre);
-        out
-    }
-
-    /// [`MaskedDense::forward`] for an explicit `(active_in, active_out)`
-    /// sub-matrix and activation, reading the layer without changing it:
-    /// the same arithmetic, minus what backward needs.
+    /// Forward pass over the upper-left `(active_in, active_out)`
+    /// sub-matrix: the output `act(x·W[..active_in, ..active_out] +
+    /// b[..active_out])`, and the pre-activation that
+    /// [`MaskedDense::backward`] takes.
     ///
     /// # Panics
     ///
     /// Panics if the shape is zero or exceeds the allocated maximum, or if
     /// `x.cols() != active_in`.
-    pub fn infer(&self, x: &Matrix, shape: (usize, usize), activation: Activation) -> Matrix {
-        activation.apply_matrix(&self.pre_activation(x, shape))
-    }
-
-    /// `x · W[..active_in, ..active_out] + b[..active_out]`.
-    fn pre_activation(&self, x: &Matrix, (active_in, active_out): (usize, usize)) -> Matrix {
+    pub fn forward(
+        &self,
+        x: &Matrix,
+        (active_in, active_out): (usize, usize),
+        activation: Activation,
+    ) -> (Matrix, Matrix) {
         assert!(
             (1..=self.w.rows()).contains(&active_in) && (1..=self.w.cols()).contains(&active_out),
             "active shape ({active_in}, {active_out}) out of range"
@@ -285,28 +212,33 @@ impl MaskedDense {
                 }
             }
         }
-        pre.add_row_broadcast(&self.b[..active_out])
+        let pre = pre.add_row_broadcast(&self.b[..active_out]);
+        (activation.apply_matrix(&pre), pre)
     }
 
-    /// Backward pass over the active sub-matrix. Gradients outside the active
-    /// region are untouched (those weights were not used).
+    /// Backward pass for the input `x` and pre-activation `pre` of a
+    /// [`MaskedDense::forward`] at the same shape and activation. Gradients
+    /// outside the active region are untouched (those weights were not
+    /// used).
     ///
     /// # Panics
     ///
-    /// Panics if called before [`MaskedDense::forward`].
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let pre = self.cached_pre.as_ref().expect("backward before forward");
+    /// Panics if `x`, `pre` or `grad_out` does not fit the shape.
+    pub fn backward(
+        &mut self,
+        x: &Matrix,
+        pre: &Matrix,
+        grad_out: &Matrix,
+        (active_in, active_out): (usize, usize),
+        activation: Activation,
+    ) -> Matrix {
+        assert_eq!(
+            (x.cols(), pre.cols()),
+            (active_in, active_out),
+            "tape shape mismatch"
+        );
         assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
-        let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
+        let d_pre = grad_out.hadamard(&activation.derivative_matrix(pre));
         // grad_w[k, j] += sum_i x[i, k] * d_pre[i, j]  (active region only)
         for i in 0..x.rows() {
             let x_row = x.row(i);
@@ -315,20 +247,17 @@ impl MaskedDense {
                 if xv == 0.0 {
                     continue;
                 }
-                let g_row = &mut self.grad_w.row_mut(k)[..self.active_out];
+                let g_row = &mut self.grad_w.row_mut(k)[..active_out];
                 for (g, &d) in g_row.iter_mut().zip(d_row) {
                     *g += xv * d;
                 }
             }
         }
-        for (g, s) in self.grad_b[..self.active_out]
-            .iter_mut()
-            .zip(d_pre.col_sums())
-        {
+        for (g, s) in self.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
         // grad_x = d_pre · W[:active_in, :active_out]ᵀ
-        d_pre.matmul_nt_block(&self.w, self.active_in, self.active_out)
+        d_pre.matmul_nt_block(&self.w, active_in, active_out)
     }
 
     /// Clears accumulated gradients.
@@ -346,8 +275,8 @@ impl MaskedDense {
     }
 
     /// Serialises the trainable buffers (full weight matrix and bias) for
-    /// checkpointing. Gradients, activation caches, and the active mask are
-    /// transient per-step state and are not written.
+    /// checkpointing. Gradients are transient per-step state and are not
+    /// written.
     pub fn write_state(&self, w: &mut StateWriter) {
         w.put_f32_slice(self.w.as_slice());
         w.put_f32_slice(&self.b);
@@ -381,12 +310,14 @@ pub struct LowRankDense {
     grad_u: Matrix,
     grad_v: Matrix,
     grad_b: Vec<f32>,
-    active_rank: usize,
-    active_in: usize,
-    active_out: usize,
-    cached_input: Option<Matrix>,
-    cached_hidden: Option<Matrix>,
-    cached_pre: Option<Matrix>,
+}
+
+/// What [`LowRankDense::forward`] keeps for [`LowRankDense::backward`]: the
+/// hidden product `x·U` and the pre-activation.
+#[derive(Debug)]
+pub struct LowRankTape {
+    hidden: Matrix,
+    pre: Matrix,
 }
 
 impl LowRankDense {
@@ -411,12 +342,6 @@ impl LowRankDense {
             grad_u: Matrix::zeros(n_in, max_rank),
             grad_v: Matrix::zeros(max_rank, n_out),
             grad_b: vec![0.0; n_out],
-            active_rank: max_rank,
-            active_in: n_in,
-            active_out: n_out,
-            cached_input: None,
-            cached_hidden: None,
-            cached_pre: None,
         }
     }
 
@@ -425,90 +350,21 @@ impl LowRankDense {
         self.u.cols()
     }
 
-    /// Currently active rank.
-    pub fn active_rank(&self) -> usize {
-        self.active_rank
-    }
-
-    /// Selects the active rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is zero or exceeds the allocated maximum.
-    pub fn set_active_rank(&mut self, rank: usize) {
-        assert!(
-            rank >= 1 && rank <= self.u.cols(),
-            "rank {rank} out of range"
-        );
-        self.active_rank = rank;
-    }
-
-    /// Selects the active `(in, out, rank)` sub-factorisation — the
-    /// super-network masks widths and rank simultaneously.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or exceeds its allocated maximum.
-    pub fn set_active(&mut self, active_in: usize, active_out: usize, rank: usize) {
-        assert!(
-            active_in >= 1 && active_in <= self.u.rows(),
-            "active_in {active_in} out of range"
-        );
-        assert!(
-            active_out >= 1 && active_out <= self.v.cols(),
-            "active_out {active_out} out of range"
-        );
-        self.active_in = active_in;
-        self.active_out = active_out;
-        self.set_active_rank(rank);
-    }
-
-    /// Currently active `(in, out)` widths.
-    pub fn active_shape(&self) -> (usize, usize) {
-        (self.active_in, self.active_out)
-    }
-
-    /// Parameter count at the active rank and widths.
-    pub fn active_param_count(&self) -> usize {
-        self.active_in * self.active_rank + self.active_rank * self.active_out + self.active_out
-    }
-
-    /// Forward pass through the active `(in, out, rank)` sub-factorisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != active_in`.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let shape = (self.active_in, self.active_out);
-        let (hidden, pre) = self.hidden_and_pre(x, shape, self.active_rank);
-        let out = self.activation.apply_matrix(&pre);
-        self.cached_input = Some(x.clone());
-        self.cached_hidden = Some(hidden);
-        self.cached_pre = Some(pre);
-        out
-    }
-
-    /// [`LowRankDense::forward`] for an explicit `(active_in, active_out)`
-    /// shape and rank, reading the layer without changing it: the same
-    /// arithmetic, minus what backward needs.
+    /// Forward pass through the `(active_in, active_out)` sub-factorisation
+    /// at rank `r`: the output `act(x·U[..active_in, ..r]·V[..r,
+    /// ..active_out] + b[..active_out])`, and the tape that
+    /// [`LowRankDense::backward`] takes.
     ///
     /// # Panics
     ///
     /// Panics if a dimension or the rank is zero or exceeds its allocated
     /// maximum, or if `x.cols() != active_in`.
-    pub fn infer(&self, x: &Matrix, shape: (usize, usize), rank: usize) -> Matrix {
-        let (_, pre) = self.hidden_and_pre(x, shape, rank);
-        self.activation.apply_matrix(&pre)
-    }
-
-    /// `hidden = x · U[..active_in, ..r]` and
-    /// `pre = hidden · V[..r, ..active_out] + b[..active_out]`.
-    fn hidden_and_pre(
+    pub fn forward(
         &self,
         x: &Matrix,
         (active_in, active_out): (usize, usize),
         r: usize,
-    ) -> (Matrix, Matrix) {
+    ) -> (Matrix, LowRankTape) {
         assert!(
             (1..=self.u.rows()).contains(&active_in)
                 && (1..=self.v.cols()).contains(&active_out)
@@ -544,62 +400,58 @@ impl LowRankDense {
             }
         }
         let pre = pre.add_row_broadcast(&self.b[..active_out]);
-        (hidden, pre)
+        (
+            self.activation.apply_matrix(&pre),
+            LowRankTape { hidden, pre },
+        )
     }
 
-    /// Backward pass; accumulates gradients for the active rank only.
+    /// Backward pass for the input `x` and tape of a
+    /// [`LowRankDense::forward`] at the same shape and rank; accumulates
+    /// gradients for the active rank only.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`LowRankDense::forward`].
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let x = self.cached_input.as_ref().expect("backward before forward");
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let hidden = self
-            .cached_hidden
-            .as_ref()
-            .expect("backward before forward");
-        #[expect(
-            clippy::expect_used,
-            reason = "documented `# Panics` training-order contract"
-        )]
-        let pre = self.cached_pre.as_ref().expect("backward before forward");
-        let r = self.active_rank;
+    /// Panics if `x`, the tape or `grad_out` does not fit the shape.
+    pub fn backward(
+        &mut self,
+        x: &Matrix,
+        tape: &LowRankTape,
+        grad_out: &Matrix,
+        (active_in, active_out): (usize, usize),
+        r: usize,
+    ) -> Matrix {
+        let LowRankTape { hidden, pre } = tape;
+        assert_eq!(
+            (x.cols(), hidden.cols(), pre.cols()),
+            (active_in, r, active_out),
+            "tape shape mismatch"
+        );
         let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
         // grad_v[:r, :active_out] += hiddenᵀ · d_pre
         let gv = hidden.matmul_tn(&d_pre);
         for k in 0..r {
-            for (g, &d) in self.grad_v.row_mut(k)[..self.active_out]
+            for (g, &d) in self.grad_v.row_mut(k)[..active_out]
                 .iter_mut()
                 .zip(gv.row(k))
             {
                 *g += d;
             }
         }
-        for (g, s) in self.grad_b[..self.active_out]
-            .iter_mut()
-            .zip(d_pre.col_sums())
-        {
+        for (g, s) in self.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
         // d_hidden = d_pre · V[:r, :active_out]ᵀ
-        let d_hidden = d_pre.matmul_nt_block(&self.v, r, self.active_out);
+        let d_hidden = d_pre.matmul_nt_block(&self.v, r, active_out);
         // grad_u[:active_in, :r] += xᵀ · d_hidden
         let gu = x.matmul_tn(&d_hidden);
-        for row in 0..self.active_in {
+        for row in 0..active_in {
             for (g, &d) in self.grad_u.row_mut(row)[..r].iter_mut().zip(gu.row(row)) {
                 *g += d;
             }
         }
         // grad_x = d_hidden · U[:active_in, :r]ᵀ
-        d_hidden.matmul_nt_block(&self.u, self.active_in, r)
+        d_hidden.matmul_nt_block(&self.u, active_in, r)
     }
 
     /// Clears accumulated gradients.
@@ -619,8 +471,7 @@ impl LowRankDense {
     }
 
     /// Serialises the trainable buffers (`U`, `V`, bias) for checkpointing.
-    /// Gradients, caches, and the active rank/widths are transient per-step
-    /// state and are not written.
+    /// Gradients are transient per-step state and are not written.
     pub fn write_state(&self, w: &mut StateWriter) {
         w.put_f32_slice(self.u.as_slice());
         w.put_f32_slice(self.v.as_slice());
@@ -653,11 +504,16 @@ mod tests {
 
     /// `MaskedDense::backward` with its input gradient taken from the scalar
     /// reference product: what the layer must match bit for bit.
-    fn reference_masked_backward(l: &mut MaskedDense, grad_out: &Matrix) -> Matrix {
-        let x = l.cached_input.as_ref().expect("backward before forward");
-        let pre = l.cached_pre.as_ref().expect("backward before forward");
+    fn reference_masked_backward(
+        l: &mut MaskedDense,
+        x: &Matrix,
+        pre: &Matrix,
+        grad_out: &Matrix,
+        (active_in, active_out): (usize, usize),
+        activation: Activation,
+    ) -> Matrix {
         assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
-        let d_pre = grad_out.hadamard(&l.activation.derivative_matrix(pre));
+        let d_pre = grad_out.hadamard(&activation.derivative_matrix(pre));
         for i in 0..x.rows() {
             let x_row = x.row(i);
             let d_row = d_pre.row(i);
@@ -665,47 +521,48 @@ mod tests {
                 if xv == 0.0 {
                     continue;
                 }
-                let g_row = &mut l.grad_w.row_mut(k)[..l.active_out];
+                let g_row = &mut l.grad_w.row_mut(k)[..active_out];
                 for (g, &d) in g_row.iter_mut().zip(d_row) {
                     *g += xv * d;
                 }
             }
         }
-        for (g, s) in l.grad_b[..l.active_out].iter_mut().zip(d_pre.col_sums()) {
+        for (g, s) in l.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
-        reference_matmul_nt_block(&d_pre, &l.w, l.active_in, l.active_out)
+        reference_matmul_nt_block(&d_pre, &l.w, active_in, active_out)
     }
 
     /// `LowRankDense::backward` with `d_hidden` and its input gradient taken
     /// from the scalar reference product: what the layer must match bit for
     /// bit.
-    fn reference_low_rank_backward(l: &mut LowRankDense, grad_out: &Matrix) -> Matrix {
-        let x = l.cached_input.as_ref().expect("backward before forward");
-        let hidden = l.cached_hidden.as_ref().expect("backward before forward");
-        let pre = l.cached_pre.as_ref().expect("backward before forward");
-        let r = l.active_rank;
+    fn reference_low_rank_backward(
+        l: &mut LowRankDense,
+        x: &Matrix,
+        tape: &LowRankTape,
+        grad_out: &Matrix,
+        (active_in, active_out): (usize, usize),
+        r: usize,
+    ) -> Matrix {
+        let LowRankTape { hidden, pre } = tape;
         let d_pre = grad_out.hadamard(&l.activation.derivative_matrix(pre));
         let gv = hidden.matmul_tn(&d_pre);
         for k in 0..r {
-            for (g, &d) in l.grad_v.row_mut(k)[..l.active_out]
-                .iter_mut()
-                .zip(gv.row(k))
-            {
+            for (g, &d) in l.grad_v.row_mut(k)[..active_out].iter_mut().zip(gv.row(k)) {
                 *g += d;
             }
         }
-        for (g, s) in l.grad_b[..l.active_out].iter_mut().zip(d_pre.col_sums()) {
+        for (g, s) in l.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
-        let d_hidden = reference_matmul_nt_block(&d_pre, &l.v, r, l.active_out);
+        let d_hidden = reference_matmul_nt_block(&d_pre, &l.v, r, active_out);
         let gu = x.matmul_tn(&d_hidden);
-        for row in 0..l.active_in {
+        for row in 0..active_in {
             for (g, &d) in l.grad_u.row_mut(row)[..r].iter_mut().zip(gu.row(row)) {
                 *g += d;
             }
         }
-        reference_matmul_nt_block(&d_hidden, &l.u, l.active_in, r)
+        reference_matmul_nt_block(&d_hidden, &l.u, active_in, r)
     }
 
     /// A matrix of [`edge_values`].
@@ -747,18 +604,18 @@ mod tests {
             let activation = ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())];
             let n = rng.gen_range(1usize..6);
             let (max_in, max_out) = (rng.gen_range(1usize..14), rng.gen_range(1usize..14));
-            let (active_in, active_out) = (active_width(&mut rng, max_in), active_width(&mut rng, max_out));
+            let shape = (active_width(&mut rng, max_in), active_width(&mut rng, max_out));
 
-            let mut fast = MaskedDense::new(max_in, max_out, activation, &mut rng);
+            let mut fast = MaskedDense::new(max_in, max_out, &mut rng);
             fast.w = edge_matrix(&mut rng, special, max_in, max_out);
             fast.b = edge_values(&mut rng, special, max_out);
             fast.grad_w = edge_matrix(&mut rng, special, max_in, max_out);
-            fast.set_active(active_in, active_out);
-            fast.forward(&edge_matrix(&mut rng, special, n, active_in));
-            let grad_out = edge_matrix(&mut rng, special, n, active_out);
+            let x = edge_matrix(&mut rng, special, n, shape.0);
+            let (_, pre) = fast.forward(&x, shape, activation);
+            let grad_out = edge_matrix(&mut rng, special, n, shape.1);
             let mut slow = fast.clone();
-            let got = fast.backward(&grad_out);
-            let want = reference_masked_backward(&mut slow, &grad_out);
+            let got = fast.backward(&x, &pre, &grad_out, shape, activation);
+            let want = reference_masked_backward(&mut slow, &x, &pre, &grad_out, shape, activation);
             same_bits("masked grad_x", got.as_slice(), want.as_slice())?;
             same_bits("masked grad_w", fast.grad_w.as_slice(), slow.grad_w.as_slice())?;
             same_bits("masked grad_b", &fast.grad_b, &slow.grad_b)?;
@@ -770,11 +627,11 @@ mod tests {
             fast.v = edge_matrix(&mut rng, special, max_rank, max_out);
             fast.b = edge_values(&mut rng, special, max_out);
             fast.grad_u = edge_matrix(&mut rng, special, max_in, max_rank);
-            fast.set_active(active_in, active_out, rank);
-            fast.forward(&edge_matrix(&mut rng, special, n, active_in));
+            let x = edge_matrix(&mut rng, special, n, shape.0);
+            let (_, tape) = fast.forward(&x, shape, rank);
             let mut slow = fast.clone();
-            let got = fast.backward(&grad_out);
-            let want = reference_low_rank_backward(&mut slow, &grad_out);
+            let got = fast.backward(&x, &tape, &grad_out, shape, rank);
+            let want = reference_low_rank_backward(&mut slow, &x, &tape, &grad_out, shape, rank);
             same_bits("low-rank grad_x", got.as_slice(), want.as_slice())?;
             same_bits("low-rank grad_u", fast.grad_u.as_slice(), slow.grad_u.as_slice())?;
             same_bits("low-rank grad_v", fast.grad_v.as_slice(), slow.grad_v.as_slice())?;
@@ -785,9 +642,9 @@ mod tests {
     #[test]
     fn dense_forward_shape() {
         let mut r = rng();
-        let mut d = Dense::new(5, 3, Activation::Relu, &mut r);
+        let d = Dense::new(5, 3, Activation::Relu, &mut r);
         let x = Matrix::xavier(7, 5, &mut r);
-        assert_eq!(d.forward(&x).shape(), (7, 3));
+        assert_eq!(d.forward(&x).0.shape(), (7, 3));
     }
 
     #[test]
@@ -796,17 +653,17 @@ mod tests {
         let mut d = Dense::new(3, 2, Activation::Tanh, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
         // loss = sum(out); grad_out = ones
-        let out = d.forward(&x);
+        let (out, pre) = d.forward(&x);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
         d.zero_grad();
-        d.backward(&ones);
+        d.backward(&x, &pre, &ones);
         let analytic = d.grad_w.get(1, 1);
         let eps = 1e-3;
         let orig = d.w.get(1, 1);
         d.w.set(1, 1, orig + eps);
-        let lp: f32 = d.infer(&x).as_slice().iter().sum();
+        let lp: f32 = d.forward(&x).0.as_slice().iter().sum();
         d.w.set(1, 1, orig - eps);
-        let lm: f32 = d.infer(&x).as_slice().iter().sum();
+        let lm: f32 = d.forward(&x).0.as_slice().iter().sum();
         d.w.set(1, 1, orig);
         let numeric = (lp - lm) / (2.0 * eps);
         assert!((analytic - numeric).abs() < 1e-2, "{analytic} vs {numeric}");
@@ -815,12 +672,11 @@ mod tests {
     #[test]
     fn masked_dense_equals_extracted_dense() {
         let mut r = rng();
-        let mut md = MaskedDense::new(8, 8, Activation::Swish, &mut r);
-        md.set_active(5, 3);
+        let md = MaskedDense::new(8, 8, &mut r);
         let x = Matrix::xavier(4, 5, &mut r);
-        let got = md.forward(&x);
-        let dense = md.extract_dense(&mut rng());
-        let expected = dense.infer(&x);
+        let (got, _) = md.forward(&x, (5, 3), Activation::Swish);
+        let dense = md.extract_dense((5, 3), Activation::Swish, &mut rng());
+        let (expected, _) = dense.forward(&x);
         for (a, b) in got.as_slice().iter().zip(expected.as_slice()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -829,11 +685,11 @@ mod tests {
     #[test]
     fn masked_dense_gradients_confined_to_active_region() {
         let mut r = rng();
-        let mut md = MaskedDense::new(6, 6, Activation::Relu, &mut r);
-        md.set_active(3, 2);
+        let mut md = MaskedDense::new(6, 6, &mut r);
         let x = Matrix::full(2, 3, 1.0);
-        let out = md.forward(&x);
-        md.backward(&Matrix::full(out.rows(), out.cols(), 1.0));
+        let (out, pre) = md.forward(&x, (3, 2), Activation::Relu);
+        let ones = Matrix::full(out.rows(), out.cols(), 1.0);
+        md.backward(&x, &pre, &ones, (3, 2), Activation::Relu);
         // Gradients outside the 3x2 active region must be exactly zero.
         for row in 0..6 {
             for col in 0..6 {
@@ -848,16 +704,16 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn masked_dense_rejects_oversized_activation() {
         let mut r = rng();
-        let mut md = MaskedDense::new(4, 4, Activation::Relu, &mut r);
-        md.set_active(5, 2);
+        let md = MaskedDense::new(4, 4, &mut r);
+        md.forward(&Matrix::zeros(1, 5), (5, 2), Activation::Relu);
     }
 
     #[test]
     fn low_rank_full_rank_matches_product() {
         let mut r = rng();
-        let mut lr = LowRankDense::new(4, 3, 4, Activation::Identity, &mut r);
+        let lr = LowRankDense::new(4, 3, 4, Activation::Identity, &mut r);
         let x = Matrix::xavier(2, 4, &mut r);
-        let got = lr.forward(&x);
+        let (got, _) = lr.forward(&x, (4, 3), 4);
         let expected = x.matmul(&lr.u).matmul(&lr.v).add_row_broadcast(&lr.b);
         for (a, b) in got.as_slice().iter().zip(expected.as_slice()) {
             assert!((a - b).abs() < 1e-4);
@@ -867,20 +723,11 @@ mod tests {
     #[test]
     fn low_rank_reduced_rank_changes_output() {
         let mut r = rng();
-        let mut lr = LowRankDense::new(4, 3, 4, Activation::Identity, &mut r);
+        let lr = LowRankDense::new(4, 3, 4, Activation::Identity, &mut r);
         let x = Matrix::xavier(2, 4, &mut r);
-        let full = lr.forward(&x);
-        lr.set_active_rank(1);
-        let reduced = lr.forward(&x);
+        let (full, _) = lr.forward(&x, (4, 3), 4);
+        let (reduced, _) = lr.forward(&x, (4, 3), 1);
         assert_ne!(full, reduced);
-    }
-
-    #[test]
-    fn low_rank_param_count_scales_with_rank() {
-        let mut r = rng();
-        let mut lr = LowRankDense::new(10, 8, 6, Activation::Relu, &mut r);
-        lr.set_active_rank(2);
-        assert_eq!(lr.active_param_count(), 10 * 2 + 2 * 8 + 8);
     }
 
     #[test]
@@ -888,16 +735,17 @@ mod tests {
         let mut r = rng();
         let mut lr = LowRankDense::new(3, 2, 2, Activation::Identity, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
-        let out = lr.forward(&x);
+        let (out, tape) = lr.forward(&x, (3, 2), 2);
         lr.zero_grad();
-        lr.backward(&Matrix::full(out.rows(), out.cols(), 1.0));
+        let ones = Matrix::full(out.rows(), out.cols(), 1.0);
+        lr.backward(&x, &tape, &ones, (3, 2), 2);
         let analytic = lr.grad_u.get(0, 0);
         let eps = 1e-3;
         let orig = lr.u.get(0, 0);
         lr.u.set(0, 0, orig + eps);
-        let lp: f32 = lr.forward(&x).as_slice().iter().sum();
+        let lp: f32 = lr.forward(&x, (3, 2), 2).0.as_slice().iter().sum();
         lr.u.set(0, 0, orig - eps);
-        let lm: f32 = lr.forward(&x).as_slice().iter().sum();
+        let lm: f32 = lr.forward(&x, (3, 2), 2).0.as_slice().iter().sum();
         lr.u.set(0, 0, orig);
         let numeric = (lp - lm) / (2.0 * eps);
         assert!((analytic - numeric).abs() < 1e-2, "{analytic} vs {numeric}");
@@ -908,8 +756,8 @@ mod tests {
         let mut r = rng();
         let mut d = Dense::new(5, 3, Activation::Gelu, &mut r);
         let x = Matrix::xavier(2, 5, &mut r);
-        let out = d.forward(&x);
-        let gx = d.backward(&Matrix::full(out.rows(), out.cols(), 1.0));
+        let (out, pre) = d.forward(&x);
+        let gx = d.backward(&x, &pre, &Matrix::full(out.rows(), out.cols(), 1.0));
         assert_eq!(gx.shape(), (2, 5));
     }
 }

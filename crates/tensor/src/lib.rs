@@ -57,8 +57,8 @@ mod testkit;
 
 pub use activation::Activation;
 pub use embedding::{EmbeddingTable, SharedEmbeddingBank};
-pub use layers::{Dense, LowRankDense, MaskedDense};
+pub use layers::{Dense, LowRankDense, LowRankTape, MaskedDense};
 pub use matrix::Matrix;
-pub use mlp::Mlp;
+pub use mlp::{Mlp, MlpTape};
 pub use optim::{OptimConfig, Optimizer};
 pub use state::{StateError, StateReader, StateWriter};

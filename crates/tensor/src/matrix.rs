@@ -367,20 +367,19 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Adds a row vector (bias) to every row; returns a new matrix.
+    /// Adds a row vector (bias) to every row, in place.
     ///
     /// # Panics
     ///
     /// Panics if `bias.len() != self.cols`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Matrix {
+    pub fn add_row_broadcast(mut self, bias: &[f32]) -> Matrix {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for (v, b) in out.row_mut(r).iter_mut().zip(bias) {
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (v, b) in row.iter_mut().zip(bias) {
                 *v += b;
             }
         }
-        out
+        self
     }
 
     /// Sums each column into a vector of length `cols`.

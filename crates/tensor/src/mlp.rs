@@ -28,6 +28,20 @@ pub struct Mlp {
     optimizer: Optimizer,
 }
 
+/// What [`Mlp::forward`] keeps for [`Mlp::backward_and_step`]: each layer's
+/// output and pre-activation.
+#[derive(Debug)]
+pub struct MlpTape {
+    layers: Vec<(Matrix, Matrix)>,
+}
+
+impl MlpTape {
+    /// The network's output: the last layer's.
+    pub fn output(&self) -> &Matrix {
+        &self.layers[self.layers.len() - 1].0
+    }
+}
+
 impl Mlp {
     /// Builds an MLP from layer widths `[in, h1, ..., out]`.
     ///
@@ -77,30 +91,35 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Forward pass with activation caching (call before
-    /// [`Mlp::backward_and_step`]).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
-        }
-        h
-    }
-
-    /// Inference-only forward pass (no caching, immutable).
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
+    /// Forward pass: every layer's output and pre-activation, the tape
+    /// [`Mlp::backward_and_step`] takes. [`MlpTape::output`] is the
+    /// network's output.
+    pub fn forward(&self, x: &Matrix) -> MlpTape {
+        let mut layers: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            h = layer.infer(&h);
+            let pass = layer.forward(layers.last().map_or(x, |(out, _)| out));
+            layers.push(pass);
+        }
+        MlpTape { layers }
+    }
+
+    /// Inference-only forward pass: the output alone.
+    pub fn infer(&self, x: &Matrix) -> Matrix {
+        let mut h = self.layers[0].forward(x).0;
+        for layer in &self.layers[1..] {
+            h = layer.forward(&h).0;
         }
         h
     }
 
-    /// Backpropagates `grad_out` and applies one optimizer step.
-    pub fn backward_and_step(&mut self, grad_out: &Matrix) {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Backpropagates `grad_out` through the tape of [`Mlp::forward`] on
+    /// `x` and applies one optimizer step.
+    pub fn backward_and_step(&mut self, x: &Matrix, tape: &MlpTape, grad_out: &Matrix) {
+        let mut g = None;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let input = if i == 0 { x } else { &tape.layers[i - 1].0 };
+            let pre = &tape.layers[i].1;
+            g = Some(layer.backward(input, pre, g.as_ref().unwrap_or(grad_out)));
         }
         self.optimizer.begin_step();
         let mut slot = 0;
@@ -117,9 +136,9 @@ impl Mlp {
 
     /// One MSE regression step; returns the loss before the update.
     pub fn train_step_mse(&mut self, x: &Matrix, target: &Matrix) -> f32 {
-        let pred = self.forward(x);
-        let (l, grad) = loss::mse(&pred, target);
-        self.backward_and_step(&grad);
+        let tape = self.forward(x);
+        let (l, grad) = loss::mse(tape.output(), target);
+        self.backward_and_step(x, &tape, &grad);
         l
     }
 
@@ -130,9 +149,9 @@ impl Mlp {
     ///
     /// Panics if the network output width is not 1.
     pub fn train_step_bce(&mut self, x: &Matrix, labels: &[f32]) -> f32 {
-        let pred = self.forward(x);
-        let (l, grad) = loss::bce_with_logits(&pred, labels);
-        self.backward_and_step(&grad);
+        let tape = self.forward(x);
+        let (l, grad) = loss::bce_with_logits(tape.output(), labels);
+        self.backward_and_step(x, &tape, &grad);
         l
     }
 }
@@ -195,14 +214,14 @@ mod tests {
     #[test]
     fn infer_matches_forward() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut net = Mlp::new(
+        let net = Mlp::new(
             &[4, 8, 2],
             Activation::Swish,
             OptimConfig::sgd(0.1),
             &mut rng,
         );
         let x = Matrix::xavier(3, 4, &mut rng);
-        assert_eq!(net.forward(&x), net.infer(&x));
+        assert_eq!(net.forward(&x).output(), &net.infer(&x));
     }
 
     #[test]

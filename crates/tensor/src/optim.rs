@@ -185,12 +185,17 @@ impl Optimizer {
     ///
     /// # Errors
     ///
-    /// Propagates decoding failures from the reader, and returns
+    /// Propagates decoding failures from the reader, returns
+    /// [`StateError::StepCounter`] for a step counter of `u64::MAX`, which
+    /// [`Optimizer::begin_step`] could not advance, and
     /// [`StateError::LengthMismatch`] for a slot this algorithm cannot have
     /// written: an Adam slot whose two moments differ in length, or an SGD
     /// slot with a second moment.
     pub fn read_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
         let t = r.take_u64()?;
+        if t == u64::MAX {
+            return Err(StateError::StepCounter { found: t });
+        }
         let count = r.take_u64()? as usize;
         let mut slots = Vec::new();
         for _ in 0..count {
@@ -943,6 +948,20 @@ mod tests {
         let ok = one_slot_blob(&[0.1, 0.2], &[0.3, 0.4]);
         adam.read_state(&mut StateReader::new(&ok)).unwrap();
         assert_eq!((adam.t, adam.slots[0].v.len()), (3, 2));
+    }
+
+    #[test]
+    fn read_state_rejects_a_step_counter_that_cannot_advance() {
+        let mut w = StateWriter::new();
+        w.put_u64(u64::MAX);
+        w.put_u64(0);
+        let blob = w.into_bytes();
+        let mut adam = Optimizer::new(OptimConfig::adam(0.1));
+        assert_eq!(
+            adam.read_state(&mut StateReader::new(&blob)),
+            Err(StateError::StepCounter { found: u64::MAX })
+        );
+        assert_eq!(adam.t, 0);
     }
 
     #[test]

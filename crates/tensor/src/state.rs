@@ -34,6 +34,12 @@ pub enum StateError {
         /// Number of unread bytes.
         count: usize,
     },
+    /// An optimizer step counter that the next training step could not
+    /// advance without overflowing.
+    StepCounter {
+        /// The counter recorded in the byte stream.
+        found: u64,
+    },
 }
 
 impl fmt::Display for StateError {
@@ -53,6 +59,9 @@ impl fmt::Display for StateError {
             }
             StateError::TrailingBytes { count } => {
                 write!(f, "{count} trailing bytes after module state")
+            }
+            StateError::StepCounter { found } => {
+                write!(f, "optimizer step counter {found} cannot advance")
             }
         }
     }
@@ -172,14 +181,17 @@ impl<'a> StateReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`StateError::Truncated`] if the stream ends early.
+    /// [`StateError::Truncated`] if the stream ends early, or records more
+    /// bytes than a buffer can hold.
     #[expect(
         clippy::expect_used,
         reason = "chunk width fixed by take()/chunks_exact"
     )]
     pub fn take_f32_vec(&mut self) -> Result<Vec<f32>, StateError> {
         let len = self.take_u64()? as usize;
-        let bytes = self.take(len * 4)?;
+        // No stream holds `usize::MAX` bytes, so a length whose byte count
+        // overflows is truncation.
+        let bytes = self.take(len.saturating_mul(4))?;
         Ok(bytes
             .chunks_exact(4)
             .map(|chunk| f32::from_bits(u32::from_le_bytes(chunk.try_into().expect("4 bytes"))))
@@ -259,6 +271,22 @@ mod tests {
         let mut r = StateReader::new(&bytes);
         r.take_u64().unwrap();
         assert_eq!(r.finish(), Err(StateError::TrailingBytes { count: 8 }));
+    }
+
+    #[test]
+    fn huge_recorded_length_is_truncation() {
+        let mut w = StateWriter::new();
+        w.put_u64(1 << 62);
+        w.put_u64(0);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes);
+        assert_eq!(
+            r.take_f32_vec(),
+            Err(StateError::Truncated {
+                needed: usize::MAX,
+                available: 8
+            })
+        );
     }
 
     #[test]

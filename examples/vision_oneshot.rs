@@ -30,14 +30,10 @@ fn main() -> Result<(), DriverError> {
         RewardKind::Relu,
         vec![PerfObjective::new("params", budget, -3.0)],
     );
-    // The probe mutates on every call, so it lives behind a Mutex: the
-    // perf stage fans out over the evaluation executor (`Fn + Sync`).
-    let probe = std::sync::Mutex::new(VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng));
-    let perf = move |sample: &ArchSample| {
-        let mut probe = probe.lock().expect("probe poisoned");
-        probe.apply_sample(sample);
-        vec![probe.active_param_count() as f64]
-    };
+    // A probe network decodes each sample's parameter count from `&self`,
+    // so the perf stage can fan out over the evaluation executor.
+    let probe = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng);
+    let perf = move |sample: &ArchSample| vec![probe.param_count_of(sample) as f64];
     let config = OneShotConfig {
         steps: 150,
         shards: 4,
@@ -65,7 +61,7 @@ fn main() -> Result<(), DriverError> {
     println!("\nfinal candidate (policy argmax): {:?}", outcome.best);
     println!(
         "  active params : {} (budget {budget})",
-        net.active_param_count()
+        net.param_count_of(&outcome.best)
     );
     println!(
         "  eval accuracy : {:.1}% (cross-entropy {ce:.3})",

@@ -381,3 +381,78 @@ fn fingerprints_are_pinned() {
         );
     }
 }
+
+/// A sample whose decision `d` takes choice `(k + d) % choices`: for `k`
+/// over any run of consecutive values as long as the widest decision, every
+/// choice of every decision comes up.
+fn cycled_sample(space: &h2o_nas::space::SearchSpace, k: usize) -> Vec<usize> {
+    let decisions = space.decisions().iter().enumerate();
+    decisions.map(|(d, dec)| (k + d) % dec.choices).collect()
+}
+
+/// Pins both trained supernets bit for bit: every weight and Adam moment
+/// (`save_state`) and the quality of a few candidates, after training
+/// steps that visit every choice of every decision: each vocabulary and
+/// embedding width, the low-rank and full paths, each depth, width and
+/// activation. The CSV goldens see the weights only through losses.
+#[test]
+fn supernet_states_are_pinned() {
+    use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, TrafficSource, VisionTraffic};
+    use h2o_nas::space::{DlrmSupernet, VisionSupernet, VisionSupernetConfig};
+    let mut h = Fnv::new();
+
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng);
+    let space = net.space().space().clone();
+    let config = CtrTrafficConfig {
+        ids_per_example: 2,
+        ..CtrTrafficConfig::tiny()
+    };
+    let mut traffic = CtrTraffic::new(config, 3);
+    let widest = space
+        .decisions()
+        .iter()
+        .map(|d| d.choices)
+        .max()
+        .unwrap_or(1);
+    for k in 0..2 * widest {
+        net.apply_sample(&cycled_sample(&space, k));
+        h.f64(f64::from(net.train_step(&traffic.next_batch(24))));
+    }
+    h.bytes(&net.save_state());
+    let batch = traffic.next_batch(40);
+    for _ in 0..4 {
+        let sample = space.sample_uniform(&mut rng);
+        h.f64(f64::from(net.logloss_of(&sample, &batch)));
+    }
+
+    let mut net = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng);
+    let space = net.space().clone();
+    let mut traffic = VisionTraffic::new(4, 16, 0.2, 11);
+    let widest = space
+        .decisions()
+        .iter()
+        .map(|d| d.choices)
+        .max()
+        .unwrap_or(1);
+    for k in 0..2 * widest {
+        net.apply_sample(&cycled_sample(&space, k));
+        let b = traffic.next_batch(24);
+        h.f64(f64::from(net.train_step(&b.features, &b.labels)));
+    }
+    h.bytes(&net.save_state());
+    let b = traffic.next_batch(40);
+    for _ in 0..4 {
+        let sample = space.sample_uniform(&mut rng);
+        h.f64(f64::from(net.cross_entropy_of(
+            &sample,
+            &b.features,
+            &b.labels,
+        )));
+    }
+    assert_eq!(
+        h.0, 0x4e2c_acdc_89a4_e9cf,
+        "supernet digest moved: {:#018x}",
+        h.0
+    );
+}

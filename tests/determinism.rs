@@ -464,21 +464,32 @@ fn cli_binary_resumes_byte_identically() {
     // End-to-end kill-and-resume through the `h2o` binary: full run vs
     // (truncated run + --resume), and vs (truncated run + a fresh shorter
     // run into the same directory + --resume), must write identical
-    // candidate CSVs and history CSVs modulo the wall-clock column.
-    let dir = std::env::temp_dir().join(format!("h2o_cli_resume_{}", std::process::id()));
+    // candidate CSVs and history CSVs modulo the wall-clock column. The
+    // one-shot domain also carries supernet weights, Adam moments and the
+    // pipeline's fast-forward through the checkpoint.
+    for domain in ["dlrm", "dlrm-oneshot"] {
+        cli_resumes_byte_identically(domain);
+    }
+}
+
+fn cli_resumes_byte_identically(domain: &str) {
+    let dir = std::env::temp_dir().join(format!("h2o_cli_resume_{domain}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     let run = |steps: &str, stem: Option<&str>, extra: &[&str]| {
         let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_h2o"));
         cmd.args([
-            "search", "--domain", "dlrm", "--steps", steps, "--shards", "4",
+            "search", "--domain", domain, "--steps", steps, "--shards", "4",
         ]);
         cmd.args(extra);
         if let Some(stem) = stem {
             cmd.arg("--csv").arg(dir.join(stem));
         }
         let status = cmd.status().expect("h2o binary runs");
-        assert!(status.success(), "h2o search failed (steps={steps})");
+        assert!(
+            status.success(),
+            "h2o search failed ({domain}, steps={steps})"
+        );
     };
     let read = |stem: &str| {
         let text = |suffix: &str| {
@@ -507,7 +518,7 @@ fn cli_binary_resumes_byte_identically() {
         assert_eq!(
             read("full"),
             read(case),
-            "CLI resume must reproduce the uninterrupted run ({case})"
+            "CLI resume must reproduce the uninterrupted run ({domain}, {case})"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -2,11 +2,15 @@
 
 use h2o_nas::core::pareto::{pareto_front, ParetoPoint};
 use h2o_nas::core::{PerfObjective, Policy, RewardFn, RewardKind};
+use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, TrafficSource, VisionTraffic};
 use h2o_nas::exec::Executor;
 use h2o_nas::graph::{DType, Graph, OpKind};
 use h2o_nas::hwsim::{roofline::time_op, HardwareConfig};
-use h2o_nas::space::{CnnSpace, CnnSpaceConfig, Decision, DlrmSpace, DlrmSpaceConfig, SearchSpace};
-use h2o_nas::tensor::{loss, Activation, MaskedDense, Matrix};
+use h2o_nas::space::{
+    CnnSpace, CnnSpaceConfig, Decision, DlrmSpace, DlrmSpaceConfig, DlrmSupernet, SearchSpace,
+    VisionSupernet, VisionSupernetConfig,
+};
+use h2o_nas::tensor::{loss, Activation, MaskedDense, Matrix, StateWriter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,12 +247,12 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut md = MaskedDense::new(12, 12, Activation::Swish, &mut rng);
-        md.set_active(active_in, active_out);
+        let md = MaskedDense::new(12, 12, &mut rng);
+        let shape = (active_in, active_out);
         let x = Matrix::xavier(batch, active_in, &mut rng);
-        let got = md.forward(&x);
-        let dense = md.extract_dense(&mut rng);
-        let want = dense.infer(&x);
+        let (got, _) = md.forward(&x, shape, Activation::Swish);
+        let dense = md.extract_dense(shape, Activation::Swish, &mut rng);
+        let (want, _) = dense.forward(&x);
         for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
@@ -423,5 +427,105 @@ proptest! {
         let max = times.iter().cloned().fold(0.0, f64::max);
         prop_assert!(cp <= sum + 1e-9);
         prop_assert!(cp >= max - 1e-9);
+    }
+}
+
+/// Feeds `bytes` to a fresh DLRM supernet's `load_state`, which must return
+/// `Ok` or a `StateError`; after an `Ok` the network must still train a
+/// candidate. Returns whether the bytes loaded.
+fn dlrm_loads(bytes: &[u8], rng: &mut StdRng) -> bool {
+    let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut StdRng::seed_from_u64(0));
+    let loaded = net.load_state(bytes).is_ok();
+    if loaded {
+        net.apply_sample(&net.space().space().sample_uniform(rng));
+        net.train_step(&CtrTraffic::new(CtrTrafficConfig::tiny(), 1).next_batch(8));
+    }
+    loaded
+}
+
+/// [`dlrm_loads`] for the vision supernet.
+fn vision_loads(bytes: &[u8], rng: &mut StdRng) -> bool {
+    let config = VisionSupernetConfig::tiny();
+    let mut net = VisionSupernet::new(config, &mut StdRng::seed_from_u64(0));
+    let loaded = net.load_state(bytes).is_ok();
+    if loaded {
+        net.apply_sample(&net.space().sample_uniform(rng));
+        let b = VisionTraffic::new(4, 16, 0.2, 1).next_batch(8);
+        net.train_step(&b.features, &b.labels);
+    }
+    loaded
+}
+
+/// Both supernets' state after one training step.
+fn trained_states() -> [Vec<u8>; 2] {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut dlrm = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng);
+    dlrm.apply_sample(&dlrm.space().baseline());
+    dlrm.train_step(&CtrTraffic::new(CtrTrafficConfig::tiny(), 2).next_batch(8));
+    let mut vision = VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng);
+    vision.apply_sample(&vision.space().baseline_sample());
+    let b = VisionTraffic::new(4, 16, 0.2, 2).next_batch(8);
+    vision.train_step(&b.features, &b.labels);
+    [dlrm.save_state(), vision.save_state()]
+}
+
+/// `blob` with one byte changed, cut short or extended, or random bytes.
+fn mutated(blob: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let byte = |rng: &mut StdRng| rng.gen::<u32>() as u8;
+    let mut bytes = blob.to_vec();
+    match rng.gen_range(0..4) {
+        0 => {
+            let i = rng.gen_range(0..bytes.len());
+            bytes[i] ^= byte(rng) | 1;
+        }
+        1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+        2 => bytes.extend((0..rng.gen_range(1..24)).map(|_| byte(rng))),
+        _ => bytes = (0..rng.gen_range(0..256)).map(|_| byte(rng)).collect(),
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both supernets' state decoders take any bytes without panicking:
+    /// random bytes, and a valid blob with one byte changed, cut short or
+    /// extended, each load or return a `StateError`, and a network that
+    /// loaded still trains a candidate.
+    fn supernet_load_state_never_panics(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let [dlrm, vision] = trained_states();
+        let bytes = mutated(&dlrm, &mut rng);
+        dlrm_loads(&bytes, &mut rng);
+        let bytes = mutated(&vision, &mut rng);
+        vision_loads(&bytes, &mut rng);
+    }
+}
+
+/// The fixed rows of `supernet_load_state_never_panics`, after each
+/// supernet's weights: an optimizer moment whose recorded length overflows
+/// its byte count, and a step counter that cannot advance. Both are errors.
+#[test]
+fn supernet_load_state_rejects_undecodable_optimizer_state() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let untrained = [
+        DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng).save_state(),
+        VisionSupernet::new(VisionSupernetConfig::tiny(), &mut rng).save_state(),
+    ];
+    let loads: [fn(&[u8], &mut StdRng) -> bool; 2] = [dlrm_loads, vision_loads];
+    for (blob, loads) in untrained.iter().zip(loads) {
+        assert!(loads(blob, &mut rng), "an untrained state loads");
+        // An untrained optimizer writes a zero step counter and no slots.
+        let weights = &blob[..blob.len() - 16];
+        for (t, moment_lens) in [(1, vec![1u64 << 62]), (u64::MAX, vec![])] {
+            let mut w = StateWriter::new();
+            w.put_u64(t);
+            w.put_u64(moment_lens.len() as u64);
+            for len in moment_lens {
+                w.put_u64(len);
+            }
+            let bytes = [weights, &w.into_bytes()].concat();
+            assert!(!loads(&bytes, &mut rng), "step counter {t} loaded");
+        }
     }
 }

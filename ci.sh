@@ -167,11 +167,15 @@ rm -rf "$msdir"
 
 # One-shot smoke: 150 steps of 8 shards are 1,200 Adam steps, enough for
 # the first moments of weights that stop getting gradient to decay into
-# the subnormals, so the optimized binary runs Adam's absorbed path and
-# the step's fanned-out quality forwards. --workers 1 and 2 must write the
-# same telemetry (history modulo the wall-clock column). Each run prints
-# its wall time and mean step time.
-echo "==> one-shot smoke (dlrm-oneshot, 150 steps, --workers 1 and 2)"
+# the subnormals, so the optimized binary runs Adam's absorbed path, the
+# step's fanned-out quality forwards and the weight update whose deferred
+# Adam passes run on the helper. --workers 1 and 2 must write the same
+# telemetry (history modulo the wall-clock column). Each run prints its
+# wall time and mean step time. The checkpoint leg runs --workers 2 to
+# step 75 with a checkpoint every 25 steps, then resumes it to 150: its
+# telemetry must equal the uninterrupted --workers 1 run's, so every
+# deferred update landed before each snapshot.
+echo "==> one-shot smoke (dlrm-oneshot, 150 steps, --workers 1 and 2, checkpoint leg)"
 osdir=$(mktemp -d)
 for w in 1 2; do
   run_start=$(date +%s%N)
@@ -181,9 +185,15 @@ for w in 1 2; do
   step_ms=$(awk -F, 'NR > 1 { s += $5; n++ } END { printf "%.2f", s / n }' "$osdir/w${w}_history.csv")
   echo "    --workers $w: ${run_ms} ms wall, ${step_ms} ms mean step"
 done
-cmp "$osdir/w1_candidates.csv" "$osdir/w2_candidates.csv"
-cmp <(cut -d, -f1-4 "$osdir/w1_history.csv") \
-    <(cut -d, -f1-4 "$osdir/w2_history.csv")
+./target/release/h2o search --domain dlrm-oneshot --steps 75 --shards 8 --workers 2 \
+    --checkpoint-dir "$osdir/ck" --checkpoint-every 25 >/dev/null
+./target/release/h2o search --domain dlrm-oneshot --steps 150 --shards 8 --workers 2 \
+    --checkpoint-dir "$osdir/ck" --checkpoint-every 25 --resume --csv "$osdir/resumed" >/dev/null
+for run in w2 resumed; do
+  cmp "$osdir/w1_candidates.csv" "$osdir/${run}_candidates.csv"
+  cmp <(cut -d, -f1-4 "$osdir/w1_history.csv") \
+      <(cut -d, -f1-4 "$osdir/${run}_history.csv")
+done
 rm -rf "$osdir"
 
 # Exporter smoke: the global tracer keeps span events only when

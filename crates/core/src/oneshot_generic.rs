@@ -52,6 +52,23 @@ pub trait OneShotSupernet {
     /// One shared-weight training step of the recorded candidate.
     fn train_step_on(&mut self, batch: &Self::Batch);
 
+    /// Trains the shared weights on `steps` in order: for each `(sample,
+    /// batch)`, [`apply_sample`](OneShotSupernet::apply_sample)`(sample)`
+    /// then [`train_step_on`](OneShotSupernet::train_step_on)`(batch)`, so
+    /// the last sample stays recorded. That is the default, on the calling
+    /// thread; an implementation may spread the work over `executor` if it
+    /// writes the same bits.
+    fn train_sequence_on(
+        &mut self,
+        steps: &[(&ArchSample, &Self::Batch)],
+        _executor: &h2o_exec::Executor,
+    ) {
+        for (sample, batch) in steps {
+            self.apply_sample(sample);
+            self.train_step_on(batch);
+        }
+    }
+
     /// Serialises the shared trainable state (weights + optimizer moments)
     /// as an opaque, bit-exact blob for checkpointing.
     fn save_state(&self) -> Vec<u8>;
@@ -87,6 +104,20 @@ impl OneShotSupernet for DlrmSupernet {
 
     fn train_step_on(&mut self, batch: &Self::Batch) {
         self.train_step(batch);
+    }
+
+    /// Each item's forward and backward run on the calling thread, as the
+    /// first job of a two-job executor batch whose second job, on a helper
+    /// when there is one, is the previous item's Adam update for the paths
+    /// this item's candidate does not read.
+    fn train_sequence_on(
+        &mut self,
+        steps: &[(&ArchSample, &Self::Batch)],
+        executor: &h2o_exec::Executor,
+    ) {
+        self.train_sequence(steps, |caller, helper| {
+            executor.execute(vec![caller, helper]);
+        });
     }
 
     fn save_state(&self) -> Vec<u8> {
@@ -141,7 +172,10 @@ impl OneShotSupernet for VisionSupernet {
 /// shard's [`OneShotSupernet::quality_of`] and `perf_of`, and results come
 /// back in submission order, so the worker count never changes the
 /// outcome. A super-network whose `quality_of` is `None` is scored after
-/// the batch, shard by shard, through `apply_sample` and `quality`.
+/// the batch, shard by shard, through `apply_sample` and `quality`. After
+/// the policy update, one [`OneShotSupernet::train_sequence_on`] call
+/// trains the shared weights on the step's samples and batches, in shard
+/// order, with the same executor.
 ///
 /// Per step the stage samples from a *per-step* RNG seeded by
 /// [`shard_seed`]`(seed, step, u64::MAX)` — the `u64::MAX` tag keeps the
@@ -290,12 +324,15 @@ where
         // weights (policy use strictly before weights use — the pipeline
         // enforces the ordering).
         let _weights = h2o_obs::span("weight_update");
-        for ((sample, _), batch) in candidates.iter().zip(self.step_batches.drain(..)) {
-            self.supernet.apply_sample(sample);
-            self.supernet.train_step_on(&batch.data);
+        let samples = candidates.iter().map(|(sample, _)| sample);
+        let steps: Vec<_> = samples
+            .zip(self.step_batches.iter().map(|b| &b.data))
+            .collect();
+        self.supernet.train_sequence_on(&steps, &self.executor);
+        for batch in self.step_batches.drain(..) {
             #[expect(
                 clippy::expect_used,
-                reason = "every batch in step_batches was marked policy-used in produce_candidates; the pipeline enforces exactly that ordering"
+                reason = "every batch in step_batches was marked policy-used in collect; the pipeline enforces exactly that ordering"
             )]
             self.pipeline
                 .mark_weights_use(batch.seq)

@@ -21,15 +21,20 @@
 //! controller consumes. [`DlrmSupernet::logloss_of`] scores any sample
 //! from `&self`, so several threads can score candidates over the same
 //! weights at once.
+//!
+//! [`DlrmSupernet::train_sequence`] trains several candidates in a row,
+//! bit for bit a [`DlrmSupernet::train_step`] each: the Adam update of
+//! the paths the next candidate does not read runs beside that
+//! candidate's forward and backward.
 
 use crate::decision::ArchSample;
 use crate::dlrm::{choices, DlrmSpace, DlrmSpaceConfig, DECISIONS_PER_GROUP, DECISIONS_PER_TABLE};
 use h2o_tensor::{
     loss, Activation, LowRankDense, LowRankTape, MaskedDense, Matrix, OptimConfig, Optimizer,
-    SharedEmbeddingBank, StateError, StateReader, StateWriter,
+    SharedEmbeddingBank, Slot, StateError, StateReader, StateWriter, Update,
 };
 use rand::Rng;
-use std::iter;
+use std::{iter, mem};
 
 /// One mini-batch of recommendation traffic.
 #[derive(Debug, Clone)]
@@ -114,9 +119,101 @@ impl SuperLayer {
         }
     }
 
-    fn zero_grad(&mut self) {
-        self.full.zero_grad();
-        self.low.zero_grad();
+    /// [`SuperLayer::backward`] without the gradient w.r.t. `x`.
+    fn backward_params(
+        &mut self,
+        x: &Matrix,
+        tape: &PathTape,
+        grad: &Matrix,
+        widths: (usize, usize),
+        low_rank: f64,
+    ) {
+        match tape {
+            PathTape::Low(tape) => {
+                let rank = self.rank(low_rank);
+                self.low.backward_params(x, tape, grad, widths, rank);
+            }
+            PathTape::Full(pre) => {
+                self.full
+                    .backward_params(x, pre, grad, widths, Activation::Relu);
+            }
+        }
+    }
+
+    /// Moves the low-rank (`low`) or full path out, leaving an empty one.
+    fn take(&mut self, low: bool) -> Path {
+        match low {
+            true => Path::Low(mem::take(&mut self.low)),
+            false => Path::Full(mem::take(&mut self.full)),
+        }
+    }
+
+    /// Returns a path [`SuperLayer::take`] moved out.
+    fn put(&mut self, path: Path) {
+        match path {
+            Path::Low(low) => self.low = low,
+            Path::Full(full) => self.full = full,
+        }
+    }
+}
+
+/// One path of a super-layer, moved out of the network.
+#[derive(Debug)]
+enum Path {
+    Full(MaskedDense),
+    Low(LowRankDense),
+}
+
+/// Optimizer slots per path: `[W, b]` for the full path, then `[U, V, b]`
+/// for the low-rank one.
+const FULL_SLOTS: usize = 2;
+const LOW_SLOTS: usize = 3;
+
+/// Applies `update` to each `(params, grads)` buffer with its slot, which
+/// zeroes the gradients.
+fn apply_all<'a>(
+    update: &Update,
+    buffers: impl IntoIterator<Item = (&'a mut [f32], &'a mut [f32])>,
+    slots: &mut [Slot],
+) {
+    for ((params, grads), slot) in buffers.into_iter().zip(slots) {
+        update.apply(slot, params, grads);
+    }
+}
+
+/// A path that the next train step's candidate does not read, moved out of
+/// the network with its optimizer slots.
+#[derive(Debug)]
+struct DetachedPath {
+    /// Its super-layer: group, then depth.
+    layer: (usize, usize),
+    /// Its first optimizer slot.
+    first: usize,
+    path: Path,
+    slots: Vec<Slot>,
+}
+
+/// The Adam update of one train step for the paths the next step's
+/// candidate does not read: it runs while the next step's forward and
+/// backward run, which touch none of its buffers.
+#[derive(Debug)]
+struct Deferred {
+    /// The update of the step these paths belong to.
+    update: Update,
+    paths: Vec<DetachedPath>,
+}
+
+impl Deferred {
+    /// Updates every path at the deferred step's count, zeroing its
+    /// gradients.
+    fn run(&mut self) {
+        for detached in &mut self.paths {
+            let slots = &mut detached.slots;
+            match &mut detached.path {
+                Path::Full(full) => apply_all(&self.update, full.params_grads_mut(), slots),
+                Path::Low(low) => apply_all(&self.update, low.params_grads_mut(), slots),
+            }
+        }
     }
 }
 
@@ -131,7 +228,7 @@ struct SuperGroup {
 
 /// One group of a candidate: the prefix of layers it activates and their
 /// widths.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct GroupShape {
     /// Active input width of the group's first layer.
     input: usize,
@@ -150,7 +247,7 @@ impl GroupShape {
 
 /// The sub-network of one sample. The default, empty shape stands for no
 /// candidate, and [`DlrmSupernet::forward`] rejects it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ActiveShape {
     /// Per table: the vocabulary choice and the active embedding width.
     tables: Vec<(usize, usize)>,
@@ -158,6 +255,16 @@ struct ActiveShape {
     groups: Vec<GroupShape>,
     /// Active input width of the head.
     head_in: usize,
+}
+
+impl ActiveShape {
+    /// Whether this candidate's forward reads the low-rank (`low`) or full
+    /// path of super-layer `d` of group `g`: a layer inside the group's
+    /// depth, on the path its low-rank choice takes.
+    fn reads(&self, g: usize, d: usize, low: bool) -> bool {
+        let gs = &self.groups[g];
+        d < gs.depth && (gs.low_rank < 1.0) == low
+    }
 }
 
 /// Each layer's output and path tape, in forward order.
@@ -193,20 +300,29 @@ fn tower_forward(groups: &[SuperGroup], shapes: &[GroupShape], input: &Matrix) -
 }
 
 /// Backpropagates `grad` through the layers [`tower_forward`] ran over
-/// `input`; returns the gradient w.r.t. `input`.
+/// `input`. Returns the gradient w.r.t. `input` if `input_grad`; if not,
+/// `input` is the network's own input, whose gradient nobody reads, so the
+/// first layer skips that product and the gradient w.r.t. its output comes
+/// back instead.
 fn tower_backward(
     groups: &mut [SuperGroup],
     shapes: &[GroupShape],
     input: &Matrix,
     tape: &TowerTape,
     mut grad: Matrix,
+    input_grad: bool,
 ) -> Matrix {
     let mut i = tape.len();
     for (group, gs) in groups.iter_mut().zip(shapes).rev() {
         for (d, layer) in group.layers.iter_mut().enumerate().take(gs.depth).rev() {
             i -= 1;
             let x = i.checked_sub(1).map_or(input, |j| &tape[j].0);
-            grad = layer.backward(x, &tape[i].1, &grad, gs.widths(d), gs.low_rank);
+            let (path, widths) = (&tape[i].1, gs.widths(d));
+            if i == 0 && !input_grad {
+                layer.backward_params(x, path, &grad, widths, gs.low_rank);
+            } else {
+                grad = layer.backward(x, path, &grad, widths, gs.low_rank);
+            }
         }
     }
     grad
@@ -218,7 +334,7 @@ fn tower_backward(
 fn dense_buffers<'a>(
     groups: &'a mut [SuperGroup],
     head: &'a mut MaskedDense,
-) -> impl Iterator<Item = (&'a mut [f32], &'a [f32])> {
+) -> impl Iterator<Item = (&'a mut [f32], &'a mut [f32])> {
     groups
         .iter_mut()
         .flat_map(|group| group.layers.iter_mut())
@@ -499,10 +615,84 @@ impl DlrmSupernet {
     ///
     /// Panics if no sample was applied or the batch shape is inconsistent.
     pub fn train_step(&mut self, batch: &DlrmBatch) -> f32 {
-        let shape = &self.candidate;
+        let steps = [(mem::take(&mut self.candidate), batch)];
+        let losses = self.train_shapes(&steps, |caller, helper| {
+            caller();
+            helper();
+        });
+        let [(shape, _)] = steps;
+        self.candidate = shape;
+        losses[0]
+    }
+
+    /// Trains each `(sample, batch)` of `steps` in order and returns each
+    /// step's loss before its update: bit for bit
+    /// [`DlrmSupernet::apply_sample`] and [`DlrmSupernet::train_step`] per
+    /// item, and the last sample stays recorded.
+    ///
+    /// After each backward, the paths the next item's candidate reads get
+    /// their Adam update at once; the update of every other path runs while
+    /// the next item's forward and backward run, which touch none of its
+    /// buffers. `join` runs those two jobs, the forward and backward first,
+    /// and returns once both have: `|a, b| { a(); b(); }` runs them in
+    /// order, and a `join` that runs them on two threads at once writes the
+    /// same bits. The last item updates every buffer before this returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample is invalid for the space or a batch shape is
+    /// inconsistent.
+    pub fn train_sequence<J>(&mut self, steps: &[(&ArchSample, &DlrmBatch)], join: J) -> Vec<f32>
+    where
+        J: for<'j> FnMut(&'j mut (dyn FnMut() + Send + 'j), &'j mut (dyn FnMut() + Send + 'j)),
+    {
+        let mut steps: Vec<(ActiveShape, &DlrmBatch)> = steps
+            .iter()
+            .map(|&(sample, batch)| (self.active_shape(sample), batch))
+            .collect();
+        let losses = self.train_shapes(&steps, join);
+        if let Some((shape, _)) = steps.pop() {
+            self.candidate = shape;
+        }
+        losses
+    }
+
+    /// [`DlrmSupernet::train_sequence`] over candidate shapes: the one
+    /// weight-update path, which [`DlrmSupernet::train_step`] runs with a
+    /// single item.
+    fn train_shapes<J>(&mut self, steps: &[(ActiveShape, &DlrmBatch)], mut join: J) -> Vec<f32>
+    where
+        J: for<'j> FnMut(&'j mut (dyn FnMut() + Send + 'j), &'j mut (dyn FnMut() + Send + 'j)),
+    {
+        let mut losses = Vec::with_capacity(steps.len());
+        let mut deferred = Deferred {
+            update: self.optimizer.update(),
+            paths: Vec::new(),
+        };
+        for (k, (shape, batch)) in steps.iter().enumerate() {
+            let loss = if deferred.paths.is_empty() {
+                self.forward_backward(shape, batch)
+            } else {
+                let mut loss = 0.0;
+                join(
+                    &mut || loss = self.forward_backward(shape, batch),
+                    &mut || deferred.run(),
+                );
+                self.attach(&mut deferred);
+                loss
+            };
+            losses.push(loss);
+            self.update(steps.get(k + 1).map(|(next, _)| next), &mut deferred);
+        }
+        losses
+    }
+
+    /// The forward pass of `shape` on `batch`, its BCE loss, and the
+    /// backward pass through its tape into the MLPs and embeddings: the
+    /// gradients of exactly the buffers the forward read. Returns the loss.
+    fn forward_backward(&mut self, shape: &ActiveShape, batch: &DlrmBatch) -> f32 {
         let tape = self.forward(shape, batch);
         let (loss_value, grad) = loss::bce_with_logits(&tape.logits, &batch.labels);
-        // Backward.
         let top_out = tower_out(&tape.top, &tape.concat);
         let head = (shape.head_in, 1);
         let g = self
@@ -511,7 +701,7 @@ impl DlrmSupernet {
         let towers = self.bottom_groups();
         let (bottom_groups, top_groups) = self.groups.split_at_mut(towers);
         let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
-        let g = tower_backward(top_groups, top_shapes, &tape.concat, &tape.top, g);
+        let g = tower_backward(top_groups, top_shapes, &tape.concat, &tape.top, g, true);
         // Split the concat gradient back into bottom and embedding slots.
         let n = batch.len();
         let bottom_cols = tower_out(&tape.bottom, &batch.dense).cols();
@@ -533,30 +723,71 @@ impl DlrmSupernet {
             bank.backward(&emb_grad, ids, vocab_choice, w);
             offset += slot;
         }
+        // The bottom tower reads the dense features: nobody reads their
+        // gradient.
         tower_backward(
             bottom_groups,
             bottom_shapes,
             &batch.dense,
             &tape.bottom,
             bottom_grad,
+            false,
         );
-        // Updates: Adam on dense paths, sparse SGD on the touched embedding
-        // rows (as production DLRM trainers do).
+        loss_value
+    }
+
+    /// The updates of a train step whose backward just ran: Adam on the
+    /// dense buffers, each consuming and zeroing its gradient, and sparse
+    /// SGD on the touched embedding rows (as production DLRM trainers do).
+    /// The paths `next`, the next step's candidate, does not read move into
+    /// `deferred` with their optimizer slots and this step's update; every
+    /// other buffer updates now. Without a next step everything does.
+    fn update(&mut self, next: Option<&ActiveShape>, deferred: &mut Deferred) {
         self.optimizer.begin_step();
-        for (slot, (params, grads)) in dense_buffers(&mut self.groups, &mut self.head).enumerate() {
-            self.optimizer.step(slot, params, grads);
-        }
-        for group in &mut self.groups {
-            for layer in &mut group.layers {
-                layer.zero_grad();
+        let update = self.optimizer.update();
+        let mut first = 0;
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            for (d, layer) in group.layers.iter_mut().enumerate() {
+                for (low, count) in [(false, FULL_SLOTS), (true, LOW_SLOTS)] {
+                    let slots = self.optimizer.slots_mut(first..first + count);
+                    if next.is_some_and(|next| !next.reads(g, d, low)) {
+                        deferred.paths.push(DetachedPath {
+                            layer: (g, d),
+                            first,
+                            path: layer.take(low),
+                            slots: slots.iter_mut().map(mem::take).collect(),
+                        });
+                    } else if low {
+                        apply_all(&update, layer.low.params_grads_mut(), slots);
+                    } else {
+                        apply_all(&update, layer.full.params_grads_mut(), slots);
+                    }
+                    first += count;
+                }
             }
         }
-        self.head.zero_grad();
+        let slots = self.optimizer.slots_mut(first..first + FULL_SLOTS);
+        apply_all(&update, self.head.params_grads_mut(), slots);
+        deferred.update = update;
         let lr = self.embedding_lr;
         for bank in &mut self.banks {
             bank.apply_sparse_sgd(lr);
         }
-        loss_value
+    }
+
+    /// Returns the paths and slots of a [`Deferred`] update that has run.
+    fn attach(&mut self, deferred: &mut Deferred) {
+        for detached in deferred.paths.drain(..) {
+            let (g, d) = detached.layer;
+            self.groups[g].layers[d].put(detached.path);
+            let first = detached.first;
+            let slots = self
+                .optimizer
+                .slots_mut(first..first + detached.slots.len());
+            for (slot, state) in slots.iter_mut().zip(detached.slots) {
+                *slot = state;
+            }
+        }
     }
 
     /// Evaluates the candidate [`DlrmSupernet::apply_sample`] recorded:
@@ -722,6 +953,149 @@ mod tests {
                 prop_assert_eq!(pure.to_bits(), want.to_bits());
             }
         }
+    }
+
+    /// The join of [`DlrmSupernet::train_sequence`] that runs its two jobs
+    /// on two threads at once.
+    fn two_threads(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
+        std::thread::scope(|s| {
+            s.spawn(b);
+            a();
+        });
+    }
+
+    /// Trains `items` from the network state `start` through
+    /// `train_sequence`, with an inline join and with [`two_threads`], and
+    /// through `apply_sample` + `train_step` per item: the losses, the
+    /// `save_state()` bytes (weights and Adam moments) and the candidate
+    /// left recorded must match bit for bit.
+    fn check_sequence(start: &[u8], items: &[(ArchSample, DlrmBatch)]) -> Result<(), String> {
+        let restored = || {
+            let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng());
+            net.load_state(start).expect("same shape");
+            net
+        };
+        let mut reference = restored();
+        let want: Vec<u32> = items
+            .iter()
+            .map(|(sample, batch)| {
+                reference.apply_sample(sample);
+                reference.train_step(batch).to_bits()
+            })
+            .collect();
+        let steps: Vec<(&ArchSample, &DlrmBatch)> = items.iter().map(|(s, b)| (s, b)).collect();
+        for threaded in [false, true] {
+            let mut net = restored();
+            let losses = if threaded {
+                net.train_sequence(&steps, two_threads)
+            } else {
+                net.train_sequence(&steps, |a, b| {
+                    a();
+                    b();
+                })
+            };
+            let got: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+            prop_assert!(
+                got == want,
+                "losses {got:?} vs {want:?}, threaded {threaded}"
+            );
+            prop_assert!(
+                net.save_state() == reference.save_state(),
+                "state, threaded {threaded}"
+            );
+            prop_assert!(
+                net.candidate == reference.candidate,
+                "candidate, threaded {threaded}"
+            );
+        }
+        Ok(())
+    }
+
+    /// The offset of group `g`'s decisions in a sample.
+    fn group_decisions(net: &DlrmSupernet, g: usize) -> usize {
+        net.space().config().tables.len() * DECISIONS_PER_TABLE + g * DECISIONS_PER_GROUP
+    }
+
+    /// A sample derived from `prev` by one of the moves that decide which
+    /// paths a deferred update takes: the same candidate again, one group's
+    /// depth changed, one group's layers flipped between the full and the
+    /// low-rank path, or a fresh random sample.
+    fn next_sample(net: &DlrmSupernet, prev: &ArchSample, r: &mut StdRng) -> ArchSample {
+        let group = group_decisions(net, r.gen_range(0..net.space().config().mlp_groups.len()));
+        let mut next = prev.clone();
+        match r.gen_range(0..4) {
+            0 => {}
+            1 => next[group] = r.gen_range(0..choices::DEPTH_DELTAS.len()),
+            2 if prev[group + 2] + 1 == choices::LOW_RANK_CHOICES => {
+                next[group + 2] = r.gen_range(0..choices::LOW_RANK_CHOICES - 1);
+            }
+            2 => next[group + 2] = choices::LOW_RANK_CHOICES - 1,
+            _ => next = net.space().space().sample_uniform(r),
+        }
+        next
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sequence trainer equals `apply_sample` + `train_step` per
+        /// item, bit for bit (see [`check_sequence`]), on sequences of 1 to
+        /// 6 items built by [`next_sample`]'s moves over bag batches, after
+        /// a few training steps.
+        fn train_sequence_matches_apply_sample_then_train_step(seed in 0u64..u64::MAX) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r);
+            let space = net.space().space().clone();
+            for _ in 0..r.gen_range(0..3) {
+                net.apply_sample(&space.sample_uniform(&mut r));
+                let batch = bag_batch(&net, r.gen_range(1..24), &mut r);
+                net.train_step(&batch);
+            }
+            let mut sample = space.sample_uniform(&mut r);
+            let mut items = Vec::new();
+            for _ in 0..r.gen_range(1usize..7) {
+                items.push((sample.clone(), bag_batch(&net, r.gen_range(1..24), &mut r)));
+                sample = next_sample(&net, &sample, &mut r);
+            }
+            check_sequence(&net.save_state(), &items)?;
+        }
+    }
+
+    /// [`check_sequence`] on one sequence that makes every move: a
+    /// candidate repeated back to back, a deeper group, that group's layers
+    /// flipped to the low-rank path and back while another group deepens,
+    /// a shallower group, then a random candidate.
+    #[test]
+    fn train_sequence_matches_through_every_move() {
+        let mut r = rng();
+        let net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r);
+        let (g0, g1) = (group_decisions(&net, 0), group_decisions(&net, 1));
+        let full = choices::LOW_RANK_CHOICES - 1;
+        let mut a = net.space().baseline();
+        a[g1 + 2] = full;
+        let mut deeper = a.clone();
+        deeper[g1] += 2;
+        let mut low = deeper.clone();
+        low[g1 + 2] = 4;
+        let mut back = low.clone();
+        back[g1 + 2] = full;
+        back[g0] += 2;
+        let mut shallow = back.clone();
+        shallow[g1] = 0;
+        let random = net.space().space().sample_uniform(&mut r);
+        let shapes: Vec<_> = [&a, &deeper, &low, &back, &shallow]
+            .map(|s| net.active_shape(s).groups)
+            .into_iter()
+            .collect();
+        assert!(shapes[1][1].depth > shapes[0][1].depth);
+        assert!(shapes[2][1].low_rank < 1.0 && shapes[1][1].low_rank == 1.0);
+        assert!(shapes[3][0].depth > shapes[2][0].depth && shapes[3][1].low_rank == 1.0);
+        assert!(shapes[4][1].depth < shapes[3][1].depth);
+        let items: Vec<(ArchSample, DlrmBatch)> = [&a, &a, &deeper, &low, &back, &shallow, &random]
+            .into_iter()
+            .map(|s| (s.clone(), bag_batch(&net, 16, &mut r)))
+            .collect();
+        check_sequence(&net.save_state(), &items).expect("sequence matches");
     }
 
     #[test]

@@ -284,20 +284,21 @@ impl VisionSupernet {
         for (group, gs) in self.groups.iter_mut().zip(&shape.groups).rev() {
             for (d, layer) in group.iter_mut().enumerate().take(gs.depth).rev() {
                 i -= 1;
-                let x = i.checked_sub(1).map_or(features, |j| &tape.layers[j].0);
-                g = layer.backward(x, &tape.layers[i].1, &g, gs.widths(d), gs.activation);
+                let (pre, widths) = (&tape.layers[i].1, gs.widths(d));
+                match i.checked_sub(1) {
+                    Some(j) => {
+                        g = layer.backward(&tape.layers[j].0, pre, &g, widths, gs.activation)
+                    }
+                    // The first layer reads the features, whose gradient
+                    // nobody reads.
+                    None => layer.backward_params(features, pre, &g, widths, gs.activation),
+                }
             }
         }
         self.optimizer.begin_step();
         for (slot, (params, grads)) in dense_buffers(&mut self.groups, &mut self.head).enumerate() {
             self.optimizer.step(slot, params, grads);
         }
-        for layers in &mut self.groups {
-            for layer in layers.iter_mut() {
-                layer.zero_grad();
-            }
-        }
-        self.head.zero_grad();
         l
     }
 
@@ -427,7 +428,7 @@ struct VisionTape {
 fn dense_buffers<'a>(
     groups: &'a mut [Vec<MaskedDense>],
     head: &'a mut MaskedDense,
-) -> impl Iterator<Item = (&'a mut [f32], &'a [f32])> {
+) -> impl Iterator<Item = (&'a mut [f32], &'a mut [f32])> {
     groups
         .iter_mut()
         .flatten()

@@ -15,7 +15,6 @@
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::Matrix;
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// A single embedding table with a searchable (masked) width.
 ///
@@ -33,7 +32,16 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct EmbeddingTable {
     weights: Matrix,
-    grad_rows: BTreeMap<usize, Vec<f32>>,
+    /// The rows holding pending gradients, in the order backward first
+    /// touched them.
+    touched: Vec<usize>,
+    /// Their gradients, one max-width row each in `touched` order. The SGD
+    /// step clears the buffer without freeing it, so the next step reuses
+    /// it: it holds as many rows as one step touches.
+    grads: Vec<f32>,
+    /// Per row of the table: its index in `touched`, or `usize::MAX` while
+    /// it holds no pending gradient.
+    position: Vec<usize>,
 }
 
 impl EmbeddingTable {
@@ -51,7 +59,9 @@ impl EmbeddingTable {
         let weights = Matrix::from_fn(vocab, max_width, |_, _| rng.gen_range(-scale..scale));
         Self {
             weights,
-            grad_rows: BTreeMap::new(),
+            touched: Vec::new(),
+            grads: Vec::new(),
+            position: vec![usize::MAX; vocab],
         }
     }
 
@@ -102,15 +112,23 @@ impl EmbeddingTable {
     pub fn backward(&mut self, grad_out: &Matrix, batch: &[Vec<usize>], width: usize) {
         assert_eq!(grad_out.rows(), batch.len().max(1), "grad rows mismatch");
         assert_eq!(grad_out.cols(), width, "grad cols mismatch");
+        let max_width = self.weights.cols();
         for (i, indices) in batch.iter().enumerate() {
             let g_row = grad_out.row(i);
             for &idx in indices {
-                let idx = idx % self.weights.rows();
-                let entry = self
-                    .grad_rows
-                    .entry(idx)
-                    .or_insert_with(|| vec![0.0; self.weights.cols()]);
-                for (g, &d) in entry[..width].iter_mut().zip(g_row) {
+                let row = idx % self.weights.rows();
+                let at = match self.position[row] {
+                    usize::MAX => {
+                        let at = self.touched.len();
+                        self.position[row] = at;
+                        self.touched.push(row);
+                        self.grads.resize((at + 1) * max_width, 0.0);
+                        at
+                    }
+                    at => at,
+                };
+                let grad = &mut self.grads[at * max_width..][..width];
+                for (g, &d) in grad.iter_mut().zip(g_row) {
                     *g += d;
                 }
             }
@@ -122,18 +140,20 @@ impl EmbeddingTable {
     /// embedding training commonly does) rather than Adam to avoid dense
     /// moment buffers over the whole vocabulary.
     pub fn apply_sparse_sgd(&mut self, lr: f32) {
-        for (&row, grad) in &self.grad_rows {
-            let w_row = self.weights.row_mut(row);
-            for (w, &g) in w_row.iter_mut().zip(grad.iter()) {
+        let grads = self.grads.chunks_exact(self.weights.cols());
+        for (&row, grad) in self.touched.iter().zip(grads) {
+            for (w, &g) in self.weights.row_mut(row).iter_mut().zip(grad) {
                 *w -= lr * g;
             }
+            self.position[row] = usize::MAX;
         }
-        self.grad_rows.clear();
+        self.touched.clear();
+        self.grads.clear();
     }
 
     /// Number of rows with pending gradients (used by tests/metrics).
     pub fn pending_grad_rows(&self) -> usize {
-        self.grad_rows.len()
+        self.touched.len()
     }
 
     /// Serialises the full embedding matrix for checkpointing. Pending
@@ -296,6 +316,60 @@ mod tests {
             assert!((b - a - 0.1).abs() < 1e-6, "expected -0.1*grad step");
         }
         assert_eq!(t.pending_grad_rows(), 0);
+    }
+
+    /// Over steps of random bags (repeated and out-of-vocabulary ids, a
+    /// new width each step), the table's weights match a reference that
+    /// accumulates each touched row in its own zeroed max-width vector in
+    /// batch order and steps the rows in row order, bit for bit; and the
+    /// SGD step clears the gradient buffer without freeing it.
+    #[test]
+    fn sparse_sgd_matches_per_row_reference_and_reuses_its_buffer() {
+        use std::collections::BTreeMap;
+        let mut r = rng();
+        let (vocab, max_width) = (12, 6);
+        let mut t = EmbeddingTable::new(vocab, max_width, &mut r);
+        let mut want = t.weights.clone();
+        let mut capacity = 0;
+        for step in 0..20 {
+            let width = r.gen_range(1..=max_width);
+            let ids: Vec<Vec<usize>> = (0..8)
+                .map(|_| {
+                    (0..r.gen_range(0..4))
+                        .map(|_| r.gen_range(0..2 * vocab))
+                        .collect()
+                })
+                .collect();
+            let grad = Matrix::from_fn(ids.len(), width, |_, _| r.gen_range(-1.0..1.0));
+            t.backward(&grad, &ids, width);
+            let mut rows: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
+            for (i, bag) in ids.iter().enumerate() {
+                for &id in bag {
+                    let acc = rows
+                        .entry(id % vocab)
+                        .or_insert_with(|| vec![0.0; max_width]);
+                    for (a, &g) in acc[..width].iter_mut().zip(grad.row(i)) {
+                        *a += g;
+                    }
+                }
+            }
+            assert_eq!(t.pending_grad_rows(), rows.len());
+            t.apply_sparse_sgd(0.1);
+            for (row, acc) in rows {
+                for (w, g) in want.row_mut(row).iter_mut().zip(acc) {
+                    *w -= 0.1 * g;
+                }
+            }
+            assert_eq!(t.weights.as_slice(), want.as_slice(), "step {step}");
+            assert_eq!(t.pending_grad_rows(), 0);
+            assert!(
+                t.grads.capacity() >= capacity,
+                "the SGD step freed the buffer"
+            );
+            capacity = t.grads.capacity();
+        }
+        assert!(capacity > 0);
+        assert!(t.position.iter().all(|&p| p == usize::MAX));
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! *tape*: the pre-activation, plus `x·U` for the low-rank layer. The
 //! caller keeps the layer's input, so `backward` takes that input, the
 //! tape and the same shape. Any number of forwards may share a layer.
+//!
+//! `backward` accumulates the parameter gradients and returns the gradient
+//! w.r.t. the layer's input; `backward_params` runs the same pass without
+//! that last matrix product, for a layer whose input is the network's own,
+//! whose gradient nobody reads. An optimizer consumes the gradients
+//! through `params_grads_mut` and zeroes them.
 
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::{Activation, Matrix};
@@ -24,8 +30,8 @@ use rand::Rng;
 
 /// A plain fully-connected layer `y = act(x·W + b)`.
 ///
-/// Stores gradients from the most recent [`Dense::backward`] call;
-/// an optimizer consumes them via [`Dense::params_grads_mut`].
+/// Accumulates gradients over [`Dense::backward`] calls; an optimizer
+/// consumes and zeroes them via [`Dense::params_grads_mut`].
 ///
 /// # Examples
 ///
@@ -98,26 +104,32 @@ impl Dense {
     /// [`Dense::forward`]. Accumulates parameter gradients and returns the
     /// gradient w.r.t. the layer input.
     pub fn backward(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) -> Matrix {
+        self.accumulate(x, pre, grad_out).matmul_nt(&self.w)
+    }
+
+    /// [`Dense::backward`] without the input gradient: for a layer that
+    /// reads the network's input, whose gradient nobody reads.
+    pub fn backward_params(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) {
+        self.accumulate(x, pre, grad_out);
+    }
+
+    /// Accumulates the parameter gradients; returns the gradient w.r.t.
+    /// the pre-activation.
+    fn accumulate(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) -> Matrix {
         let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
         self.grad_w.add_scaled_assign(&x.matmul_tn(&d_pre), 1.0);
         for (g, s) in self.grad_b.iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
-        d_pre.matmul_nt(&self.w)
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_w.fill_zero();
-        self.grad_b.fill(0.0);
+        d_pre
     }
 
     /// Yields `(params, grads)` buffer pairs for an optimizer, in a stable
     /// order (weights then bias).
-    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &[f32]); 2] {
+    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &mut [f32]); 2] {
         [
-            (self.w.as_mut_slice(), self.grad_w.as_slice()),
-            (self.b.as_mut_slice(), self.grad_b.as_slice()),
+            (self.w.as_mut_slice(), self.grad_w.as_mut_slice()),
+            (self.b.as_mut_slice(), self.grad_b.as_mut_slice()),
         ]
     }
 }
@@ -129,7 +141,10 @@ impl Dense {
 /// upper-left `(active_in, active_out)` sub-matrix, and the activation is a
 /// candidate's choice too — the MLP weight-sharing scheme of the H2O-NAS
 /// DLRM super-network (③ in Fig. 3 of the paper).
-#[derive(Debug, Clone)]
+///
+/// The default layer is empty (`0 × 0`): a placeholder for a layer moved
+/// out of its network, whose forward rejects every shape.
+#[derive(Debug, Clone, Default)]
 pub struct MaskedDense {
     w: Matrix,
     b: Vec<f32>,
@@ -217,14 +232,47 @@ impl MaskedDense {
     }
 
     /// Backward pass for the input `x` and pre-activation `pre` of a
-    /// [`MaskedDense::forward`] at the same shape and activation. Gradients
-    /// outside the active region are untouched (those weights were not
-    /// used).
+    /// [`MaskedDense::forward`] at the same shape and activation: accumulates
+    /// the parameter gradients and returns the gradient w.r.t. `x`.
+    /// Gradients outside the active region are untouched (those weights
+    /// were not used).
     ///
     /// # Panics
     ///
     /// Panics if `x`, `pre` or `grad_out` does not fit the shape.
     pub fn backward(
+        &mut self,
+        x: &Matrix,
+        pre: &Matrix,
+        grad_out: &Matrix,
+        shape: (usize, usize),
+        activation: Activation,
+    ) -> Matrix {
+        let d_pre = self.accumulate(x, pre, grad_out, shape, activation);
+        // grad_x = d_pre · W[:active_in, :active_out]ᵀ
+        d_pre.matmul_nt_block(&self.w, shape.0, shape.1)
+    }
+
+    /// [`MaskedDense::backward`] without the gradient w.r.t. `x`: for a
+    /// layer that reads the network's input, whose gradient nobody reads.
+    ///
+    /// # Panics
+    ///
+    /// As [`MaskedDense::backward`].
+    pub fn backward_params(
+        &mut self,
+        x: &Matrix,
+        pre: &Matrix,
+        grad_out: &Matrix,
+        shape: (usize, usize),
+        activation: Activation,
+    ) {
+        self.accumulate(x, pre, grad_out, shape, activation);
+    }
+
+    /// Accumulates the parameter gradients of a backward pass; returns the
+    /// gradient w.r.t. the pre-activation.
+    fn accumulate(
         &mut self,
         x: &Matrix,
         pre: &Matrix,
@@ -256,21 +304,14 @@ impl MaskedDense {
         for (g, s) in self.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
-        // grad_x = d_pre · W[:active_in, :active_out]ᵀ
-        d_pre.matmul_nt_block(&self.w, active_in, active_out)
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_w.fill_zero();
-        self.grad_b.fill(0.0);
+        d_pre
     }
 
     /// Yields `(params, grads)` buffer pairs for an optimizer.
-    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &[f32]); 2] {
+    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &mut [f32]); 2] {
         [
-            (self.w.as_mut_slice(), self.grad_w.as_slice()),
-            (self.b.as_mut_slice(), self.grad_b.as_slice()),
+            (self.w.as_mut_slice(), self.grad_w.as_mut_slice()),
+            (self.b.as_mut_slice(), self.grad_b.as_mut_slice()),
         ]
     }
 
@@ -301,7 +342,10 @@ impl MaskedDense {
 /// (fine-grained sharing, ④ in Fig. 3). Unlike classic data-science
 /// factorisation, both the rank *and* the factor weights are learned
 /// directly (§5.1.1 of the paper).
-#[derive(Debug, Clone)]
+///
+/// The default layer is empty (rank 0): a placeholder for a layer moved
+/// out of its network, whose forward rejects every shape.
+#[derive(Debug, Clone, Default)]
 pub struct LowRankDense {
     u: Matrix,
     v: Matrix,
@@ -407,13 +451,47 @@ impl LowRankDense {
     }
 
     /// Backward pass for the input `x` and tape of a
-    /// [`LowRankDense::forward`] at the same shape and rank; accumulates
-    /// gradients for the active rank only.
+    /// [`LowRankDense::forward`] at the same shape and rank: accumulates
+    /// gradients for the active rank only and returns the gradient w.r.t.
+    /// `x`.
     ///
     /// # Panics
     ///
     /// Panics if `x`, the tape or `grad_out` does not fit the shape.
     pub fn backward(
+        &mut self,
+        x: &Matrix,
+        tape: &LowRankTape,
+        grad_out: &Matrix,
+        shape: (usize, usize),
+        r: usize,
+    ) -> Matrix {
+        let d_hidden = self.accumulate(x, tape, grad_out, shape, r);
+        // grad_x = d_hidden · U[:active_in, :r]ᵀ
+        d_hidden.matmul_nt_block(&self.u, shape.0, r)
+    }
+
+    /// [`LowRankDense::backward`] without the gradient w.r.t. `x`: for a
+    /// layer that reads the network's input, whose gradient nobody reads.
+    /// `U`'s gradient still needs the gradient w.r.t. `x·U`.
+    ///
+    /// # Panics
+    ///
+    /// As [`LowRankDense::backward`].
+    pub fn backward_params(
+        &mut self,
+        x: &Matrix,
+        tape: &LowRankTape,
+        grad_out: &Matrix,
+        shape: (usize, usize),
+        r: usize,
+    ) {
+        self.accumulate(x, tape, grad_out, shape, r);
+    }
+
+    /// Accumulates the parameter gradients of a backward pass; returns the
+    /// gradient w.r.t. the hidden product `x·U`.
+    fn accumulate(
         &mut self,
         x: &Matrix,
         tape: &LowRankTape,
@@ -450,23 +528,15 @@ impl LowRankDense {
                 *g += d;
             }
         }
-        // grad_x = d_hidden · U[:active_in, :r]ᵀ
-        d_hidden.matmul_nt_block(&self.u, active_in, r)
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_u.fill_zero();
-        self.grad_v.fill_zero();
-        self.grad_b.fill(0.0);
+        d_hidden
     }
 
     /// Yields `(params, grads)` buffer pairs for an optimizer.
-    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &[f32]); 3] {
+    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &mut [f32]); 3] {
         [
-            (self.u.as_mut_slice(), self.grad_u.as_slice()),
-            (self.v.as_mut_slice(), self.grad_v.as_slice()),
-            (self.b.as_mut_slice(), self.grad_b.as_slice()),
+            (self.u.as_mut_slice(), self.grad_u.as_mut_slice()),
+            (self.v.as_mut_slice(), self.grad_v.as_mut_slice()),
+            (self.b.as_mut_slice(), self.grad_b.as_mut_slice()),
         ]
     }
 
@@ -597,7 +667,8 @@ mod tests {
         /// accumulated gradients mixing in signed zeros, subnormals,
         /// infinities and NaN, both shared-weight layers' backward passes
         /// match the dot-product reference bit for bit: every gradient
-        /// buffer and the returned input gradient.
+        /// buffer and the returned input gradient. `backward_params`
+        /// leaves the same gradient buffers.
         fn backward_matches_dot_product_reference_bitwise(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
             let special = special_share(&mut rng);
@@ -614,11 +685,15 @@ mod tests {
             let (_, pre) = fast.forward(&x, shape, activation);
             let grad_out = edge_matrix(&mut rng, special, n, shape.1);
             let mut slow = fast.clone();
+            let mut params_only = fast.clone();
             let got = fast.backward(&x, &pre, &grad_out, shape, activation);
             let want = reference_masked_backward(&mut slow, &x, &pre, &grad_out, shape, activation);
+            params_only.backward_params(&x, &pre, &grad_out, shape, activation);
             same_bits("masked grad_x", got.as_slice(), want.as_slice())?;
-            same_bits("masked grad_w", fast.grad_w.as_slice(), slow.grad_w.as_slice())?;
-            same_bits("masked grad_b", &fast.grad_b, &slow.grad_b)?;
+            for layer in [&slow, &params_only] {
+                same_bits("masked grad_w", fast.grad_w.as_slice(), layer.grad_w.as_slice())?;
+                same_bits("masked grad_b", &fast.grad_b, &layer.grad_b)?;
+            }
 
             let max_rank = rng.gen_range(1usize..10);
             let rank = active_width(&mut rng, max_rank);
@@ -630,12 +705,16 @@ mod tests {
             let x = edge_matrix(&mut rng, special, n, shape.0);
             let (_, tape) = fast.forward(&x, shape, rank);
             let mut slow = fast.clone();
+            let mut params_only = fast.clone();
             let got = fast.backward(&x, &tape, &grad_out, shape, rank);
             let want = reference_low_rank_backward(&mut slow, &x, &tape, &grad_out, shape, rank);
+            params_only.backward_params(&x, &tape, &grad_out, shape, rank);
             same_bits("low-rank grad_x", got.as_slice(), want.as_slice())?;
-            same_bits("low-rank grad_u", fast.grad_u.as_slice(), slow.grad_u.as_slice())?;
-            same_bits("low-rank grad_v", fast.grad_v.as_slice(), slow.grad_v.as_slice())?;
-            same_bits("low-rank grad_b", &fast.grad_b, &slow.grad_b)?;
+            for layer in [&slow, &params_only] {
+                same_bits("low-rank grad_u", fast.grad_u.as_slice(), layer.grad_u.as_slice())?;
+                same_bits("low-rank grad_v", fast.grad_v.as_slice(), layer.grad_v.as_slice())?;
+                same_bits("low-rank grad_b", &fast.grad_b, &layer.grad_b)?;
+            }
         }
     }
 
@@ -655,7 +734,6 @@ mod tests {
         // loss = sum(out); grad_out = ones
         let (out, pre) = d.forward(&x);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
-        d.zero_grad();
         d.backward(&x, &pre, &ones);
         let analytic = d.grad_w.get(1, 1);
         let eps = 1e-3;
@@ -736,7 +814,6 @@ mod tests {
         let mut lr = LowRankDense::new(3, 2, 2, Activation::Identity, &mut r);
         let x = Matrix::xavier(4, 3, &mut r);
         let (out, tape) = lr.forward(&x, (3, 2), 2);
-        lr.zero_grad();
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
         lr.backward(&x, &tape, &ones, (3, 2), 2);
         let analytic = lr.grad_u.get(0, 0);

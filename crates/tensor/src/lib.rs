@@ -60,5 +60,5 @@ pub use embedding::{EmbeddingTable, SharedEmbeddingBank};
 pub use layers::{Dense, LowRankDense, LowRankTape, MaskedDense};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpTape};
-pub use optim::{OptimConfig, Optimizer};
+pub use optim::{OptimConfig, Optimizer, Slot, Update};
 pub use state::{StateError, StateReader, StateWriter};

@@ -20,7 +20,7 @@ use std::fmt;
 /// let c = a.matmul(&b);
 /// assert_eq!(c.get(1, 0), 3.0);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -401,11 +401,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Zeroes every element in place.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Horizontally concatenates matrices with equal row counts.

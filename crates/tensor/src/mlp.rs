@@ -117,9 +117,13 @@ impl Mlp {
     pub fn backward_and_step(&mut self, x: &Matrix, tape: &MlpTape, grad_out: &Matrix) {
         let mut g = None;
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            let input = if i == 0 { x } else { &tape.layers[i - 1].0 };
             let pre = &tape.layers[i].1;
-            g = Some(layer.backward(input, pre, g.as_ref().unwrap_or(grad_out)));
+            let grad = g.as_ref().unwrap_or(grad_out);
+            match i.checked_sub(1) {
+                Some(j) => g = Some(layer.backward(&tape.layers[j].0, pre, grad)),
+                // Layer 0 reads `x`, whose gradient nobody reads.
+                None => layer.backward_params(x, pre, grad),
+            }
         }
         self.optimizer.begin_step();
         let mut slot = 0;
@@ -128,9 +132,6 @@ impl Mlp {
                 self.optimizer.step(slot, params, grads);
                 slot += 1;
             }
-        }
-        for layer in &mut self.layers {
-            layer.zero_grad();
         }
     }
 

@@ -6,6 +6,7 @@
 //! stable order across steps.
 
 use crate::state::{StateError, StateReader, StateWriter};
+use std::ops::Range;
 
 /// Optimizer algorithm and hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,8 +48,12 @@ impl OptimConfig {
     }
 }
 
+/// One parameter buffer's optimizer state: its momentum, or Adam's two
+/// moments. Moved out of [`Optimizer::slots_mut`] (`mem::take` leaves an
+/// empty slot), it is detached: an [`Update`] applies to it away from the
+/// optimizer, until it is moved back.
 #[derive(Debug, Clone, Default)]
-struct Slot {
+pub struct Slot {
     /// Momentum buffer (SGD) or first moment (Adam).
     m: Vec<f32>,
     /// Second moment (Adam only).
@@ -69,9 +74,10 @@ struct Slot {
 ///
 /// let mut opt = Optimizer::new(OptimConfig::sgd(0.1));
 /// let mut params = vec![1.0f32];
-/// let grads = vec![2.0f32];
-/// opt.step(0, &mut params, &grads);
+/// let mut grads = vec![2.0f32];
+/// opt.step(0, &mut params, &mut grads);
 /// assert!((params[0] - 0.8).abs() < 1e-6);
+/// assert_eq!(grads, [0.0]); // the update consumed the gradient
 /// ```
 #[derive(Debug, Clone)]
 pub struct Optimizer {
@@ -116,53 +122,38 @@ impl Optimizer {
         self.t += 1;
     }
 
-    /// Applies one update to the parameter buffer registered at `slot`.
-    ///
-    /// One pass over `(param, grad, m, v)` updates each element on its own,
-    /// evaluating exactly this expression in this order (`c` is the clip,
-    /// `bcN = 1 − βNᵗ`):
-    ///
-    /// * clip, if set: `g = if g.is_finite() { g.clamp(-c, c) } else { 0.0 }`;
-    /// * SGD: `p -= lr·g`, or with momentum `m = momentum·m + g; p -= lr·m`;
-    /// * Adam: `m = β1·m + (1 − β1)·g`, `v = β2·v + ((1 − β2)·g)·g`, then
-    ///   `p -= (lr·(m / bc1)) / (sqrt(v / bc2) + eps)`.
-    ///
-    /// Divisions stay divisions and nothing is reassociated or fused, so a
-    /// vectorised build writes the same bits as a scalar one (DESIGN.md,
-    /// "Kernel bit-exactness").
-    ///
-    /// Adam elements whose weight gets no gradient and whose first moment
-    /// has decayed to almost nothing take an exact shortcut that writes the
-    /// same bits without subnormal arithmetic (DESIGN.md, the absorbed
-    /// update).
+    /// The update of the current step count, detached from the optimizer:
+    /// it still applies that step's update after later
+    /// [`Optimizer::begin_step`] calls, and from any thread.
+    pub fn update(&self) -> Update {
+        Update {
+            config: self.config,
+            t: self.t,
+            grad_clip: self.grad_clip,
+        }
+    }
+
+    /// Applies one update to the parameter buffer registered at `slot`,
+    /// then zeroes `grads`, which the update consumed: the current step's
+    /// [`Update::apply`] on that slot's state.
     ///
     /// # Panics
     ///
-    /// Panics if `params.len() != grads.len()`, or if a slot is reused with a
-    /// different buffer length.
-    pub fn step(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.slots.len() <= slot {
-            self.slots.resize_with(slot + 1, Slot::default);
+    /// As [`Update::apply`].
+    pub fn step(&mut self, slot: usize, params: &mut [f32], grads: &mut [f32]) {
+        let update = self.update();
+        update.apply(&mut self.slots_mut(slot..slot + 1)[0], params, grads);
+    }
+
+    /// The states of the slots in `range`, growing the slot list on demand.
+    /// A slot moved out of it is detached until it is moved back: the
+    /// optimizer's own view of that slot stays empty meanwhile, so a state
+    /// written with [`Optimizer::write_state`] then would lose it.
+    pub fn slots_mut(&mut self, range: Range<usize>) -> &mut [Slot] {
+        if self.slots.len() < range.end {
+            self.slots.resize_with(range.end, Slot::default);
         }
-        let state = &mut self.slots[slot];
-        match self.grad_clip {
-            // `g.clamp(-c, c)` for the `c > 0` that `set_grad_clip`
-            // enforces, written without clamp's range assert: a panic path
-            // inside the absorbing Adam loop keeps it from vectorising.
-            Some(c) => update(self.config, self.t, state, params, grads, |g| {
-                if !g.is_finite() {
-                    0.0
-                } else if g < -c {
-                    -c
-                } else if g > c {
-                    c
-                } else {
-                    g
-                }
-            }),
-            None => update(self.config, self.t, state, params, grads, |g| g),
-        }
+        &mut self.slots[range]
     }
 
     /// Serialises the optimizer's mutable state (step counter plus every
@@ -260,7 +251,73 @@ impl Optimizer {
     }
 }
 
-/// The element loop of [`Optimizer::step`], generic over the clip so that
+/// One training step's update, detached from its [`Optimizer`]: the
+/// algorithm, the gradient clip and the step count. Applied to a buffer
+/// and that buffer's [`Slot`], it writes the bits the optimizer's own
+/// [`Optimizer::step`] writes at that step count, whenever and on whichever
+/// thread it runs.
+#[derive(Debug, Clone, Copy)]
+pub struct Update {
+    config: OptimConfig,
+    t: u64,
+    grad_clip: Option<f32>,
+}
+
+impl Update {
+    /// Updates `params` from `grads` and the buffer's state `slot`, then
+    /// zeroes `grads`, which the update consumed.
+    ///
+    /// One pass over `(param, grad, m, v)` updates each element on its own,
+    /// evaluating exactly this expression in this order (`c` is the clip,
+    /// `bcN = 1 − βNᵗ`):
+    ///
+    /// * clip, if set: `g = if g.is_finite() { g.clamp(-c, c) } else { 0.0 }`;
+    /// * SGD: `p -= lr·g`, or with momentum `m = momentum·m + g; p -= lr·m`;
+    /// * Adam: `m = β1·m + (1 − β1)·g`, `v = β2·v + ((1 − β2)·g)·g`, then
+    ///   `p -= (lr·(m / bc1)) / (sqrt(v / bc2) + eps)`.
+    ///
+    /// Divisions stay divisions and nothing is reassociated or fused, so a
+    /// vectorised build writes the same bits as a scalar one (DESIGN.md,
+    /// "Kernel bit-exactness").
+    ///
+    /// Adam elements whose weight gets no gradient and whose first moment
+    /// has decayed to almost nothing take an exact shortcut that writes the
+    /// same bits without subnormal arithmetic (DESIGN.md, the absorbed
+    /// update).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != grads.len()`, or if a slot is reused with a
+    /// different buffer length.
+    pub fn apply(&self, slot: &mut Slot, params: &mut [f32], grads: &mut [f32]) {
+        assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
+        let Update {
+            config,
+            t,
+            grad_clip,
+        } = *self;
+        match grad_clip {
+            // `g.clamp(-c, c)` for the `c > 0` that `set_grad_clip`
+            // enforces, written without clamp's range assert: a panic path
+            // inside the absorbing Adam loop keeps it from vectorising.
+            Some(c) => update(config, t, slot, params, grads, |g| {
+                if !g.is_finite() {
+                    0.0
+                } else if g < -c {
+                    -c
+                } else if g > c {
+                    c
+                } else {
+                    g
+                }
+            }),
+            None => update(config, t, slot, params, grads, |g| g),
+        }
+        grads.fill(0.0);
+    }
+}
+
+/// The element loop of [`Update::apply`], generic over the clip so that
 /// each clip setting compiles to its own branch-free loop.
 fn update(
     config: OptimConfig,
@@ -673,8 +730,10 @@ mod tests {
                 let grads = edge_values(&mut rng, special, n);
                 fast.begin_step();
                 slow.begin_step();
-                fast.step(0, &mut p_fast, &grads);
+                let mut consumed = grads.clone();
+                fast.step(0, &mut p_fast, &mut consumed);
                 reference_step(&mut slow, 0, &mut p_slow, &grads);
+                prop_assert!(consumed.iter().all(|g| g.to_bits() == 0), "gradients not zeroed");
             }
             same_bits("params", &p_fast, &p_slow)?;
             same_bits("m", &fast.slots[0].m, &slow.slots[0].m)?;
@@ -733,7 +792,7 @@ mod tests {
                     .collect();
                 fast.begin_step();
                 slow.begin_step();
-                fast.step(0, &mut p_fast, &grads);
+                fast.step(0, &mut p_fast, &mut grads.clone());
                 reference_step(&mut slow, 0, &mut p_slow, &grads);
                 same_bits("params", &p_fast, &p_slow).map_err(|e| format!("step {step}: {e}"))?;
                 same_bits("m", &fast.slots[0].m, &slow.slots[0].m).map_err(|e| format!("step {step}: {e}"))?;
@@ -838,7 +897,7 @@ mod tests {
                     for _ in 0..3 {
                         fast.begin_step();
                         slow.begin_step();
-                        fast.step(0, &mut params, &grads);
+                        fast.step(0, &mut params, &mut grads.clone());
                         reference_step(&mut slow, 0, &mut p_slow, &grads);
                         let case = format!("lr {lr} beta1 {beta1} eps {eps} clip {clip:?} t {t}");
                         same_bits("params", &params, &p_slow).expect(&case);
@@ -909,6 +968,97 @@ mod tests {
         }
     }
 
+    /// An update applied later, to a detached slot, from another thread,
+    /// writes the bits of the in-place update. One optimizer steps two
+    /// slots in place; its copy steps slot 1 in place too, but detaches
+    /// slot 0 with that step's [`Update`] and applies it on a spawned
+    /// thread only after its own counter has moved on to the next step.
+    /// Half of slot 0's elements sit in the absorbed range for the whole
+    /// run (a zero gradient and a first moment below 2⁻⁹⁶: normal,
+    /// subnormal and the `4·2⁻¹⁴⁹` fixed point), the run passes the
+    /// tiny-moment scans of steps 16, 32 and 48, and both copies match
+    /// bit for bit after every step, clip on and off.
+    #[test]
+    fn detached_update_writes_the_in_place_bits() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let tiny = [
+            f32::from_bits(TINY_M - 1),
+            -1e-35,
+            f32::from_bits(0x0040_0000),
+            4.0 * f32::from_bits(1),
+        ];
+        let n = 3 * CHUNK + 5;
+        let absorbed = |i: usize| i.is_multiple_of(2);
+        for clip in [None, Some(0.5)] {
+            let mut in_place = Optimizer::new(OptimConfig::adam(1e-3));
+            if let Some(c) = clip {
+                in_place.set_grad_clip(c);
+            }
+            let m = (0..n)
+                .map(|i| match absorbed(i) {
+                    true => tiny[i / 2 % tiny.len()],
+                    false => rng.gen_range(-1e-3f32..1e-3),
+                })
+                .collect();
+            let v = (0..n).map(|_| rng.gen_range(0.0f32..1e-6)).collect();
+            in_place.slots = vec![
+                Slot {
+                    m,
+                    v,
+                    tiny: Vec::new(),
+                },
+                Slot::default(),
+            ];
+            let mut detached = in_place.clone();
+            let mut p_in: Vec<f32> = (0..n).map(|_| rng.gen_range(0.5f32..1.0)).collect();
+            let mut p_det = p_in.clone();
+            let (mut other_in, mut other_det) = (vec![0.5f32; 7], vec![0.5f32; 7]);
+            let mut pending: Option<(Update, Slot, Vec<f32>)> = None;
+            let mut scanned = false;
+            for step in 1..=49u64 {
+                detached.begin_step();
+                if let Some((update, mut slot, mut grads)) = pending.take() {
+                    std::thread::scope(|s| {
+                        s.spawn(|| update.apply(&mut slot, &mut p_det, &mut grads));
+                    });
+                    assert!(grads.iter().all(|g| g.to_bits() == 0), "step {step}");
+                    detached.slots_mut(0..1)[0] = slot;
+                    same_bits("params", &p_det, &p_in).expect("params");
+                    same_bits("other", &other_det, &other_in).expect("other");
+                    for (a, b) in detached.slots.iter().zip(&in_place.slots) {
+                        same_bits("m", &a.m, &b.m).expect("m");
+                        same_bits("v", &a.v, &b.v).expect("v");
+                    }
+                    scanned |=
+                        update.t.is_multiple_of(16) && detached.slots[0].tiny.contains(&true);
+                }
+                if step == 49 {
+                    break;
+                }
+                let grads: Vec<f32> = (0..n)
+                    .map(|i| match absorbed(i) {
+                        true if rng.gen_bool(0.5) => -0.0,
+                        true => 0.0,
+                        false => rng.gen_range(-1.0f32..1.0),
+                    })
+                    .collect();
+                let other: Vec<f32> = (0..7).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                in_place.begin_step();
+                in_place.step(0, &mut p_in, &mut grads.clone());
+                in_place.step(1, &mut other_in, &mut other.clone());
+                detached.step(1, &mut other_det, &mut other.clone());
+                let slot = std::mem::take(&mut detached.slots_mut(0..1)[0]);
+                pending = Some((detached.update(), slot, grads));
+            }
+            assert!(scanned, "no scan step kept a tiny moment");
+            let still_tiny = in_place.slots[0].m.iter().filter(|&&m| is_tiny(m)).count();
+            assert!(
+                still_tiny >= n / 2,
+                "{still_tiny} moments left in the absorbed range"
+            );
+        }
+    }
+
     /// A blob with one slot holding moment buffers `m` and `v`.
     fn one_slot_blob(m: &[f32], v: &[f32]) -> Vec<u8> {
         let mut w = StateWriter::new();
@@ -974,7 +1124,7 @@ mod tests {
             tiny: Vec::new(),
         });
         opt.begin_step();
-        opt.step(0, &mut [1.0, 2.0], &[0.5, 0.5]);
+        opt.step(0, &mut [1.0, 2.0], &mut [0.5, 0.5]);
     }
 
     #[test]
@@ -982,7 +1132,7 @@ mod tests {
         let mut opt = Optimizer::new(OptimConfig::sgd(0.5));
         let mut p = vec![1.0, -1.0];
         opt.begin_step();
-        opt.step(0, &mut p, &[1.0, -1.0]);
+        opt.step(0, &mut p, &mut [1.0, -1.0]);
         assert_eq!(p, vec![0.5, -0.5]);
     }
 
@@ -994,9 +1144,9 @@ mod tests {
         });
         let mut p = vec![0.0];
         opt.begin_step();
-        opt.step(0, &mut p, &[1.0]); // m=1, p=-1
+        opt.step(0, &mut p, &mut [1.0]); // m=1, p=-1
         opt.begin_step();
-        opt.step(0, &mut p, &[1.0]); // m=1.5, p=-2.5
+        opt.step(0, &mut p, &mut [1.0]); // m=1.5, p=-2.5
         assert!((p[0] + 2.5).abs() < 1e-6);
     }
 
@@ -1006,9 +1156,9 @@ mod tests {
         let mut opt = Optimizer::new(OptimConfig::adam(0.1));
         let mut x = vec![0.0f32];
         for _ in 0..500 {
-            let g = vec![2.0 * (x[0] - 3.0)];
+            let mut g = vec![2.0 * (x[0] - 3.0)];
             opt.begin_step();
-            opt.step(0, &mut x, &g);
+            opt.step(0, &mut x, &mut g);
         }
         assert!((x[0] - 3.0).abs() < 1e-2, "got {}", x[0]);
     }
@@ -1022,10 +1172,10 @@ mod tests {
         let mut a = vec![0.0];
         let mut b = vec![0.0];
         opt.begin_step();
-        opt.step(0, &mut a, &[1.0]);
-        opt.step(1, &mut b, &[1.0]);
+        opt.step(0, &mut a, &mut [1.0]);
+        opt.step(1, &mut b, &mut [1.0]);
         opt.begin_step();
-        opt.step(0, &mut a, &[0.0]);
+        opt.step(0, &mut a, &mut [0.0]);
         // slot 0 momentum should not have leaked into slot 1
         assert!((a[0] + 1.9).abs() < 1e-6);
         assert!((b[0] + 1.0).abs() < 1e-6);
@@ -1036,7 +1186,7 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut opt = Optimizer::new(OptimConfig::sgd(0.1));
         let mut p = vec![0.0];
-        opt.step(0, &mut p, &[1.0, 2.0]);
+        opt.step(0, &mut p, &mut [1.0, 2.0]);
     }
 
     #[test]
@@ -1045,7 +1195,7 @@ mod tests {
         opt.set_grad_clip(0.5);
         let mut p = vec![0.0f32];
         opt.begin_step();
-        opt.step(0, &mut p, &[100.0]);
+        opt.step(0, &mut p, &mut [100.0]);
         assert!((p[0] + 0.5).abs() < 1e-6, "clipped step: {}", p[0]);
     }
 
@@ -1055,7 +1205,7 @@ mod tests {
         opt.set_grad_clip(1.0);
         let mut p = vec![3.0f32];
         opt.begin_step();
-        opt.step(0, &mut p, &[f32::NAN]);
+        opt.step(0, &mut p, &mut [f32::NAN]);
         assert_eq!(p[0], 3.0, "NaN gradient must be dropped");
     }
 
@@ -1067,9 +1217,9 @@ mod tests {
             let mut opt = Optimizer::new(cfg);
             let mut p = vec![1.0f32, 1.0];
             for _ in 0..50 {
-                let g = vec![2.0 * p[0], 200.0 * p[1]];
+                let mut g = vec![2.0 * p[0], 200.0 * p[1]];
                 opt.begin_step();
-                opt.step(0, &mut p, &g);
+                opt.step(0, &mut p, &mut g);
             }
             p[0].abs() + p[1].abs()
         };

@@ -65,16 +65,21 @@ done
 echo "==> cargo test -q --release -p h2o-exec"
 cargo test -q --release -p h2o-exec
 
-# The supernet weight step's kernels (Adam, the transposed-block backward
-# product) are vectorised only from opt-level 2 (the release profile), so
-# the debug legs above, at opt-level 1, never run the loops the benchmark
-# times. Re-run h2o-tensor's bit-exact reference properties, the
-# supernets' properties (h2o-space), the pinned digests (consistency,
-# supernet state included) and the one-shot/TuNAS goldens in release mode.
+# The training kernels (Adam, the forward block product, the block xᵀ·d
+# weight-gradient accumulation and the transposed-block input gradient)
+# are vectorised only from opt-level 2 (the release profile), so the
+# debug legs above, at opt-level 1, never run the loops the benchmark
+# times. Both supernets and the perf model's MLP train through them.
+# Re-run h2o-tensor's bit-exact reference properties, the supernets'
+# properties (h2o-space), the perf model's suite (h2o-perfmodel), the
+# pinned digests (consistency, supernet state and perf model included)
+# and the one-shot/TuNAS goldens in release mode.
 echo "==> cargo test -q --release -p h2o-tensor"
 cargo test -q --release -p h2o-tensor
 echo "==> cargo test -q --release -p h2o-space"
 cargo test -q --release -p h2o-space
+echo "==> cargo test -q --release -p h2o-perfmodel"
+cargo test -q --release -p h2o-perfmodel
 echo "==> cargo test -q --release --test consistency"
 cargo test -q --release --test consistency
 echo "==> cargo test -q --release --test driver_equivalence"

@@ -30,7 +30,7 @@
 use crate::decision::ArchSample;
 use crate::dlrm::{choices, DlrmSpace, DlrmSpaceConfig, DECISIONS_PER_GROUP, DECISIONS_PER_TABLE};
 use h2o_tensor::{
-    loss, Activation, LowRankDense, LowRankTape, MaskedDense, Matrix, OptimConfig, Optimizer,
+    loss, Activation, LowRankDense, LowRankTape, MaskedDense, Matrix, Optimizer,
     SharedEmbeddingBank, Slot, StateError, StateReader, StateWriter, Update,
 };
 use rand::Rng;
@@ -459,7 +459,7 @@ impl DlrmSupernet {
             banks,
             groups,
             head,
-            optimizer: Optimizer::new(OptimConfig::adam(1e-3)),
+            optimizer: Optimizer::new(1e-3),
             embedding_lr,
             emb_slot_widths,
             bottom_max_width,

@@ -13,8 +13,7 @@
 
 use crate::decision::{ArchSample, Decision, SearchSpace};
 use h2o_tensor::{
-    loss, Activation, MaskedDense, Matrix, OptimConfig, Optimizer, StateError, StateReader,
-    StateWriter,
+    loss, Activation, MaskedDense, Matrix, Optimizer, StateError, StateReader, StateWriter,
 };
 use rand::Rng;
 
@@ -149,7 +148,7 @@ impl VisionSupernet {
         let head = MaskedDense::new(prev_max, config.classes, rng);
         // Deep Squared-ReLU towers can explode; clip gradients so every
         // candidate trains stably over the shared weights.
-        let mut optimizer = Optimizer::new(OptimConfig::adam(2e-3));
+        let mut optimizer = Optimizer::new(2e-3);
         optimizer.set_grad_clip(1.0);
         Self {
             config,

@@ -1,12 +1,12 @@
 //! Trainable layers with explicit forward/backward passes.
 //!
-//! Three flavours of dense layer mirror the weight-sharing strategies of the
+//! Two flavours of dense layer mirror the weight-sharing strategies of the
 //! H2O-NAS DLRM super-network (Fig. 3 of the paper):
 //!
-//! * [`Dense`] — a plain fully-connected layer.
 //! * [`MaskedDense`] — one weight matrix sized for the *largest* candidate
 //!   layer; smaller candidates use the upper-left sub-matrix (fine-grained
-//!   weight sharing, ③ in Fig. 3).
+//!   weight sharing, ③ in Fig. 3). At full shape it is a plain
+//!   fully-connected layer, which is how [`crate::Mlp`] stacks it.
 //! * [`LowRankDense`] — a `U·V` factorised layer whose active rank is
 //!   searchable; ranks share the leading columns/rows of `U`/`V`
 //!   (fine-grained sharing for low-rank candidates, ④ in Fig. 3).
@@ -27,112 +27,6 @@
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::{Activation, Matrix};
 use rand::Rng;
-
-/// A plain fully-connected layer `y = act(x·W + b)`.
-///
-/// Accumulates gradients over [`Dense::backward`] calls; an optimizer
-/// consumes and zeroes them via [`Dense::params_grads_mut`].
-///
-/// # Examples
-///
-/// ```
-/// use h2o_tensor::{Dense, Activation, Matrix};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
-/// let x = Matrix::zeros(4, 3);
-/// let (y, pre) = layer.forward(&x);
-/// assert_eq!(y.shape(), (4, 2));
-/// let grad_x = layer.backward(&x, &pre, &Matrix::full(4, 2, 1.0));
-/// assert_eq!(grad_x.shape(), (4, 3));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Dense {
-    w: Matrix,
-    b: Vec<f32>,
-    activation: Activation,
-    grad_w: Matrix,
-    grad_b: Vec<f32>,
-}
-
-impl Dense {
-    /// Creates a layer with Xavier-initialised weights and zero bias.
-    pub fn new(n_in: usize, n_out: usize, activation: Activation, rng: &mut impl Rng) -> Self {
-        Self {
-            w: Matrix::xavier(n_in, n_out, rng),
-            b: vec![0.0; n_out],
-            activation,
-            grad_w: Matrix::zeros(n_in, n_out),
-            grad_b: vec![0.0; n_out],
-        }
-    }
-
-    /// Input width.
-    pub fn n_in(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output width.
-    pub fn n_out(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// The layer's activation function.
-    pub fn activation(&self) -> Activation {
-        self.activation
-    }
-
-    /// Immutable view of the weight matrix.
-    pub fn weights(&self) -> &Matrix {
-        &self.w
-    }
-
-    /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.w.rows() * self.w.cols() + self.b.len()
-    }
-
-    /// Forward pass: the output `act(x·W + b)`, and the pre-activation
-    /// `x·W + b` that [`Dense::backward`] takes.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, Matrix) {
-        let pre = x.matmul(&self.w).add_row_broadcast(&self.b);
-        (self.activation.apply_matrix(&pre), pre)
-    }
-
-    /// Backward pass for the input `x` and pre-activation `pre` of a
-    /// [`Dense::forward`]. Accumulates parameter gradients and returns the
-    /// gradient w.r.t. the layer input.
-    pub fn backward(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) -> Matrix {
-        self.accumulate(x, pre, grad_out).matmul_nt(&self.w)
-    }
-
-    /// [`Dense::backward`] without the input gradient: for a layer that
-    /// reads the network's input, whose gradient nobody reads.
-    pub fn backward_params(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) {
-        self.accumulate(x, pre, grad_out);
-    }
-
-    /// Accumulates the parameter gradients; returns the gradient w.r.t.
-    /// the pre-activation.
-    fn accumulate(&mut self, x: &Matrix, pre: &Matrix, grad_out: &Matrix) -> Matrix {
-        let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
-        self.grad_w.add_scaled_assign(&x.matmul_tn(&d_pre), 1.0);
-        for (g, s) in self.grad_b.iter_mut().zip(d_pre.col_sums()) {
-            *g += s;
-        }
-        d_pre
-    }
-
-    /// Yields `(params, grads)` buffer pairs for an optimizer, in a stable
-    /// order (weights then bias).
-    pub fn params_grads_mut(&mut self) -> [(&mut [f32], &mut [f32]); 2] {
-        [
-            (self.w.as_mut_slice(), self.grad_w.as_mut_slice()),
-            (self.b.as_mut_slice(), self.grad_b.as_mut_slice()),
-        ]
-    }
-}
 
 /// A fine-grained weight-sharing dense layer.
 ///
@@ -173,26 +67,6 @@ impl MaskedDense {
         self.w.cols()
     }
 
-    /// Copies the `(active_in, active_out)` sub-matrix into a standalone
-    /// [`Dense`] layer with `activation` — used to materialise the final
-    /// architecture after a search.
-    pub fn extract_dense(
-        &self,
-        (active_in, active_out): (usize, usize),
-        activation: Activation,
-        rng: &mut impl Rng,
-    ) -> Dense {
-        let mut d = Dense::new(active_in, active_out, activation, rng);
-        let mut w = Matrix::zeros(active_in, active_out);
-        for r in 0..active_in {
-            w.row_mut(r).copy_from_slice(&self.w.row(r)[..active_out]);
-        }
-        // Overwrite the randomly initialised weights with the shared ones.
-        d.w = w;
-        d.b = self.b[..active_out].to_vec();
-        d
-    }
-
     /// Forward pass over the upper-left `(active_in, active_out)`
     /// sub-matrix: the output `act(x·W[..active_in, ..active_out] +
     /// b[..active_out])`, and the pre-activation that
@@ -213,21 +87,9 @@ impl MaskedDense {
             "active shape ({active_in}, {active_out}) out of range"
         );
         assert_eq!(x.cols(), active_in, "input width must equal active_in");
-        let mut pre = Matrix::zeros(x.rows(), active_out);
-        for i in 0..x.rows() {
-            let x_row = x.row(i);
-            let out_row = pre.row_mut(i);
-            for (k, &a) in x_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let w_row = &self.w.row(k)[..active_out];
-                for (o, &wv) in out_row.iter_mut().zip(w_row) {
-                    *o += a * wv;
-                }
-            }
-        }
-        let pre = pre.add_row_broadcast(&self.b[..active_out]);
+        let pre = x
+            .matmul_block(&self.w, active_out)
+            .add_row_broadcast(&self.b[..active_out]);
         (activation.apply_matrix(&pre), pre)
     }
 
@@ -287,20 +149,8 @@ impl MaskedDense {
         );
         assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
         let d_pre = grad_out.hadamard(&activation.derivative_matrix(pre));
-        // grad_w[k, j] += sum_i x[i, k] * d_pre[i, j]  (active region only)
-        for i in 0..x.rows() {
-            let x_row = x.row(i);
-            let d_row = d_pre.row(i);
-            for (k, &xv) in x_row.iter().enumerate() {
-                if xv == 0.0 {
-                    continue;
-                }
-                let g_row = &mut self.grad_w.row_mut(k)[..active_out];
-                for (g, &d) in g_row.iter_mut().zip(d_row) {
-                    *g += xv * d;
-                }
-            }
-        }
+        // grad_w[:active_in, :active_out] += xᵀ · d_pre
+        self.grad_w.add_matmul_tn(x, &d_pre);
         for (g, s) in self.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
@@ -417,21 +267,9 @@ impl LowRankDense {
         );
         assert_eq!(x.cols(), active_in, "input width must equal active_in");
         // hidden = x · U[:active_in, :r]
-        let mut hidden = Matrix::zeros(x.rows(), r);
-        for i in 0..x.rows() {
-            let x_row = x.row(i);
-            let h_row = hidden.row_mut(i);
-            for (k, &a) in x_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let u_row = &self.u.row(k)[..r];
-                for (h, &uv) in h_row.iter_mut().zip(u_row) {
-                    *h += a * uv;
-                }
-            }
-        }
-        // pre = hidden · V[:r, :active_out]
+        let hidden = x.matmul_block(&self.u, r);
+        // pre = hidden · V[:r, :active_out], with no zero-skip: a zero in
+        // `hidden` times an infinite `V` is NaN, as in a dot product.
         let mut pre = Matrix::zeros(x.rows(), active_out);
         for i in 0..x.rows() {
             let h_row = hidden.row(i);
@@ -563,7 +401,10 @@ impl LowRankDense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{edge_values, reference_matmul_nt_block, same_bits, special_share};
+    use crate::testkit::{
+        block_width, edge_matrix, edge_values, reference_matmul_block, reference_matmul_nt_block,
+        same_bits, special_share,
+    };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -635,20 +476,6 @@ mod tests {
         reference_matmul_nt_block(&d_hidden, &l.u, active_in, r)
     }
 
-    /// A matrix of [`edge_values`].
-    fn edge_matrix(rng: &mut StdRng, special: f64, rows: usize, cols: usize) -> Matrix {
-        Matrix::from_vec(rows, cols, edge_values(rng, special, rows * cols))
-    }
-
-    /// An active width in `1..=max`: 1 and `max` each a third of the time.
-    fn active_width(rng: &mut StdRng, max: usize) -> usize {
-        match rng.gen_range(0usize..3) {
-            0 => 1,
-            1 => max,
-            _ => rng.gen_range(1..=max),
-        }
-    }
-
     const ACTIVATIONS: [Activation; 7] = [
         Activation::Relu,
         Activation::Swish,
@@ -661,6 +488,34 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A masked forward on a random active block (1×1 and full shape
+        /// included) equals the scalar reference product over that block,
+        /// plus the bias and the activation, bit for bit, with weights,
+        /// biases and inputs mixing in signed zeros, subnormals,
+        /// infinities and NaN: output and pre-activation both.
+        fn masked_forward_matches_block_reference_bitwise(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let special = special_share(&mut rng);
+            let activation = ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())];
+            let n = rng.gen_range(1usize..6);
+            let (max_in, max_out) = (rng.gen_range(1usize..14), rng.gen_range(1usize..14));
+            let shape = (block_width(&mut rng, max_in), block_width(&mut rng, max_out));
+            let mut layer = MaskedDense::new(max_in, max_out, &mut rng);
+            layer.w = edge_matrix(&mut rng, special, max_in, max_out);
+            layer.b = edge_values(&mut rng, special, max_out);
+            let x = edge_matrix(&mut rng, special, n, shape.0);
+            let (out, pre) = layer.forward(&x, shape, activation);
+            let mut want = reference_matmul_block(&x, &layer.w, shape.1);
+            for i in 0..n {
+                for (o, &b) in want.row_mut(i).iter_mut().zip(&layer.b) {
+                    *o += b;
+                }
+            }
+            same_bits("pre", pre.as_slice(), want.as_slice())?;
+            let want_out: Vec<f32> = want.as_slice().iter().map(|&v| activation.apply(v)).collect();
+            same_bits("out", out.as_slice(), &want_out)?;
+        }
 
         /// On random shapes and active sub-blocks (rank 1 and full rank
         /// included), with weights, inputs, upstream gradients and already
@@ -675,7 +530,7 @@ mod tests {
             let activation = ACTIVATIONS[rng.gen_range(0..ACTIVATIONS.len())];
             let n = rng.gen_range(1usize..6);
             let (max_in, max_out) = (rng.gen_range(1usize..14), rng.gen_range(1usize..14));
-            let shape = (active_width(&mut rng, max_in), active_width(&mut rng, max_out));
+            let shape = (block_width(&mut rng, max_in), block_width(&mut rng, max_out));
 
             let mut fast = MaskedDense::new(max_in, max_out, &mut rng);
             fast.w = edge_matrix(&mut rng, special, max_in, max_out);
@@ -696,7 +551,7 @@ mod tests {
             }
 
             let max_rank = rng.gen_range(1usize..10);
-            let rank = active_width(&mut rng, max_rank);
+            let rank = block_width(&mut rng, max_rank);
             let mut fast = LowRankDense::new(max_in, max_out, max_rank, activation, &mut rng);
             fast.u = edge_matrix(&mut rng, special, max_in, max_rank);
             fast.v = edge_matrix(&mut rng, special, max_rank, max_out);
@@ -721,43 +576,31 @@ mod tests {
     #[test]
     fn dense_forward_shape() {
         let mut r = rng();
-        let d = Dense::new(5, 3, Activation::Relu, &mut r);
+        let d = MaskedDense::new(5, 3, &mut r);
         let x = Matrix::xavier(7, 5, &mut r);
-        assert_eq!(d.forward(&x).0.shape(), (7, 3));
+        assert_eq!(d.forward(&x, (5, 3), Activation::Relu).0.shape(), (7, 3));
     }
 
     #[test]
     fn dense_gradient_matches_finite_difference() {
         let mut r = rng();
-        let mut d = Dense::new(3, 2, Activation::Tanh, &mut r);
+        let mut d = MaskedDense::new(3, 2, &mut r);
+        let (shape, act) = ((3, 2), Activation::Tanh);
         let x = Matrix::xavier(4, 3, &mut r);
         // loss = sum(out); grad_out = ones
-        let (out, pre) = d.forward(&x);
+        let (out, pre) = d.forward(&x, shape, act);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
-        d.backward(&x, &pre, &ones);
+        d.backward(&x, &pre, &ones, shape, act);
         let analytic = d.grad_w.get(1, 1);
         let eps = 1e-3;
         let orig = d.w.get(1, 1);
         d.w.set(1, 1, orig + eps);
-        let lp: f32 = d.forward(&x).0.as_slice().iter().sum();
+        let lp: f32 = d.forward(&x, shape, act).0.as_slice().iter().sum();
         d.w.set(1, 1, orig - eps);
-        let lm: f32 = d.forward(&x).0.as_slice().iter().sum();
+        let lm: f32 = d.forward(&x, shape, act).0.as_slice().iter().sum();
         d.w.set(1, 1, orig);
         let numeric = (lp - lm) / (2.0 * eps);
         assert!((analytic - numeric).abs() < 1e-2, "{analytic} vs {numeric}");
-    }
-
-    #[test]
-    fn masked_dense_equals_extracted_dense() {
-        let mut r = rng();
-        let md = MaskedDense::new(8, 8, &mut r);
-        let x = Matrix::xavier(4, 5, &mut r);
-        let (got, _) = md.forward(&x, (5, 3), Activation::Swish);
-        let dense = md.extract_dense((5, 3), Activation::Swish, &mut rng());
-        let (expected, _) = dense.forward(&x);
-        for (a, b) in got.as_slice().iter().zip(expected.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
-        }
     }
 
     #[test]
@@ -831,10 +674,12 @@ mod tests {
     #[test]
     fn dense_backward_input_gradient_shape() {
         let mut r = rng();
-        let mut d = Dense::new(5, 3, Activation::Gelu, &mut r);
+        let mut d = MaskedDense::new(5, 3, &mut r);
+        let (shape, act) = ((5, 3), Activation::Gelu);
         let x = Matrix::xavier(2, 5, &mut r);
-        let (out, pre) = d.forward(&x);
-        let gx = d.backward(&x, &pre, &Matrix::full(out.rows(), out.cols(), 1.0));
+        let (out, pre) = d.forward(&x, shape, act);
+        let ones = Matrix::full(out.rows(), out.cols(), 1.0);
+        let gx = d.backward(&x, &pre, &ones, shape, act);
         assert_eq!(gx.shape(), (2, 5));
     }
 }

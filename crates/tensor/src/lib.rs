@@ -6,14 +6,17 @@
 //! * [`Matrix`] — dense row-major `f32` linear algebra.
 //! * [`Activation`] — the activations searchable in the paper's spaces,
 //!   including **Squared ReLU** (Table 3).
-//! * [`Dense`] / [`MaskedDense`] / [`LowRankDense`] — plain, fine-grained
-//!   weight-sharing, and searchable-rank factorised layers (Fig. 3 ③/④).
+//! * [`MaskedDense`] / [`LowRankDense`] — fine-grained weight-sharing and
+//!   searchable-rank factorised layers (Fig. 3 ③/④); a `MaskedDense` at
+//!   full shape is a plain dense layer.
 //! * [`EmbeddingTable`] / [`SharedEmbeddingBank`] — width-masked and
 //!   per-vocabulary embedding sharing (Fig. 3 ①/②).
 //! * [`loss`] — MSE / BCE / softmax-CE plus the AUC and NRMSE metrics the
 //!   paper reports.
-//! * [`Optimizer`] / [`Mlp`] — SGD/momentum/Adam and an MLP container used
-//!   by the two-phase performance model (§6.2).
+//! * [`Optimizer`] / [`Mlp`] — Adam at a learning rate with the
+//!   conventional β1/β2/ε for dense weights (embedding rows take sparse
+//!   SGD), and an MLP container used by the two-phase performance model
+//!   (§6.2).
 //!
 //! The paper trains on TPUs with TensorFlow/XLA; this crate is the
 //! CPU-friendly substitute documented in `DESIGN.md`. It intentionally
@@ -24,12 +27,12 @@
 //! # Examples
 //!
 //! ```
-//! use h2o_tensor::{Mlp, Activation, OptimConfig, Matrix};
+//! use h2o_tensor::{Mlp, Activation, Matrix};
 //! use rand::SeedableRng;
 //!
 //! # fn main() {
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let mut net = Mlp::new(&[2, 8, 1], Activation::Relu, OptimConfig::adam(0.01), &mut rng);
+//! let mut net = Mlp::new(&[2, 8, 1], Activation::Relu, 0.01, &mut rng);
 //! let x = Matrix::from_rows(&[&[0.5, -0.5]]);
 //! let y = Matrix::from_rows(&[&[1.0]]);
 //! let loss_before = net.train_step_mse(&x, &y);
@@ -57,8 +60,8 @@ mod testkit;
 
 pub use activation::Activation;
 pub use embedding::{EmbeddingTable, SharedEmbeddingBank};
-pub use layers::{Dense, LowRankDense, LowRankTape, MaskedDense};
+pub use layers::{LowRankDense, LowRankTape, MaskedDense};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpTape};
-pub use optim::{OptimConfig, Optimizer, Slot, Update};
+pub use optim::{Optimizer, Slot, Update};
 pub use state::{StateError, StateReader, StateWriter};

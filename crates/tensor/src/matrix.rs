@@ -174,26 +174,49 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// Uses an i-k-j loop ordering so the inner loop streams over contiguous
-    /// memory in both operands.
+    /// Matrix product `self * rhs`: the forward block product over all of
+    /// `rhs`, with its per-element order and zero-skip (DESIGN.md, "Kernel
+    /// bit-exactness").
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
+        self.matmul_block(rhs, rhs.cols)
+    }
+
+    /// `self * B` where `B` is the upper-left `self.cols × cols` block of
+    /// `rhs`: the forward product of a layer whose active weights are that
+    /// block.
+    ///
+    /// An i-k-j loop: each output row is built by row axpys over contiguous
+    /// memory, so element `(i, j)` is `Σ_k self[i, k] · rhs[k, j]`, summed
+    /// from `+0.0` in ascending `k` with one rounding per multiply and per
+    /// add. A zero `self[i, k]` skips its term, so a zero input never meets
+    /// an infinite or NaN weight. The loop runs across outputs, never across
+    /// one output's terms, and vectorising it cannot reorder a sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block exceeds `rhs` or `cols == 0`.
+    pub(crate) fn matmul_block(&self, rhs: &Matrix, cols: usize) -> Matrix {
+        assert!(
+            self.cols <= rhs.rows && cols <= rhs.cols,
+            "block exceeds the matrix"
+        );
+        let mut out = Matrix::zeros(self.rows, cols);
+        let b_rows = rhs.data.chunks_exact(rhs.cols);
+        for (a_row, out_row) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(out.data.chunks_exact_mut(cols))
+        {
+            for (&a, b_row) in a_row.iter().zip(b_rows.clone()) {
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                for (o, &b) in out_row.iter_mut().zip(&b_row[..cols]) {
                     *o += a * b;
                 }
             }
@@ -201,28 +224,49 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ * rhs` without materialising the transpose.
+    /// `selfᵀ * rhs` without materialising the transpose: the block
+    /// `aᵀ·d` accumulation into zeros, so element `(i, j)` is
+    /// `Σ_k self[k, i] · rhs[k, j]` summed from `+0.0` in ascending `k`, a
+    /// zero `self[k, i]` skipping its term.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != rhs.rows`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "matmul_tn dimension mismatch");
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-            let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
+        out.add_matmul_tn(self, rhs);
+        out
+    }
+
+    /// Adds `aᵀ · d` into the upper-left `a.cols × d.cols` block of `self`:
+    /// the weight gradient of a layer whose active weights are that block.
+    ///
+    /// Element `(i, j)` gets `a[k, i] · d[k, j]` added in ascending `k`
+    /// (the batch row), one rounding per multiply and per add, straight onto
+    /// its current value. A zero `a[k, i]` skips its term. Each row of `a`
+    /// and `d` is one pass of row axpys over contiguous memory, across
+    /// outputs, so vectorising it cannot reorder a sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.rows != d.rows` or the block exceeds `self`.
+    pub(crate) fn add_matmul_tn(&mut self, a: &Matrix, d: &Matrix) {
+        assert_eq!(a.rows, d.rows, "matmul_tn dimension mismatch");
+        assert!(
+            a.cols <= self.rows && d.cols <= self.cols,
+            "block exceeds the matrix"
+        );
+        let (cols, stride) = (d.cols, self.cols);
+        for (a_row, d_row) in a.data.chunks_exact(a.cols).zip(d.data.chunks_exact(cols)) {
+            for (&x, out_row) in a_row.iter().zip(self.data.chunks_exact_mut(stride)) {
+                if x == 0.0 {
                     continue;
                 }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
+                for (o, &b) in out_row[..cols].iter_mut().zip(d_row) {
+                    *o += x * b;
                 }
             }
         }
-        out
     }
 
     /// `self * rhsᵀ`.
@@ -339,22 +383,6 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// In-place element-wise accumulate `self += rhs * scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled_assign(&mut self, rhs: &Matrix, scale: f32) {
-        assert_eq!(
-            self.shape(),
-            rhs.shape(),
-            "add_scaled_assign shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b * scale;
-        }
-    }
-
     /// Multiplies every element by `s`; returns a new matrix.
     pub fn scale(&self, s: f32) -> Matrix {
         let data = self.data.iter().map(|a| a * s).collect();
@@ -455,7 +483,10 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{edge_values, reference_matmul_nt_block, same_bits, special_share};
+    use crate::testkit::{
+        block_width, edge_matrix, edge_values, reference_add_matmul_tn, reference_matmul_block,
+        reference_matmul_nt_block, same_bits, special_share,
+    };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -480,6 +511,37 @@ mod tests {
             let full = Matrix::from_vec(n, b_cols, edge_values(&mut rng, special, n * b_cols));
             let want = reference_matmul_nt_block(&full, &b, b_rows, b_cols);
             same_bits("full", full.matmul_nt(&b).as_slice(), want.as_slice())?;
+        }
+
+        /// The forward block product and the block `aᵀ·d` accumulation
+        /// match scalar loops bit for bit on any shape and any block from
+        /// 1×1 to full, with signed zeros, subnormals, infinities and NaN
+        /// mixed into both operands and into the starting accumulator;
+        /// `matmul` and `matmul_tn` match them as their full-size cases.
+        fn block_products_match_scalar_reference_bitwise(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let special = special_share(&mut rng);
+            let (b_rows, b_cols) = (rng.gen_range(1usize..20), rng.gen_range(1usize..20));
+            let (inner, cols) = (block_width(&mut rng, b_rows), block_width(&mut rng, b_cols));
+            let n = rng.gen_range(1usize..8);
+            let a = edge_matrix(&mut rng, special, n, inner);
+            let b = edge_matrix(&mut rng, special, b_rows, b_cols);
+            let want = reference_matmul_block(&a, &b, cols);
+            same_bits("block", a.matmul_block(&b, cols).as_slice(), want.as_slice())?;
+            let full = edge_matrix(&mut rng, special, n, b_rows);
+            let want = reference_matmul_block(&full, &b, b_cols);
+            same_bits("matmul", full.matmul(&b).as_slice(), want.as_slice())?;
+
+            let d = edge_matrix(&mut rng, special, n, cols);
+            let mut got = edge_matrix(&mut rng, special, b_rows, b_cols);
+            let mut want = got.clone();
+            got.add_matmul_tn(&a, &d);
+            reference_add_matmul_tn(&mut want, &a, &d);
+            same_bits("accumulated", got.as_slice(), want.as_slice())?;
+            let d = edge_matrix(&mut rng, special, n, b_cols);
+            let mut want = Matrix::zeros(b_rows, b_cols);
+            reference_add_matmul_tn(&mut want, &full, &d);
+            same_bits("matmul_tn", full.matmul_tn(&d).as_slice(), want.as_slice())?;
         }
     }
 
@@ -581,13 +643,5 @@ mod tests {
     fn frobenius_norm_known() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn add_scaled_assign_accumulates() {
-        let mut a = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let g = Matrix::from_rows(&[&[2.0, 4.0]]);
-        a.add_scaled_assign(&g, 0.5);
-        assert_eq!(a, Matrix::from_rows(&[&[2.0, 3.0]]));
     }
 }

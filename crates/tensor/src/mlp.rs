@@ -2,10 +2,11 @@
 //! performance model (§6.2.1 of the paper uses a 2×512 MLP) and for test
 //! fixtures across the workspace.
 
-use crate::{loss, Activation, Dense, Matrix, OptimConfig, Optimizer};
+use crate::{loss, Activation, MaskedDense, Matrix, Optimizer};
 use rand::Rng;
 
-/// A stack of [`Dense`] layers trained with a shared [`Optimizer`].
+/// A stack of [`MaskedDense`] layers, each at its full shape, trained with a
+/// shared Adam [`Optimizer`].
 ///
 /// Hidden layers use a common activation; the output layer is linear
 /// (identity) so the same network serves regression (performance model) and
@@ -14,17 +15,18 @@ use rand::Rng;
 /// # Examples
 ///
 /// ```
-/// use h2o_tensor::{Mlp, Activation, OptimConfig, Matrix};
+/// use h2o_tensor::{Mlp, Activation, Matrix};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let mut net = Mlp::new(&[4, 16, 1], Activation::Relu, OptimConfig::adam(1e-3), &mut rng);
+/// let mut net = Mlp::new(&[4, 16, 1], Activation::Relu, 1e-3, &mut rng);
 /// let x = Matrix::zeros(2, 4);
 /// assert_eq!(net.infer(&x).shape(), (2, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    layers: Vec<Dense>,
+    layers: Vec<MaskedDense>,
+    hidden_activation: Activation,
     optimizer: Optimizer,
 }
 
@@ -43,7 +45,8 @@ impl MlpTape {
 }
 
 impl Mlp {
-    /// Builds an MLP from layer widths `[in, h1, ..., out]`.
+    /// Builds an MLP from layer widths `[in, h1, ..., out]`, trained by Adam
+    /// at learning rate `lr`.
     ///
     /// # Panics
     ///
@@ -51,23 +54,31 @@ impl Mlp {
     pub fn new(
         widths: &[usize],
         hidden_activation: Activation,
-        optim: OptimConfig,
+        lr: f32,
         rng: &mut impl Rng,
     ) -> Self {
         assert!(widths.len() >= 2, "need at least input and output widths");
-        let mut layers = Vec::with_capacity(widths.len() - 1);
-        for i in 0..widths.len() - 1 {
-            let act = if i + 2 == widths.len() {
-                Activation::Identity
-            } else {
-                hidden_activation
-            };
-            layers.push(Dense::new(widths[i], widths[i + 1], act, rng));
-        }
+        let layers = widths
+            .windows(2)
+            .map(|w| MaskedDense::new(w[0], w[1], rng))
+            .collect();
         Self {
             layers,
-            optimizer: Optimizer::new(optim),
+            hidden_activation,
+            optimizer: Optimizer::new(lr),
         }
+    }
+
+    /// Layer `i`'s full shape and activation: the hidden activation, or
+    /// the identity for the output layer.
+    fn layer_pass(&self, i: usize) -> ((usize, usize), Activation) {
+        let layer = &self.layers[i];
+        let activation = if i + 1 == self.layers.len() {
+            Activation::Identity
+        } else {
+            self.hidden_activation
+        };
+        ((layer.max_in(), layer.max_out()), activation)
     }
 
     /// Number of layers.
@@ -77,18 +88,19 @@ impl Mlp {
 
     /// Input width.
     pub fn n_in(&self) -> usize {
-        self.layers[0].n_in()
+        self.layers[0].max_in()
     }
 
     /// Output width.
     #[expect(clippy::expect_used, reason = "constructor rejects empty layer lists")]
     pub fn n_out(&self) -> usize {
-        self.layers.last().expect("non-empty").n_out()
+        self.layers.last().expect("non-empty").max_out()
     }
 
     /// Total trainable parameter count.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Dense::param_count).sum()
+        let params = |l: &MaskedDense| (l.max_in() + 1) * l.max_out();
+        self.layers.iter().map(params).sum()
     }
 
     /// Forward pass: every layer's output and pre-activation, the tape
@@ -96,18 +108,21 @@ impl Mlp {
     /// network's output.
     pub fn forward(&self, x: &Matrix) -> MlpTape {
         let mut layers: Vec<(Matrix, Matrix)> = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let pass = layer.forward(layers.last().map_or(x, |(out, _)| out));
-            layers.push(pass);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (shape, activation) = self.layer_pass(i);
+            let input = layers.last().map_or(x, |(out, _)| out);
+            layers.push(layer.forward(input, shape, activation));
         }
         MlpTape { layers }
     }
 
     /// Inference-only forward pass: the output alone.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = self.layers[0].forward(x).0;
-        for layer in &self.layers[1..] {
-            h = layer.forward(&h).0;
+        let (shape, activation) = self.layer_pass(0);
+        let mut h = self.layers[0].forward(x, shape, activation).0;
+        for i in 1..self.layers.len() {
+            let (shape, activation) = self.layer_pass(i);
+            h = self.layers[i].forward(&h, shape, activation).0;
         }
         h
     }
@@ -116,13 +131,18 @@ impl Mlp {
     /// `x` and applies one optimizer step.
     pub fn backward_and_step(&mut self, x: &Matrix, tape: &MlpTape, grad_out: &Matrix) {
         let mut g = None;
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        for i in (0..self.layers.len()).rev() {
+            let (shape, activation) = self.layer_pass(i);
             let pre = &tape.layers[i].1;
             let grad = g.as_ref().unwrap_or(grad_out);
+            let layer = &mut self.layers[i];
             match i.checked_sub(1) {
-                Some(j) => g = Some(layer.backward(&tape.layers[j].0, pre, grad)),
+                Some(j) => {
+                    let input = &tape.layers[j].0;
+                    g = Some(layer.backward(input, pre, grad, shape, activation));
+                }
                 // Layer 0 reads `x`, whose gradient nobody reads.
-                None => layer.backward_params(x, pre, grad),
+                None => layer.backward_params(x, pre, grad, shape, activation),
             }
         }
         self.optimizer.begin_step();
@@ -166,12 +186,7 @@ mod tests {
     #[test]
     fn learns_linear_function() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut net = Mlp::new(
-            &[2, 16, 1],
-            Activation::Relu,
-            OptimConfig::adam(0.01),
-            &mut rng,
-        );
+        let mut net = Mlp::new(&[2, 16, 1], Activation::Relu, 0.01, &mut rng);
         // y = 2a - b
         let x = Matrix::from_fn(64, 2, |_, _| rng.gen_range(-1.0..1.0));
         let y = Matrix::from_fn(64, 1, |r, _| 2.0 * x.get(r, 0) - x.get(r, 1));
@@ -185,12 +200,7 @@ mod tests {
     #[test]
     fn learns_xor_with_bce() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut net = Mlp::new(
-            &[2, 8, 1],
-            Activation::Tanh,
-            OptimConfig::adam(0.05),
-            &mut rng,
-        );
+        let mut net = Mlp::new(&[2, 8, 1], Activation::Tanh, 0.05, &mut rng);
         let x = Matrix::from_rows(&[&[0.0, 0.0], &[0.0, 1.0], &[1.0, 0.0], &[1.0, 1.0]]);
         let labels = [0.0, 1.0, 1.0, 0.0];
         let mut last = f32::MAX;
@@ -203,24 +213,14 @@ mod tests {
     #[test]
     fn param_count_matches_architecture() {
         let mut rng = StdRng::seed_from_u64(2);
-        let net = Mlp::new(
-            &[3, 5, 2],
-            Activation::Relu,
-            OptimConfig::sgd(0.1),
-            &mut rng,
-        );
+        let net = Mlp::new(&[3, 5, 2], Activation::Relu, 0.1, &mut rng);
         assert_eq!(net.param_count(), 3 * 5 + 5 + 5 * 2 + 2);
     }
 
     #[test]
     fn infer_matches_forward() {
         let mut rng = StdRng::seed_from_u64(3);
-        let net = Mlp::new(
-            &[4, 8, 2],
-            Activation::Swish,
-            OptimConfig::sgd(0.1),
-            &mut rng,
-        );
+        let net = Mlp::new(&[4, 8, 2], Activation::Swish, 0.1, &mut rng);
         let x = Matrix::xavier(3, 4, &mut rng);
         assert_eq!(net.forward(&x).output(), &net.infer(&x));
     }
@@ -228,15 +228,18 @@ mod tests {
     #[test]
     fn output_layer_is_linear() {
         let mut rng = StdRng::seed_from_u64(4);
-        let net = Mlp::new(
-            &[2, 4, 1],
-            Activation::Relu,
-            OptimConfig::sgd(0.1),
-            &mut rng,
+        let net = Mlp::new(&[2, 4, 1], Activation::Relu, 0.1, &mut rng);
+        let x = Matrix::xavier(16, 2, &mut rng);
+        let tape = net.forward(&x);
+        // The output is the last pre-activation, negative values and all;
+        // the hidden layer's ReLU is not.
+        let (out, pre) = &tape.layers[1];
+        assert_eq!(out, pre);
+        assert!(
+            out.as_slice().iter().any(|&v| v < 0.0),
+            "no negative output"
         );
-        assert_eq!(
-            net.layers.last().unwrap().activation(),
-            Activation::Identity
-        );
+        let (hidden, hidden_pre) = &tape.layers[0];
+        assert_eq!(hidden, &Activation::Relu.apply_matrix(hidden_pre));
     }
 }

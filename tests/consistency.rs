@@ -456,3 +456,60 @@ fn supernet_states_are_pinned() {
         h.0
     );
 }
+
+/// Pins a trained performance model bit for bit: a small dual-head model
+/// pretrained on simulator-labelled tiny-DLRM candidates, then fine-tuned
+/// on scaled targets, the way a deployed-hardware gap looks (the
+/// calibration fit plus `TrainConfig::finetune()`'s gradient epochs). The
+/// digest covers the pretrain loss and both heads' predictions for every
+/// sample, after each phase. searchbench's reference digests see the
+/// model only through a model-served search's CSVs.
+#[test]
+fn perf_model_outputs_are_pinned() {
+    let space = DlrmSpace::new(DlrmSpaceConfig::tiny());
+    let featurizer = Featurizer::from_space(space.space());
+    let sim = Simulator::new(HardwareConfig::tpu_v4());
+    let pod = SystemConfig::training_pod();
+    let mut rng = StdRng::seed_from_u64(30);
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for _ in 0..96 {
+        let sample = space.space().sample_uniform(&mut rng);
+        let graph = space.decode(&sample).build_graph(64, 128);
+        xs.push(featurizer.featurize(&sample));
+        ys.push(PerfTargets {
+            training: sim.simulate_training(&graph, &pod).time,
+            serving: sim.simulate(&graph).time,
+        });
+    }
+    let mut h = Fnv::new();
+    let hash_predictions = |h: &mut Fnv, model: &PerfModel| {
+        for x in &xs {
+            let p = model.predict(x);
+            h.f64(p.training);
+            h.f64(p.serving);
+        }
+    };
+    let mut model = PerfModel::new(featurizer.dim(), &[16, 16], 3);
+    let pretrain = TrainConfig {
+        epochs: 6,
+        batch_size: 16,
+        lr: 1e-3,
+    };
+    let loss = model.pretrain(&xs[..80], &ys[..80], pretrain);
+    h.bytes(&loss.to_bits().to_le_bytes());
+    hash_predictions(&mut h, &model);
+    let measured: Vec<PerfTargets> = ys[80..]
+        .iter()
+        .map(|y| PerfTargets {
+            training: y.training * 1.3,
+            serving: y.serving * 0.8,
+        })
+        .collect();
+    model.finetune(&xs[80..], &measured, TrainConfig::finetune());
+    hash_predictions(&mut h, &model);
+    assert_eq!(
+        h.0, 0xf65f_4915_02cc_c33e,
+        "perf model digest moved: {:#018x}",
+        h.0
+    );
+}

@@ -10,7 +10,7 @@ use h2o_nas::space::{
     CnnSpace, CnnSpaceConfig, Decision, DlrmSpace, DlrmSpaceConfig, DlrmSupernet, SearchSpace,
     VisionSupernet, VisionSupernetConfig,
 };
-use h2o_nas::tensor::{loss, Activation, MaskedDense, Matrix, StateWriter};
+use h2o_nas::tensor::{loss, StateWriter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -235,27 +235,6 @@ proptest! {
         let ra = a.reward(50.0, &[value]);
         let rb = b.reward(50.0, &[value * scale]);
         prop_assert!((ra - rb).abs() < 1e-6, "{ra} vs {rb}");
-    }
-
-    /// Masked forward equals the extracted dense layer's forward on the
-    /// retained sub-matrix, for arbitrary active shapes.
-    #[test]
-    fn masked_dense_equals_extracted(
-        active_in in 1usize..12,
-        active_out in 1usize..12,
-        batch in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let md = MaskedDense::new(12, 12, &mut rng);
-        let shape = (active_in, active_out);
-        let x = Matrix::xavier(batch, active_in, &mut rng);
-        let (got, _) = md.forward(&x, shape, Activation::Swish);
-        let dense = md.extract_dense(shape, Activation::Swish, &mut rng);
-        let (want, _) = dense.forward(&x);
-        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
     }
 
     /// Every uniformly sampled CNN candidate decodes, builds a non-empty
@@ -527,5 +506,118 @@ fn supernet_load_state_rejects_undecodable_optimizer_state() {
             let bytes = [weights, &w.into_bytes()].concat();
             assert!(!loads(&bytes, &mut rng), "step counter {t} loaded");
         }
+    }
+}
+
+/// Graph texts in the format `text::parse` reads: a seeded tiny-DLRM
+/// candidate's graph and one graph holding every op kind, each written by
+/// `to_text`.
+fn graph_texts() -> [String; 2] {
+    use h2o_nas::graph::text::{parse, to_text};
+    let space = DlrmSpace::new(DlrmSpaceConfig::tiny());
+    let sample = space.space().sample_uniform(&mut StdRng::seed_from_u64(1));
+    let every_op = parse(
+        "graph \"every op\" dtype=f32 {\n\
+         \x20 %0 = reshape(elems=4096)\n\
+         \x20 %1 = matmul(m=64, k=64, n=300) inputs=[%0]\n\
+         \x20 %2 = elementwise(elems=19200, ops_per_elem=3.5, label=\"hard,swish\") inputs=[%1] fused\n\
+         \x20 %3 = embedding_lookup(lookups=640, width=48, vocab=100000)\n\
+         \x20 %4 = all_to_all(bytes_per_chip=122880) inputs=[%3]\n\
+         \x20 %5 = conv2d(batch=2, h=17, w=17, c_in=3, c_out=40, kh=3, kw=3, stride=2)\n\
+         \x20 %6 = depthwise_conv2d(batch=2, h=9, w=9, c=40, kh=5, kw=5, stride=1) inputs=[%5]\n\
+         \x20 %7 = pool(batch=2, h=9, w=9, c=40, window=3) inputs=[%6]\n\
+         \x20 %8 = batched_matmul(batches=6, m=33, k=17, n=33) inputs=[%7]\n\
+         \x20 %9 = all_reduce(bytes_per_chip=65536) inputs=[%8]\n\
+         \x20 %10 = concat(elems=20000) inputs=[%2, %4, %9]\n\
+         }\n",
+    )
+    .expect("the every-op graph parses");
+    [
+        to_text(&space.decode(&sample).build_graph(8, 16)),
+        to_text(&every_op),
+    ]
+}
+
+/// `text` with one whitespace-separated token replaced, dropped or
+/// doubled. Replacements are the numbers and symbols a parser is most
+/// likely to mishandle: zero, negative, non-finite and out-of-range
+/// numbers, stray brackets, a dangling node reference and a multi-byte
+/// character.
+fn token_mutated(text: &str, rng: &mut StdRng) -> String {
+    const REPLACEMENTS: [&str; 12] = [
+        "0",
+        "-1",
+        "NaN",
+        "inf",
+        "1e309",
+        "18446744073709551616",
+        "(",
+        ")",
+        "%999999",
+        "é",
+        "m=0,",
+        "inputs=[%0,",
+    ];
+    let mut tokens: Vec<&str> = text.split_inclusive(char::is_whitespace).collect();
+    let i = rng.gen_range(0..tokens.len());
+    match rng.gen_range(0..3) {
+        0 => tokens[i] = REPLACEMENTS[rng.gen_range(0..REPLACEMENTS.len())],
+        1 => {
+            tokens.remove(i);
+        }
+        _ => tokens.insert(i, tokens[i]),
+    }
+    tokens.concat()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The HLO text parser takes any input without panicking: random
+    /// bytes, a valid text with its bytes mutated (`mutated`), and a valid
+    /// text with one token replaced, dropped or doubled each parse or
+    /// return a `ParseGraphError`, and a graph that parsed has a cost.
+    fn graph_text_parse_never_panics(seed in 0u64..u64::MAX) {
+        use h2o_nas::graph::text::parse;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let texts = graph_texts();
+        let text = &texts[rng.gen_range(0..texts.len())];
+        let inputs = [
+            String::from_utf8_lossy(&mutated(text.as_bytes(), &mut rng)).into_owned(),
+            token_mutated(text, &mut rng),
+        ];
+        for input in inputs {
+            if let Ok(graph) = parse(&input) {
+                graph.total_cost();
+            }
+        }
+    }
+
+    /// The distributed evaluation codec decodes any bytes without
+    /// panicking: a valid job or result round-trips, and the same
+    /// encoding with a byte changed, cut short or extended, or random
+    /// bytes, decodes or returns a `WireError`.
+    fn eval_codec_decode_never_panics(seed in 0u64..u64::MAX) {
+        use h2o_nas::core::{decode_eval_job, decode_eval_result, encode_eval_job, encode_eval_result, EvalResult};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (step, shard) = (rng.gen::<u64>(), rng.gen_range(0u64..64));
+        let sample: Vec<usize> = (0..rng.gen_range(0..40)).map(|_| rng.gen_range(0..12)).collect();
+        let job = encode_eval_job(step, shard, &sample);
+        prop_assert_eq!(decode_eval_job(&job).ok(), Some((step, shard, sample)));
+        let value = |rng: &mut StdRng| match rng.gen_range(0..8) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => -0.0,
+            _ => rng.gen_range(-1e3..1e3),
+        };
+        let result = EvalResult {
+            quality: value(&mut rng),
+            perf_values: (0..rng.gen_range(0..6)).map(|_| value(&mut rng)).collect(),
+        };
+        let bytes = encode_eval_result(&result);
+        let decoded = decode_eval_result(&bytes).expect("a valid result decodes");
+        prop_assert_eq!(encode_eval_result(&decoded), bytes.clone());
+        let _ = decode_eval_job(&mutated(&job, &mut rng));
+        let _ = decode_eval_result(&mutated(&bytes, &mut rng));
     }
 }

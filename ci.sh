@@ -173,16 +173,18 @@ rm -rf "$msdir"
 # One-shot smoke: 150 steps of 8 shards are 1,200 Adam steps, enough for
 # the first moments of weights that stop getting gradient to decay into
 # the subnormals, so the optimized binary runs Adam's absorbed path, the
-# step's fanned-out quality forwards and the weight update whose deferred
-# Adam passes run on the helper. --workers 1 and 2 must write the same
-# telemetry (history modulo the wall-clock column). Each run prints its
-# wall time and mean step time. The checkpoint leg runs --workers 2 to
-# step 75 with a checkpoint every 25 steps, then resumes it to 150: its
-# telemetry must equal the uninterrupted --workers 1 run's, so every
-# deferred update landed before each snapshot.
-echo "==> one-shot smoke (dlrm-oneshot, 150 steps, --workers 1 and 2, checkpoint leg)"
+# step's fanned-out quality forwards and the weight update, whose
+# per-path weight-gradient and Adam tasks both threads of each train
+# step's two-job batch run. --workers 1, 2 and 4 (4 workers on a 2-CPU
+# host; each batch still has two jobs) must write the same telemetry
+# (history modulo the wall-clock column). Each run prints its wall time
+# and mean step time. The checkpoint leg runs --workers 2 to step 75 with
+# a checkpoint every 25 steps, then resumes it to 150: its telemetry must
+# equal the uninterrupted --workers 1 run's, so every path was back in
+# the network before each snapshot.
+echo "==> one-shot smoke (dlrm-oneshot, 150 steps, --workers 1, 2 and 4, checkpoint leg)"
 osdir=$(mktemp -d)
-for w in 1 2; do
+for w in 1 2 4; do
   run_start=$(date +%s%N)
   ./target/release/h2o search --domain dlrm-oneshot --steps 150 --shards 8 --workers "$w" \
       --csv "$osdir/w$w" >/dev/null
@@ -194,7 +196,7 @@ done
     --checkpoint-dir "$osdir/ck" --checkpoint-every 25 >/dev/null
 ./target/release/h2o search --domain dlrm-oneshot --steps 150 --shards 8 --workers 2 \
     --checkpoint-dir "$osdir/ck" --checkpoint-every 25 --resume --csv "$osdir/resumed" >/dev/null
-for run in w2 resumed; do
+for run in w2 w4 resumed; do
   cmp "$osdir/w1_candidates.csv" "$osdir/${run}_candidates.csv"
   cmp <(cut -d, -f1-4 "$osdir/w1_history.csv") \
       <(cut -d, -f1-4 "$osdir/${run}_history.csv")

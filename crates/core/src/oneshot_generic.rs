@@ -106,10 +106,12 @@ impl OneShotSupernet for DlrmSupernet {
         self.train_step(batch);
     }
 
-    /// Each item's forward and backward run on the calling thread, as the
-    /// first job of a two-job executor batch whose second job, on a helper
-    /// when there is one, is the previous item's Adam update for the paths
-    /// this item's candidate does not read.
+    /// Each item is one two-job executor batch. The first job, on the
+    /// calling thread, runs the forward, the loss and the input-gradient
+    /// chain; both jobs run the dense paths' weight gradients and Adam
+    /// steps as tasks from the item's queue (`DlrmSupernet::
+    /// train_sequence`). The executor starts job 0 on the calling thread,
+    /// and one worker runs both jobs in order, as that join requires.
     fn train_sequence_on(
         &mut self,
         steps: &[(&ArchSample, &Self::Batch)],

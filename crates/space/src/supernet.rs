@@ -23,18 +23,23 @@
 //! weights at once.
 //!
 //! [`DlrmSupernet::train_sequence`] trains several candidates in a row,
-//! bit for bit a [`DlrmSupernet::train_step`] each: the Adam update of
-//! the paths the next candidate does not read runs beside that
-//! candidate's forward and backward.
+//! bit for bit a [`DlrmSupernet::train_step`] each, on two threads: each
+//! dense path's weight gradient and Adam step is a task either thread can
+//! run, beside the caller's forward and input-gradient chain.
 
 use crate::decision::ArchSample;
 use crate::dlrm::{choices, DlrmSpace, DlrmSpaceConfig, DECISIONS_PER_GROUP, DECISIONS_PER_TABLE};
 use h2o_tensor::{
-    loss, Activation, LowRankDense, LowRankTape, MaskedDense, Matrix, Optimizer,
+    loss, Activation, LowRankDense, LowRankGrad, LowRankTape, MaskedDense, Matrix, Optimizer,
     SharedEmbeddingBank, Slot, StateError, StateReader, StateWriter, Update,
 };
 use rand::Rng;
-use std::{iter, mem};
+use std::borrow::Cow;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::{iter, mem, thread};
 
 /// One mini-batch of recommendation traffic.
 #[derive(Debug, Clone)]
@@ -102,66 +107,6 @@ impl SuperLayer {
             (out, PathTape::Full(pre))
         }
     }
-
-    fn backward(
-        &mut self,
-        x: &Matrix,
-        tape: &PathTape,
-        grad: &Matrix,
-        widths: (usize, usize),
-        low_rank: f64,
-    ) -> Matrix {
-        match tape {
-            PathTape::Low(tape) => self
-                .low
-                .backward(x, tape, grad, widths, self.rank(low_rank)),
-            PathTape::Full(pre) => self.full.backward(x, pre, grad, widths, Activation::Relu),
-        }
-    }
-
-    /// [`SuperLayer::backward`] without the gradient w.r.t. `x`.
-    fn backward_params(
-        &mut self,
-        x: &Matrix,
-        tape: &PathTape,
-        grad: &Matrix,
-        widths: (usize, usize),
-        low_rank: f64,
-    ) {
-        match tape {
-            PathTape::Low(tape) => {
-                let rank = self.rank(low_rank);
-                self.low.backward_params(x, tape, grad, widths, rank);
-            }
-            PathTape::Full(pre) => {
-                self.full
-                    .backward_params(x, pre, grad, widths, Activation::Relu);
-            }
-        }
-    }
-
-    /// Moves the low-rank (`low`) or full path out, leaving an empty one.
-    fn take(&mut self, low: bool) -> Path {
-        match low {
-            true => Path::Low(mem::take(&mut self.low)),
-            false => Path::Full(mem::take(&mut self.full)),
-        }
-    }
-
-    /// Returns a path [`SuperLayer::take`] moved out.
-    fn put(&mut self, path: Path) {
-        match path {
-            Path::Low(low) => self.low = low,
-            Path::Full(full) => self.full = full,
-        }
-    }
-}
-
-/// One path of a super-layer, moved out of the network.
-#[derive(Debug)]
-enum Path {
-    Full(MaskedDense),
-    Low(LowRankDense),
 }
 
 /// Optimizer slots per path: `[W, b]` for the full path, then `[U, V, b]`
@@ -181,39 +126,153 @@ fn apply_all<'a>(
     }
 }
 
-/// A path that the next train step's candidate does not read, moved out of
-/// the network with its optimizer slots.
+/// A dense path moved out of the network for one item's weight update,
+/// with what its gradients need: the input of its forward and its
+/// input-gradient half's output. That is `None` for a path the item's
+/// candidate does not read, whose gradients are zero.
 #[derive(Debug)]
-struct DetachedPath {
-    /// Its super-layer: group, then depth.
-    layer: (usize, usize),
-    /// Its first optimizer slot.
-    first: usize,
-    path: Path,
+enum Work<'a> {
+    /// The full path of super-layer `(group, depth)`, or the head for
+    /// `None`, and the gradient w.r.t. its pre-activation.
+    Full {
+        layer: Option<(usize, usize)>,
+        path: MaskedDense,
+        grad: Option<(Cow<'a, Matrix>, Matrix)>,
+    },
+    /// The low-rank path of super-layer `(group, depth)`, its tape and its
+    /// gradients w.r.t. the pre-activation and `x·U`.
+    Low {
+        layer: (usize, usize),
+        path: LowRankDense,
+        grad: Option<(Cow<'a, Matrix>, LowRankTape, LowRankGrad)>,
+    },
+}
+
+/// One path's weight update: its [`Work`] and optimizer slots.
+#[derive(Debug)]
+struct Task<'a> {
+    work: Work<'a>,
     slots: Vec<Slot>,
 }
 
-/// The Adam update of one train step for the paths the next step's
-/// candidate does not read: it runs while the next step's forward and
-/// backward run, which touch none of its buffers.
-#[derive(Debug)]
-struct Deferred {
-    /// The update of the step these paths belong to.
-    update: Update,
-    paths: Vec<DetachedPath>,
-}
-
-impl Deferred {
-    /// Updates every path at the deferred step's count, zeroing its
-    /// gradients.
-    fn run(&mut self) {
-        for detached in &mut self.paths {
-            let slots = &mut detached.slots;
-            match &mut detached.path {
-                Path::Full(full) => apply_all(&self.update, full.params_grads_mut(), slots),
-                Path::Low(low) => apply_all(&self.update, low.params_grads_mut(), slots),
+impl Task<'_> {
+    /// Accumulates the path's weight gradients, then applies `update`,
+    /// which zeroes them. The gradient pieces are dropped.
+    fn run(&mut self, update: &Update) {
+        match &mut self.work {
+            Work::Full { path, grad, .. } => {
+                if let Some((x, d_pre)) = grad.take() {
+                    path.accumulate(&x, &d_pre);
+                }
+                apply_all(update, path.params_grads_mut(), &mut self.slots);
+            }
+            Work::Low { path, grad, .. } => {
+                if let Some((x, tape, hidden)) = grad.take() {
+                    path.accumulate(&x, &tape, &hidden);
+                }
+                apply_all(update, path.params_grads_mut(), &mut self.slots);
             }
         }
+    }
+}
+
+/// Locks `mutex`, poisoned or not: no guard here is held while a task
+/// runs, so a panic cannot leave the guarded data half-written.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The weight updates of one train step, shared by the two jobs of its
+/// join. The caller queues each task once nothing of the step reads its
+/// path again, then closes the queue; both jobs run tasks until the queue
+/// is closed and empty. The caller never waits for the helper: the join
+/// does.
+#[derive(Debug)]
+struct Tasks<'a> {
+    update: Update,
+    queue: Mutex<VecDeque<Task<'a>>>,
+    closed: AtomicBool,
+    /// The tasks that have run, whose paths and slots go back into the
+    /// network after the join.
+    done: Mutex<Vec<Task<'a>>>,
+}
+
+/// Closes the queue when dropped, so that the helper stops even when the
+/// caller's job unwinds.
+struct Close<'t, 'a>(&'t Tasks<'a>);
+
+impl Drop for Close<'_, '_> {
+    fn drop(&mut self) {
+        // Pairs with the helper's `Acquire` load: a helper that reads the
+        // queue closed then finds every task queued before the close.
+        self.0.closed.store(true, Ordering::Release);
+    }
+}
+
+impl<'a> Tasks<'a> {
+    /// An open, empty queue for the tasks of `update`.
+    fn new(update: Update) -> Self {
+        Self {
+            update,
+            queue: Mutex::new(VecDeque::new()),
+            closed: AtomicBool::new(false),
+            done: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn push(&self, task: Task<'a>) {
+        lock(&self.queue).push_back(task);
+    }
+
+    /// Runs the oldest queued task, or the newest one if `newest`; `false`
+    /// if the queue is empty.
+    fn run_one(&self, newest: bool) -> bool {
+        let next = {
+            let mut queue = lock(&self.queue);
+            if newest {
+                queue.pop_back()
+            } else {
+                queue.pop_front()
+            }
+        };
+        let Some(mut task) = next else {
+            return false;
+        };
+        task.run(&self.update);
+        lock(&self.done).push(task);
+        true
+    }
+
+    /// The caller's job: `queue`, which queues tasks, then the close, then
+    /// the tasks left, newest first, while their inputs are still in its
+    /// cache.
+    fn caller<R>(&self, queue: impl FnOnce() -> R) -> R {
+        let close = Close(self);
+        let out = queue();
+        drop(close);
+        while self.run_one(true) {}
+        out
+    }
+
+    /// The helper's job: runs tasks, oldest first, until the queue is
+    /// closed and empty.
+    fn helper(&self) {
+        loop {
+            let closed = self.closed.load(Ordering::Acquire);
+            if !self.run_one(false) {
+                if closed {
+                    return;
+                }
+                thread::yield_now();
+            }
+        }
+    }
+
+    /// The tasks that have run.
+    fn into_done(self) -> Vec<Task<'a>> {
+        self.done
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -267,65 +326,59 @@ impl ActiveShape {
     }
 }
 
-/// Each layer's output and path tape, in forward order.
-type TowerTape = Vec<(Matrix, PathTape)>;
+/// What one forward over a tower keeps for its backward pass: the tower's
+/// input, then each layer's output and path tape, in forward order.
+#[derive(Debug)]
+struct TowerTape<'a> {
+    input: Cow<'a, Matrix>,
+    layers: Vec<(Matrix, PathTape)>,
+}
+
+impl<'a> TowerTape<'a> {
+    /// The tower's output.
+    fn out(&self) -> &Matrix {
+        self.layers.last().map_or(&self.input, |(out, _)| out)
+    }
+
+    /// The tower's output, and each layer's input with its path tape.
+    fn into_layers(self) -> (Cow<'a, Matrix>, Vec<(Cow<'a, Matrix>, PathTape)>) {
+        let mut x = self.input;
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for (out, path) in self.layers {
+            layers.push((mem::replace(&mut x, Cow::Owned(out)), path));
+        }
+        (x, layers)
+    }
+}
 
 /// What one forward over a candidate keeps for its backward pass.
 #[derive(Debug)]
-struct Tape {
-    bottom: TowerTape,
-    /// The top tower's input.
-    concat: Matrix,
-    top: TowerTape,
+struct Tape<'a> {
+    bottom: TowerTape<'a>,
+    /// Its input is the concat.
+    top: TowerTape<'a>,
     /// Click logits `(batch, 1)`.
     logits: Matrix,
     head_pre: Matrix,
 }
 
-/// The output of a tower that ran over `input`.
-fn tower_out<'a>(tape: &'a TowerTape, input: &'a Matrix) -> &'a Matrix {
-    tape.last().map_or(input, |(out, _)| out)
-}
-
 /// Runs the active layers of `groups` over `input`.
-fn tower_forward(groups: &[SuperGroup], shapes: &[GroupShape], input: &Matrix) -> TowerTape {
-    let mut tape = TowerTape::new();
+fn tower_forward<'a>(
+    groups: &[SuperGroup],
+    shapes: &[GroupShape],
+    input: Cow<'a, Matrix>,
+) -> TowerTape<'a> {
+    let mut tape = TowerTape {
+        input,
+        layers: Vec::new(),
+    };
     for (group, gs) in groups.iter().zip(shapes) {
         for (d, layer) in group.layers.iter().enumerate().take(gs.depth) {
-            let pass = layer.forward(tower_out(&tape, input), gs.widths(d), gs.low_rank);
-            tape.push(pass);
+            let pass = layer.forward(tape.out(), gs.widths(d), gs.low_rank);
+            tape.layers.push(pass);
         }
     }
     tape
-}
-
-/// Backpropagates `grad` through the layers [`tower_forward`] ran over
-/// `input`. Returns the gradient w.r.t. `input` if `input_grad`; if not,
-/// `input` is the network's own input, whose gradient nobody reads, so the
-/// first layer skips that product and the gradient w.r.t. its output comes
-/// back instead.
-fn tower_backward(
-    groups: &mut [SuperGroup],
-    shapes: &[GroupShape],
-    input: &Matrix,
-    tape: &TowerTape,
-    mut grad: Matrix,
-    input_grad: bool,
-) -> Matrix {
-    let mut i = tape.len();
-    for (group, gs) in groups.iter_mut().zip(shapes).rev() {
-        for (d, layer) in group.layers.iter_mut().enumerate().take(gs.depth).rev() {
-            i -= 1;
-            let x = i.checked_sub(1).map_or(input, |j| &tape[j].0);
-            let (path, widths) = (&tape[i].1, gs.widths(d));
-            if i == 0 && !input_grad {
-                layer.backward_params(x, path, &grad, widths, gs.low_rank);
-            } else {
-                grad = layer.backward(x, path, &grad, widths, gs.low_rank);
-            }
-        }
-    }
-    grad
 }
 
 /// Every Adam-trained buffer with its gradient, in optimizer slot order:
@@ -572,7 +625,7 @@ impl DlrmSupernet {
     ///
     /// Panics on the empty shape (no sample applied) or if the batch shape
     /// is inconsistent.
-    fn forward(&self, shape: &ActiveShape, batch: &DlrmBatch) -> Tape {
+    fn forward<'a>(&self, shape: &ActiveShape, batch: &'a DlrmBatch) -> Tape<'a> {
         assert_eq!(
             shape.groups.len(),
             self.groups.len(),
@@ -586,20 +639,17 @@ impl DlrmSupernet {
         let towers = self.bottom_groups();
         let (bottom_groups, top_groups) = self.groups.split_at(towers);
         let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
-        let bottom = tower_forward(bottom_groups, bottom_shapes, &batch.dense);
+        let bottom = tower_forward(bottom_groups, bottom_shapes, Cow::Borrowed(&batch.dense));
         let embs = iter::zip(&self.banks, &shape.tables)
             .zip(&batch.sparse)
             .map(|((bank, &(vocab_choice, width)), ids)| bank.lookup_bag(ids, vocab_choice, width));
-        let concat = self.concat(batch.len(), tower_out(&bottom, &batch.dense), embs);
-        let top = tower_forward(top_groups, top_shapes, &concat);
-        let (logits, head_pre) = self.head.forward(
-            tower_out(&top, &concat),
-            (shape.head_in, 1),
-            Activation::Identity,
-        );
+        let concat = self.concat(batch.len(), bottom.out(), embs);
+        let top = tower_forward(top_groups, top_shapes, Cow::Owned(concat));
+        let (logits, head_pre) =
+            self.head
+                .forward(top.out(), (shape.head_in, 1), Activation::Identity);
         Tape {
             bottom,
-            concat,
             top,
             logits,
             head_pre,
@@ -615,14 +665,13 @@ impl DlrmSupernet {
     ///
     /// Panics if no sample was applied or the batch shape is inconsistent.
     pub fn train_step(&mut self, batch: &DlrmBatch) -> f32 {
-        let steps = [(mem::take(&mut self.candidate), batch)];
-        let losses = self.train_shapes(&steps, |caller, helper| {
+        let shape = mem::take(&mut self.candidate);
+        let loss = self.train_shape(&shape, batch, &mut |caller, helper| {
             caller();
             helper();
         });
-        let [(shape, _)] = steps;
         self.candidate = shape;
-        losses[0]
+        loss
     }
 
     /// Trains each `(sample, batch)` of `steps` in order and returns each
@@ -630,81 +679,198 @@ impl DlrmSupernet {
     /// [`DlrmSupernet::apply_sample`] and [`DlrmSupernet::train_step`] per
     /// item, and the last sample stays recorded.
     ///
-    /// After each backward, the paths the next item's candidate reads get
-    /// their Adam update at once; the update of every other path runs while
-    /// the next item's forward and backward run, which touch none of its
-    /// buffers. `join` runs those two jobs, the forward and backward first,
-    /// and returns once both have: `|a, b| { a(); b(); }` runs them in
-    /// order, and a `join` that runs them on two threads at once writes the
-    /// same bits. The last item updates every buffer before this returns.
+    /// Each item is one call of `join(caller, helper)`, which runs both
+    /// jobs and returns once both have. Every dense path's weight gradient
+    /// and Adam step is a task on a queue that both jobs drain. The paths
+    /// the item's candidate does not read are queued before the join;
+    /// their gradients are zero. The caller's job runs the forward, the
+    /// loss and the input-gradient chain from the head down, queuing each
+    /// read path (the head first) as soon as the chain has read its weights
+    /// for the last time; the embeddings' backward and sparse SGD stay on
+    /// it. Then it closes the queue and runs the tasks left. The helper's
+    /// job runs tasks until the queue is closed and empty. Each buffer
+    /// still gets one gradient accumulation and one Adam step at the
+    /// item's count, so the bits do not depend on which thread ran what.
+    ///
+    /// The helper's job waits for tasks the caller's job queues, so `join`
+    /// must start the caller's job no later than the helper's: run both at
+    /// once on two threads, or the caller's to completion first. `|a, b|
+    /// { a(); b(); }` does, and so does an executor that starts its first
+    /// job on the calling thread. A panic in either job closes the queue,
+    /// so the other one ends and the join can raise it.
     ///
     /// # Panics
     ///
     /// Panics if a sample is invalid for the space or a batch shape is
     /// inconsistent.
-    pub fn train_sequence<J>(&mut self, steps: &[(&ArchSample, &DlrmBatch)], join: J) -> Vec<f32>
+    pub fn train_sequence<J>(
+        &mut self,
+        steps: &[(&ArchSample, &DlrmBatch)],
+        mut join: J,
+    ) -> Vec<f32>
     where
         J: for<'j> FnMut(&'j mut (dyn FnMut() + Send + 'j), &'j mut (dyn FnMut() + Send + 'j)),
     {
-        let mut steps: Vec<(ActiveShape, &DlrmBatch)> = steps
-            .iter()
-            .map(|&(sample, batch)| (self.active_shape(sample), batch))
-            .collect();
-        let losses = self.train_shapes(&steps, join);
-        if let Some((shape, _)) = steps.pop() {
+        let mut losses = Vec::with_capacity(steps.len());
+        for &(sample, batch) in steps {
+            let shape = self.active_shape(sample);
+            losses.push(self.train_shape(&shape, batch, &mut join));
             self.candidate = shape;
         }
         losses
     }
 
-    /// [`DlrmSupernet::train_sequence`] over candidate shapes: the one
-    /// weight-update path, which [`DlrmSupernet::train_step`] runs with a
-    /// single item.
-    fn train_shapes<J>(&mut self, steps: &[(ActiveShape, &DlrmBatch)], mut join: J) -> Vec<f32>
+    /// One item of [`DlrmSupernet::train_sequence`] on the candidate
+    /// `shape`: the one weight-update path, which
+    /// [`DlrmSupernet::train_step`] runs with a sequential join.
+    fn train_shape<'a, J>(&mut self, shape: &ActiveShape, batch: &'a DlrmBatch, join: &mut J) -> f32
     where
         J: for<'j> FnMut(&'j mut (dyn FnMut() + Send + 'j), &'j mut (dyn FnMut() + Send + 'j)),
     {
-        let mut losses = Vec::with_capacity(steps.len());
-        let mut deferred = Deferred {
-            update: self.optimizer.update(),
-            paths: Vec::new(),
-        };
-        for (k, (shape, batch)) in steps.iter().enumerate() {
-            let loss = if deferred.paths.is_empty() {
-                self.forward_backward(shape, batch)
-            } else {
-                let mut loss = 0.0;
-                join(
-                    &mut || loss = self.forward_backward(shape, batch),
-                    &mut || deferred.run(),
-                );
-                self.attach(&mut deferred);
-                loss
-            };
-            losses.push(loss);
-            self.update(steps.get(k + 1).map(|(next, _)| next), &mut deferred);
+        assert_eq!(
+            shape.groups.len(),
+            self.groups.len(),
+            "apply_sample before forward"
+        );
+        self.optimizer.begin_step();
+        let tasks = Tasks::new(self.optimizer.update());
+        for g in 0..self.groups.len() {
+            for d in 0..self.groups[g].layers.len() {
+                if !shape.reads(g, d, false) {
+                    tasks.push(self.full_task(Some((g, d)), None));
+                }
+                if !shape.reads(g, d, true) {
+                    tasks.push(self.low_task((g, d), None));
+                }
+            }
         }
-        losses
+        let mut loss = 0.0;
+        join(
+            &mut || loss = tasks.caller(|| self.forward_backward(shape, batch, &tasks)),
+            &mut || tasks.helper(),
+        );
+        for task in tasks.into_done() {
+            self.attach(task);
+        }
+        loss
     }
 
-    /// The forward pass of `shape` on `batch`, its BCE loss, and the
-    /// backward pass through its tape into the MLPs and embeddings: the
-    /// gradients of exactly the buffers the forward read. Returns the loss.
-    fn forward_backward(&mut self, shape: &ActiveShape, batch: &DlrmBatch) -> f32 {
-        let tape = self.forward(shape, batch);
-        let (loss_value, grad) = loss::bce_with_logits(&tape.logits, &batch.labels);
-        let top_out = tower_out(&tape.top, &tape.concat);
-        let head = (shape.head_in, 1);
-        let g = self
-            .head
-            .backward(top_out, &tape.head_pre, &grad, head, Activation::Identity);
+    /// The optimizer slots of `work`'s path: each super-layer's full path
+    /// then its low-rank path, group by group, then the head, as in
+    /// [`dense_buffers`].
+    fn slot_range(&self, work: &Work<'_>) -> Range<usize> {
+        let first_of = |group: usize, depth: usize| {
+            let before: usize = self.groups[..group].iter().map(|g| g.layers.len()).sum();
+            (before + depth) * (FULL_SLOTS + LOW_SLOTS)
+        };
+        match *work {
+            Work::Full {
+                layer: Some((g, d)),
+                ..
+            } => first_of(g, d)..first_of(g, d) + FULL_SLOTS,
+            Work::Full { layer: None, .. } => {
+                let first = first_of(self.groups.len(), 0);
+                first..first + FULL_SLOTS
+            }
+            Work::Low { layer: (g, d), .. } => {
+                let first = first_of(g, d) + FULL_SLOTS;
+                first..first + LOW_SLOTS
+            }
+        }
+    }
+
+    /// A task for `work`, whose path the caller has moved out of the
+    /// network (leaving an empty one, whose forward rejects every shape),
+    /// with its optimizer slots moved out too.
+    fn task<'a>(&mut self, work: Work<'a>) -> Task<'a> {
+        let range = self.slot_range(&work);
+        let slots = self
+            .optimizer
+            .slots_mut(range)
+            .iter_mut()
+            .map(mem::take)
+            .collect();
+        Task { work, slots }
+    }
+
+    /// Moves the full path of super-layer `layer`, or the head for `None`,
+    /// into a task with `grad` (see [`Work::Full`]).
+    fn full_task<'a>(
+        &mut self,
+        layer: Option<(usize, usize)>,
+        grad: Option<(Cow<'a, Matrix>, Matrix)>,
+    ) -> Task<'a> {
+        let path = match layer {
+            Some((g, d)) => mem::take(&mut self.groups[g].layers[d].full),
+            None => mem::take(&mut self.head),
+        };
+        self.task(Work::Full { layer, path, grad })
+    }
+
+    /// Moves the low-rank path of super-layer `layer` into a task with
+    /// `grad` (see [`Work::Low`]).
+    fn low_task<'a>(
+        &mut self,
+        layer: (usize, usize),
+        grad: Option<(Cow<'a, Matrix>, LowRankTape, LowRankGrad)>,
+    ) -> Task<'a> {
+        let (g, d) = layer;
+        let path = mem::take(&mut self.groups[g].layers[d].low);
+        self.task(Work::Low { layer, path, grad })
+    }
+
+    /// Puts a task's path and slots back into the network.
+    fn attach(&mut self, task: Task<'_>) {
+        let range = self.slot_range(&task.work);
+        for (slot, state) in self.optimizer.slots_mut(range).iter_mut().zip(task.slots) {
+            *slot = state;
+        }
+        match task.work {
+            Work::Full {
+                layer: Some((g, d)),
+                path,
+                ..
+            } => self.groups[g].layers[d].full = path,
+            Work::Full {
+                layer: None, path, ..
+            } => self.head = path,
+            Work::Low {
+                layer: (g, d),
+                path,
+                ..
+            } => self.groups[g].layers[d].low = path,
+        }
+    }
+
+    /// The caller's side of a train step: the forward pass of `shape` on
+    /// `batch`, its BCE loss, and the input-gradient chain from the head
+    /// down, which queues each dense path's update on `tasks` once the
+    /// chain has read its weights for the last time. The embeddings'
+    /// backward and sparse SGD on their touched rows (as production DLRM
+    /// trainers do) run here. Returns the loss.
+    fn forward_backward<'a>(
+        &mut self,
+        shape: &ActiveShape,
+        batch: &'a DlrmBatch,
+        tasks: &Tasks<'a>,
+    ) -> f32 {
+        let Tape {
+            bottom,
+            top,
+            logits,
+            head_pre,
+        } = self.forward(shape, batch);
+        let (loss_value, grad) = loss::bce_with_logits(&logits, &batch.labels);
+        let d_pre = Activation::Identity.backprop(&grad, &head_pre);
+        let g = self.head.input_grad(&d_pre, shape.head_in);
+        let (top_out, top_layers) = top.into_layers();
+        tasks.push(self.full_task(None, Some((top_out, d_pre))));
         let towers = self.bottom_groups();
-        let (bottom_groups, top_groups) = self.groups.split_at_mut(towers);
-        let (bottom_shapes, top_shapes) = shape.groups.split_at(towers);
-        let g = tower_backward(top_groups, top_shapes, &tape.concat, &tape.top, g, true);
+        let top_groups = towers..self.groups.len();
+        let g = self.tower_chain(top_groups, top_layers, g, true, shape, tasks);
         // Split the concat gradient back into bottom and embedding slots.
         let n = batch.len();
-        let bottom_cols = tower_out(&tape.bottom, &batch.dense).cols();
+        let bottom_cols = bottom.out().cols();
         let mut bottom_grad = Matrix::zeros(n, bottom_cols.max(1));
         for r in 0..n {
             bottom_grad
@@ -723,71 +889,63 @@ impl DlrmSupernet {
             bank.backward(&emb_grad, ids, vocab_choice, w);
             offset += slot;
         }
-        // The bottom tower reads the dense features: nobody reads their
-        // gradient.
-        tower_backward(
-            bottom_groups,
-            bottom_shapes,
-            &batch.dense,
-            &tape.bottom,
-            bottom_grad,
-            false,
-        );
-        loss_value
-    }
-
-    /// The updates of a train step whose backward just ran: Adam on the
-    /// dense buffers, each consuming and zeroing its gradient, and sparse
-    /// SGD on the touched embedding rows (as production DLRM trainers do).
-    /// The paths `next`, the next step's candidate, does not read move into
-    /// `deferred` with their optimizer slots and this step's update; every
-    /// other buffer updates now. Without a next step everything does.
-    fn update(&mut self, next: Option<&ActiveShape>, deferred: &mut Deferred) {
-        self.optimizer.begin_step();
-        let update = self.optimizer.update();
-        let mut first = 0;
-        for (g, group) in self.groups.iter_mut().enumerate() {
-            for (d, layer) in group.layers.iter_mut().enumerate() {
-                for (low, count) in [(false, FULL_SLOTS), (true, LOW_SLOTS)] {
-                    let slots = self.optimizer.slots_mut(first..first + count);
-                    if next.is_some_and(|next| !next.reads(g, d, low)) {
-                        deferred.paths.push(DetachedPath {
-                            layer: (g, d),
-                            first,
-                            path: layer.take(low),
-                            slots: slots.iter_mut().map(mem::take).collect(),
-                        });
-                    } else if low {
-                        apply_all(&update, layer.low.params_grads_mut(), slots);
-                    } else {
-                        apply_all(&update, layer.full.params_grads_mut(), slots);
-                    }
-                    first += count;
-                }
-            }
-        }
-        let slots = self.optimizer.slots_mut(first..first + FULL_SLOTS);
-        apply_all(&update, self.head.params_grads_mut(), slots);
-        deferred.update = update;
         let lr = self.embedding_lr;
         for bank in &mut self.banks {
             bank.apply_sparse_sgd(lr);
         }
+        // The bottom tower reads the dense features: nobody reads their
+        // gradient.
+        let (_, bottom_layers) = bottom.into_layers();
+        self.tower_chain(0..towers, bottom_layers, bottom_grad, false, shape, tasks);
+        loss_value
     }
 
-    /// Returns the paths and slots of a [`Deferred`] update that has run.
-    fn attach(&mut self, deferred: &mut Deferred) {
-        for detached in deferred.paths.drain(..) {
-            let (g, d) = detached.layer;
-            self.groups[g].layers[d].put(detached.path);
-            let first = detached.first;
-            let slots = self
-                .optimizer
-                .slots_mut(first..first + detached.slots.len());
-            for (slot, state) in slots.iter_mut().zip(detached.slots) {
-                *slot = state;
-            }
+    /// The input-gradient chain down the tower of `groups` from `grad`, the
+    /// gradient w.r.t. its output, given each active layer's input and path
+    /// tape in forward order. Each layer's path moves into a task on
+    /// `tasks` right after the chain's last read of its weights. Returns
+    /// the gradient w.r.t. the tower's input if `input_grad`; if not, that
+    /// input is the network's own, whose gradient nobody reads, so the
+    /// first layer skips that product and the gradient w.r.t. its output
+    /// comes back instead.
+    fn tower_chain<'a>(
+        &mut self,
+        groups: Range<usize>,
+        layers: Vec<(Cow<'a, Matrix>, PathTape)>,
+        mut grad: Matrix,
+        input_grad: bool,
+        shape: &ActiveShape,
+        tasks: &Tasks<'a>,
+    ) -> Matrix {
+        let places: Vec<(usize, usize, usize)> = groups
+            .flat_map(|g| {
+                let gs = shape.groups[g];
+                (0..gs.depth).map(move |d| (g, d, gs.widths(d).0))
+            })
+            .collect();
+        let layers = places.into_iter().zip(layers).enumerate().rev();
+        for (i, ((g, d, active_in), (x, path))) in layers {
+            let needs_dx = input_grad || i > 0;
+            let task = match path {
+                PathTape::Full(pre) => {
+                    let d_pre = Activation::Relu.backprop(&grad, &pre);
+                    if needs_dx {
+                        grad = self.groups[g].layers[d].full.input_grad(&d_pre, active_in);
+                    }
+                    self.full_task(Some((g, d)), Some((x, d_pre)))
+                }
+                PathTape::Low(tape) => {
+                    let low = &self.groups[g].layers[d].low;
+                    let hidden = low.hidden_grad(&tape, &grad);
+                    if needs_dx {
+                        grad = low.input_grad(&hidden, active_in);
+                    }
+                    self.low_task((g, d), Some((x, tape, hidden)))
+                }
+            };
+            tasks.push(task);
         }
+        grad
     }
 
     /// Evaluates the candidate [`DlrmSupernet::apply_sample`] recorded:
@@ -878,6 +1036,9 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(17)
@@ -964,11 +1125,25 @@ mod tests {
         });
     }
 
+    /// A join whose helper job runs on a second thread, but only after the
+    /// caller's job has returned, so the caller runs every task.
+    fn helper_after_caller(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
+        let (returned, caller_returned) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _ = caller_returned.recv();
+                b();
+            });
+            a();
+            let _ = returned.send(());
+        });
+    }
+
     /// Trains `items` from the network state `start` through
-    /// `train_sequence`, with an inline join and with [`two_threads`], and
-    /// through `apply_sample` + `train_step` per item: the losses, the
-    /// `save_state()` bytes (weights and Adam moments) and the candidate
-    /// left recorded must match bit for bit.
+    /// `train_sequence`, with an inline join, with [`two_threads`] and with
+    /// [`helper_after_caller`], and through `apply_sample` + `train_step`
+    /// per item: the losses, the `save_state()` bytes (weights and Adam
+    /// moments) and the candidate left recorded must match bit for bit.
     fn check_sequence(start: &[u8], items: &[(ArchSample, DlrmBatch)]) -> Result<(), String> {
         let restored = || {
             let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng());
@@ -984,31 +1159,103 @@ mod tests {
             })
             .collect();
         let steps: Vec<(&ArchSample, &DlrmBatch)> = items.iter().map(|(s, b)| (s, b)).collect();
-        for threaded in [false, true] {
+        for join in ["inline", "two threads", "helper after caller"] {
             let mut net = restored();
-            let losses = if threaded {
-                net.train_sequence(&steps, two_threads)
-            } else {
-                net.train_sequence(&steps, |a, b| {
+            let losses = match join {
+                "inline" => net.train_sequence(&steps, |a, b| {
                     a();
                     b();
-                })
+                }),
+                "two threads" => net.train_sequence(&steps, two_threads),
+                _ => net.train_sequence(&steps, helper_after_caller),
             };
             let got: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
-            prop_assert!(
-                got == want,
-                "losses {got:?} vs {want:?}, threaded {threaded}"
-            );
+            prop_assert!(got == want, "losses {got:?} vs {want:?}, join {join}");
             prop_assert!(
                 net.save_state() == reference.save_state(),
-                "state, threaded {threaded}"
+                "state, join {join}"
             );
             prop_assert!(
                 net.candidate == reference.candidate,
-                "candidate, threaded {threaded}"
+                "candidate, join {join}"
             );
         }
         Ok(())
+    }
+
+    /// Runs `body` on a thread of its own and fails if it has not finished
+    /// within a minute, so a join that hangs fails the test instead of
+    /// hanging it. A panic in `body` is re-raised.
+    fn within_deadline(body: impl FnOnce() + Send + 'static) {
+        const DEADLINE: Duration = Duration::from_secs(60);
+        let (done, finished) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(DEADLINE) {
+            Err(RecvTimeoutError::Timeout) => panic!("not done within {DEADLINE:?}: a join hung"),
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                if let Err(payload) = runner.join() {
+                    panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    /// A caller whose forward panics (the batch has one id list too few)
+    /// closes the queue on its way out, so the helper ends and the panic
+    /// reaches `train_sequence`'s caller.
+    #[test]
+    fn a_panic_in_the_callers_job_reaches_the_caller() {
+        within_deadline(|| {
+            let mut r = rng();
+            let mut net = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut r);
+            let sample = net.space().baseline();
+            let mut batch = make_batch(&net, 8, &mut r);
+            batch.sparse.pop();
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                net.train_sequence(&[(&sample, &batch)], two_threads)
+            }));
+            assert!(outcome.is_err(), "the forward's panic must surface");
+        });
+    }
+
+    /// A task that panics on the helper ends the helper's job; the caller
+    /// never waits on it, so the join ends and raises the panic.
+    #[test]
+    fn a_panic_in_a_helper_task_reaches_the_caller() {
+        within_deadline(|| {
+            let mut r = rng();
+            let tasks = Tasks::new(Optimizer::new(1e-3).update());
+            // One input row against two gradient rows: the weight gradient
+            // product rejects them.
+            let grad = Some((Cow::Owned(Matrix::zeros(1, 2)), Matrix::zeros(2, 2)));
+            let path = MaskedDense::new(2, 2, &mut r);
+            tasks.push(Task {
+                work: Work::Full {
+                    layer: None,
+                    path,
+                    grad,
+                },
+                slots: vec![Slot::default(); FULL_SLOTS],
+            });
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                two_threads(
+                    // Closes the queue only once the helper has taken the
+                    // task.
+                    &mut || {
+                        tasks.caller(|| {
+                            while !lock(&tasks.queue).is_empty() {
+                                thread::yield_now();
+                            }
+                        })
+                    },
+                    &mut || tasks.helper(),
+                );
+            }));
+            assert!(outcome.is_err(), "the task's panic must surface");
+        });
     }
 
     /// The offset of group `g`'s decisions in a sample.
@@ -1017,7 +1264,7 @@ mod tests {
     }
 
     /// A sample derived from `prev` by one of the moves that decide which
-    /// paths a deferred update takes: the same candidate again, one group's
+    /// paths an item's candidate reads: the same candidate again, one group's
     /// depth changed, one group's layers flipped between the full and the
     /// low-rank path, or a fresh random sample.
     fn next_sample(net: &DlrmSupernet, prev: &ArchSample, r: &mut StdRng) -> ArchSample {

@@ -56,75 +56,143 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+fn relu_derivative(x: f32) -> f32 {
+    if x > 0.0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+fn swish(x: f32) -> f32 {
+    x * sigmoid(x)
+}
+
+fn swish_derivative(x: f32) -> f32 {
+    let s = sigmoid(x);
+    s + x * s * (1.0 - s)
+}
+
+/// The tanh approximation of GELU.
+fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+/// The derivative of the tanh approximation.
+fn gelu_derivative(x: f32) -> f32 {
+    let c = 0.797_884_6;
+    let inner = c * (x + 0.044_715 * x * x * x);
+    let t = inner.tanh();
+    let dinner = c * (1.0 + 3.0 * 0.044_715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+fn squared_relu(x: f32) -> f32 {
+    let r = x.max(0.0);
+    r * r
+}
+
+fn squared_relu_derivative(x: f32) -> f32 {
+    if x > 0.0 {
+        2.0 * x
+    } else {
+        0.0
+    }
+}
+
+fn sigmoid_derivative(x: f32) -> f32 {
+    let s = sigmoid(x);
+    s * (1.0 - s)
+}
+
+fn tanh(x: f32) -> f32 {
+    x.tanh()
+}
+
+fn tanh_derivative(x: f32) -> f32 {
+    let t = x.tanh();
+    1.0 - t * t
+}
+
+fn identity(x: f32) -> f32 {
+    x
+}
+
+fn identity_derivative(_: f32) -> f32 {
+    1.0
+}
+
+/// Evaluates `$body` with `$f` and `$d` bound to the scalar function and
+/// derivative of `$act`'s variant. They are fn items, not pointers, so a
+/// loop in `$body` compiles once per activation with both calls inlined,
+/// and the `match` runs once per call, not once per element.
+macro_rules! with_scalar_fns {
+    ($act:expr, |$f:ident, $d:ident| $body:expr) => {
+        match $act {
+            Activation::Relu => {
+                let ($f, $d) = (relu, relu_derivative);
+                $body
+            }
+            Activation::Swish => {
+                let ($f, $d) = (swish, swish_derivative);
+                $body
+            }
+            Activation::Gelu => {
+                let ($f, $d) = (gelu, gelu_derivative);
+                $body
+            }
+            Activation::SquaredRelu => {
+                let ($f, $d) = (squared_relu, squared_relu_derivative);
+                $body
+            }
+            Activation::Sigmoid => {
+                let ($f, $d) = (sigmoid, sigmoid_derivative);
+                $body
+            }
+            Activation::Tanh => {
+                let ($f, $d) = (tanh, tanh_derivative);
+                $body
+            }
+            Activation::Identity => {
+                let ($f, $d) = (identity, identity_derivative);
+                $body
+            }
+        }
+    };
+}
+
 impl Activation {
     /// Applies the activation to a scalar.
     pub fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Swish => x * sigmoid(x),
-            Activation::Gelu => {
-                // tanh approximation of GELU
-                0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
-            }
-            Activation::SquaredRelu => {
-                let r = x.max(0.0);
-                r * r
-            }
-            Activation::Sigmoid => sigmoid(x),
-            Activation::Tanh => x.tanh(),
-            Activation::Identity => x,
-        }
+        with_scalar_fns!(self, |f, _d| f(x))
     }
 
     /// Derivative `d act(x) / dx` evaluated at the *pre-activation* `x`.
     pub fn derivative(self, x: f32) -> f32 {
-        match self {
-            Activation::Relu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Activation::Swish => {
-                let s = sigmoid(x);
-                s + x * s * (1.0 - s)
-            }
-            Activation::Gelu => {
-                // derivative of the tanh approximation
-                let c = 0.797_884_6;
-                let inner = c * (x + 0.044_715 * x * x * x);
-                let t = inner.tanh();
-                let dinner = c * (1.0 + 3.0 * 0.044_715 * x * x);
-                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            }
-            Activation::SquaredRelu => {
-                if x > 0.0 {
-                    2.0 * x
-                } else {
-                    0.0
-                }
-            }
-            Activation::Sigmoid => {
-                let s = sigmoid(x);
-                s * (1.0 - s)
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Identity => 1.0,
-        }
+        with_scalar_fns!(self, |_f, d| d(x))
     }
 
     /// Applies the activation element-wise to a matrix.
     pub fn apply_matrix(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.apply(x))
+        with_scalar_fns!(self, |f, _d| m.map(f))
     }
 
-    /// Element-wise derivative matrix evaluated at pre-activations `m`.
-    pub fn derivative_matrix(self, m: &Matrix) -> Matrix {
-        m.map(|x| self.derivative(x))
+    /// `grad ⊙ act'(pre)`, the gradient w.r.t. the pre-activation `pre`
+    /// given `grad`, the gradient w.r.t. the activation's output, in one
+    /// pass: element `i` is `grad[i] · derivative(pre[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn backprop(self, grad: &Matrix, pre: &Matrix) -> Matrix {
+        assert_eq!(grad.shape(), pre.shape(), "grad_out shape mismatch");
+        let pairs = grad.as_slice().iter().zip(pre.as_slice());
+        let data = with_scalar_fns!(self, |_f, d| pairs.map(|(&g, &x)| g * d(x)).collect());
+        Matrix::from_vec(grad.rows(), grad.cols(), data)
     }
 
     /// Relative vector-unit cost of evaluating this activation on hardware,
@@ -148,6 +216,10 @@ impl Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{edge_matrix, same_bits, special_share};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const ALL: [Activation; 7] = [
         Activation::Relu,
@@ -198,6 +270,70 @@ mod tests {
         // GELU(1) ~ 0.8412, GELU(-1) ~ -0.1588
         assert!((Activation::Gelu.apply(1.0) - 0.8412).abs() < 1e-2);
         assert!((Activation::Gelu.apply(-1.0) + 0.1588).abs() < 1e-2);
+    }
+
+    /// IEEE edge values: signed zeros, the smallest subnormals and normals,
+    /// the largest finite values, infinities and NaN.
+    const EDGES: [f32; 12] = [
+        0.0,
+        -0.0,
+        1e-45,
+        -1e-45,
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1.0,
+    ];
+
+    /// `apply_matrix` and the fused `backprop` of every activation against
+    /// the scalar `apply` and `grad · derivative` loops, bit for bit.
+    fn check_matrix_passes(grad: &Matrix, pre: &Matrix) -> Result<(), String> {
+        for act in ALL {
+            let out: Vec<f32> = pre.as_slice().iter().map(|&x| act.apply(x)).collect();
+            same_bits(
+                &format!("{act} apply"),
+                act.apply_matrix(pre).as_slice(),
+                &out,
+            )?;
+            let want: Vec<f32> = grad
+                .as_slice()
+                .iter()
+                .zip(pre.as_slice())
+                .map(|(&g, &x)| g * act.derivative(x))
+                .collect();
+            let got = act.backprop(grad, pre);
+            same_bits(&format!("{act} backprop"), got.as_slice(), &want)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For all seven activations, the matrix passes match the scalar
+        /// loops bit for bit on random shapes mixing signed zeros,
+        /// subnormals, infinities and NaN into ordinary values.
+        fn matrix_passes_match_scalar_loops_bitwise(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let special = special_share(&mut rng);
+            let (rows, cols) = (rng.gen_range(1usize..6), rng.gen_range(1usize..40));
+            let pre = edge_matrix(&mut rng, special, rows, cols);
+            let grad = edge_matrix(&mut rng, special, rows, cols);
+            check_matrix_passes(&grad, &pre)?;
+        }
+    }
+
+    /// Every pairing of an edge gradient with an edge pre-activation.
+    #[test]
+    fn matrix_passes_match_scalar_loops_on_every_edge_pair() {
+        let n = EDGES.len();
+        let pre = Matrix::from_fn(n, n, |_, c| EDGES[c]);
+        let grad = Matrix::from_fn(n, n, |r, _| EDGES[r]);
+        check_matrix_passes(&grad, &pre).expect("matrix passes match the scalar loops");
     }
 
     #[test]

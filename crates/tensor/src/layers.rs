@@ -18,11 +18,17 @@
 //! caller keeps the layer's input, so `backward` takes that input, the
 //! tape and the same shape. Any number of forwards may share a layer.
 //!
-//! `backward` accumulates the parameter gradients and returns the gradient
-//! w.r.t. the layer's input; `backward_params` runs the same pass without
-//! that last matrix product, for a layer whose input is the network's own,
-//! whose gradient nobody reads. An optimizer consumes the gradients
-//! through `params_grads_mut` and zeroes them.
+//! A backward pass has two halves. The input-gradient half reads the
+//! weights through `&self`: the gradient w.r.t. the pre-activation
+//! ([`Activation::backprop`], plus `d_hidden` for the low-rank layer, from
+//! [`LowRankDense::hidden_grad`]), then `input_grad`, the gradient w.r.t.
+//! the layer's input. The parameter half, `accumulate`, takes `&mut self`
+//! and adds the weight and bias gradients. So a caller can hand a layer's
+//! parameter half to another thread once its input-gradient half has run.
+//! `MaskedDense::backward` runs both halves; `backward_params` skips
+//! `input_grad`, for a layer whose input is the network's own, whose
+//! gradient nobody reads. An optimizer consumes the gradients through
+//! `params_grads_mut` and zeroes them.
 
 use crate::state::{StateError, StateReader, StateWriter};
 use crate::{Activation, Matrix};
@@ -110,9 +116,10 @@ impl MaskedDense {
         shape: (usize, usize),
         activation: Activation,
     ) -> Matrix {
-        let d_pre = self.accumulate(x, pre, grad_out, shape, activation);
-        // grad_x = d_pre · W[:active_in, :active_out]ᵀ
-        d_pre.matmul_nt_block(&self.w, shape.0, shape.1)
+        assert_eq!((x.cols(), pre.cols()), shape, "tape shape mismatch");
+        let d_pre = activation.backprop(grad_out, pre);
+        self.accumulate(x, &d_pre);
+        self.input_grad(&d_pre, shape.0)
     }
 
     /// [`MaskedDense::backward`] without the gradient w.r.t. `x`: for a
@@ -129,32 +136,35 @@ impl MaskedDense {
         shape: (usize, usize),
         activation: Activation,
     ) {
-        self.accumulate(x, pre, grad_out, shape, activation);
+        assert_eq!((x.cols(), pre.cols()), shape, "tape shape mismatch");
+        self.accumulate(x, &activation.backprop(grad_out, pre));
     }
 
-    /// Accumulates the parameter gradients of a backward pass; returns the
-    /// gradient w.r.t. the pre-activation.
-    fn accumulate(
-        &mut self,
-        x: &Matrix,
-        pre: &Matrix,
-        grad_out: &Matrix,
-        (active_in, active_out): (usize, usize),
-        activation: Activation,
-    ) -> Matrix {
-        assert_eq!(
-            (x.cols(), pre.cols()),
-            (active_in, active_out),
-            "tape shape mismatch"
-        );
-        assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
-        let d_pre = grad_out.hadamard(&activation.derivative_matrix(pre));
-        // grad_w[:active_in, :active_out] += xᵀ · d_pre
-        self.grad_w.add_matmul_tn(x, &d_pre);
-        for (g, s) in self.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
+    /// The gradient w.r.t. the input of a forward at `active_in` inputs,
+    /// given `d_pre`, the gradient w.r.t. its pre-activation:
+    /// `d_pre · W[..active_in, ..d_pre.cols]ᵀ`. It reads the weights only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block exceeds the allocated maximum.
+    pub fn input_grad(&self, d_pre: &Matrix, active_in: usize) -> Matrix {
+        d_pre.matmul_nt_block(&self.w, active_in, d_pre.cols())
+    }
+
+    /// The parameter half of a backward pass over the input `x`, given
+    /// `d_pre`, the gradient w.r.t. the pre-activation: adds `xᵀ · d_pre`
+    /// to the gradient of the upper-left `x.cols × d_pre.cols` weight block
+    /// and `d_pre`'s column sums to the bias gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ or the block exceeds the allocated
+    /// maximum.
+    pub fn accumulate(&mut self, x: &Matrix, d_pre: &Matrix) {
+        self.grad_w.add_matmul_tn(x, d_pre);
+        for (g, s) in self.grad_b[..d_pre.cols()].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
-        d_pre
     }
 
     /// Yields `(params, grads)` buffer pairs for an optimizer.
@@ -206,12 +216,21 @@ pub struct LowRankDense {
     grad_b: Vec<f32>,
 }
 
-/// What [`LowRankDense::forward`] keeps for [`LowRankDense::backward`]: the
-/// hidden product `x·U` and the pre-activation.
+/// What [`LowRankDense::forward`] keeps for the backward pass: the hidden
+/// product `x·U` and the pre-activation.
 #[derive(Debug)]
 pub struct LowRankTape {
     hidden: Matrix,
     pre: Matrix,
+}
+
+/// What [`LowRankDense::hidden_grad`] returns for
+/// [`LowRankDense::input_grad`] and [`LowRankDense::accumulate`]: the
+/// gradients w.r.t. the pre-activation and the hidden product `x·U`.
+#[derive(Debug)]
+pub struct LowRankGrad {
+    d_pre: Matrix,
+    d_hidden: Matrix,
 }
 
 impl LowRankDense {
@@ -247,7 +266,7 @@ impl LowRankDense {
     /// Forward pass through the `(active_in, active_out)` sub-factorisation
     /// at rank `r`: the output `act(x·U[..active_in, ..r]·V[..r,
     /// ..active_out] + b[..active_out])`, and the tape that
-    /// [`LowRankDense::backward`] takes.
+    /// [`LowRankDense::hidden_grad`] takes.
     ///
     /// # Panics
     ///
@@ -288,64 +307,47 @@ impl LowRankDense {
         )
     }
 
-    /// Backward pass for the input `x` and tape of a
-    /// [`LowRankDense::forward`] at the same shape and rank: accumulates
-    /// gradients for the active rank only and returns the gradient w.r.t.
-    /// `x`.
+    /// The start of the input-gradient half, for the tape of a
+    /// [`LowRankDense::forward`] at rank `r` and `active_out` outputs, given
+    /// `grad_out`, the gradient w.r.t. its output: `d_pre = grad_out ⊙
+    /// act'(pre)` and `d_hidden = d_pre · V[..r, ..active_out]ᵀ`. It reads
+    /// the weights only.
     ///
     /// # Panics
     ///
-    /// Panics if `x`, the tape or `grad_out` does not fit the shape.
-    pub fn backward(
-        &mut self,
-        x: &Matrix,
-        tape: &LowRankTape,
-        grad_out: &Matrix,
-        shape: (usize, usize),
-        r: usize,
-    ) -> Matrix {
-        let d_hidden = self.accumulate(x, tape, grad_out, shape, r);
-        // grad_x = d_hidden · U[:active_in, :r]ᵀ
-        d_hidden.matmul_nt_block(&self.u, shape.0, r)
-    }
-
-    /// [`LowRankDense::backward`] without the gradient w.r.t. `x`: for a
-    /// layer that reads the network's input, whose gradient nobody reads.
-    /// `U`'s gradient still needs the gradient w.r.t. `x·U`.
-    ///
-    /// # Panics
-    ///
-    /// As [`LowRankDense::backward`].
-    pub fn backward_params(
-        &mut self,
-        x: &Matrix,
-        tape: &LowRankTape,
-        grad_out: &Matrix,
-        shape: (usize, usize),
-        r: usize,
-    ) {
-        self.accumulate(x, tape, grad_out, shape, r);
-    }
-
-    /// Accumulates the parameter gradients of a backward pass; returns the
-    /// gradient w.r.t. the hidden product `x·U`.
-    fn accumulate(
-        &mut self,
-        x: &Matrix,
-        tape: &LowRankTape,
-        grad_out: &Matrix,
-        (active_in, active_out): (usize, usize),
-        r: usize,
-    ) -> Matrix {
+    /// Panics if `grad_out` does not fit the tape.
+    pub fn hidden_grad(&self, tape: &LowRankTape, grad_out: &Matrix) -> LowRankGrad {
         let LowRankTape { hidden, pre } = tape;
-        assert_eq!(
-            (x.cols(), hidden.cols(), pre.cols()),
-            (active_in, r, active_out),
-            "tape shape mismatch"
-        );
-        let d_pre = grad_out.hadamard(&self.activation.derivative_matrix(pre));
+        let d_pre = self.activation.backprop(grad_out, pre);
+        let d_hidden = d_pre.matmul_nt_block(&self.v, hidden.cols(), pre.cols());
+        LowRankGrad { d_pre, d_hidden }
+    }
+
+    /// The gradient w.r.t. the input of a forward at `active_in` inputs:
+    /// `d_hidden · U[..active_in, ..r]ᵀ`. It reads the weights only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block exceeds the allocated maximum.
+    pub fn input_grad(&self, grad: &LowRankGrad, active_in: usize) -> Matrix {
+        let d_hidden = &grad.d_hidden;
+        d_hidden.matmul_nt_block(&self.u, active_in, d_hidden.cols())
+    }
+
+    /// The parameter half of a backward pass over the input `x` and tape of
+    /// a forward, given its [`LowRankDense::hidden_grad`]: adds `hiddenᵀ ·
+    /// d_pre` to `V`'s gradient, `d_pre`'s column sums to the bias gradient
+    /// and `xᵀ · d_hidden` to `U`'s, each over the active block only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x`, the tape and `grad` do not fit one another or the
+    /// allocated maximum.
+    pub fn accumulate(&mut self, x: &Matrix, tape: &LowRankTape, grad: &LowRankGrad) {
+        let LowRankGrad { d_pre, d_hidden } = grad;
+        let (active_in, r, active_out) = (x.cols(), tape.hidden.cols(), d_pre.cols());
         // grad_v[:r, :active_out] += hiddenᵀ · d_pre
-        let gv = hidden.matmul_tn(&d_pre);
+        let gv = tape.hidden.matmul_tn(d_pre);
         for k in 0..r {
             for (g, &d) in self.grad_v.row_mut(k)[..active_out]
                 .iter_mut()
@@ -357,16 +359,13 @@ impl LowRankDense {
         for (g, s) in self.grad_b[..active_out].iter_mut().zip(d_pre.col_sums()) {
             *g += s;
         }
-        // d_hidden = d_pre · V[:r, :active_out]ᵀ
-        let d_hidden = d_pre.matmul_nt_block(&self.v, r, active_out);
         // grad_u[:active_in, :r] += xᵀ · d_hidden
-        let gu = x.matmul_tn(&d_hidden);
+        let gu = x.matmul_tn(d_hidden);
         for row in 0..active_in {
             for (g, &d) in self.grad_u.row_mut(row)[..r].iter_mut().zip(gu.row(row)) {
                 *g += d;
             }
         }
-        d_hidden
     }
 
     /// Yields `(params, grads)` buffer pairs for an optimizer.
@@ -413,6 +412,15 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
+    /// `grad_out ⊙ act'(pre)` element by element through the scalar
+    /// derivative.
+    fn reference_pre_grad(grad_out: &Matrix, pre: &Matrix, activation: Activation) -> Matrix {
+        assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
+        Matrix::from_fn(pre.rows(), pre.cols(), |i, j| {
+            grad_out.get(i, j) * activation.derivative(pre.get(i, j))
+        })
+    }
+
     /// `MaskedDense::backward` with its input gradient taken from the scalar
     /// reference product: what the layer must match bit for bit.
     fn reference_masked_backward(
@@ -423,8 +431,7 @@ mod tests {
         (active_in, active_out): (usize, usize),
         activation: Activation,
     ) -> Matrix {
-        assert_eq!(grad_out.shape(), pre.shape(), "grad_out shape mismatch");
-        let d_pre = grad_out.hadamard(&activation.derivative_matrix(pre));
+        let d_pre = reference_pre_grad(grad_out, pre, activation);
         for i in 0..x.rows() {
             let x_row = x.row(i);
             let d_row = d_pre.row(i);
@@ -444,9 +451,9 @@ mod tests {
         reference_matmul_nt_block(&d_pre, &l.w, active_in, active_out)
     }
 
-    /// `LowRankDense::backward` with `d_hidden` and its input gradient taken
-    /// from the scalar reference product: what the layer must match bit for
-    /// bit.
+    /// A low-rank backward pass with `d_hidden` and its input gradient taken
+    /// from the scalar reference product: what the layer's two halves must
+    /// match bit for bit.
     fn reference_low_rank_backward(
         l: &mut LowRankDense,
         x: &Matrix,
@@ -456,7 +463,7 @@ mod tests {
         r: usize,
     ) -> Matrix {
         let LowRankTape { hidden, pre } = tape;
-        let d_pre = grad_out.hadamard(&l.activation.derivative_matrix(pre));
+        let d_pre = reference_pre_grad(grad_out, pre, l.activation);
         let gv = hidden.matmul_tn(&d_pre);
         for k in 0..r {
             for (g, &d) in l.grad_v.row_mut(k)[..active_out].iter_mut().zip(gv.row(k)) {
@@ -522,8 +529,10 @@ mod tests {
         /// accumulated gradients mixing in signed zeros, subnormals,
         /// infinities and NaN, both shared-weight layers' backward passes
         /// match the dot-product reference bit for bit: every gradient
-        /// buffer and the returned input gradient. `backward_params`
-        /// leaves the same gradient buffers.
+        /// buffer and the input gradient. For the masked layer, its
+        /// input-gradient half plus its parameter half, and
+        /// `backward_params`, leave the same bits as `backward`; the
+        /// low-rank layer has only the halves.
         fn backward_matches_dot_product_reference_bitwise(seed in 0u64..u64::MAX) {
             let mut rng = StdRng::seed_from_u64(seed);
             let special = special_share(&mut rng);
@@ -541,11 +550,16 @@ mod tests {
             let grad_out = edge_matrix(&mut rng, special, n, shape.1);
             let mut slow = fast.clone();
             let mut params_only = fast.clone();
+            let mut halves = fast.clone();
             let got = fast.backward(&x, &pre, &grad_out, shape, activation);
             let want = reference_masked_backward(&mut slow, &x, &pre, &grad_out, shape, activation);
             params_only.backward_params(&x, &pre, &grad_out, shape, activation);
+            let d_pre = activation.backprop(&grad_out, &pre);
+            let half_x = halves.input_grad(&d_pre, shape.0);
+            halves.accumulate(&x, &d_pre);
             same_bits("masked grad_x", got.as_slice(), want.as_slice())?;
-            for layer in [&slow, &params_only] {
+            same_bits("masked halves' grad_x", half_x.as_slice(), got.as_slice())?;
+            for layer in [&slow, &params_only, &halves] {
                 same_bits("masked grad_w", fast.grad_w.as_slice(), layer.grad_w.as_slice())?;
                 same_bits("masked grad_b", &fast.grad_b, &layer.grad_b)?;
             }
@@ -560,16 +574,14 @@ mod tests {
             let x = edge_matrix(&mut rng, special, n, shape.0);
             let (_, tape) = fast.forward(&x, shape, rank);
             let mut slow = fast.clone();
-            let mut params_only = fast.clone();
-            let got = fast.backward(&x, &tape, &grad_out, shape, rank);
+            let grad = fast.hidden_grad(&tape, &grad_out);
+            let got = fast.input_grad(&grad, shape.0);
+            fast.accumulate(&x, &tape, &grad);
             let want = reference_low_rank_backward(&mut slow, &x, &tape, &grad_out, shape, rank);
-            params_only.backward_params(&x, &tape, &grad_out, shape, rank);
             same_bits("low-rank grad_x", got.as_slice(), want.as_slice())?;
-            for layer in [&slow, &params_only] {
-                same_bits("low-rank grad_u", fast.grad_u.as_slice(), layer.grad_u.as_slice())?;
-                same_bits("low-rank grad_v", fast.grad_v.as_slice(), layer.grad_v.as_slice())?;
-                same_bits("low-rank grad_b", &fast.grad_b, &layer.grad_b)?;
-            }
+            same_bits("low-rank grad_u", fast.grad_u.as_slice(), slow.grad_u.as_slice())?;
+            same_bits("low-rank grad_v", fast.grad_v.as_slice(), slow.grad_v.as_slice())?;
+            same_bits("low-rank grad_b", &fast.grad_b, &slow.grad_b)?;
         }
     }
 
@@ -658,7 +670,8 @@ mod tests {
         let x = Matrix::xavier(4, 3, &mut r);
         let (out, tape) = lr.forward(&x, (3, 2), 2);
         let ones = Matrix::full(out.rows(), out.cols(), 1.0);
-        lr.backward(&x, &tape, &ones, (3, 2), 2);
+        let grad = lr.hidden_grad(&tape, &ones);
+        lr.accumulate(&x, &tape, &grad);
         let analytic = lr.grad_u.get(0, 0);
         let eps = 1e-3;
         let orig = lr.u.get(0, 0);

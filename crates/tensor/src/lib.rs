@@ -60,7 +60,7 @@ mod testkit;
 
 pub use activation::Activation;
 pub use embedding::{EmbeddingTable, SharedEmbeddingBank};
-pub use layers::{LowRankDense, LowRankTape, MaskedDense};
+pub use layers::{LowRankDense, LowRankGrad, LowRankTape, MaskedDense};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpTape};
 pub use optim::{Optimizer, Slot, Update};

@@ -367,22 +367,6 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Element-wise (Hadamard) product; returns a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
     /// Multiplies every element by `s`; returns a new matrix.
     pub fn scale(&self, s: f32) -> Matrix {
         let data = self.data.iter().map(|a| a * s).collect();
@@ -603,7 +587,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[3.0, 5.0]]);
         assert_eq!(a.add(&b), Matrix::from_rows(&[&[4.0, 7.0]]));
         assert_eq!(b.sub(&a), Matrix::from_rows(&[&[2.0, 3.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, 10.0]]));
         assert_eq!(a.scale(2.0), Matrix::from_rows(&[&[2.0, 4.0]]));
     }
 
